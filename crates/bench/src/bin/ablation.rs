@@ -3,7 +3,8 @@
 //! window-constraint relaxation.
 
 use csd::DevecThresholds;
-use csd_bench::{row, run_devec_thresholds, DEFAULT_WATCHDOG};
+use csd::VpuPolicy;
+use csd_bench::{row, run_devec, DEFAULT_WATCHDOG};
 use csd_exp::{run_plan_with, ExperimentSpec, LegMode, NoCache};
 use csd_pipeline::CoreConfig;
 use csd_workloads::Workload;
@@ -26,13 +27,13 @@ fn main() {
         )
     );
     for (low, high) in [(1, 8), (4, 24), (8, 48), (16, 96)] {
-        let r = run_devec_thresholds(
+        let r = run_devec(
             &w,
-            DevecThresholds {
+            VpuPolicy::CsdDevec(DevecThresholds {
                 window: 256,
                 low,
                 high,
-            },
+            }),
         );
         println!(
             "{}",

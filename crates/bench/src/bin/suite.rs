@@ -5,13 +5,16 @@
 //! cargo run --release -p csd-bench --bin suite -- \
 //!     [--jobs N] [--seed S] [--quick] [--out PATH] [--list] [--filter SUBSTR] \
 //!     [--journal] [--resume ID] [--journal-dir DIR]
+//! cargo run --release -p csd-bench --bin suite -- --render BENCH_suite.json
 //! ```
 //!
 //! Exits non-zero if any headline metric drifts outside its declared
 //! band (full profile only). `--list` prints the task grid without
 //! running anything; `--filter` runs only label-matched tasks and writes
 //! a reduced report (no figure summaries or checks) — the same document
-//! the `csd-serve` daemon returns for a task request.
+//! the `csd-serve` daemon returns for a task request. `--render PATH`
+//! runs nothing: it prints every figure table of a full or quick report
+//! (exit 2 if the file is not one).
 //!
 //! Durability: `--journal` records every completed task in a
 //! write-ahead journal under `--journal-dir` (default `runs/`), and
@@ -21,12 +24,10 @@
 //! (even mid-append; the torn tail is truncated on reopen), rerun the
 //! same `--resume` command, and only the missing work repeats.
 
-use csd_bench::suite::{
-    journal_meta, resolve_jobs, run_filtered, run_filtered_resumable, run_suite,
-    run_suite_resumable, SuiteConfig, SuiteReport,
-};
+use csd_bench::render::render;
+use csd_bench::suite::{journal_meta, resolve_jobs, run_filtered, run_suite, SuiteConfig};
 use csd_bench::tasks::{build_tasks, filter_tasks};
-use csd_telemetry::{write_atomic, RunJournal};
+use csd_telemetry::{write_atomic, Json, RunJournal};
 use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -82,11 +83,17 @@ fn main() {
                     .next()
                     .unwrap_or_else(|| die("--journal-dir needs a path"));
             }
+            "--render" => {
+                let path = args.next().unwrap_or_else(|| die("--render needs a path"));
+                print!("{}", render_file(&path).unwrap_or_else(|e| die(&e)));
+                return;
+            }
             "--help" | "-h" => {
                 println!(
                     "usage: suite [--jobs N] [--seed S] [--quick] [--out PATH]\n\
                      \x20            [--list] [--filter SUBSTR]\n\
                      \x20            [--journal] [--resume ID] [--journal-dir DIR]\n\
+                     \x20      suite --render PATH\n\
                      Runs the full figure grid and writes the JSON report (default\n\
                      BENCH_suite.json). --jobs 0 (or omitted) uses one worker per\n\
                      available hardware thread. --quick runs a down-scaled smoke grid\n\
@@ -96,7 +103,8 @@ fn main() {
                      completed task under --journal-dir (default runs/); --resume ID\n\
                      reopens runs/ID.journal (creating it if absent), skips the\n\
                      completed prefix, and produces a report byte-identical to an\n\
-                     uninterrupted run."
+                     uninterrupted run. --render PATH prints every figure table of the\n\
+                     full or quick report at PATH and runs nothing."
                 );
                 return;
             }
@@ -104,6 +112,7 @@ fn main() {
         }
     }
 
+    let jobs = resolve_jobs(jobs);
     let cfg = if quick {
         SuiteConfig::quick(seed, jobs)
     } else {
@@ -131,15 +140,10 @@ fn main() {
         }
         eprintln!(
             "suite: profile={} root_seed={:#x} jobs={} filter={f:?} tasks={matched}",
-            cfg.profile,
-            cfg.root_seed,
-            resolve_jobs(cfg.jobs)
+            cfg.profile, cfg.root_seed, cfg.jobs
         );
         let t0 = Instant::now();
-        let doc = match &run_journal {
-            Some(j) => run_filtered_resumable(&cfg, &f, j).unwrap_or_else(|e| die(&e)),
-            None => run_filtered(&cfg, &f),
-        };
+        let doc = run_filtered(&cfg, &f, run_journal.as_ref()).unwrap_or_else(|e| die(&e));
         write_artifact(&out_path, doc.pretty().as_bytes());
         eprintln!(
             "suite: wrote {out_path} in {:.1}s",
@@ -150,15 +154,10 @@ fn main() {
 
     eprintln!(
         "suite: profile={} root_seed={:#x} jobs={}",
-        cfg.profile,
-        cfg.root_seed,
-        resolve_jobs(cfg.jobs)
+        cfg.profile, cfg.root_seed, cfg.jobs
     );
     let t0 = Instant::now();
-    let report: SuiteReport = match &run_journal {
-        Some(j) => run_suite_resumable(&cfg, j).unwrap_or_else(|e| die(&e)),
-        None => run_suite(&cfg),
-    };
+    let report = run_suite(&cfg, run_journal.as_ref()).unwrap_or_else(|e| die(&e));
     let elapsed = t0.elapsed();
 
     write_artifact(&out_path, report.json.pretty().as_bytes());
@@ -227,6 +226,13 @@ fn open_journal(
         rj.replayed().len()
     );
     Some(Mutex::new(rj))
+}
+
+/// Reads and renders the report at `path` (see [`render`]).
+fn render_file(path: &str) -> Result<String, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    let report = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    render(&report).map_err(|e| format!("{path}: {e}"))
 }
 
 /// Writes an artifact atomically; any failure (`ENOSPC` included) exits

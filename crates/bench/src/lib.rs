@@ -1,24 +1,24 @@
 //! # csd-bench — the figure/table reproduction harness
 //!
-//! One function per experiment family, shared by the `fig*` binaries
-//! (`cargo run --release -p csd-bench --bin fig08`), the `suite` runner,
-//! and the micro-benchmarks. Each binary prints the same rows/series the
-//! paper reports; `EXPERIMENTS.md` records paper-vs-measured values.
+//! One function per experiment family, shared by the `suite` runner, the
+//! `ablation` binary and the micro-benchmarks. `suite` runs every figure
+//! and table as one task grid and writes one JSON report;
+//! `suite --render` prints the paper's tables from that report
+//! ([`render`]), and `EXPERIMENTS.md` records paper-vs-measured values.
 //!
 //! Security experiments (warm-fork-measure over victims) execute through
 //! the `csd-exp` plan layer; this crate re-exports its measurement
-//! vocabulary so figure binaries keep their historical imports, and adds
-//! the figure-shaped assembly ([`SecurityRow`], [`security_sweep`]) plus
+//! vocabulary and adds the figure-shaped assembly ([`SecurityRow`]) plus
 //! the devectorization family on top.
 
 #![warn(missing_docs)]
 
 pub mod microbench;
+pub mod render;
 pub mod suite;
 pub mod tasks;
 
-use csd::{CsdConfig, DevecThresholds, VpuPolicy};
-use csd_exp::{run_plan_with, ExperimentSpec, NoCache};
+use csd::{CsdConfig, VpuPolicy};
 use csd_pipeline::{Core, CoreConfig, SimMode, SimStats, StepOutcome};
 use csd_power::{Activity, EnergyBreakdown, EnergyModel, Unit};
 use csd_telemetry::{Json, ToJson};
@@ -65,7 +65,7 @@ impl ToJson for SecurityRow {
 }
 
 /// Assembles a Figure 8/9/10 row from a `[base, stealth]` plan result
-/// (the [`ExperimentSpec::pair`] shape).
+/// (the [`csd_exp::ExperimentSpec::pair`] shape).
 ///
 /// # Panics
 ///
@@ -80,37 +80,6 @@ pub fn security_row(result: &ExperimentResult) -> SecurityRow {
         base: result.legs[0].metrics,
         stealth: result.legs[1].metrics,
     }
-}
-
-/// Runs the full 8-datapoint security sweep under one core configuration:
-/// per victim, one warmed checkpoint forked into a base and a stealth leg.
-pub fn security_sweep(core_cfg: &CoreConfig, blocks: usize, watchdog: u64) -> Vec<SecurityRow> {
-    security_victims()
-        .iter()
-        .map(|v| {
-            // The pipeline name only keys a checkpoint provider; with
-            // `NoCache` it never collides, so the explicit `core_cfg`
-            // (which may be neither named configuration) is safe.
-            let spec =
-                ExperimentSpec::pair(&v.name(), "opt", 0xBEEF ^ blocks as u64, blocks, watchdog);
-            let result = run_plan_with(&spec, core_cfg.clone(), &NoCache, 1)
-                .expect("static victim grid resolves");
-            security_row(&result)
-        })
-        .collect()
-}
-
-/// Geometric-mean helper.
-pub fn geomean(xs: impl IntoIterator<Item = f64>) -> f64 {
-    let (mut log_sum, mut n) = (0.0, 0u32);
-    for x in xs {
-        log_sum += x.ln();
-        n += 1;
-    }
-    if n == 0 {
-        return f64::NAN;
-    }
-    (log_sum / f64::from(n)).exp()
 }
 
 /// Arithmetic-mean helper.
@@ -195,12 +164,6 @@ pub fn run_devec(workload: &Workload, policy: VpuPolicy) -> DevecRun {
     }
 }
 
-/// Runs one workload under a custom threshold configuration (the
-/// ablation sweep motivated by the paper's `namd` observation).
-pub fn run_devec_thresholds(workload: &Workload, thresholds: DevecThresholds) -> DevecRun {
-    run_devec(workload, VpuPolicy::CsdDevec(thresholds))
-}
-
 /// Pretty-prints a fixed-width table row.
 pub fn row(cols: &[String], widths: &[usize]) -> String {
     cols.iter()
@@ -212,7 +175,7 @@ pub fn row(cols: &[String], widths: &[usize]) -> String {
 
 /// VPU-relevant share of the energy breakdown, for Figure 12's stacked
 /// bars: `(vpu_dynamic, vpu_leakage+overhead, rest)`.
-pub fn energy_split(e: &EnergyBreakdown) -> (f64, f64, f64) {
+fn energy_split(e: &EnergyBreakdown) -> (f64, f64, f64) {
     let vpu_dyn = e.dynamic(Unit::Vpu);
     let vpu_static = e.leakage(Unit::Vpu) + e.gating_overhead_pj;
     (vpu_dyn, vpu_static, e.total_pj() - vpu_dyn - vpu_static)
@@ -221,7 +184,8 @@ pub fn energy_split(e: &EnergyBreakdown) -> (f64, f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use csd_exp::{run_plan, LegMode};
+    use csd::DevecThresholds;
+    use csd_exp::{run_plan, ExperimentSpec, LegMode, NoCache};
     use csd_telemetry::SplitMix64;
 
     #[test]
@@ -329,8 +293,7 @@ mod tests {
 
     #[test]
     fn helpers() {
-        assert!((geomean([2.0, 8.0]) - 4.0).abs() < 1e-12);
         assert!((mean([1.0, 3.0]) - 2.0).abs() < 1e-12);
-        assert!(geomean(std::iter::empty::<f64>()).is_nan());
+        assert!(mean(std::iter::empty::<f64>()).is_nan());
     }
 }

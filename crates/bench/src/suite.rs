@@ -1,8 +1,8 @@
 //! The parallel experiment-suite runner behind `--bin suite`.
 //!
 //! The task grid itself lives in [`crate::tasks`] (shared with the
-//! `csd-serve` daemon); this module runs tasks on a `std::thread` worker
-//! pool and assembles one deterministic JSON report
+//! `csd-serve` daemon); this module runs tasks on the shared ordered
+//! executor ([`ordered_map`]) and assembles one deterministic JSON report
 //! (`BENCH_suite.json`).
 //!
 //! Determinism contract: each task derives its own input seed from the
@@ -13,18 +13,18 @@
 
 use crate::mean;
 use crate::tasks::{build_tasks, filter_tasks, pipelines, victim_names, TaskDef};
-use csd_telemetry::{Json, RunJournal, ToJson};
+use csd_telemetry::{ordered_map, Json, RunJournal, ToJson};
 use csd_workloads::specs;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Knobs for one suite invocation.
 #[derive(Debug, Clone)]
 pub struct SuiteConfig {
     /// Root seed every per-task seed is derived from.
     pub root_seed: u64,
-    /// Worker threads; `0` means one per available hardware thread
-    /// (see [`resolve_jobs`]).
+    /// Worker threads; `0` and `1` both run inline on the caller's
+    /// thread. The CLI maps its `--jobs 0` ("auto") through
+    /// [`resolve_jobs`] before building the config.
     pub jobs: usize,
     /// Measured operations per security datapoint (figures 8–10).
     pub sec_blocks: usize,
@@ -153,51 +153,72 @@ impl SuiteReport {
     }
 }
 
-/// Runs `tasks` on a `jobs`-worker pool (see [`resolve_jobs`]) and
-/// returns their results in task order, each task seeded from
-/// `root_seed` by label. Deterministic at any worker count.
+/// Runs `tasks` on `jobs` workers (see [`ordered_map`]) and returns
+/// their results in task order, each task seeded from `root_seed` by
+/// label. Deterministic at any worker count.
+///
+/// With a `journal`, tasks it already holds are replayed instead of run,
+/// and every fresh completion is durably appended before it counts, so
+/// a resumed run returns the same values as an uninterrupted one.
+///
+/// # Errors
+///
+/// An untrustworthy journal (see [`replay_into_slots`]) or a failed
+/// journal append (`ENOSPC` and friends): the durability contract is
+/// broken, so the run stops instead of continuing unjournaled.
 ///
 /// # Panics
 ///
-/// Panics if a worker thread panics (the underlying experiment faulted).
-pub fn run_tasks(tasks: &[TaskDef], root_seed: u64, jobs: usize) -> Vec<Json> {
-    let n = tasks.len();
-    let slots: Vec<Mutex<Option<Json>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let workers = resolve_jobs(jobs).min(n.max(1));
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let t = &tasks[i];
-                let out = t.run(t.seed(root_seed));
-                *slots[i].lock().unwrap() = Some(out);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .unwrap()
-                .expect("worker completed every claimed task")
-        })
-        .collect()
+/// Panics if a task panics (the underlying experiment faulted).
+pub fn run_tasks(
+    tasks: &[TaskDef],
+    root_seed: u64,
+    jobs: usize,
+    journal: Option<&Mutex<RunJournal>>,
+) -> Result<Vec<Json>, String> {
+    let mut slots = match journal {
+        Some(j) => replay_into_slots(
+            tasks,
+            root_seed,
+            &j.lock().unwrap_or_else(PoisonError::into_inner),
+        )?,
+        None => vec![None; tasks.len()],
+    };
+    let pending: Vec<usize> = (0..tasks.len()).filter(|&i| slots[i].is_none()).collect();
+    let fresh = ordered_map(
+        jobs,
+        &pending,
+        |&i| Ok(tasks[i].run(tasks[i].seed(root_seed))),
+        // Journal before publishing: a completion the caller can observe
+        // is a completion a crash cannot lose.
+        |&i, out: &Json| {
+            let Some(j) = journal else { return Ok(()) };
+            let t = &tasks[i];
+            j.lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .record(t.label(), t.seed(root_seed), out.dump().as_bytes())
+                .map_err(|e| format!("journal append for {:?}: {e}", t.label()))
+        },
+    )?;
+    for (i, value) in pending.into_iter().zip(fresh) {
+        slots[i] = Some(value);
+    }
+    Ok(slots.into_iter().flatten().collect())
 }
 
-/// Runs the whole grid on `cfg.jobs` worker threads and assembles the
-/// report. Deterministic for a fixed config (any job count).
+/// Runs the whole grid on `cfg.jobs` workers, optionally under a
+/// write-ahead journal (see [`run_tasks`]), and assembles the report.
+/// Deterministic for a fixed config at any job count, journaled or not.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if a worker thread panics (the underlying experiment faulted).
-pub fn run_suite(cfg: &SuiteConfig) -> SuiteReport {
-    let tasks = build_tasks(cfg);
-    let values = run_tasks(&tasks, cfg.root_seed, cfg.jobs);
-    assemble_report(cfg, values)
+/// Journal replay or append failures.
+pub fn run_suite(
+    cfg: &SuiteConfig,
+    journal: Option<&Mutex<RunJournal>>,
+) -> Result<SuiteReport, String> {
+    let values = run_tasks(&build_tasks(cfg), cfg.root_seed, cfg.jobs, journal)?;
+    Ok(assemble_report(cfg, values))
 }
 
 /// The journal meta document pinning a grid run's determinism domain:
@@ -278,117 +299,6 @@ pub fn replay_into_slots(
     Ok(slots)
 }
 
-/// [`run_tasks`] with a write-ahead journal: replayed tasks are skipped
-/// outright, every fresh completion is durably appended before it
-/// counts, and the returned values are byte-equivalent to an
-/// uninterrupted [`run_tasks`] — the resumed artifact `cmp`s clean.
-///
-/// # Errors
-///
-/// An untrustworthy journal (see [`replay_into_slots`]) or a journal
-/// append failure (`ENOSPC` and friends) — the durability contract is
-/// broken, so the run stops instead of continuing unjournaled.
-pub fn run_tasks_resumable(
-    tasks: &[TaskDef],
-    root_seed: u64,
-    jobs: usize,
-    journal: &Mutex<RunJournal>,
-) -> Result<Vec<Json>, String> {
-    let prefilled = {
-        let j = journal
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        replay_into_slots(tasks, root_seed, &j)?
-    };
-    let remaining: Vec<usize> = prefilled
-        .iter()
-        .enumerate()
-        .filter_map(|(i, s)| s.is_none().then_some(i))
-        .collect();
-    let slots: Vec<Mutex<Option<Json>>> = prefilled.into_iter().map(Mutex::new).collect();
-    let next = AtomicUsize::new(0);
-    let failed = AtomicBool::new(false);
-    let error: Mutex<Option<String>> = Mutex::new(None);
-    let workers = resolve_jobs(jobs).min(remaining.len().max(1));
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let k = next.fetch_add(1, Ordering::Relaxed);
-                if k >= remaining.len() || failed.load(Ordering::SeqCst) {
-                    break;
-                }
-                let i = remaining[k];
-                let t = &tasks[i];
-                let seed = t.seed(root_seed);
-                let out = t.run(seed);
-                // Journal before publishing: a completion the caller can
-                // observe is a completion a crash cannot lose.
-                let appended = journal
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .record(t.label(), seed, out.dump().as_bytes());
-                if let Err(e) = appended {
-                    failed.store(true, Ordering::SeqCst);
-                    error
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .get_or_insert_with(|| format!("journal append for {:?}: {e}", t.label()));
-                    break;
-                }
-                *slots[i]
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(out);
-            });
-        }
-    });
-    if let Some(msg) = error
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .take()
-    {
-        return Err(msg);
-    }
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .ok_or_else(|| "worker exited without completing a claimed task".to_string())
-        })
-        .collect()
-}
-
-/// [`run_suite`] under a write-ahead journal (see
-/// [`run_tasks_resumable`]): byte-identical to the uninterrupted run.
-///
-/// # Errors
-///
-/// Journal replay or append failures.
-pub fn run_suite_resumable(
-    cfg: &SuiteConfig,
-    journal: &Mutex<RunJournal>,
-) -> Result<SuiteReport, String> {
-    let tasks = build_tasks(cfg);
-    let values = run_tasks_resumable(&tasks, cfg.root_seed, cfg.jobs, journal)?;
-    Ok(assemble_report(cfg, values))
-}
-
-/// [`run_filtered`] under a write-ahead journal: byte-identical to the
-/// uninterrupted filtered run.
-///
-/// # Errors
-///
-/// Journal replay or append failures.
-pub fn run_filtered_resumable(
-    cfg: &SuiteConfig,
-    filter: &str,
-    journal: &Mutex<RunJournal>,
-) -> Result<Json, String> {
-    let tasks = filter_tasks(cfg, filter);
-    let values = run_tasks_resumable(&tasks, cfg.root_seed, cfg.jobs, journal)?;
-    Ok(filtered_report(cfg, filter, values))
-}
-
 /// Assembles the full suite report from per-task result values in grid
 /// order (what [`run_tasks`] returns for [`build_tasks`]). Split out
 /// from [`run_suite`] so a distributed runner — `csd-cluster` collects
@@ -413,15 +323,23 @@ pub fn assemble_report(cfg: &SuiteConfig, values: Vec<Json>) -> SuiteReport {
     assemble(cfg, &results)
 }
 
-/// Runs the label-matched subset of the grid and returns a reduced
-/// report: no figure summaries or tolerance checks, just each task's
-/// label, seed, and result in grid order. The `csd-serve` daemon emits
-/// the identical document for a single-task request, which is what lets
-/// CI byte-compare a served experiment against `suite --filter`.
-pub fn run_filtered(cfg: &SuiteConfig, filter: &str) -> Json {
-    let tasks = filter_tasks(cfg, filter);
-    let values = run_tasks(&tasks, cfg.root_seed, cfg.jobs);
-    filtered_report(cfg, filter, values)
+/// Runs the label-matched subset of the grid, optionally under a
+/// write-ahead journal, and returns a reduced report: no figure
+/// summaries or tolerance checks, just each task's label, seed, and
+/// result in grid order. The `csd-serve` daemon emits the identical
+/// document for a single-task request, which is what lets CI
+/// byte-compare a served experiment against `suite --filter`.
+///
+/// # Errors
+///
+/// Journal replay or append failures.
+pub fn run_filtered(
+    cfg: &SuiteConfig,
+    filter: &str,
+    journal: Option<&Mutex<RunJournal>>,
+) -> Result<Json, String> {
+    let values = run_tasks(&filter_tasks(cfg, filter), cfg.root_seed, cfg.jobs, journal)?;
+    Ok(filtered_report(cfg, filter, values))
 }
 
 /// Builds the reduced `--filter` document from result values in
@@ -553,26 +471,11 @@ fn assemble(cfg: &SuiteConfig, results: &Results) -> SuiteReport {
         devec.push_member(*w, per);
     }
 
-    // Figure summaries.
-    let sec_avgs = |cfg_name: &str, metric: &str| -> (Vec<Json>, f64) {
-        let per: Vec<Json> = names
-            .iter()
-            .map(|n| {
-                let r = results.get(&format!("sec/{cfg_name}/{n}"));
-                Json::obj([
-                    ("name", Json::from(n.as_str())),
-                    (metric, Json::from(num(r, &[metric]))),
-                ])
-            })
-            .collect();
-        let avg = mean(
-            names
-                .iter()
-                .map(|n| num(results.get(&format!("sec/{cfg_name}/{n}")), &[metric])),
-        );
-        (per, avg)
+    // Figure summaries. Each headline value is computed once and reused
+    // by its tolerance check below.
+    let sec = |cfg_name: &str, n: &str, path: &[&str]| {
+        num(results.get(&format!("sec/{cfg_name}/{n}")), path)
     };
-
     let mut figures = Json::Obj(Vec::new());
 
     let aes_und = results.get("attack/aes-pp/undefended");
@@ -584,307 +487,216 @@ fn assemble(cfg: &SuiteConfig, results: &Results) -> SuiteReport {
             ("stealth", aes_ste.clone()),
         ]),
     );
+    let attack = |key: &str| attacks.get(key).unwrap().clone();
     figures.push_member(
         "fig07b",
         Json::obj([
-            (
-                "flush_reload",
-                attacks.get("rsa_flush_reload").unwrap().clone(),
-            ),
-            (
-                "prime_probe",
-                attacks.get("rsa_prime_probe").unwrap().clone(),
-            ),
+            ("flush_reload", attack("rsa_flush_reload")),
+            ("prime_probe", attack("rsa_prime_probe")),
         ]),
     );
 
-    let mut fig08 = Json::Obj(Vec::new());
-    let mut fig09 = Json::Obj(Vec::new());
+    // Figures 8 and 9: per-victim metric plus its average, per pipeline.
+    let (mut fig08, mut fig09) = (Json::Obj(Vec::new()), Json::Obj(Vec::new()));
+    let (mut opt_slowdown, mut opt_expansion) = (f64::NAN, f64::NAN);
     for (cfg_name, _) in pipelines() {
-        let (per_s, avg_s) = sec_avgs(cfg_name, "slowdown");
-        fig08.push_member(
-            cfg_name,
-            Json::obj([
-                ("per", Json::Arr(per_s)),
-                ("avg_slowdown", Json::from(avg_s)),
-            ]),
-        );
-        let (per_e, avg_e) = sec_avgs(cfg_name, "uop_expansion");
-        fig09.push_member(
-            cfg_name,
-            Json::obj([
-                ("per", Json::Arr(per_e)),
-                ("avg_uop_expansion", Json::from(avg_e)),
-            ]),
-        );
+        let summary = |metric: &str, avg_key: &str, fig: &mut Json| {
+            let per = names.iter().map(|n| {
+                let value = Json::from(sec(cfg_name, n, &[metric]));
+                Json::obj([("name", Json::from(n.as_str())), (metric, value)])
+            });
+            let avg = mean(names.iter().map(|n| sec(cfg_name, n, &[metric])));
+            fig.push_member(
+                cfg_name,
+                Json::obj([("per", Json::arr(per)), (avg_key, Json::from(avg))]),
+            );
+            avg
+        };
+        let slowdown = summary("slowdown", "avg_slowdown", &mut fig08);
+        let expansion = summary("uop_expansion", "avg_uop_expansion", &mut fig09);
+        if cfg_name == "opt" {
+            (opt_slowdown, opt_expansion) = (slowdown, expansion);
+        }
     }
     figures.push_member("fig08", fig08);
     figures.push_member("fig09", fig09);
 
-    let fig10_per: Vec<Json> = names
-        .iter()
-        .map(|n| {
-            let r = results.get(&format!("sec/opt/{n}"));
-            Json::obj([
-                ("name", Json::from(n.as_str())),
-                ("base_l1d_mpki", Json::from(num(r, &["base", "l1d_mpki"]))),
-                (
-                    "stealth_l1d_mpki",
-                    Json::from(num(r, &["stealth", "l1d_mpki"])),
-                ),
-            ])
-        })
-        .collect();
+    let mpki = |n: &str, leg: &str| sec("opt", n, &[leg, "l1d_mpki"]);
+    let fig10_per = names.iter().map(|n| {
+        Json::obj([
+            ("name", Json::from(n.as_str())),
+            ("base_l1d_mpki", Json::from(mpki(n, "base"))),
+            ("stealth_l1d_mpki", Json::from(mpki(n, "stealth"))),
+        ])
+    });
+    let avg_mpki = |leg: &str| Json::from(mean(names.iter().map(|n| mpki(n, leg))));
     figures.push_member(
         "fig10",
         Json::obj([
-            (
-                "avg_base_l1d_mpki",
-                Json::from(mean(names.iter().map(|n| {
-                    num(results.get(&format!("sec/opt/{n}")), &["base", "l1d_mpki"])
-                }))),
-            ),
-            (
-                "avg_stealth_l1d_mpki",
-                Json::from(mean(names.iter().map(|n| {
-                    num(
-                        results.get(&format!("sec/opt/{n}")),
-                        &["stealth", "l1d_mpki"],
-                    )
-                }))),
-            ),
-            ("per", Json::Arr(fig10_per)),
+            ("avg_base_l1d_mpki", avg_mpki("base")),
+            ("avg_stealth_l1d_mpki", avg_mpki("stealth")),
+            ("per", Json::arr(fig10_per)),
         ]),
     );
 
-    let fig11_series: Vec<Json> = cfg
-        .wd_periods
-        .iter()
-        .enumerate()
-        .map(|(pi, period)| {
-            let avg = mean(names.iter().map(|n| {
+    let wd_avgs: Vec<f64> = (0..cfg.wd_periods.len())
+        .map(|pi| {
+            mean(names.iter().map(|n| {
                 let r = results.get(&format!("wd/{n}"));
                 let periods = r.get("periods").unwrap().as_arr().unwrap();
                 num(&periods[pi], &["slowdown"])
-            }));
-            Json::obj([
-                ("period", Json::from(*period)),
-                ("avg_slowdown", Json::from(avg)),
-            ])
+            }))
         })
         .collect();
-    figures.push_member("fig11", Json::Arr(fig11_series));
+    let fig11 = cfg.wd_periods.iter().zip(&wd_avgs).map(|(period, avg)| {
+        Json::obj([
+            ("period", Json::from(*period)),
+            ("avg_slowdown", Json::from(*avg)),
+        ])
+    });
+    figures.push_member("fig11", Json::arr(fig11));
 
     let run_of = |w: &str, p: &str| results.get(&format!("devec/{w}/{p}")).get("run").unwrap();
-    let fig12_per: Vec<Json> = workload_names
-        .iter()
-        .map(|w| {
-            let conv = num(run_of(w, "conventional"), &["total_pj"]);
-            let csd = num(run_of(w, "csd-devec"), &["total_pj"]);
-            Json::obj([
-                ("name", Json::from(*w)),
-                (
-                    "always_on_pj",
-                    Json::from(num(run_of(w, "always-on"), &["total_pj"])),
-                ),
-                ("conventional_pj", Json::from(conv)),
-                ("csd_pj", Json::from(csd)),
-                ("saving_vs_conventional", Json::from(1.0 - csd / conv)),
-            ])
-        })
-        .collect();
+    let pj = |w: &str, p: &str| num(run_of(w, p), &["total_pj"]);
     let savings: Vec<f64> = workload_names
         .iter()
-        .map(|w| {
-            1.0 - num(run_of(w, "csd-devec"), &["total_pj"])
-                / num(run_of(w, "conventional"), &["total_pj"])
-        })
+        .map(|w| 1.0 - pj(w, "csd-devec") / pj(w, "conventional"))
         .collect();
+    let avg_saving = mean(savings.iter().copied());
+    let fig12_per = workload_names.iter().zip(&savings).map(|(w, saving)| {
+        Json::obj([
+            ("name", Json::from(*w)),
+            ("always_on_pj", Json::from(pj(w, "always-on"))),
+            ("conventional_pj", Json::from(pj(w, "conventional"))),
+            ("csd_pj", Json::from(pj(w, "csd-devec"))),
+            ("saving_vs_conventional", Json::from(*saving)),
+        ])
+    });
+    let positive = savings.iter().filter(|s| **s > 0.0).count() as u64;
     figures.push_member(
         "fig12",
         Json::obj([
-            (
-                "avg_saving_vs_conventional",
-                Json::from(mean(savings.iter().copied())),
-            ),
-            (
-                "workloads_with_positive_saving",
-                Json::from(savings.iter().filter(|s| **s > 0.0).count() as u64),
-            ),
-            ("per", Json::Arr(fig12_per)),
+            ("avg_saving_vs_conventional", Json::from(avg_saving)),
+            ("workloads_with_positive_saving", Json::from(positive)),
+            ("per", Json::arr(fig12_per)),
         ]),
     );
 
-    let cycle_ratio = |w: &str, p: &str, q: &str| {
-        num(run_of(w, p), &["stats", "cycles"]) / num(run_of(w, q), &["stats", "cycles"])
-    };
+    let avg_ratio =
+        |p: &str, q: &str, metric: &str| {
+            mean(workload_names.iter().map(|w| {
+                num(run_of(w, p), &["stats", metric]) / num(run_of(w, q), &["stats", metric])
+            }))
+        };
+    let csd_over_conv = avg_ratio("csd-devec", "conventional", "cycles");
     figures.push_member(
         "fig13",
         Json::obj([
             (
                 "avg_csd_over_always_on",
-                Json::from(mean(
-                    workload_names
-                        .iter()
-                        .map(|w| cycle_ratio(w, "csd-devec", "always-on")),
-                )),
+                Json::from(avg_ratio("csd-devec", "always-on", "cycles")),
             ),
-            (
-                "avg_csd_over_conventional",
-                Json::from(mean(
-                    workload_names
-                        .iter()
-                        .map(|w| cycle_ratio(w, "csd-devec", "conventional")),
-                )),
-            ),
+            ("avg_csd_over_conventional", Json::from(csd_over_conv)),
         ]),
     );
     figures.push_member(
         "fig14",
         Json::obj([(
             "avg_uop_expansion_csd_over_always_on",
-            Json::from(
-                mean(workload_names.iter().map(|w| {
-                    num(run_of(w, "csd-devec"), &["stats", "uops"])
-                        / num(run_of(w, "always-on"), &["stats", "uops"])
-                })) - 1.0,
-            ),
+            Json::from(avg_ratio("csd-devec", "always-on", "uops") - 1.0),
         )]),
     );
 
     let gated_fraction = |w: &str| num(run_of(w, "csd-devec"), &["gate", "gated_fraction"]);
-    let fig15_per: Vec<Json> = workload_names
-        .iter()
-        .map(|w| {
-            Json::obj([
-                ("name", Json::from(*w)),
-                ("gated_fraction", Json::from(gated_fraction(w))),
-            ])
-        })
-        .collect();
+    let avg_gated = mean(workload_names.iter().map(|w| gated_fraction(w)));
+    let fig15_per = workload_names.iter().map(|w| {
+        Json::obj([
+            ("name", Json::from(*w)),
+            ("gated_fraction", Json::from(gated_fraction(w))),
+        ])
+    });
     figures.push_member(
         "fig15",
         Json::obj([
-            (
-                "avg_gated_fraction",
-                Json::from(mean(workload_names.iter().map(|w| gated_fraction(w)))),
-            ),
-            ("per", Json::Arr(fig15_per)),
+            ("avg_gated_fraction", Json::from(avg_gated)),
+            ("per", Json::arr(fig15_per)),
         ]),
     );
 
-    let fig16_per: Vec<Json> = workload_names
-        .iter()
-        .map(|w| {
-            let g = run_of(w, "csd-devec").get("gate").unwrap();
-            let total =
-                num(g, &["on_cycles"]) + num(g, &["waking_cycles"]) + num(g, &["gated_cycles"]);
-            let frac = |k: &str| {
-                if total > 0.0 {
-                    num(g, &[k]) / total
-                } else {
-                    0.0
-                }
-            };
-            Json::obj([
-                ("name", Json::from(*w)),
-                ("on_fraction", Json::from(frac("on_cycles"))),
-                ("waking_fraction", Json::from(frac("waking_cycles"))),
-                ("gated_fraction", Json::from(frac("gated_cycles"))),
-            ])
-        })
-        .collect();
-    figures.push_member("fig16", Json::Arr(fig16_per));
+    let fig16 = workload_names.iter().map(|w| {
+        let g = run_of(w, "csd-devec").get("gate").unwrap();
+        let total = num(g, &["on_cycles"]) + num(g, &["waking_cycles"]) + num(g, &["gated_cycles"]);
+        let frac = |k: &str| {
+            Json::from(if total > 0.0 {
+                num(g, &[k]) / total
+            } else {
+                0.0
+            })
+        };
+        Json::obj([
+            ("name", Json::from(*w)),
+            ("on_fraction", frac("on_cycles")),
+            ("waking_fraction", frac("waking_cycles")),
+            ("gated_fraction", frac("gated_cycles")),
+        ])
+    });
+    figures.push_member("fig16", Json::arr(fig16));
     figures.push_member("table1", results.get("table1").clone());
 
     // Tolerance bands over the headline metrics (EXPERIMENTS.md).
     let checks = if cfg.checks {
-        let first = cfg.wd_periods.first().copied().unwrap_or(0);
-        let last = cfg.wd_periods.last().copied().unwrap_or(0);
-        let wd_slowdown = |period: u64| {
-            let pi = cfg.wd_periods.iter().position(|p| *p == period).unwrap();
-            mean(names.iter().map(|n| {
-                let r = results.get(&format!("wd/{n}"));
-                num(
-                    &r.get("periods").unwrap().as_arr().unwrap()[pi],
-                    &["slowdown"],
-                )
-            }))
-        };
-        vec![
-            Check {
-                name: "fig07a_undefended_bits",
-                value: num(aes_und, &["bits_recovered"]),
-                lo: 56.0,
-                hi: 128.0,
-            },
-            Check {
-                name: "fig07a_stealth_bits",
-                value: num(aes_ste, &["bits_recovered"]),
-                lo: 0.0,
-                hi: 0.0,
-            },
-            Check {
-                name: "fig07b_fr_undefended_bits",
-                value: num(results.get("attack/rsa-fr/undefended"), &["correct_bits"]),
-                lo: 60.0,
-                hi: 64.0,
-            },
-            Check {
-                name: "fig07b_fr_stealth_bits",
-                value: num(results.get("attack/rsa-fr/stealth"), &["correct_bits"]),
-                lo: 0.0,
-                hi: 45.0,
-            },
-            Check {
-                name: "fig08_opt_avg_slowdown",
-                value: mean(
-                    names
-                        .iter()
-                        .map(|n| num(results.get(&format!("sec/opt/{n}")), &["slowdown"])),
-                ),
-                lo: 1.0,
-                hi: 1.15,
-            },
-            Check {
-                name: "fig09_opt_avg_uop_expansion",
-                value: mean(
-                    names
-                        .iter()
-                        .map(|n| num(results.get(&format!("sec/opt/{n}")), &["uop_expansion"])),
-                ),
-                lo: 0.0,
-                hi: 0.35,
-            },
-            Check {
-                name: "fig11_slowdown_longest_minus_shortest",
-                value: wd_slowdown(last) - wd_slowdown(first),
-                lo: -0.5,
-                hi: 0.005,
-            },
-            Check {
-                name: "fig12_avg_saving_vs_conventional",
-                value: mean(savings.iter().copied()),
-                lo: 0.005,
-                hi: 0.20,
-            },
-            Check {
-                name: "fig13_avg_csd_over_conventional_cycles",
-                value: mean(
-                    workload_names
-                        .iter()
-                        .map(|w| cycle_ratio(w, "csd-devec", "conventional")),
-                ),
-                lo: 0.90,
-                hi: 1.05,
-            },
-            Check {
-                name: "fig15_avg_gated_fraction",
-                value: mean(workload_names.iter().map(|w| gated_fraction(w))),
-                lo: 0.5,
-                hi: 1.0,
-            },
+        let bits = |label: &str, key: &str| num(results.get(label), &[key]);
+        let wd_first = wd_avgs.first().copied().unwrap_or(f64::NAN);
+        let wd_last = wd_avgs.last().copied().unwrap_or(f64::NAN);
+        [
+            (
+                "fig07a_undefended_bits",
+                num(aes_und, &["bits_recovered"]),
+                56.0,
+                128.0,
+            ),
+            (
+                "fig07a_stealth_bits",
+                num(aes_ste, &["bits_recovered"]),
+                0.0,
+                0.0,
+            ),
+            (
+                "fig07b_fr_undefended_bits",
+                bits("attack/rsa-fr/undefended", "correct_bits"),
+                60.0,
+                64.0,
+            ),
+            (
+                "fig07b_fr_stealth_bits",
+                bits("attack/rsa-fr/stealth", "correct_bits"),
+                0.0,
+                45.0,
+            ),
+            ("fig08_opt_avg_slowdown", opt_slowdown, 1.0, 1.15),
+            ("fig09_opt_avg_uop_expansion", opt_expansion, 0.0, 0.35),
+            (
+                "fig11_slowdown_longest_minus_shortest",
+                wd_last - wd_first,
+                -0.5,
+                0.005,
+            ),
+            ("fig12_avg_saving_vs_conventional", avg_saving, 0.005, 0.20),
+            (
+                "fig13_avg_csd_over_conventional_cycles",
+                csd_over_conv,
+                0.90,
+                1.05,
+            ),
+            ("fig15_avg_gated_fraction", avg_gated, 0.5, 1.0),
         ]
+        .map(|(name, value, lo, hi)| Check {
+            name,
+            value,
+            lo,
+            hi,
+        })
+        .to_vec()
     } else {
         Vec::new()
     };
@@ -963,7 +775,7 @@ mod tests {
         // produces inside the full grid: same label-derived seed, same
         // closure — only the report wrapper differs.
         let cfg = SuiteConfig::quick(0xC5D, 1);
-        let doc = run_filtered(&cfg, "table1");
+        let doc = run_filtered(&cfg, "table1", None).unwrap();
         let rows = doc.get("tasks").unwrap().as_arr().unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].get("label").and_then(Json::as_str), Some("table1"));
@@ -975,7 +787,10 @@ mod tests {
             "filtered run must serve the grid's bytes"
         );
         // And the whole filtered document is deterministic.
-        assert_eq!(doc.pretty(), run_filtered(&cfg, "table1").pretty());
+        assert_eq!(
+            doc.pretty(),
+            run_filtered(&cfg, "table1", None).unwrap().pretty()
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! between appends or mid-append — resumes to a report byte-identical
 //! to an uninterrupted run, re-executing only the missing tasks.
 
-use csd_bench::suite::{journal_meta, run_suite, run_suite_resumable, SuiteConfig};
+use csd_bench::suite::{journal_meta, run_suite, SuiteConfig};
 use csd_telemetry::{Journal, RunJournal};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -24,7 +24,7 @@ fn frames(path: &Path) -> Vec<Vec<u8>> {
 #[test]
 fn resume_from_any_interruption_matches_uninterrupted_bytes() {
     let cfg = SuiteConfig::quick(SEED, 2);
-    let baseline = run_suite(&cfg).json.pretty();
+    let baseline = run_suite(&cfg, None).unwrap().json.pretty();
     let dir = temp_dir("suite");
     let meta = journal_meta(&cfg, None);
 
@@ -33,7 +33,7 @@ fn resume_from_any_interruption_matches_uninterrupted_bytes() {
     let full = dir.join("full.journal");
     let rj = RunJournal::open(&full, &meta).expect("create journal");
     assert!(rj.replayed().is_empty());
-    let report = run_suite_resumable(&cfg, &Mutex::new(rj)).expect("journaled run");
+    let report = run_suite(&cfg, Some(&Mutex::new(rj))).expect("journaled run");
     assert_eq!(report.json.pretty(), baseline, "journaled run bytes");
     let all = frames(&full);
     let tasks = all.len() - 1;
@@ -50,7 +50,7 @@ fn resume_from_any_interruption_matches_uninterrupted_bytes() {
         drop(j);
         let rj = RunJournal::open(&path, &meta).expect("reopen cut journal");
         assert_eq!(rj.replayed().len(), k, "replayed count after {k} appends");
-        let report = run_suite_resumable(&cfg, &Mutex::new(rj)).expect("resumed run");
+        let report = run_suite(&cfg, Some(&Mutex::new(rj))).expect("resumed run");
         assert_eq!(report.json.pretty(), baseline, "resume after {k} tasks");
         // Only the remainder re-ran: k replayed frames + (tasks - k)
         // fresh appends. A journal that re-ran replayed tasks would
@@ -68,7 +68,7 @@ fn resume_from_any_interruption_matches_uninterrupted_bytes() {
         let rj = RunJournal::open(&path, &meta).expect("reopen torn journal");
         assert!(rj.truncated() > 0, "a mid-frame cut must report truncation");
         assert!(rj.replayed().len() < tasks, "the torn record must be gone");
-        let report = run_suite_resumable(&cfg, &Mutex::new(rj)).expect("resumed run");
+        let report = run_suite(&cfg, Some(&Mutex::new(rj))).expect("resumed run");
         assert_eq!(
             report.json.pretty(),
             baseline,

@@ -28,8 +28,7 @@
 
 use csd_bench::suite::{journal_meta, SuiteConfig};
 use csd_cluster::{
-    run_specs_distributed, run_suite_distributed_resumable, ClusterConfig, DistributedOutput,
-    WorkerPool,
+    run_specs_distributed, run_suite_distributed, ClusterConfig, DistributedOutput, WorkerPool,
 };
 use csd_exp::ExperimentSpec;
 use csd_telemetry::{write_atomic, Json, RunJournal};
@@ -186,7 +185,7 @@ fn main() {
                 .unwrap_or_default()
         );
         let run_journal = open_journal(journal, resume, &journal_dir, &cfg, filter.as_deref());
-        run_suite_distributed_resumable(
+        run_suite_distributed(
             &pool,
             &cfg,
             filter.as_deref(),

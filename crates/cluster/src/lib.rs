@@ -34,7 +34,7 @@ pub mod sched;
 
 pub use merge::{task_result_from_doc, unit_for_task, verify_exact_labels};
 pub use pool::{WorkerPool, WorkerState};
-pub use sched::{run_units, run_units_with, Board, Claim, ClusterConfig, Completion, WorkUnit};
+pub use sched::{run_units, Board, Claim, ClusterConfig, Completion, WorkUnit};
 
 use csd_bench::suite::{
     assemble_report, filtered_report, replay_into_slots, SuiteConfig, SuiteReport,
@@ -83,24 +83,15 @@ impl DistributedOutput {
 /// profile (`SuiteConfig::named`) — workers reconstruct it from
 /// `(profile, seed)` alone, so a locally mutated config cannot be
 /// shipped. Returns the output plus the cluster telemetry document.
+///
+/// Under a write-ahead `journal`, tasks already journaled are *not
+/// dispatched at all* (their replayed results merge straight into the
+/// artifact), and every fresh completion is durably journaled the
+/// moment its response is verified — before it counts toward the
+/// merge. The journal format is shared with the single-node `suite`, so
+/// a run can crash under one runner and resume under the other; either
+/// way the final artifact is byte-identical to an uninterrupted run.
 pub fn run_suite_distributed(
-    pool: &WorkerPool,
-    cfg: &SuiteConfig,
-    filter: Option<&str>,
-    cluster: &ClusterConfig,
-) -> Result<(DistributedOutput, Json), ClusterError> {
-    run_suite_distributed_resumable(pool, cfg, filter, cluster, None)
-}
-
-/// [`run_suite_distributed`] under an optional write-ahead journal:
-/// tasks already journaled are *not dispatched at all* (their replayed
-/// results merge straight into the artifact), and every fresh
-/// completion is durably journaled the moment its response is verified
-/// — before it counts toward the merge. The journal format is shared
-/// with the single-node `suite`, so a run can crash under one runner
-/// and resume under the other; either way the final artifact is
-/// byte-identical to an uninterrupted run.
-pub fn run_suite_distributed_resumable(
     pool: &WorkerPool,
     cfg: &SuiteConfig,
     filter: Option<&str>,
@@ -152,7 +143,7 @@ pub fn run_suite_distributed_resumable(
                 .map_err(|e| format!("journal append: {e}"))
         }
     });
-    let (bodies, mut telemetry) = run_units_with(
+    let (bodies, mut telemetry) = run_units(
         pool,
         &units,
         cluster,
@@ -204,7 +195,7 @@ pub fn run_specs_distributed(
             body: Json::obj([("experiment", spec.to_json())]).dump(),
         })
         .collect();
-    let (bodies, telemetry) = run_units(pool, &units, cluster)?;
+    let (bodies, telemetry) = run_units(pool, &units, cluster, None)?;
     let mut rows = Vec::with_capacity(bodies.len());
     for ((spec, unit), body) in specs.iter().zip(&units).zip(&bodies) {
         let text = std::str::from_utf8(body)

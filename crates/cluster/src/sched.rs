@@ -18,11 +18,11 @@
 
 use crate::pool::{probe_health, WorkerPool};
 use crate::ClusterError;
-use csd_serve::RetryClient;
+use csd_serve::{relock, rewait_timeout, RetryClient};
 use csd_telemetry::{derive_seed, Histogram, Json, ToJson};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// One request the cluster must get answered: a stable label (for error
@@ -319,24 +319,6 @@ impl Counters {
     }
 }
 
-/// Locks `m`, recovering a poisoned guard (the board's invariants hold
-/// at every statement boundary, same argument as `csd_serve::relock`).
-fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// `Condvar::wait_timeout` with the same poison recovery.
-fn rewait_timeout<'a, T>(
-    cv: &Condvar,
-    guard: MutexGuard<'a, T>,
-    dur: Duration,
-) -> MutexGuard<'a, T> {
-    match cv.wait_timeout(guard, dur) {
-        Ok((g, _)) => g,
-        Err(poison) => poison.into_inner().0,
-    }
-}
-
 /// Per-completion hook: called with `(unit index, response body)` for
 /// every winning `200` before it is recorded on the board. The journal
 /// layer uses it to durably persist each completed unit the moment it
@@ -609,24 +591,15 @@ impl Shared<'_> {
 }
 
 /// Runs every unit to completion across the pool and returns the result
-/// bodies in unit order plus the cluster telemetry document. Fails —
-/// rather than hanging or returning a partial artifact — if every
-/// worker dies or a unit exhausts its failure budget.
-pub fn run_units(
-    pool: &WorkerPool,
-    units: &[WorkUnit],
-    cfg: &ClusterConfig,
-) -> Result<(Vec<Vec<u8>>, Json), ClusterError> {
-    run_units_with(pool, units, cfg, None)
-}
-
-/// [`run_units`] with an optional per-completion hook (see [`OnWon`]) —
-/// the seam the write-ahead journal plugs into.
+/// bodies in unit order plus the cluster telemetry document. `on_won`
+/// (see [`OnWon`]) is the seam the write-ahead journal plugs into.
 ///
 /// # Errors
 ///
-/// Everything [`run_units`] fails on, plus a hook failure.
-pub fn run_units_with(
+/// Fails — rather than hanging or returning a partial artifact — if
+/// every worker dies, a unit exhausts its failure budget, or the hook
+/// fails.
+pub fn run_units(
     pool: &WorkerPool,
     units: &[WorkUnit],
     cfg: &ClusterConfig,
@@ -816,7 +789,7 @@ mod tests {
     #[test]
     fn run_units_rejects_an_empty_pool() {
         let pool = WorkerPool::from_addrs::<&str>(&[]);
-        let err = run_units(&pool, &[], &ClusterConfig::default());
+        let err = run_units(&pool, &[], &ClusterConfig::default(), None);
         assert!(err.is_err());
     }
 }

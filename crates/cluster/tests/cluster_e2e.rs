@@ -5,11 +5,8 @@
 //! that stops accepting and resets its streams, which is what a
 //! `kill -9`'d daemon looks like from the coordinator's side).
 
-use csd_bench::suite::{journal_meta, run_filtered, run_suite, run_suite_resumable, SuiteConfig};
-use csd_cluster::{
-    run_suite_distributed, run_suite_distributed_resumable, ClusterConfig, DistributedOutput,
-    WorkerPool,
-};
+use csd_bench::suite::{journal_meta, run_filtered, run_suite, SuiteConfig};
+use csd_cluster::{run_suite_distributed, ClusterConfig, DistributedOutput, WorkerPool};
 use csd_serve::{Server, ServerConfig, ShutdownHandle};
 use csd_telemetry::{Journal, Json, RunJournal};
 use std::io::{Read, Write};
@@ -24,7 +21,12 @@ const SEED: u64 = 0xC5D_2018;
 /// computed once per test process.
 fn cli_bytes() -> &'static str {
     static CLI: OnceLock<String> = OnceLock::new();
-    CLI.get_or_init(|| run_suite(&SuiteConfig::quick(SEED, 1)).json.pretty())
+    CLI.get_or_init(|| {
+        run_suite(&SuiteConfig::quick(SEED, 1), None)
+            .expect("unjournaled run")
+            .json
+            .pretty()
+    })
 }
 
 /// Boots a daemon on an ephemeral port (the `server_e2e` pattern).
@@ -59,6 +61,7 @@ fn three_worker_quick_suite_is_byte_identical_to_cli() {
         &SuiteConfig::quick(SEED, 1),
         None,
         &ClusterConfig::default(),
+        None,
     )
     .expect("distributed run");
     let DistributedOutput::Full(report) = out else {
@@ -90,14 +93,16 @@ fn hedged_filtered_run_is_byte_identical_to_cli_filter() {
         ..ClusterConfig::default()
     };
     let cfg = SuiteConfig::quick(SEED, 1);
-    let (out, telemetry) =
-        run_suite_distributed(&pool, &cfg, Some("attack/"), &cluster).expect("distributed run");
+    let (out, telemetry) = run_suite_distributed(&pool, &cfg, Some("attack/"), &cluster, None)
+        .expect("distributed run");
     let DistributedOutput::Filtered(doc) = out else {
         panic!("filtered run must produce the reduced document");
     };
     assert_eq!(
         doc.pretty(),
-        run_filtered(&cfg, "attack/").pretty(),
+        run_filtered(&cfg, "attack/", None)
+            .expect("unjournaled run")
+            .pretty(),
         "hedged filtered artifact must match `suite --filter` bytes"
     );
     assert_eq!(counter(&telemetry, "completed"), 6, "6 attack tasks");
@@ -125,7 +130,7 @@ fn cluster_resumes_a_single_node_journal() {
 
     let full = dir.join("full.journal");
     let rj = RunJournal::open(&full, &meta).expect("create journal");
-    run_suite_resumable(&cfg, &Mutex::new(rj)).expect("single-node journaled run");
+    run_suite(&cfg, Some(&Mutex::new(rj))).expect("single-node journaled run");
     let frames = Journal::open(&full).expect("reopen journal").records;
     let tasks = frames.len() - 1;
 
@@ -141,14 +146,9 @@ fn cluster_resumes_a_single_node_journal() {
     assert_eq!(rj.replayed().len(), keep);
     let journal = Mutex::new(rj);
     let pool = WorkerPool::spawn_local(2, 1).expect("spawn local daemons");
-    let (out, telemetry) = run_suite_distributed_resumable(
-        &pool,
-        &cfg,
-        None,
-        &ClusterConfig::default(),
-        Some(&journal),
-    )
-    .expect("distributed resume");
+    let (out, telemetry) =
+        run_suite_distributed(&pool, &cfg, None, &ClusterConfig::default(), Some(&journal))
+            .expect("distributed resume");
     let DistributedOutput::Full(report) = out else {
         panic!("full-grid run must produce the full report");
     };
@@ -281,7 +281,7 @@ fn killing_one_of_three_workers_mid_suite_still_matches_cli_bytes() {
         ..ClusterConfig::default()
     };
     let (out, telemetry) =
-        run_suite_distributed(&pool, &SuiteConfig::quick(SEED, 1), None, &cluster)
+        run_suite_distributed(&pool, &SuiteConfig::quick(SEED, 1), None, &cluster, None)
             .expect("run must converge on the surviving workers");
     let DistributedOutput::Full(report) = out else {
         panic!("full-grid run must produce the full report");

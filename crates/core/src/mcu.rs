@@ -184,17 +184,14 @@ pub struct MicrocodeUpdate {
 }
 
 fn checksum(body: &[Inst]) -> u64 {
-    // FNV-1a over the disassembly — stable and tamper-evident for a model.
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    // FNV-1a over each instruction's disassembly and length — stable and
+    // tamper-evident for a model.
+    let mut bytes = Vec::new();
     for inst in body {
-        for b in inst.to_string().bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x1_0000_01b3);
-        }
-        h ^= u64::from(inst.len());
-        h = h.wrapping_mul(0x1_0000_01b3);
+        bytes.extend(inst.to_string().bytes());
+        bytes.extend(inst.len().to_le_bytes());
     }
-    h
+    csd_telemetry::fnv1a64(&bytes)
 }
 
 impl MicrocodeUpdate {
@@ -352,6 +349,21 @@ mod tests {
             mcu.verify(PrivilegeLevel::User),
             Err(McuError::NotPrivileged)
         );
+    }
+
+    #[test]
+    fn checksum_known_answers() {
+        // FNV-1a over "nop1" ++ 1u32 LE (++ "nop3" ++ 3u32 LE).
+        let one = MicrocodeUpdate::new(
+            1,
+            OpcodeClass::Nop,
+            ContextId::Custom(0),
+            false,
+            counting_nop_body(),
+        );
+        assert_eq!(one.header.checksum, 0xd261_3e93_ce60_dffc);
+        let two = vec![Inst::Nop { len: 1 }, Inst::Nop { len: 3 }];
+        assert_eq!(checksum(&two), 0xe1fb_1a36_04f3_d655);
     }
 
     #[test]

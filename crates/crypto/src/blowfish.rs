@@ -9,6 +9,7 @@
 
 use crate::victim::{CipherDir, Victim};
 use csd_pipeline::Core;
+use csd_telemetry::SplitMix64;
 use mx86_isa::{AddrRange, AluOp, Assembler, Gpr, MemRef, Program, Scale, Width};
 
 const ROUNDS: usize = 16;
@@ -20,14 +21,6 @@ pub struct Blowfish {
     pub p: [u32; 18],
     /// The four 256-entry S-boxes after key scheduling.
     pub s: [[u32; 256]; 4],
-}
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl Blowfish {
@@ -42,15 +35,15 @@ impl Blowfish {
             "Blowfish keys are 4..=56 bytes"
         );
         // Initial constants from a fixed PRNG stream (π substitution).
-        let mut seed = 0x243F_6A88_85A3_08D3u64;
+        let mut rng = SplitMix64::new(0x243F_6A88_85A3_08D3);
         let mut p = [0u32; 18];
         let mut s = [[0u32; 256]; 4];
         for v in p.iter_mut() {
-            *v = splitmix(&mut seed) as u32;
+            *v = rng.next_u64() as u32;
         }
         for sb in s.iter_mut() {
             for v in sb.iter_mut() {
-                *v = splitmix(&mut seed) as u32;
+                *v = rng.next_u64() as u32;
             }
         }
 

@@ -33,15 +33,7 @@ pub fn default_corpus_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus")
 }
 
-/// FNV-1a 64-bit content hash (stable, dependency-free).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+pub use csd_telemetry::fnv1a64;
 
 /// One corpus entry: a program plus the metadata needed to replay it.
 #[derive(Debug, Clone)]
@@ -271,6 +263,19 @@ pub fn load_corpus(dir: &Path) -> Result<Vec<CorpusEntry>, String> {
 mod tests {
     use super::*;
     use crate::generator::Generator;
+
+    #[test]
+    fn committed_corpus_names_are_fnv1a_of_their_assembly() {
+        // Known answers from disk: every committed file stem ends in the
+        // FNV-1a hash of its program text, so a hash change would orphan
+        // the corpus.
+        let entries = load_corpus(&default_corpus_dir()).unwrap();
+        assert!(!entries.is_empty(), "the committed corpus is not empty");
+        for e in &entries {
+            let hash = format!("{:016x}", fnv1a64(e.program.to_asm().as_bytes()));
+            assert!(e.name.ends_with(&hash), "{} != …{hash}", e.name);
+        }
+    }
 
     #[test]
     fn entry_roundtrips_through_disk() {

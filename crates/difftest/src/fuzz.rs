@@ -17,9 +17,9 @@
 //! - candidates are *constructed* sequentially, each from its own
 //!   [`derive_seed`]`(seed, "fuzz/<round>/<k>")` stream, against the
 //!   population as it stood at the start of the round;
-//! - candidates are *evaluated* (the expensive cosimulation) by a scoped
-//!   worker pool into index-addressed slots, so thread scheduling cannot
-//!   reorder results;
+//! - candidates are *evaluated* (the expensive cosimulation) by the
+//!   shared ordered executor, so thread scheduling cannot reorder
+//!   results;
 //! - results are *folded* sequentially in candidate order — coverage
 //!   merges, shrinks, and corpus admission all happen on one thread in a
 //!   fixed order.
@@ -32,9 +32,9 @@ use crate::generator::Generator;
 use crate::harness::{cosim, cosim_with_coverage, mode_matrix, ModeLeg};
 use crate::mutate::{mask_all, FuzzInput, Mutator};
 use crate::shrink::shrink_with;
-use csd_telemetry::{derive_seed, CoverageMap, SplitMix64};
+use csd_telemetry::{derive_seed, ordered_map, CoverageMap, SplitMix64};
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::convert::Infallible;
 use std::sync::{Arc, Mutex};
 
 /// Candidates constructed per round. Fixed (never derived from the job
@@ -203,8 +203,13 @@ pub fn fuzz(cfg: &FuzzConfig, seed_corpus: &[CorpusEntry]) -> FuzzOutcome {
             })
             .collect();
 
-        // Evaluate in parallel into index-addressed slots.
-        let results = run_pool(&candidates, &legs, cfg.jobs);
+        // Evaluate in parallel; results come back in candidate order.
+        let Ok(results) = ordered_map(
+            cfg.jobs,
+            &candidates,
+            |c| Ok::<_, Infallible>(evaluate(c, &legs)),
+            |_, _| Ok(()),
+        );
 
         // Fold sequentially in candidate order.
         for (k, (cov, classes)) in results.into_iter().enumerate() {
@@ -299,38 +304,6 @@ fn admit_failure(
     if seen_names.insert(entry.name.clone()) {
         failures.push(entry);
     }
-}
-
-/// One candidate's evaluation: its coverage and its divergence classes.
-type Evaluated = (CoverageMap, Vec<String>);
-
-/// Evaluates `candidates` on up to `jobs` scoped workers; results land
-/// in slots by candidate index, so the fold order is schedule-free.
-fn run_pool(candidates: &[FuzzInput], legs: &[ModeLeg], jobs: usize) -> Vec<Evaluated> {
-    let workers = jobs.max(1).min(candidates.len().max(1));
-    if workers <= 1 {
-        return candidates.iter().map(|c| evaluate(c, legs)).collect();
-    }
-    let slots: Mutex<Vec<Option<Evaluated>>> = Mutex::new(vec![None; candidates.len()]);
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(c) = candidates.get(i) else { break };
-                let out = evaluate(c, legs);
-                if let Ok(mut slots) = slots.lock() {
-                    slots[i] = Some(out);
-                }
-            });
-        }
-    });
-    slots
-        .into_inner()
-        .unwrap()
-        .into_iter()
-        .map(|o| o.expect("every slot filled"))
-        .collect()
 }
 
 #[cfg(test)]

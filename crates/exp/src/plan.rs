@@ -8,7 +8,7 @@
 //! decode-context change, and measuring. Forks are byte-identical to
 //! cold runs because a snapshot captures the complete modeled machine,
 //! so warm results never depend on cache state; independent legs may run
-//! on a scoped thread pool without changing a single output byte.
+//! on the shared ordered executor without changing a single output byte.
 
 use crate::measure::{
     measure_blocks, pipelines, policy_by_name, security_core, security_victims, warm_up, SecMetrics,
@@ -16,9 +16,8 @@ use crate::measure::{
 use crate::spec::{ExperimentSpec, Leg, LegMode};
 use csd_crypto::{enable_stealth_for, Victim};
 use csd_pipeline::{Core, CoreConfig, CoreSnapshot};
-use csd_telemetry::{Json, SplitMix64, ToJson};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use csd_telemetry::{ordered_map, Json, SplitMix64, ToJson};
+use std::sync::Arc;
 
 /// Everything the warmed state of a session depends on.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -235,37 +234,7 @@ pub fn run_plan_with(
         })
     };
 
-    let workers = jobs.max(1).min(spec.legs.len());
-    let legs: Vec<LegResult> = if workers <= 1 {
-        spec.legs
-            .iter()
-            .map(run_leg)
-            .collect::<Result<Vec<_>, _>>()?
-    } else {
-        // Scoped pool over an index counter: results land in slots by
-        // leg index, so the output is deterministic at any job count.
-        let slots: Mutex<Vec<Option<Result<LegResult, ExpError>>>> =
-            Mutex::new(vec![None; spec.legs.len()]);
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(leg) = spec.legs.get(i) else { break };
-                    let out = run_leg(leg);
-                    if let Ok(mut slots) = slots.lock() {
-                        slots[i] = Some(out);
-                    }
-                });
-            }
-        });
-        slots
-            .into_inner()
-            .map_err(|_| ExpError("a plan worker panicked".to_string()))?
-            .into_iter()
-            .map(|slot| slot.unwrap_or_else(|| Err(ExpError("a plan leg was dropped".to_string()))))
-            .collect::<Result<Vec<_>, _>>()?
-    };
+    let legs = ordered_map(jobs, &spec.legs, run_leg, |_, _| Ok(()))?;
 
     Ok(ExperimentResult {
         victim: spec.victim.clone(),

@@ -357,7 +357,7 @@ fn execute_job(spec: &JobSpec, state: &State) -> Result<Response, ServeError> {
             // any --jobs setting.
             let cfg = SuiteConfig::named(profile, *seed, 1)
                 .ok_or_else(|| ServeError::run(format!("profile {profile:?} vanished")))?;
-            let doc = run_filtered(&cfg, filter);
+            let doc = run_filtered(&cfg, filter, None).map_err(ServeError::run)?;
             Metrics::bump(&state.metrics.experiments);
             Ok(Response::json_bytes(200, doc.pretty().into_bytes()))
         }

@@ -43,7 +43,9 @@ fn served_task_bytes_match_the_cli_suite() {
         .unwrap();
     assert_eq!(resp.status, 200, "{}", resp.text());
 
-    let cli = run_filtered(&SuiteConfig::quick(51, 1), "table1").pretty();
+    let cli = run_filtered(&SuiteConfig::quick(51, 1), "table1", None)
+        .expect("unjournaled run")
+        .pretty();
     assert_eq!(
         resp.text(),
         cli,

@@ -8,7 +8,7 @@
 //! cannot reach a crates.io registry, so JSON emission, deterministic
 //! seeding, and event plumbing are all implemented in-tree.
 //!
-//! Four pieces:
+//! The pieces:
 //!
 //! - [`json`] — a small JSON document model ([`Json`]) with a
 //!   *deterministic* serializer (stable key order, shortest-roundtrip
@@ -20,9 +20,9 @@
 //! - [`hist`] — [`Histogram`], a mergeable log2-bucket latency
 //!   histogram shared by the `csd-serve` daemon (queue-wait / run-time
 //!   metrics) and the `loadgen` client (end-to-end percentiles).
-//! - [`rng`] — [`SplitMix64`], the workspace's deterministic PRNG, plus
+//! - [`rng`] — [`SplitMix64`], the workspace's deterministic PRNG,
 //!   [`derive_seed`] for deriving independent per-task streams from one
-//!   root seed.
+//!   root seed, and [`fnv1a64`], the one content hash.
 //! - [`events`] — the [`EventSink`] hook trait (decode / retire / gate /
 //!   stealth-window events) and the [`SinkHandle`] container the
 //!   pipeline embeds so tracing can be attached without touching the hot
@@ -30,6 +30,8 @@
 //! - [`coverage`] — [`CoverageMap`], the fixed-shape structural coverage
 //!   counters behind coverage-guided differential fuzzing, and
 //!   [`CoverageSink`], the [`EventSink`] adapter that fills one.
+//! - [`exec`] — [`ordered_map`], the one ordered parallel executor
+//!   behind suite tasks, plan legs and fuzz candidates.
 //! - [`journal`] — the durability layer: [`write_atomic`] (temp+rename
 //!   artifact writes with typed [`ArtifactError`]s) and the CRC-framed
 //!   write-ahead [`Journal`] / [`RunJournal`] behind crash-resumable
@@ -39,6 +41,7 @@
 
 pub mod coverage;
 pub mod events;
+pub mod exec;
 pub mod hist;
 pub mod journal;
 pub mod json;
@@ -49,9 +52,10 @@ pub use events::{
     ContextKeyEvent, CountingSink, DecodeEvent, EventSink, GateEvent, MemoProbeEvent, RetireEvent,
     SinkHandle, StealthWindowEvent, StoreEvent, UopCacheEvent, UopDecodeEvent,
 };
+pub use exec::ordered_map;
 pub use hist::Histogram;
 pub use journal::{
     content_digest, crc32, write_atomic, ArtifactError, Journal, Recovered, RunJournal, TaskRecord,
 };
 pub use json::{Json, ParseError, ToJson};
-pub use rng::{derive_seed, SplitMix64};
+pub use rng::{derive_seed, fnv1a64, SplitMix64};

@@ -98,17 +98,34 @@ impl SplitMix64 {
 /// remaining a pure function of `(root, label)` — the scheduling of a
 /// parallel suite run can never leak into results.
 pub fn derive_seed(root: u64, label: &str) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for b in label.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    SplitMix64::new(root ^ h).next_u64()
+    SplitMix64::new(root ^ fnv1a64(label.as_bytes())).next_u64()
+}
+
+/// FNV-1a (64-bit) of `bytes`: the workspace's one non-cryptographic
+/// content hash, behind [`derive_seed`], journal digests, corpus file
+/// names and microcode checksums.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn hash_and_seed_known_answers() {
+        // Pinned: task seeds, journal digests and corpus file names are
+        // all derived from these functions and must never drift.
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(
+            derive_seed(0xC5D_2018, "sec/opt/aes-enc"),
+            0xabf5_0def_59c8_1f5e
+        );
+        assert_eq!(derive_seed(0, "table1"), 0x1548_d812_8b3c_1325);
+    }
 
     #[test]
     fn deterministic_streams() {

@@ -25,6 +25,7 @@
 #![warn(missing_docs)]
 
 use csd_pipeline::Core;
+use csd_telemetry::SplitMix64;
 use mx86_isa::{AluOp, Assembler, Cc, Gpr, MemRef, Program, Scale, VecOp, Xmm};
 
 /// Vector-operation complexity class of a workload's vector phases.
@@ -180,14 +181,6 @@ pub fn specs() -> Vec<WorkloadSpec> {
     ]
 }
 
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Base of the workload's data arrays.
 const DATA_BASE: u64 = 0x10_0000;
 /// Bytes of array data the generator initializes.
@@ -237,10 +230,10 @@ impl Workload {
 
     /// Initializes the workload's data arrays.
     pub fn install(&self, core: &mut Core) {
-        let mut seed = self.spec.seed ^ 0xDA7A;
+        let mut rng = SplitMix64::new(self.spec.seed ^ 0xDA7A);
         let mut addr = DATA_BASE;
         while addr < DATA_BASE + DATA_LEN {
-            core.mem.write_le(addr, 8, splitmix(&mut seed));
+            core.mem.write_le(addr, 8, rng.next_u64());
             addr += 8;
         }
     }
@@ -254,17 +247,9 @@ impl Workload {
     }
 }
 
-/// Builds the full suite at the given scale.
-pub fn suite(scale: f64) -> Vec<Workload> {
-    specs()
-        .into_iter()
-        .map(|s| Workload::with_scale(s, scale))
-        .collect()
-}
-
 fn generate(spec: &WorkloadSpec) -> Program {
     let mut a = Assembler::new(0x1000);
-    let mut rng = spec.seed;
+    let mut rng = SplitMix64::new(spec.seed);
     a.symbol("entry");
     a.mov_ri(Gpr::Rsp, 0x9_0000);
     a.mov_ri(Gpr::Rbp, DATA_BASE as i64); // array base
@@ -280,12 +265,12 @@ fn generate(spec: &WorkloadSpec) -> Program {
     // Stratified phase activation: exactly round(duty * phases) vector
     // phases, rotated by the seed so benchmarks differ in placement.
     let active_count = (spec.vector_duty * f64::from(spec.phases)).round() as u32;
-    let rotation = (splitmix(&mut rng) % u64::from(spec.phases.max(1))) as u32;
+    let rotation = (rng.next_u64() % u64::from(spec.phases.max(1))) as u32;
     for phase in 0..spec.phases {
         emit_scalar_phase(&mut a, spec, phase, &mut rng);
         let active = (phase + rotation) % spec.phases < active_count;
         if active {
-            let jitter = (splitmix(&mut rng) % u64::from(spec.vector_trips.max(1))) as u32 / 2;
+            let jitter = (rng.next_u64() % u64::from(spec.vector_trips.max(1))) as u32 / 2;
             let trips = spec.vector_trips.saturating_sub(jitter).max(1);
             emit_vector_phase(&mut a, spec, phase, trips, &mut rng);
         }
@@ -299,11 +284,11 @@ fn generate(spec: &WorkloadSpec) -> Program {
 
 /// A scalar phase: pointer-striding loads, ALU chains, stores, and a
 /// data-dependent branch to keep the predictor honest.
-fn emit_scalar_phase(a: &mut Assembler, spec: &WorkloadSpec, phase: u32, rng: &mut u64) {
+fn emit_scalar_phase(a: &mut Assembler, spec: &WorkloadSpec, phase: u32, rng: &mut SplitMix64) {
     let top = a.fresh_label();
     let skip = a.fresh_label();
-    let stride = 8 + 8 * (splitmix(rng) % 7) as i64;
-    let offset = (splitmix(rng) % (DATA_LEN / 2)) as i64 & !7;
+    let stride = 8 + 8 * (rng.next_u64() % 7) as i64;
+    let offset = (rng.next_u64() % (DATA_LEN / 2)) as i64 & !7;
 
     a.mov_ri(Gpr::Rcx, i64::from(spec.scalar_trips));
     a.mov_ri(Gpr::Rsi, offset);
@@ -347,7 +332,7 @@ fn emit_vector_phase(
     spec: &WorkloadSpec,
     phase: u32,
     trips: u32,
-    rng: &mut u64,
+    rng: &mut SplitMix64,
 ) {
     let top = a.fresh_label();
     let ops: &[VecOp] = match spec.mix {
@@ -355,7 +340,7 @@ fn emit_vector_phase(
         VecMix::IntMul => &[VecOp::PAddD, VecOp::PMullW, VecOp::PXor],
         VecMix::Float => &[VecOp::AddPs, VecOp::MulPs, VecOp::SubPs],
     };
-    let offset = (splitmix(rng) % (DATA_LEN / 2)) as i64 & !15;
+    let offset = (rng.next_u64() % (DATA_LEN / 2)) as i64 & !15;
 
     a.mov_ri(Gpr::Rcx, i64::from(trips));
     a.mov_ri(Gpr::Rdi, offset);
@@ -420,7 +405,7 @@ mod tests {
 
     #[test]
     fn workloads_halt_and_do_work() {
-        for w in suite(0.1) {
+        for w in specs().into_iter().map(|s| Workload::with_scale(s, 0.1)) {
             let core = run(&w, VpuPolicy::AlwaysOn);
             assert!(
                 core.stats().insts > 1_000,
