@@ -163,9 +163,10 @@ impl SuiteReport {
 ///
 /// # Errors
 ///
-/// An untrustworthy journal (see [`replay_into_slots`]) or a failed
-/// journal append (`ENOSPC` and friends): the durability contract is
-/// broken, so the run stops instead of continuing unjournaled.
+/// An untrustworthy journal (a replayed record with an unknown label,
+/// the wrong seed, or unparseable result bytes) or a failed journal
+/// append (`ENOSPC` and friends): the durability contract is broken, so
+/// the run stops instead of continuing unjournaled.
 ///
 /// # Panics
 ///
@@ -217,17 +218,21 @@ pub fn run_suite(
     cfg: &SuiteConfig,
     journal: Option<&Mutex<RunJournal>>,
 ) -> Result<SuiteReport, String> {
-    let values = run_tasks(&build_tasks(cfg), cfg.root_seed, cfg.jobs, journal)?;
-    Ok(assemble_report(cfg, values))
+    let tasks = build_tasks(cfg);
+    let values = run_tasks(&tasks, cfg.root_seed, cfg.jobs, journal)?;
+    let results = Results {
+        labels: tasks.iter().map(|t| t.label().to_string()).collect(),
+        values,
+    };
+    Ok(assemble(cfg, &results))
 }
 
 /// The journal meta document pinning a grid run's determinism domain:
 /// `(profile, root seed, filter)` are exactly the inputs the artifact
 /// bytes are a pure function of, so a journal opened under a different
 /// meta is a different run and must be refused. Scheduling knobs
-/// (`jobs`, worker count) are deliberately absent — they cannot change
-/// the bytes, so a run may crash under `--jobs 8` and resume under
-/// `--jobs 1`, or crash under `suite` and resume under `cluster`.
+/// (`jobs`) are deliberately absent — they cannot change the bytes, so
+/// a run may crash under `--jobs 8` and resume under `--jobs 1`.
 pub fn journal_meta(cfg: &SuiteConfig, filter: Option<&str>) -> Json {
     Json::obj([
         ("kind", Json::from("suite-grid")),
@@ -248,7 +253,7 @@ pub fn journal_meta(cfg: &SuiteConfig, filter: Option<&str>) -> Json {
 /// A record naming an unknown label, the wrong seed, or unparseable
 /// result bytes — the journal cannot be trusted and the caller should
 /// delete it and rerun.
-pub fn replay_into_slots(
+fn replay_into_slots(
     tasks: &[TaskDef],
     root_seed: u64,
     journal: &RunJournal,
@@ -299,30 +304,6 @@ pub fn replay_into_slots(
     Ok(slots)
 }
 
-/// Assembles the full suite report from per-task result values in grid
-/// order (what [`run_tasks`] returns for [`build_tasks`]). Split out
-/// from [`run_suite`] so a distributed runner — `csd-cluster` collects
-/// the same values over HTTP from many daemons — reassembles the exact
-/// CLI artifact: the report is a pure function of `(cfg, values)`.
-///
-/// # Panics
-///
-/// Panics if `values` does not line up with the grid (`build_tasks`
-/// length mismatch).
-pub fn assemble_report(cfg: &SuiteConfig, values: Vec<Json>) -> SuiteReport {
-    let tasks = build_tasks(cfg);
-    assert_eq!(
-        tasks.len(),
-        values.len(),
-        "assemble_report needs one value per grid task"
-    );
-    let results = Results {
-        labels: tasks.iter().map(|t| t.label().to_string()).collect(),
-        values,
-    };
-    assemble(cfg, &results)
-}
-
 /// Runs the label-matched subset of the grid, optionally under a
 /// write-ahead journal, and returns a reduced report: no figure
 /// summaries or tolerance checks, just each task's label, seed, and
@@ -338,26 +319,8 @@ pub fn run_filtered(
     filter: &str,
     journal: Option<&Mutex<RunJournal>>,
 ) -> Result<Json, String> {
-    let values = run_tasks(&filter_tasks(cfg, filter), cfg.root_seed, cfg.jobs, journal)?;
-    Ok(filtered_report(cfg, filter, values))
-}
-
-/// Builds the reduced `--filter` document from result values in
-/// filtered-grid order (what [`run_tasks`] returns for
-/// [`filter_tasks`]). Like [`assemble_report`], this is the merge point
-/// a distributed runner shares with the CLI: same values in, same bytes
-/// out.
-///
-/// # Panics
-///
-/// Panics if `values` does not line up with the filtered grid.
-pub fn filtered_report(cfg: &SuiteConfig, filter: &str, values: Vec<Json>) -> Json {
     let tasks = filter_tasks(cfg, filter);
-    assert_eq!(
-        tasks.len(),
-        values.len(),
-        "filtered_report needs one value per matched task"
-    );
+    let values = run_tasks(&tasks, cfg.root_seed, cfg.jobs, journal)?;
     let rows: Vec<Json> = tasks
         .iter()
         .zip(values)
@@ -369,11 +332,11 @@ pub fn filtered_report(cfg: &SuiteConfig, filter: &str, values: Vec<Json>) -> Js
             ])
         })
         .collect();
-    Json::obj([
+    Ok(Json::obj([
         ("suite", cfg.to_json()),
         ("filter", Json::from(filter)),
         ("tasks", Json::Arr(rows)),
-    ])
+    ]))
 }
 
 /// Resolves a worker-count request: `0` (the "auto" convention shared by

@@ -145,9 +145,9 @@ pub fn build_tasks(cfg: &SuiteConfig) -> Vec<TaskDef> {
 
     // -- Figure 7b: FLUSH+RELOAD and PRIME+PROBE on RSA. The attack is
     //    fully deterministic (fixed exponent, calibrated probe interval),
-    //    so no seed is consumed. The stealth leg mirrors the `fig07b`
-    //    binary: calibrate the interval from an undefended run, then
-    //    probe the defended victim at that cadence.
+    //    so no seed is consumed. The stealth leg calibrates the probe
+    //    interval from an undefended run, then probes the defended
+    //    victim at that cadence with the watchdog at half the interval.
     for (mname, method) in [
         ("rsa-fr", AttackMethod::FlushReload),
         ("rsa-pp", AttackMethod::PrimeProbe),

@@ -11,10 +11,9 @@
 //! across the mode matrix, shrinks any divergence, and writes a
 //! deterministic JSON summary. Exits non-zero on divergence.
 //!
-//! `--programs` defaults to the `DIFFTEST_PROGRAMS` environment variable
-//! (CI knob for longer soak runs), then to 500. `--modes` filters legs by
-//! substring of their name (e.g. `cyc`, `-s`, `fun-sdmu`); `all` (the
-//! default) keeps the full matrix.
+//! `--programs` defaults to 500; pass a larger count for a longer soak
+//! run. `--modes` filters legs by substring of their name (e.g. `cyc`,
+//! `-s`, `fun-sdmu`); `all` (the default) keeps the full matrix.
 
 use csd_difftest::{cosim, mode_matrix, shrink, Generator};
 use csd_telemetry::{derive_seed, write_atomic, Json};
@@ -26,10 +25,7 @@ fn die(msg: &str) -> ! {
 
 fn main() {
     let mut seed: u64 = 1;
-    let mut programs: u64 = std::env::var("DIFFTEST_PROGRAMS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(500);
+    let mut programs: u64 = 500;
     let mut modes = "all".to_string();
     let mut out_path: Option<String> = None;
 
@@ -59,8 +55,8 @@ fn main() {
                     "usage: difftest [--seed S] [--programs N] [--modes FILTER] [--out PATH]\n\
                      Cosimulates N random programs against the architectural reference\n\
                      across the CSD mode matrix. --modes filters legs by name substring\n\
-                     ('all' = full matrix). --programs defaults to $DIFFTEST_PROGRAMS,\n\
-                     then 500. Writes the JSON summary to --out (default stdout)."
+                     ('all' = full matrix). --programs defaults to 500.\n\
+                     Writes the JSON summary to --out (default stdout)."
                 );
                 return;
             }

@@ -60,7 +60,6 @@ fn main() {
                      \x20                [--conn-deadline-ms MS] [--write-timeout-ms MS]\n\
                      Serves the experiment grid over HTTP. Endpoints:\n\
                      \x20 GET  /healthz          liveness\n\
-                     \x20 GET  /v1/health        version, queue depth, workers alive\n\
                      \x20 GET  /metrics          counters + latency histograms\n\
                      \x20 GET  /v1/tasks         task labels (?filter=SUBSTR)\n\
                      \x20 POST /v1/experiments   run a task / experiment / devec job\n\

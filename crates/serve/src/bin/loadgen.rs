@@ -344,9 +344,9 @@ fn main() {
     let mut summary_write_failed = false;
     if let Some(path) = summary_out {
         // Everything the stderr/stdout lines say — plus the per-connection
-        // recovery counters — as one parseable document, so chaos and
-        // cluster smokes can assert on reconnect/retry behavior instead
-        // of scraping log lines.
+        // recovery counters — as one parseable document, so smokes can
+        // assert on reconnect/retry behavior instead of scraping log
+        // lines.
         let summary = Json::obj([
             ("addr", Json::from(addr.as_str())),
             ("connections", Json::from(connections as u64)),

@@ -1,10 +1,10 @@
-//! A blocking HTTP/1.1 client shared by `loadgen`, the end-to-end
-//! tests, and the `csd-cluster` coordinator: keep-alive
-//! request/response over one `TcpStream` ([`Client`]), plus the retry
-//! substrate both consumers need — a seeded-jitter exponential
-//! [`Backoff`] schedule and a [`RetryClient`] that reconnects on
-//! transport errors and retries `503` rejections honoring
-//! `Retry-After`, counting every recovery it performed.
+//! A blocking HTTP/1.1 client shared by `loadgen` and the end-to-end
+//! tests: keep-alive request/response over one `TcpStream`
+//! ([`Client`]), plus the retry substrate `loadgen` needs — a
+//! seeded-jitter exponential [`Backoff`] schedule and a
+//! [`RetryClient`] that reconnects on transport errors and retries
+//! `503` rejections honoring `Retry-After`, counting every recovery it
+//! performed.
 
 use csd_telemetry::SplitMix64;
 use std::io::{self, Read, Write};
@@ -44,18 +44,10 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects with a generous timeout (experiments are slow).
+    /// Connects with a generous read timeout (experiments are slow).
     pub fn connect(addr: &str) -> io::Result<Client> {
-        Client::connect_with(addr, Duration::from_secs(600))
-    }
-
-    /// Connects with an explicit read timeout — the cluster scheduler
-    /// uses a short one so a stalled worker surfaces as a timed-out
-    /// request (retryable, hedgeable) instead of pinning a dispatch
-    /// thread for ten minutes.
-    pub fn connect_with(addr: &str, read_timeout: Duration) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
-        stream.set_read_timeout(Some(read_timeout))?;
+        stream.set_read_timeout(Some(Duration::from_secs(600)))?;
         Ok(Client { stream })
     }
 
@@ -170,8 +162,8 @@ impl Client {
 /// `[0, min(cap, base << k)]` ("equal jitter"): enough randomness to
 /// decorrelate a thundering herd, enough floor to actually back off.
 /// The draw comes from a [`SplitMix64`] seeded at construction, so the
-/// whole schedule is a pure function of `(base, cap, seed)` — the
-/// cluster's retry behavior is replayable from its seed.
+/// whole schedule is a pure function of `(base, cap, seed)` — a
+/// client's retry behavior is replayable from its seed.
 #[derive(Debug, Clone)]
 pub struct Backoff {
     base: Duration,
@@ -231,11 +223,9 @@ pub struct RetryStats {
 /// transport error it drops the connection, backs off, reconnects, and
 /// re-sends; on `503` it honors the server's `Retry-After` hint (capped
 /// by the backoff ceiling, so a saturated test daemon cannot stall the
-/// caller for whole seconds). `loadgen` and the `csd-cluster`
-/// dispatcher share this one implementation.
+/// caller for whole seconds).
 pub struct RetryClient {
     addr: String,
-    read_timeout: Duration,
     client: Option<Client>,
     backoff: Backoff,
     stats: RetryStats,
@@ -246,40 +236,15 @@ impl RetryClient {
     pub fn new(addr: &str, seed: u64) -> RetryClient {
         RetryClient {
             addr: addr.to_string(),
-            read_timeout: Duration::from_secs(600),
             client: None,
             backoff: Backoff::new(Duration::from_millis(10), Duration::from_millis(500), seed),
             stats: RetryStats::default(),
         }
     }
 
-    /// Overrides the per-request read timeout.
-    #[must_use]
-    pub fn with_read_timeout(mut self, read_timeout: Duration) -> RetryClient {
-        self.read_timeout = read_timeout;
-        self
-    }
-
-    /// Overrides the backoff schedule.
-    #[must_use]
-    pub fn with_backoff(mut self, backoff: Backoff) -> RetryClient {
-        self.backoff = backoff;
-        self
-    }
-
     /// The counters accumulated so far.
     pub fn stats(&self) -> RetryStats {
         self.stats
-    }
-
-    /// The target address.
-    pub fn addr(&self) -> &str {
-        &self.addr
-    }
-
-    /// Drops the current connection (the next request reconnects).
-    pub fn disconnect(&mut self) {
-        self.client = None;
     }
 
     /// Sends one request, reconnecting and retrying for up to
@@ -299,7 +264,7 @@ impl RetryClient {
         for attempt in 0..max_attempts.max(1) {
             let client = match self.client.as_mut() {
                 Some(c) => c,
-                None => match Client::connect_with(&self.addr, self.read_timeout) {
+                None => match Client::connect(&self.addr) {
                     Ok(c) => {
                         self.stats.connects += 1;
                         if self.stats.connects > 1 {

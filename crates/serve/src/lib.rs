@@ -46,7 +46,7 @@ pub use client::{Backoff, Client, ClientResponse, RetryClient, RetryStats};
 pub use csd_exp::{ExperimentSpec, SessionKey, Warmed};
 pub use error::{ErrorClass, ServeError};
 pub use fault::{FaultMode, FaultSpec};
-pub use lock::{poison_recoveries, relock, rewait, rewait_timeout};
+pub use lock::{poison_recoveries, relock, rewait};
 pub use metrics::Metrics;
 pub use server::{install_signal_handler, Server, ServerConfig, ShutdownHandle};
 pub use session::SessionCache;

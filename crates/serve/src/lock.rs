@@ -14,7 +14,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::Duration;
 
 /// Times a poisoned lock (or condvar wait) was recovered, process-wide.
 /// A global rather than a `Metrics` field so the lock helpers stay
@@ -44,21 +43,6 @@ pub fn rewait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T
     })
 }
 
-/// [`Condvar::wait_timeout`] with the same poison recovery as
-/// [`rewait`]; whether the wait timed out is not reported.
-pub fn rewait_timeout<'a, T>(
-    cv: &Condvar,
-    guard: MutexGuard<'a, T>,
-    dur: Duration,
-) -> MutexGuard<'a, T> {
-    cv.wait_timeout(guard, dur)
-        .map(|(g, _)| g)
-        .unwrap_or_else(|poisoned| {
-            POISON_RECOVERIES.fetch_add(1, Ordering::Relaxed);
-            poisoned.into_inner().0
-        })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,25 +64,6 @@ mod tests {
         // A recovered lock keeps working for every later taker.
         *relock(&m) = 8;
         assert_eq!(*relock(&m), 8);
-    }
-
-    #[test]
-    fn rewait_timeout_recovers_and_counts_a_poisoned_wait() {
-        let m = Arc::new(Mutex::new(3u64));
-        let m2 = Arc::clone(&m);
-        let _ = std::thread::spawn(move || {
-            let _guard = m2.lock().unwrap();
-            panic!("die holding the lock");
-        })
-        .join();
-        let before = poison_recoveries();
-        let guard = relock(&m);
-        let guard = rewait_timeout(&Condvar::new(), guard, Duration::from_millis(1));
-        assert_eq!(*guard, 3, "data survives the timed wait");
-        assert!(
-            poison_recoveries() >= before + 2,
-            "the lock and the timed wait each count a recovery"
-        );
     }
 
     #[test]

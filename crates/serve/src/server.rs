@@ -38,8 +38,8 @@ use csd_bench::run_devec;
 use csd_bench::suite::{run_filtered, SuiteConfig};
 use csd_bench::tasks::filter_tasks;
 use csd_exp::{
-    apply_leg_mode, measure_blocks, pipelines, run_plan, security_core, security_victims, warm_up,
-    ExperimentSpec,
+    apply_leg_mode, measure_blocks, pipelines, policies, policy_by_name, run_plan, security_core,
+    security_victims, warm_up, ExperimentSpec,
 };
 use csd_telemetry::{
     DecodeEvent, EventSink, GateEvent, Json, SplitMix64, StealthWindowEvent, ToJson,
@@ -126,7 +126,6 @@ struct State {
     conn_deadline: Duration,
     write_timeout: Duration,
     fault: Option<FaultMode>,
-    workers: usize,
 }
 
 impl State {
@@ -208,7 +207,6 @@ impl Server {
                 conn_deadline: cfg.conn_deadline.max(Duration::from_millis(10)),
                 write_timeout: cfg.write_timeout.max(Duration::from_millis(10)),
                 fault: cfg.fault,
-                workers: cfg.workers.max(1),
             }),
         })
     }
@@ -370,7 +368,7 @@ fn execute_job(spec: &JobSpec, state: &State) -> Result<Response, ServeError> {
                 .into_iter()
                 .find(|s| s.name == *workload)
                 .ok_or_else(|| ServeError::run(format!("workload {workload:?} vanished")))?;
-            let (pname, vpu_policy) = *policies_by_name(policy)
+            let vpu_policy = policy_by_name(policy)
                 .ok_or_else(|| ServeError::run(format!("policy {policy:?} vanished")))?;
             let run = run_devec(&Workload::with_scale(spec, *scale), vpu_policy);
             Metrics::bump(&state.metrics.experiments);
@@ -378,7 +376,7 @@ fn execute_job(spec: &JobSpec, state: &State) -> Result<Response, ServeError> {
                 200,
                 &Json::obj([
                     ("workload", Json::from(*workload)),
-                    ("policy", Json::from(pname)),
+                    ("policy", Json::from(*policy)),
                     ("scale", Json::from(*scale)),
                     ("run", run.to_json()),
                 ]),
@@ -399,17 +397,6 @@ fn execute_job(spec: &JobSpec, state: &State) -> Result<Response, ServeError> {
             }
         }
     }
-}
-
-fn policies_by_name(name: &str) -> Option<&'static (&'static str, csd::VpuPolicy)> {
-    // `policies()` returns by value; leak-free static lookup via a once
-    // cell would be overkill for three entries — rebuild and match.
-    static POLICIES: std::sync::OnceLock<[(&'static str, csd::VpuPolicy); 3]> =
-        std::sync::OnceLock::new();
-    POLICIES
-        .get_or_init(csd_exp::policies)
-        .iter()
-        .find(|(n, _)| *n == name)
 }
 
 /// Serves one connection: keep-alive request loop with a read timeout so
@@ -482,30 +469,6 @@ fn handle_connection(stream: &TcpStream, state: &State) -> std::io::Result<()> {
 fn route(req: &Request, state: &State) -> Result<Response, ServeError> {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => Ok(Response::json(200, &Json::obj([("ok", Json::Bool(true))]))),
-        ("GET", "/v1/health") => {
-            // Cheap by construction: answered on the connection thread
-            // from atomics, never queued behind simulation work — a
-            // cluster scheduler can poll it aggressively for liveness
-            // and load-aware dispatch.
-            let lost = state.metrics.workers_lost.load(Ordering::Relaxed);
-            Ok(Response::json(
-                200,
-                &Json::obj([
-                    ("ok", Json::Bool(true)),
-                    ("version", Json::from(env!("CARGO_PKG_VERSION"))),
-                    ("queue_depth", Json::from(state.queue.len() as u64)),
-                    ("workers", Json::from(state.workers as u64)),
-                    (
-                        "workers_alive",
-                        Json::from((state.workers as u64).saturating_sub(lost)),
-                    ),
-                    (
-                        "draining",
-                        Json::Bool(state.shutdown.load(Ordering::SeqCst)),
-                    ),
-                ]),
-            ))
-        }
         ("GET", "/metrics") => {
             let mut doc = state.metrics.to_json();
             doc.push_member("queue_depth", Json::from(state.queue.len() as u64));
@@ -537,8 +500,9 @@ fn route(req: &Request, state: &State) -> Result<Response, ServeError> {
             ))
         }
         ("POST", "/v1/experiments") => submit_experiment(req, state),
-        (_, "/healthz" | "/v1/health" | "/metrics" | "/v1/tasks" | "/v1/stream")
-        | (_, "/v1/experiments") => Err(ServeError::admission(405, "method not allowed")),
+        (_, "/healthz" | "/metrics" | "/v1/tasks" | "/v1/stream" | "/v1/experiments") => {
+            Err(ServeError::admission(405, "method not allowed"))
+        }
         _ => Err(ServeError::admission(404, "no such route")),
     }
 }
@@ -629,8 +593,10 @@ fn parse_experiment_body(body: &[u8], fault: Option<FaultMode>) -> Result<JobSpe
             .get("policy")
             .and_then(Json::as_str)
             .unwrap_or("csd-devec");
-        let policy = policies_by_name(policy_name)
-            .map(|(n, _)| *n)
+        let policy = policies()
+            .into_iter()
+            .map(|(n, _)| n)
+            .find(|n| *n == policy_name)
             .ok_or_else(|| ServeError::parse(format!("unknown policy {policy_name:?}")))?;
         let scale = match d.get("scale") {
             None => 0.05,

@@ -299,30 +299,24 @@ fn routes_and_errors() {
 
     assert_eq!(client.get("/no/such").unwrap().status, 404);
     assert_eq!(client.request("PUT", "/metrics", b"").unwrap().status, 405);
-    assert_eq!(
-        client
-            .post_json("/v1/experiments", "not json")
-            .unwrap()
-            .status,
-        400
-    );
-    assert_eq!(
-        client
-            .post_json(
-                "/v1/experiments",
-                "{\"experiment\": {\"victim\": \"nope\"}}"
-            )
-            .unwrap()
-            .status,
-        400
-    );
-    assert_eq!(
-        client
-            .post_json("/v1/experiments", "{\"task\": \"no-such-task\"}")
-            .unwrap()
-            .status,
-        400
-    );
+    // Bodies refused at admission: 400 with the parse error class. The
+    // devec bodies name a policy or workload outside the tables.
+    for body in [
+        "not json",
+        "{\"experiment\": {\"victim\": \"nope\"}}",
+        "{\"task\": \"no-such-task\"}",
+        "{\"devec\": {\"workload\": \"gcc\", \"policy\": \"no-such-policy\"}}",
+        "{\"devec\": {\"workload\": \"no-such-workload\"}}",
+    ] {
+        let resp = client.post_json("/v1/experiments", body).unwrap();
+        assert_eq!(resp.status, 400, "body {body}");
+        let err = Json::parse(&resp.text()).unwrap();
+        assert_eq!(
+            err.get("class").and_then(Json::as_str),
+            Some("parse"),
+            "body {body}"
+        );
+    }
 
     shutdown_and_join(&handle, join);
 }

@@ -84,18 +84,6 @@ impl Histogram {
         }
     }
 
-    /// Merges any number of histograms into one — the fleet view a
-    /// cluster coordinator builds from per-worker latency distributions.
-    /// Identity on empty input; order-independent (merge is commutative
-    /// and associative up to the saturating `sum`).
-    pub fn merged<'a>(parts: impl IntoIterator<Item = &'a Histogram>) -> Histogram {
-        let mut all = Histogram::new();
-        for p in parts {
-            all.merge(p);
-        }
-        all
-    }
-
     /// Samples recorded.
     pub fn count(&self) -> u64 {
         self.count
@@ -261,23 +249,6 @@ mod tests {
         assert_eq!(h.percentile(0.0), Some(100));
         assert_eq!(h.percentile(50.0), Some(100));
         assert_eq!(h.percentile(100.0), Some(100));
-    }
-
-    #[test]
-    fn merged_folds_a_fleet_in_any_order() {
-        let mut parts = Vec::new();
-        let mut all = Histogram::new();
-        for w in 0..4u64 {
-            let mut h = Histogram::new();
-            for v in [w, w * 100 + 1, 1 << w] {
-                h.record(v);
-                all.record(v);
-            }
-            parts.push(h);
-        }
-        assert_eq!(Histogram::merged(parts.iter()), all);
-        assert_eq!(Histogram::merged(parts.iter().rev()), all);
-        assert_eq!(Histogram::merged([]), Histogram::new());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Write-ahead run journal and atomic artifact writes — the durability
-//! layer behind `suite --resume` / `cluster --resume`.
+//! layer behind `suite --resume`.
 //!
 //! Two independent guarantees live here:
 //!

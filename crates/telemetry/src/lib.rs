@@ -35,7 +35,7 @@
 //! - [`journal`] — the durability layer: [`write_atomic`] (temp+rename
 //!   artifact writes with typed [`ArtifactError`]s) and the CRC-framed
 //!   write-ahead [`Journal`] / [`RunJournal`] behind crash-resumable
-//!   `suite --resume` / `cluster --resume` runs.
+//!   `suite --resume` runs.
 
 #![warn(missing_docs)]
 
