@@ -37,8 +37,8 @@
 #![warn(missing_docs)]
 
 use csd_uops::{UReg, Uop, UopKind};
-use mx86_isa::{AddrRange, Gpr, Xmm};
-use std::collections::HashSet;
+use mx86_isa::page::{self, PageMap, PAGE_SIZE};
+use mx86_isa::AddrRange;
 
 /// Extra load latency (cycles) charged while DIFT is active, modeling the
 /// taint-tag lookup as an additional L2-tag access (paper §VI-A).
@@ -64,25 +64,55 @@ impl TaintEvent {
     }
 }
 
+/// Taint bits for one page: bit `b % 64` of word `b / 64` is byte `b`.
+type TaintPage = [u64; PAGE_SIZE / 64];
+
 /// Taint state over the full micro-architectural register namespace plus a
 /// byte-granular memory shadow.
-#[derive(Debug, Clone, Default)]
+///
+/// The shadow is one bitmap per 4 KiB page, so a load's taint check and a
+/// store's taint update cost one page probe and touch one or two words,
+/// and marking a key buffer fills whole words at a time.
+#[derive(Debug, Clone)]
 pub struct Dift {
-    gprs: [bool; Gpr::COUNT],
-    xmms: [bool; Xmm::COUNT],
-    tmps: [bool; UReg::TMP_COUNT],
-    vtmps: [bool; UReg::VTMP_COUNT],
+    regs: [bool; UReg::COUNT],
     flags: bool,
-    mem: HashSet<u64>,
+    mem: PageMap<Box<TaintPage>>,
+    /// Number of set bits across `mem`.
+    mem_bytes: usize,
     enabled: bool,
+}
+
+/// The words of a page bitmap covered by `n` bytes from byte `off`, with
+/// the mask of covered bits in each.
+fn word_masks(off: usize, n: usize) -> impl Iterator<Item = (usize, u64)> {
+    let end = off + n;
+    (off / 64..end.div_ceil(64)).map(move |w| {
+        let lo = off.max(w * 64) - w * 64;
+        let hi = end.min(w * 64 + 64) - w * 64;
+        (w, (u64::MAX >> (64 - (hi - lo))) << lo)
+    })
+}
+
+impl Default for Dift {
+    /// Nothing tainted and tracking disabled.
+    fn default() -> Dift {
+        Dift {
+            enabled: false,
+            ..Dift::new()
+        }
+    }
 }
 
 impl Dift {
     /// Fresh, enabled DIFT state with nothing tainted.
     pub fn new() -> Dift {
         Dift {
+            regs: [false; UReg::COUNT],
+            flags: false,
+            mem: PageMap::default(),
+            mem_bytes: 0,
             enabled: true,
-            ..Dift::default()
         }
     }
 
@@ -100,15 +130,34 @@ impl Dift {
     /// Marks every byte in `range` as tainted (a taint *source*, e.g. the
     /// buffer a secret key is read into).
     pub fn taint_memory(&mut self, range: AddrRange) {
-        for b in range.start..range.end {
-            self.mem.insert(b);
-        }
+        self.set_memory(range.start, range.len(), true);
     }
 
     /// Clears taint from every byte in `range`.
     pub fn untaint_memory(&mut self, range: AddrRange) {
-        for b in range.start..range.end {
-            self.mem.remove(&b);
+        self.set_memory(range.start, range.len(), false);
+    }
+
+    /// Sets or clears taint on `len` bytes from `addr`, wrapping at the
+    /// top of the address space. Clearing never maps a page.
+    fn set_memory(&mut self, addr: u64, len: u64, tainted: bool) {
+        for (page, off, n) in page::spans(addr, len) {
+            let bits = if tainted {
+                self.mem
+                    .entry(page)
+                    .or_insert_with(|| Box::new([0; PAGE_SIZE / 64]))
+            } else {
+                match self.mem.get_mut(&page) {
+                    Some(bits) => bits,
+                    None => continue,
+                }
+            };
+            for (w, mask) in word_masks(off, n) {
+                let old = bits[w];
+                bits[w] = if tainted { old | mask } else { old & !mask };
+                self.mem_bytes += bits[w].count_ones() as usize;
+                self.mem_bytes -= old.count_ones() as usize;
+            }
         }
     }
 
@@ -119,15 +168,7 @@ impl Dift {
 
     /// Whether a register is tainted.
     pub fn reg_tainted(&self, r: UReg) -> bool {
-        if !self.enabled {
-            return false;
-        }
-        match r {
-            UReg::Gpr(g) => self.gprs[g.index()],
-            UReg::Xmm(x) => self.xmms[x.index()],
-            UReg::Tmp(i) => self.tmps[i as usize],
-            UReg::VTmp(i) => self.vtmps[i as usize],
-        }
+        self.enabled && self.regs[r.index()]
     }
 
     /// Whether any byte of `[addr, addr+len)` is tainted. Addresses wrap
@@ -137,7 +178,11 @@ impl Dift {
         if !self.enabled {
             return false;
         }
-        (0..len).any(|i| self.mem.contains(&addr.wrapping_add(i)))
+        page::spans(addr, len).any(|(page, off, n)| {
+            self.mem
+                .get(&page)
+                .is_some_and(|bits| word_masks(off, n).any(|(w, mask)| bits[w] & mask != 0))
+        })
     }
 
     /// Whether the flags register is tainted.
@@ -147,16 +192,11 @@ impl Dift {
 
     /// Number of tainted memory bytes (diagnostics).
     pub fn tainted_bytes(&self) -> usize {
-        self.mem.len()
+        self.mem_bytes
     }
 
     fn set_reg(&mut self, r: UReg, v: bool) {
-        match r {
-            UReg::Gpr(g) => self.gprs[g.index()] = v,
-            UReg::Xmm(x) => self.xmms[x.index()] = v,
-            UReg::Tmp(i) => self.tmps[i as usize] = v,
-            UReg::VTmp(i) => self.vtmps[i as usize] = v,
-        }
+        self.regs[r.index()] = v;
     }
 
     fn mem_operand_addr_tainted(&self, uop: &Uop) -> bool {
@@ -232,21 +272,12 @@ impl Dift {
                 // executable program, and the taint set must follow the
                 // same wrapping the data write performs.
                 if let Some(a) = ea {
-                    let len = uop.mem.map_or(8, |m| m.width.bytes());
-                    for b in (0..len).map(|i| a.wrapping_add(i)) {
-                        if t {
-                            self.mem.insert(b);
-                        } else {
-                            self.mem.remove(&b);
-                        }
-                    }
+                    self.set_memory(a, uop.mem.map_or(8, |m| m.width.bytes()), t);
                 }
             }
             UopKind::PushImm => {
                 if let Some(a) = ea {
-                    for b in (0..8).map(|i| a.wrapping_add(i)) {
-                        self.mem.remove(&b);
-                    }
+                    self.set_memory(a, 8, false);
                 }
             }
             UopKind::Br(_) => {
@@ -269,8 +300,9 @@ impl Dift {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use csd_telemetry::SplitMix64;
     use csd_uops::UMem;
-    use mx86_isa::{AluOp, Cc, Width};
+    use mx86_isa::{AluOp, Cc, Gpr, Width};
 
     fn ld(dst: UReg, addr: u64) -> Uop {
         Uop::new(UopKind::Ld)
@@ -396,6 +428,85 @@ mod tests {
         assert!(!ev.loaded_tainted_data);
         assert!(!d.reg_tainted(UReg::Gpr(Gpr::Rax)));
         assert!(!d.memory_tainted(0x100, 8));
+    }
+
+    /// An address near a page boundary, low memory, or the top of the
+    /// address space.
+    fn near_edge(rng: &mut SplitMix64) -> u64 {
+        let bases = [0, 0x7000, 0x1_0000_0000, u64::MAX - 0x1fff];
+        bases[rng.range_u64(0, 4) as usize].wrapping_add(rng.range_u64(0, 0x2000))
+    }
+
+    /// Model-based test: the page-bitmap shadow against a byte set, over
+    /// random source marking, unmarking, store propagation (widths
+    /// 1..16, straddling pages and wrapping past `u64::MAX`) and queries.
+    #[test]
+    fn shadow_matches_a_byte_set_oracle() {
+        use std::collections::BTreeSet;
+        let mut d = Dift::new();
+        let mut oracle = BTreeSet::new();
+        let mut rng = SplitMix64::new(15);
+        let taint_src = UReg::Gpr(Gpr::Rdx);
+        d.taint_reg(taint_src);
+        let widths = [Width::B1, Width::B2, Width::B4, Width::B8, Width::B16];
+        for _ in 0..1500 {
+            match rng.range_u64(0, 5) {
+                0 | 1 => {
+                    let start = near_edge(&mut rng);
+                    let end = start.saturating_add(rng.range_u64(0, 2 * PAGE_SIZE as u64));
+                    let r = AddrRange::new(start, end);
+                    if rng.next_bool() {
+                        d.taint_memory(r);
+                        oracle.extend(start..end);
+                    } else {
+                        d.untaint_memory(r);
+                        let gone: Vec<u64> = oracle.range(start..end).copied().collect();
+                        for b in gone {
+                            oracle.remove(&b);
+                        }
+                    }
+                }
+                2 => {
+                    let a = near_edge(&mut rng);
+                    let width = widths[rng.range_u64(0, 5) as usize];
+                    let tainted = rng.next_bool();
+                    let src = if tainted {
+                        taint_src
+                    } else {
+                        UReg::Gpr(Gpr::Rax)
+                    };
+                    let st = Uop::new(UopKind::St).src1(src).mem(UMem::abs(0, width));
+                    d.propagate(&st, Some(a));
+                    for b in (0..width.bytes()).map(|i| a.wrapping_add(i)) {
+                        if tainted {
+                            oracle.insert(b);
+                        } else {
+                            oracle.remove(&b);
+                        }
+                    }
+                }
+                3 => {
+                    let a = near_edge(&mut rng);
+                    d.propagate(&Uop::new(UopKind::PushImm).imm(0), Some(a));
+                    for i in 0..8 {
+                        oracle.remove(&a.wrapping_add(i));
+                    }
+                }
+                _ => {}
+            }
+            let a = near_edge(&mut rng);
+            let len = [1, 2, 4, 8, 16, 100, 5000][rng.range_u64(0, 7) as usize];
+            let want = match a.checked_add(len) {
+                Some(end) => oracle.range(a..end).next().is_some(),
+                None => {
+                    oracle.range(a..).next().is_some()
+                        || oracle.range(..a.wrapping_add(len)).next().is_some()
+                }
+            };
+            assert_eq!(d.memory_tainted(a, len), want, "{a:#x}+{len}");
+            assert_eq!(d.tainted_bytes(), oracle.len());
+        }
+        assert!(!oracle.is_empty());
     }
 
     #[test]

@@ -37,6 +37,7 @@ mod asm;
 mod cc;
 mod inst;
 mod operand;
+pub mod page;
 mod program;
 mod reg;
 

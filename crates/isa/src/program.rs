@@ -90,6 +90,9 @@ impl Placed {
     }
 }
 
+/// Marks a byte of [`Program`]'s fetch index where no instruction starts.
+const NO_INST: u32 = u32::MAX;
+
 /// An assembled program: a contiguous, address-indexed instruction stream.
 ///
 /// Produced by [`crate::Assembler::finish`]. Instructions are laid out
@@ -99,7 +102,12 @@ impl Placed {
 #[derive(Debug, Clone, Default)]
 pub struct Program {
     insts: Vec<Placed>,
-    by_addr: HashMap<u64, usize>,
+    /// Fetch index: for each code byte (offset from `entry`), the index in
+    /// `insts` of the instruction starting there, or [`NO_INST`]. The
+    /// assembler lays code out contiguously (alignment pads with NOPs), so
+    /// the table is as long as the code and `fetch` is one bounds-checked
+    /// load on every dynamic instruction.
+    index: Vec<u32>,
     symbols: HashMap<String, u64>,
     entry: u64,
 }
@@ -110,10 +118,15 @@ impl Program {
         symbols: HashMap<String, u64>,
         entry: u64,
     ) -> Program {
-        let by_addr = insts.iter().enumerate().map(|(i, p)| (p.addr, i)).collect();
+        let end = insts.last().map_or(entry, Placed::next_addr);
+        assert!(insts.len() < NO_INST as usize, "program too large to index");
+        let mut index = vec![NO_INST; (end - entry) as usize];
+        for (i, p) in insts.iter().enumerate() {
+            index[(p.addr - entry) as usize] = i as u32;
+        }
         Program {
             insts,
-            by_addr,
+            index,
             symbols,
             entry,
         }
@@ -146,7 +159,11 @@ impl Program {
 
     /// Resolves `addr` to the instruction starting at that address.
     pub fn fetch(&self, addr: u64) -> Option<&Placed> {
-        self.by_addr.get(&addr).map(|&i| &self.insts[i])
+        let off = usize::try_from(addr.wrapping_sub(self.entry)).ok()?;
+        match *self.index.get(off)? {
+            NO_INST => None,
+            i => Some(&self.insts[i as usize]),
+        }
     }
 
     /// Address bound to a symbol (label name), if present.
@@ -226,5 +243,46 @@ mod tests {
     #[should_panic(expected = "end precedes start")]
     fn addr_range_rejects_inverted() {
         let _ = AddrRange::new(0x10, 0x0);
+    }
+
+    /// Oracle test for the dense fetch index: every byte of a program with
+    /// mixed instruction lengths resolves exactly as a map from
+    /// instruction start to instruction would.
+    #[test]
+    fn fetch_matches_a_start_address_oracle_on_every_byte() {
+        use crate::{AluOp, Assembler, Gpr, MemRef, Scale, Xmm};
+        use std::collections::{BTreeMap, BTreeSet};
+        let mut a = Assembler::new(0x2003);
+        a.nop(1);
+        a.mov_ri(Gpr::Rax, 0x1234_5678_9abc);
+        a.alu_ri(AluOp::Add, Gpr::Rbx, 7);
+        a.load(
+            Gpr::Rcx,
+            MemRef::base_index(Gpr::Rsi, Gpr::Rdi, Scale::S8).with_disp(0x4000),
+        );
+        a.align(64);
+        a.vmov(Xmm::new(1), Xmm::new(2));
+        a.nop(15);
+        a.push(Gpr::Rbp);
+        a.ret();
+        let p = a.finish().unwrap();
+        let oracle: BTreeMap<u64, Placed> = p.iter().map(|pl| (pl.addr, *pl)).collect();
+        let lens: BTreeSet<u32> = p.iter().map(|pl| pl.inst.len()).collect();
+        assert!(lens.len() >= 5, "mixed lengths: {lens:?}");
+        assert!(
+            p.len() < (p.end_addr() - p.entry()) as usize,
+            "has interior bytes"
+        );
+        for addr in p.entry() - 64..p.end_addr() + 64 {
+            assert_eq!(
+                p.fetch(addr).copied(),
+                oracle.get(&addr).copied(),
+                "{addr:#x}"
+            );
+        }
+        for addr in [0, p.entry() - 1, p.end_addr(), u64::MAX, u64::MAX - 0x1000] {
+            assert!(p.fetch(addr).is_none(), "{addr:#x}");
+        }
+        assert!(Program::default().fetch(0).is_none());
     }
 }

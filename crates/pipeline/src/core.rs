@@ -32,7 +32,6 @@ use csd_power::{Activity, EnergyModel, Unit};
 use csd_telemetry::{EventSink, Json, SinkHandle, ToJson};
 use csd_uops::{DecodeMemo, MemoStats, UReg};
 use mx86_isa::Program;
-use std::collections::HashMap;
 use std::collections::VecDeque;
 
 /// Simulation fidelity.
@@ -161,7 +160,7 @@ pub struct CoreSnapshot {
     fe_time: f64,
     last_dispatch: f64,
     last_commit: f64,
-    sched: HashMap<UReg, f64>,
+    sched: [f64; UReg::COUNT],
     flags_ready: f64,
     alu_ports: Vec<f64>,
     load_ports: Vec<f64>,
@@ -215,7 +214,10 @@ pub struct Core {
     pub(crate) fe_time: f64,
     pub(crate) last_dispatch: f64,
     pub(crate) last_commit: f64,
-    pub(crate) sched: HashMap<UReg, f64>,
+    /// Scoreboard: cycle at which each register's latest value is ready,
+    /// indexed by [`UReg::index`]. Never-written registers read 0.0,
+    /// which constrains nothing because dispatch times are never negative.
+    pub(crate) sched: [f64; UReg::COUNT],
     pub(crate) flags_ready: f64,
     pub(crate) alu_ports: Vec<f64>,
     pub(crate) load_ports: Vec<f64>,
@@ -272,7 +274,7 @@ impl Core {
             fe_time: 0.0,
             last_dispatch: 0.0,
             last_commit: 0.0,
-            sched: HashMap::new(),
+            sched: [0.0; UReg::COUNT],
             flags_ready: 0.0,
             alu_ports: vec![0.0; cfg.alu_units],
             load_ports: vec![0.0; cfg.load_units],
@@ -428,7 +430,7 @@ impl Core {
             fe_time: self.fe_time,
             last_dispatch: self.last_dispatch,
             last_commit: self.last_commit,
-            sched: self.sched.clone(),
+            sched: self.sched,
             flags_ready: self.flags_ready,
             alu_ports: self.alu_ports.clone(),
             load_ports: self.load_ports.clone(),
@@ -467,7 +469,7 @@ impl Core {
         self.fe_time = snap.fe_time;
         self.last_dispatch = snap.last_dispatch;
         self.last_commit = snap.last_commit;
-        self.sched = snap.sched.clone();
+        self.sched = snap.sched;
         self.flags_ready = snap.flags_ready;
         self.alu_ports = snap.alu_ports.clone();
         self.load_ports = snap.load_ports.clone();

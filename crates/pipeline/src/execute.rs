@@ -410,15 +410,11 @@ fn time_uop(
     }
     // Operand readiness.
     for src in [u.src1, u.src2].into_iter().flatten() {
-        if let Some(&t) = core.sched.get(&src) {
-            ready = f64::max(ready, t);
-        }
+        ready = f64::max(ready, core.sched[src.index()]);
     }
     if let Some(m) = u.mem {
         for r in m.base.into_iter().chain(m.index.map(|(r, _)| r)) {
-            if let Some(&t) = core.sched.get(&r) {
-                ready = f64::max(ready, t);
-            }
+            ready = f64::max(ready, core.sched[r.index()]);
         }
     }
     if matches!(u.kind, UopKind::Br(_)) {
@@ -468,14 +464,14 @@ fn time_uop(
 
     // Writeback.
     if let Some(d) = u.dst {
-        core.sched.insert(d, done);
+        core.sched[d.index()] = done;
     }
     if u.kind.writes_flags() && !u.is_decoy() && !u.no_flags {
         core.flags_ready = done;
     }
     // Stack-pointer updates by push/pop.
     if matches!(u.kind, UopKind::Push | UopKind::PushImm | UopKind::Pop) {
-        core.sched.insert(UReg::Gpr(Gpr::Rsp), done);
+        core.sched[UReg::Gpr(Gpr::Rsp).index()] = done;
     }
 
     // Branch resolution and redirect.

@@ -1,8 +1,8 @@
 //! Architectural state and flat memory.
 
 use csd_uops::UReg;
+use mx86_isa::page::{self, PageMap, PAGE_BITS, PAGE_SIZE};
 use mx86_isa::{Cc, Gpr, Xmm};
-use std::collections::HashMap;
 
 /// The architectural flags produced by flag-writing µops.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -115,13 +115,14 @@ impl ArchState {
     }
 }
 
-const PAGE_BITS: u32 = 12;
-const PAGE_SIZE: usize = 1 << PAGE_BITS;
-
 /// Sparse, byte-addressed flat memory. Unmapped bytes read as zero.
+///
+/// Every access splits into per-page spans ([`page::spans`]), so one that
+/// stays inside a page costs one page probe whatever its width. Addresses
+/// wrap at the top of the address space, as effective addresses do.
 #[derive(Debug, Clone, Default)]
 pub struct Memory {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
+    pages: PageMap<Box<[u8; PAGE_SIZE]>>,
 }
 
 impl Memory {
@@ -140,52 +141,66 @@ impl Memory {
 
     /// Writes one byte.
     pub fn write_u8(&mut self, addr: u64, v: u8) {
-        let page = self
-            .pages
-            .entry(addr >> PAGE_BITS)
-            .or_insert_with(|| Box::new([0; PAGE_SIZE]));
-        page[(addr as usize) & (PAGE_SIZE - 1)] = v;
+        self.write_bytes(addr, &[v]);
     }
 
     /// Reads `len` (≤ 8) bytes little-endian.
     pub fn read_le(&self, addr: u64, len: u64) -> u64 {
         debug_assert!(len <= 8);
-        let mut v = 0u64;
-        for i in 0..len {
-            v |= u64::from(self.read_u8(addr + i)) << (8 * i);
-        }
-        v
+        let mut buf = [0u8; 8];
+        self.read_into(addr, &mut buf[..len as usize]);
+        u64::from_le_bytes(buf)
     }
 
     /// Writes the low `len` (≤ 8) bytes of `v` little-endian.
     pub fn write_le(&mut self, addr: u64, len: u64, v: u64) {
         debug_assert!(len <= 8);
-        for i in 0..len {
-            self.write_u8(addr + i, (v >> (8 * i)) as u8);
-        }
+        self.write_bytes(addr, &v.to_le_bytes()[..len as usize]);
     }
 
     /// Reads a 128-bit value as (low, high) halves.
     pub fn read_u128(&self, addr: u64) -> (u64, u64) {
-        (self.read_le(addr, 8), self.read_le(addr + 8, 8))
+        (self.read_le(addr, 8), self.read_le(addr.wrapping_add(8), 8))
     }
 
     /// Writes a 128-bit value from (low, high) halves.
     pub fn write_u128(&mut self, addr: u64, v: (u64, u64)) {
         self.write_le(addr, 8, v.0);
-        self.write_le(addr + 8, 8, v.1);
+        self.write_le(addr.wrapping_add(8), 8, v.1);
     }
 
     /// Copies a byte slice into memory at `addr`.
     pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
-        for (i, &b) in bytes.iter().enumerate() {
-            self.write_u8(addr + i as u64, b);
+        let mut src = bytes;
+        for (page, off, n) in page::spans(addr, bytes.len() as u64) {
+            let (head, rest) = src.split_at(n);
+            let p = self
+                .pages
+                .entry(page)
+                .or_insert_with(|| Box::new([0; PAGE_SIZE]));
+            p[off..off + n].copy_from_slice(head);
+            src = rest;
         }
     }
 
     /// Reads `len` bytes into a vector.
     pub fn read_bytes(&self, addr: u64, len: usize) -> Vec<u8> {
-        (0..len as u64).map(|i| self.read_u8(addr + i)).collect()
+        let mut out = vec![0; len];
+        self.read_into(addr, &mut out);
+        out
+    }
+
+    /// Fills `out` from memory at `addr`.
+    fn read_into(&self, addr: u64, out: &mut [u8]) {
+        let mut dst = out;
+        for (page, off, n) in page::spans(addr, dst.len() as u64) {
+            let (head, rest) = dst.split_at_mut(n);
+            match self.pages.get(&page) {
+                Some(p) => head.copy_from_slice(&p[off..off + n]),
+                None => head.fill(0),
+            }
+            dst = rest;
+        }
     }
 
     /// Number of mapped pages (diagnostics).
@@ -220,6 +235,75 @@ mod tests {
         m.write_le(0xFFC, 8, u64::MAX);
         assert_eq!(m.read_le(0xFFC, 8), u64::MAX);
         assert_eq!(m.mapped_pages(), 2);
+    }
+
+    #[test]
+    fn accesses_at_the_top_of_the_address_space_wrap() {
+        let mut m = Memory::new();
+        m.write_le(u64::MAX - 3, 8, 0x0807_0605_0403_0201);
+        assert_eq!(m.read_le(u64::MAX - 3, 8), 0x0807_0605_0403_0201);
+        assert_eq!(m.read_u8(u64::MAX), 0x04);
+        assert_eq!(m.read_u8(0), 0x05);
+        m.write_u128(u64::MAX - 7, (u64::MAX, 0x1122_3344_5566_7788));
+        assert_eq!(m.read_u128(u64::MAX - 7), (u64::MAX, 0x1122_3344_5566_7788));
+        assert_eq!(m.read_le(0, 8), 0x1122_3344_5566_7788);
+        m.write_u128(u64::MAX - 11, (1, 2));
+        assert_eq!(m.read_u128(u64::MAX - 11), (1, 2));
+        m.write_bytes(u64::MAX - 1, &[9, 8, 7]);
+        assert_eq!(m.read_bytes(u64::MAX - 1, 3), vec![9, 8, 7]);
+        assert_eq!(m.mapped_pages(), 2);
+    }
+
+    /// Model-based test: memory against a byte map, over random reads and
+    /// writes of every access width plus bulk copies, with addresses that
+    /// straddle pages and wrap past `u64::MAX`.
+    #[test]
+    fn memory_matches_a_byte_map_oracle() {
+        use std::collections::{BTreeMap, BTreeSet};
+        let mut m = Memory::new();
+        let mut oracle: BTreeMap<u64, u8> = BTreeMap::new();
+        let mut pages = BTreeSet::new();
+        let mut sm = csd_telemetry::SplitMix64::new(15);
+        let mut rng = move |n: u64| sm.range_u64(0, n);
+        let bases = [0, 0x7000, 0x1_0000_0000, u64::MAX - 0x1fff];
+        for _ in 0..3000 {
+            let a = bases[rng(4) as usize].wrapping_add(rng(0x2000));
+            let len = [1, 2, 4, 8, 16, 1 + rng(5000)][rng(6) as usize];
+            let bytes: Vec<u8> = (0..len).map(|_| rng(256) as u8).collect();
+            let at = |i: u64| a.wrapping_add(i);
+            if rng(2) == 0 {
+                match len {
+                    16 => {
+                        let v = |b: &[u8]| u64::from_le_bytes(b.try_into().unwrap());
+                        m.write_u128(a, (v(&bytes[..8]), v(&bytes[8..])));
+                    }
+                    1..=8 => {
+                        let mut buf = [0u8; 8];
+                        buf[..len as usize].copy_from_slice(&bytes);
+                        m.write_le(a, len, u64::from_le_bytes(buf));
+                    }
+                    _ => m.write_bytes(a, &bytes),
+                }
+                for (i, &b) in bytes.iter().enumerate() {
+                    oracle.insert(at(i as u64), b);
+                    pages.insert(at(i as u64) >> PAGE_BITS);
+                }
+            }
+            let want: Vec<u8> = (0..len)
+                .map(|i| *oracle.get(&at(i)).unwrap_or(&0))
+                .collect();
+            let got = match len {
+                16 => {
+                    let (lo, hi) = m.read_u128(a);
+                    [lo.to_le_bytes(), hi.to_le_bytes()].concat()
+                }
+                1..=8 => m.read_le(a, len).to_le_bytes()[..len as usize].to_vec(),
+                _ => m.read_bytes(a, len as usize),
+            };
+            assert_eq!(got, want, "{a:#x}+{len}");
+            assert_eq!(m.read_u8(a), want[0]);
+            assert_eq!(m.mapped_pages(), pages.len());
+        }
     }
 
     #[test]

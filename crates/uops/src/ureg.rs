@@ -28,6 +28,20 @@ impl UReg {
     pub const TMP_COUNT: usize = 8;
     /// Number of vector temporaries.
     pub const VTMP_COUNT: usize = 4;
+    /// Size of the whole namespace: the range of [`UReg::index`].
+    pub const COUNT: usize = Gpr::COUNT + Xmm::COUNT + UReg::TMP_COUNT + UReg::VTMP_COUNT;
+
+    /// Dense index in `0..UReg::COUNT`, for per-register arrays: GPRs,
+    /// then XMMs, then scalar and vector temporaries.
+    #[inline]
+    pub const fn index(self) -> usize {
+        match self {
+            UReg::Gpr(g) => g.index(),
+            UReg::Xmm(x) => Gpr::COUNT + x.index(),
+            UReg::Tmp(i) => Gpr::COUNT + Xmm::COUNT + i as usize,
+            UReg::VTmp(i) => Gpr::COUNT + Xmm::COUNT + UReg::TMP_COUNT + i as usize,
+        }
+    }
 
     /// Whether the register is architecturally visible.
     pub const fn is_architectural(self) -> bool {
@@ -81,6 +95,20 @@ mod tests {
         assert!(UReg::VTmp(0).is_vector());
         assert!(!UReg::Gpr(Gpr::Rax).is_vector());
         assert!(!UReg::Tmp(3).is_vector());
+    }
+
+    #[test]
+    fn index_is_a_bijection_onto_count() {
+        let all: Vec<UReg> = Gpr::ALL
+            .into_iter()
+            .map(UReg::Gpr)
+            .chain(Xmm::all().map(UReg::Xmm))
+            .chain((0..UReg::TMP_COUNT as u8).map(UReg::Tmp))
+            .chain((0..UReg::VTMP_COUNT as u8).map(UReg::VTmp))
+            .collect();
+        let mut idx: Vec<usize> = all.iter().map(|r| r.index()).collect();
+        idx.sort_unstable();
+        assert_eq!(idx, (0..UReg::COUNT).collect::<Vec<_>>());
     }
 
     #[test]
