@@ -1,21 +1,18 @@
 //! A single set-associative cache.
 
-use crate::replacement::{Replacement, SetState};
 use crate::stats::CacheStats;
 
-/// Geometry and policy of one cache level.
+/// Geometry of one cache level. Replacement is true LRU.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: usize,
     /// Associativity.
     pub ways: usize,
-    /// Line size in bytes (power of two).
+    /// Line size in bytes (power of two, at least 4).
     pub line_bytes: usize,
     /// Hit latency in cycles.
     pub latency: u64,
-    /// Replacement policy.
-    pub replacement: Replacement,
 }
 
 impl CacheConfig {
@@ -24,11 +21,12 @@ impl CacheConfig {
     /// # Panics
     ///
     /// Panics if the geometry is inconsistent (non-power-of-two sets or
-    /// line size, or capacity not divisible by `ways * line_bytes`).
+    /// line size, a line under 4 bytes, or capacity not divisible by
+    /// `ways * line_bytes`).
     pub fn sets(&self) -> usize {
         assert!(
-            self.line_bytes.is_power_of_two(),
-            "line size must be a power of two"
+            self.line_bytes.is_power_of_two() && self.line_bytes >= 4,
+            "line size must be a power of two of at least 4 bytes"
         );
         let sets = self.size_bytes / (self.ways * self.line_bytes);
         assert!(
@@ -40,22 +38,27 @@ impl CacheConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    valid: bool,
-    dirty: bool,
-    tag: u64,
-}
+/// Line-word flag: the way holds a line. A zero word is an invalid way.
+const VALID: u64 = 1;
+/// Line-word flag: the line was written since it was filled.
+const DIRTY: u64 = 2;
 
 /// A set-associative cache tracking line presence (not data).
 ///
-/// Addresses are byte addresses; the cache computes its own set/tag split.
+/// Addresses are byte addresses; the cache computes its own set split.
+///
+/// All state is one zero-initialised `Vec<u64>`. Set `s` owns the block
+/// `[s * 2 * ways, (s + 1) * 2 * ways)`: first one line word per way (the
+/// line's base address ORed with the `VALID` and `DIRTY` flags; zero means
+/// invalid), then one LRU stamp per way. Stamps come from one clock per
+/// cache, so within a set a larger stamp is a more recent touch. A fresh
+/// cache is all zeros, which the allocator hands out as lazily-zeroed
+/// pages: a set nobody touches costs no memory traffic.
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: usize,
-    lines: Vec<Line>,
-    repl: Vec<SetState>,
+    state: Vec<u64>,
+    clock: u64,
     stats: CacheStats,
     set_shift: u32,
     set_mask: u64,
@@ -65,14 +68,10 @@ impl Cache {
     /// Creates an empty cache with the given geometry.
     pub fn new(cfg: CacheConfig) -> Cache {
         let sets = cfg.sets();
-        let repl = (0..sets)
-            .map(|i| SetState::new(cfg.replacement, cfg.ways, 0x9E37_79B9_7F4A_7C15 ^ i as u64))
-            .collect();
         Cache {
             cfg,
-            sets,
-            lines: vec![Line::default(); sets * cfg.ways],
-            repl,
+            state: vec![0; 2 * sets * cfg.ways],
+            clock: 0,
             stats: CacheStats::default(),
             set_shift: cfg.line_bytes.trailing_zeros(),
             set_mask: (sets - 1) as u64,
@@ -90,24 +89,50 @@ impl Cache {
         ((addr >> self.set_shift) & self.set_mask) as usize
     }
 
-    #[inline]
-    fn tag_of(&self, addr: u64) -> u64 {
-        addr >> (self.set_shift + self.sets.trailing_zeros())
-    }
-
     /// The base address of the line containing `addr`.
     #[inline]
     pub fn line_addr(&self, addr: u64) -> u64 {
         addr & !((self.cfg.line_bytes as u64) - 1)
     }
 
+    /// The line words and LRU stamps of the set containing `addr`.
+    #[inline]
+    fn set(&self, addr: u64) -> (&[u64], &[u64]) {
+        let ways = self.cfg.ways;
+        let base = self.set_of(addr) * 2 * ways;
+        self.state[base..base + 2 * ways].split_at(ways)
+    }
+
+    #[inline]
+    fn set_mut(&mut self, addr: u64) -> (&mut [u64], &mut [u64]) {
+        let ways = self.cfg.ways;
+        let base = self.set_of(addr) * 2 * ways;
+        self.state[base..base + 2 * ways].split_at_mut(ways)
+    }
+
+    /// The way holding `addr`'s line, if any. The dirty bit is masked
+    /// off, so one compare checks both the address and validity.
+    #[inline]
     fn find(&self, addr: u64) -> Option<usize> {
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        let base = set * self.cfg.ways;
-        (0..self.cfg.ways)
-            .map(|w| base + w)
-            .find(|&i| self.lines[i].valid && self.lines[i].tag == tag)
+        let want = self.line_addr(addr) | VALID;
+        self.set(addr).0.iter().position(|&w| w & !DIRTY == want)
+    }
+
+    /// The way a fill into `addr`'s set replaces: the first invalid way,
+    /// else the least recently touched one.
+    fn victim(&self, addr: u64) -> usize {
+        let (lines, stamps) = self.set(addr);
+        lines.iter().position(|&w| w == 0).unwrap_or_else(|| {
+            (1..stamps.len()).fold(0, |lru, w| if stamps[w] < stamps[lru] { w } else { lru })
+        })
+    }
+
+    /// Marks `way` of `addr`'s set as the most recently touched.
+    #[inline]
+    fn touch(&mut self, addr: u64, way: usize) {
+        self.clock += 1;
+        let clock = self.clock;
+        self.set_mut(addr).1[way] = clock;
     }
 
     /// Looks up `addr`; on a hit, updates replacement state and dirtiness.
@@ -117,13 +142,11 @@ impl Cache {
     pub fn access(&mut self, addr: u64, write: bool) -> bool {
         self.stats.accesses += 1;
         match self.find(addr) {
-            Some(i) => {
+            Some(way) => {
                 self.stats.hits += 1;
-                let set = self.set_of(addr);
-                let way = i - set * self.cfg.ways;
-                self.repl[set].touch(way);
+                self.touch(addr, way);
                 if write {
-                    self.lines[i].dirty = true;
+                    self.set_mut(addr).0[way] |= DIRTY;
                 }
                 true
             }
@@ -139,49 +162,38 @@ impl Cache {
         self.find(addr).is_some()
     }
 
+    /// Whether the line containing `addr` is present and was written since
+    /// it was filled. Non-perturbing, like [`Cache::contains`].
+    pub fn is_dirty(&self, addr: u64) -> bool {
+        self.find(addr)
+            .is_some_and(|way| self.set(addr).0[way] & DIRTY != 0)
+    }
+
     /// Inserts the line containing `addr`, evicting if necessary.
     /// Returns the base address of the evicted line, if a valid line was
     /// displaced (used for back-invalidation / write-back modeling).
     pub fn fill(&mut self, addr: u64, write: bool) -> Option<u64> {
-        if let Some(i) = self.find(addr) {
+        let dirty = if write { DIRTY } else { 0 };
+        if let Some(way) = self.find(addr) {
             // Already present (e.g. filled by a racing path) — refresh.
-            if write {
-                self.lines[i].dirty = true;
-            }
+            self.set_mut(addr).0[way] |= dirty;
             return None;
         }
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        let base = set * self.cfg.ways;
-        // Prefer an invalid way.
-        let way = (0..self.cfg.ways)
-            .find(|&w| !self.lines[base + w].valid)
-            .unwrap_or_else(|| self.repl[set].victim(self.cfg.ways));
-        let idx = base + way;
-        let evicted = if self.lines[idx].valid {
+        let way = self.victim(addr);
+        let word = self.line_addr(addr) | VALID | dirty;
+        let old = std::mem::replace(&mut self.set_mut(addr).0[way], word);
+        self.touch(addr, way);
+        (old != 0).then(|| {
             self.stats.evictions += 1;
-            Some(self.addr_of(set, self.lines[idx].tag))
-        } else {
-            None
-        };
-        self.lines[idx] = Line {
-            valid: true,
-            dirty: write,
-            tag,
-        };
-        self.repl[set].touch(way);
-        evicted
-    }
-
-    fn addr_of(&self, set: usize, tag: u64) -> u64 {
-        (tag << (self.set_shift + self.sets.trailing_zeros())) | ((set as u64) << self.set_shift)
+            old & !(VALID | DIRTY)
+        })
     }
 
     /// Removes the line containing `addr`. Returns whether it was present.
     pub fn flush_line(&mut self, addr: u64) -> bool {
         match self.find(addr) {
-            Some(i) => {
-                self.lines[i] = Line::default();
+            Some(way) => {
+                self.set_mut(addr).0[way] = 0;
                 self.stats.flushes += 1;
                 true
             }
@@ -191,18 +203,19 @@ impl Cache {
 
     /// Invalidates the entire cache.
     pub fn flush_all(&mut self) {
-        for l in &mut self.lines {
-            *l = Line::default();
+        let ways = self.cfg.ways;
+        for set in self.state.chunks_exact_mut(2 * ways) {
+            set[..ways].fill(0);
         }
     }
 
     /// Addresses of all valid lines currently in the set containing `addr`.
     pub fn lines_in_set(&self, addr: u64) -> Vec<u64> {
-        let set = self.set_of(addr);
-        let base = set * self.cfg.ways;
-        (0..self.cfg.ways)
-            .filter(|&w| self.lines[base + w].valid)
-            .map(|w| self.addr_of(set, self.lines[base + w].tag))
+        self.set(addr)
+            .0
+            .iter()
+            .filter(|&&w| w != 0)
+            .map(|&w| w & !(VALID | DIRTY))
             .collect()
     }
 
@@ -228,7 +241,6 @@ mod tests {
             ways: 2,
             line_bytes: 64,
             latency: 1,
-            replacement: Replacement::Lru,
         })
     }
 
@@ -252,6 +264,22 @@ mod tests {
         assert_eq!(evicted, Some(0x0), "LRU victim");
         assert!(!c.contains(0x0));
         assert!(c.contains(0x100) && c.contains(0x200));
+    }
+
+    #[test]
+    fn lru_evicts_least_recent() {
+        // One set of 4 ways; line `w * 64` lands in way `w`.
+        let mut c = Cache::new(CacheConfig {
+            size_bytes: 256,
+            ways: 4,
+            line_bytes: 64,
+            latency: 1,
+        });
+        for w in 0..4 {
+            c.fill(w * 64, false);
+        }
+        c.access(0, false); // 1 is now LRU
+        assert_eq!(c.victim(0), 1);
     }
 
     #[test]
@@ -313,8 +341,18 @@ mod tests {
             ways: 8,
             line_bytes: 64,
             latency: 4,
-            replacement: Replacement::Lru,
         };
         assert_eq!(l1.sets(), 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 4 bytes")]
+    fn lines_must_leave_room_for_the_flag_bits() {
+        let _ = Cache::new(CacheConfig {
+            size_bytes: 16,
+            ways: 4,
+            line_bytes: 2,
+            latency: 1,
+        });
     }
 }

@@ -1,7 +1,6 @@
 //! The multi-level memory hierarchy.
 
 use crate::cache::{Cache, CacheConfig};
-use crate::replacement::Replacement;
 use crate::stats::HierarchyStats;
 
 /// What kind of access is being performed.
@@ -81,28 +80,24 @@ impl Default for HierarchyConfig {
                 ways: 8,
                 line_bytes: line,
                 latency: 4,
-                replacement: Replacement::Lru,
             },
             l1d: CacheConfig {
                 size_bytes: 32 * 1024,
                 ways: 8,
                 line_bytes: line,
                 latency: 4,
-                replacement: Replacement::Lru,
             },
             l2: CacheConfig {
                 size_bytes: 256 * 1024,
                 ways: 8,
                 line_bytes: line,
                 latency: 12,
-                replacement: Replacement::Lru,
             },
             llc: CacheConfig {
                 size_bytes: 2 * 1024 * 1024,
                 ways: 16,
                 line_bytes: line,
                 latency: 30,
-                replacement: Replacement::Lru,
             },
             memory_latency: 200,
             inclusive_llc: true,

@@ -26,10 +26,8 @@
 
 mod cache;
 mod hierarchy;
-mod replacement;
 mod stats;
 
 pub use cache::{Cache, CacheConfig};
 pub use hierarchy::{AccessKind, AccessResult, Hierarchy, HierarchyConfig, HitLevel};
-pub use replacement::Replacement;
 pub use stats::{CacheStats, HierarchyStats};

@@ -3,9 +3,7 @@
 //! framework: each property runs against a few hundred seeded random
 //! cases, and a failing case's number identifies its seed.
 
-use csd_cache::{
-    AccessKind, Cache, CacheConfig, Hierarchy, HierarchyConfig, HitLevel, Replacement,
-};
+use csd_cache::{AccessKind, Cache, CacheConfig, Hierarchy, HierarchyConfig, HitLevel};
 use csd_telemetry::SplitMix64;
 
 const CASES: u64 = 64;
@@ -16,7 +14,6 @@ fn small_cache() -> Cache {
         ways: 4,
         line_bytes: 64,
         latency: 1,
-        replacement: Replacement::Lru,
     })
 }
 

@@ -136,7 +136,12 @@ struct Way {
 /// flush itself is logical — bumping an internal epoch makes every live
 /// slot read as vacant — so [`DecodeMemo::reset`] (per-operation victim
 /// restarts) and key rolls cost a few stores regardless of occupancy.
-#[derive(Debug, Clone)]
+///
+/// The slot array is allocated by the first [`DecodeMemo::probe`], not by
+/// [`DecodeMemo::new`]: a core that never decodes through the table (a
+/// stealth-mode core bypasses it, a short-lived core may halt first) does
+/// not pay for it, and neither do clones of such a core.
+#[derive(Debug, Clone, Default)]
 pub struct DecodeMemo {
     key: u64,
     epoch: u64,
@@ -145,20 +150,8 @@ pub struct DecodeMemo {
     stats: MemoStats,
 }
 
-impl Default for DecodeMemo {
-    fn default() -> DecodeMemo {
-        DecodeMemo {
-            key: 0,
-            epoch: 0,
-            live: 0,
-            ways: vec![None; SLOTS].into_boxed_slice(),
-            stats: MemoStats::default(),
-        }
-    }
-}
-
 impl DecodeMemo {
-    /// An empty table at context key 0.
+    /// An empty table at context key 0. Allocates nothing.
     pub fn new() -> DecodeMemo {
         DecodeMemo::default()
     }
@@ -171,6 +164,9 @@ impl DecodeMemo {
     /// without locating the slot a second time.
     #[inline]
     pub fn probe(&mut self, pc: u64, key: u64, tainted: bool) -> MemoSlot<'_> {
+        if self.ways.is_empty() {
+            self.allocate();
+        }
         self.roll_key(key);
         MemoSlot {
             idx: slot_index(pc, tainted),
@@ -178,6 +174,11 @@ impl DecodeMemo {
             tainted,
             memo: self,
         }
+    }
+
+    #[cold]
+    fn allocate(&mut self) {
+        self.ways = vec![None; SLOTS].into_boxed_slice();
     }
 
     /// Counts a decode that deliberately skipped the table.
@@ -447,5 +448,47 @@ mod tests {
         // A rewound machine may repeat context keys under different state:
         // nothing from before the clear may resurface, same key or not.
         assert!(lookup(&mut m, 0x100, 3, false).is_none());
+    }
+
+    #[test]
+    fn a_never_probed_table_is_empty_and_unallocated() {
+        let m = DecodeMemo::new();
+        assert_eq!(m.len(), 0);
+        assert!(m.is_empty());
+        assert!(m.ways.is_empty(), "new() must not allocate the slot array");
+        assert_eq!(*m.stats(), MemoStats::default());
+    }
+
+    #[test]
+    fn reset_and_clear_entries_on_a_never_probed_table_are_harmless() {
+        let mut m = DecodeMemo::new();
+        m.reset();
+        m.clear_entries();
+        m.reset();
+        assert_eq!(m.len(), 0);
+        assert_eq!(*m.stats(), MemoStats::default());
+        assert!(m.ways.is_empty(), "housekeeping must not allocate");
+        // The table still works afterwards.
+        fill(&mut m, 0x100, 0, false, entry(5));
+        assert_eq!(lookup(&mut m, 0x100, 0, false), Some(5));
+    }
+
+    #[test]
+    fn first_probe_misses_then_fills_and_the_second_hits() {
+        let mut m = DecodeMemo::new();
+        let slot = m.probe(0x40, 2, true);
+        assert!(slot.get().is_none(), "a fresh table has no occupant");
+        slot.fill(entry(11));
+        assert_eq!(m.ways.len(), SLOTS, "the first probe allocates");
+        assert_eq!(m.len(), 1);
+        assert_eq!(m.stats().misses, 1);
+        assert_eq!(m.stats().inserts, 1);
+        assert_eq!(
+            m.stats().invalidations,
+            0,
+            "an empty table never invalidates"
+        );
+        assert_eq!(lookup(&mut m, 0x40, 2, true), Some(11));
+        assert_eq!(m.stats().hits, 1);
     }
 }
