@@ -3,33 +3,23 @@
 //!
 //! ```text
 //! cargo run --release -p csd-bench --bin suite -- \
-//!     [--jobs N] [--seed S] [--quick] [--out PATH] [--list] [--filter SUBSTR] \
-//!     [--journal] [--resume ID] [--journal-dir DIR]
+//!     [--jobs N] [--seed S] [--quick] [--out PATH] [--list] [--filter SUBSTR]
 //! cargo run --release -p csd-bench --bin suite -- --render BENCH_suite.json
 //! ```
 //!
 //! Exits non-zero if any headline metric drifts outside its declared
 //! band (full profile only). `--list` prints the task grid without
 //! running anything; `--filter` runs only label-matched tasks and writes
-//! a reduced report (no figure summaries or checks) — the same document
-//! the `csd-serve` daemon returns for a task request. `--render PATH`
+//! a reduced report (no figure summaries or checks) whose task results
+//! are byte-equal to the same tasks in the full grid. `--render PATH`
 //! runs nothing: it prints every figure table of a full or quick report
-//! (exit 2 if the file is not one).
-//!
-//! Durability: `--journal` records every completed task in a
-//! write-ahead journal under `--journal-dir` (default `runs/`), and
-//! `--resume ID` reopens `runs/ID.journal` — creating it if absent —
-//! replays the completed prefix, runs only the remainder, and writes a
-//! report byte-identical to an uninterrupted run. Crash it anywhere
-//! (even mid-append; the torn tail is truncated on reopen), rerun the
-//! same `--resume` command, and only the missing work repeats.
+//! (exit 2 if the file is not one). Reports are written atomically
+//! ([`write_atomic`]), so a crash never leaves a torn file.
 
 use csd_bench::render::render;
-use csd_bench::suite::{journal_meta, resolve_jobs, run_filtered, run_suite, SuiteConfig};
+use csd_bench::suite::{resolve_jobs, run_filtered, run_suite, SuiteConfig};
 use csd_bench::tasks::{build_tasks, filter_tasks};
-use csd_telemetry::{write_atomic, Json, RunJournal};
-use std::path::PathBuf;
-use std::sync::Mutex;
+use csd_telemetry::{write_atomic, Json};
 use std::time::Instant;
 
 fn main() {
@@ -41,9 +31,6 @@ fn main() {
     let mut list = false;
     let mut filter: Option<String> = None;
     let mut out_path = "BENCH_suite.json".to_string();
-    let mut journal = false;
-    let mut resume: Option<String> = None;
-    let mut journal_dir = "runs".to_string();
 
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -71,18 +58,6 @@ fn main() {
                         .unwrap_or_else(|| die("--filter needs a substring")),
                 );
             }
-            "--journal" => journal = true,
-            "--resume" => {
-                resume = Some(
-                    args.next()
-                        .unwrap_or_else(|| die("--resume needs a run id")),
-                );
-            }
-            "--journal-dir" => {
-                journal_dir = args
-                    .next()
-                    .unwrap_or_else(|| die("--journal-dir needs a path"));
-            }
             "--render" => {
                 let path = args.next().unwrap_or_else(|| die("--render needs a path"));
                 print!("{}", render_file(&path).unwrap_or_else(|e| die(&e)));
@@ -92,19 +67,14 @@ fn main() {
                 println!(
                     "usage: suite [--jobs N] [--seed S] [--quick] [--out PATH]\n\
                      \x20            [--list] [--filter SUBSTR]\n\
-                     \x20            [--journal] [--resume ID] [--journal-dir DIR]\n\
                      \x20      suite --render PATH\n\
                      Runs the full figure grid and writes the JSON report (default\n\
                      BENCH_suite.json). --jobs 0 (or omitted) uses one worker per\n\
                      available hardware thread. --quick runs a down-scaled smoke grid\n\
                      without tolerance checks. --list prints the task labels without\n\
                      running; --filter runs only tasks whose label contains SUBSTR and\n\
-                     writes a reduced report. --journal write-ahead-journals every\n\
-                     completed task under --journal-dir (default runs/); --resume ID\n\
-                     reopens runs/ID.journal (creating it if absent), skips the\n\
-                     completed prefix, and produces a report byte-identical to an\n\
-                     uninterrupted run. --render PATH prints every figure table of the\n\
-                     full or quick report at PATH and runs nothing."
+                     writes a reduced report. --render PATH prints every figure table\n\
+                     of the full or quick report at PATH and runs nothing."
                 );
                 return;
             }
@@ -131,8 +101,6 @@ fn main() {
         return;
     }
 
-    let run_journal = open_journal(journal, resume, &journal_dir, &cfg, filter.as_deref());
-
     if let Some(f) = filter {
         let matched = filter_tasks(&cfg, &f).len();
         if matched == 0 {
@@ -143,7 +111,7 @@ fn main() {
             cfg.profile, cfg.root_seed, cfg.jobs
         );
         let t0 = Instant::now();
-        let doc = run_filtered(&cfg, &f, run_journal.as_ref()).unwrap_or_else(|e| die(&e));
+        let doc = run_filtered(&cfg, &f);
         write_artifact(&out_path, doc.pretty().as_bytes());
         eprintln!(
             "suite: wrote {out_path} in {:.1}s",
@@ -157,7 +125,7 @@ fn main() {
         cfg.profile, cfg.root_seed, cfg.jobs
     );
     let t0 = Instant::now();
-    let report = run_suite(&cfg, run_journal.as_ref()).unwrap_or_else(|e| die(&e));
+    let report = run_suite(&cfg);
     let elapsed = t0.elapsed();
 
     write_artifact(&out_path, report.json.pretty().as_bytes());
@@ -182,50 +150,6 @@ fn main() {
         );
         std::process::exit(1);
     }
-}
-
-/// Opens (or creates) the run journal when journaling was requested.
-/// `--resume ID` names the journal explicitly; bare `--journal` derives
-/// a fresh id from the config and pid and prints it, so the resume
-/// command after a crash is copy-pasteable from the log.
-fn open_journal(
-    journal: bool,
-    resume: Option<String>,
-    journal_dir: &str,
-    cfg: &SuiteConfig,
-    filter: Option<&str>,
-) -> Option<Mutex<RunJournal>> {
-    if !journal && resume.is_none() {
-        return None;
-    }
-    let id = resume.unwrap_or_else(|| {
-        let t = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0);
-        format!(
-            "{}-{:x}-{t}-{}",
-            cfg.profile,
-            cfg.root_seed,
-            std::process::id()
-        )
-    });
-    let path = PathBuf::from(journal_dir).join(format!("{id}.journal"));
-    let meta = journal_meta(cfg, filter);
-    let rj = RunJournal::open(&path, &meta).unwrap_or_else(|e| die(&e.to_string()));
-    if rj.truncated() > 0 {
-        eprintln!(
-            "suite: journal {} had a torn tail; truncated {} byte(s)",
-            path.display(),
-            rj.truncated()
-        );
-    }
-    eprintln!(
-        "suite: journaling to {} ({} completed task(s) replayed; resume with --resume {id})",
-        path.display(),
-        rj.replayed().len()
-    );
-    Some(Mutex::new(rj))
 }
 
 /// Reads and renders the report at `path` (see [`render`]).

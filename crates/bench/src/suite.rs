@@ -1,9 +1,8 @@
 //! The parallel experiment-suite runner behind `--bin suite`.
 //!
-//! The task grid itself lives in [`crate::tasks`] (shared with the
-//! `csd-serve` daemon); this module runs tasks on the shared ordered
-//! executor ([`ordered_map`]) and assembles one deterministic JSON report
-//! (`BENCH_suite.json`).
+//! The task grid itself lives in [`crate::tasks`]; this module runs
+//! tasks on the shared ordered executor ([`ordered_map`]) and assembles
+//! one deterministic JSON report (`BENCH_suite.json`).
 //!
 //! Determinism contract: each task derives its own input seed from the
 //! suite's root seed and the task's *label* (never from scheduling
@@ -13,9 +12,9 @@
 
 use crate::mean;
 use crate::tasks::{build_tasks, filter_tasks, pipelines, victim_names, TaskDef};
-use csd_telemetry::{ordered_map, Json, RunJournal, ToJson};
+use csd_telemetry::{ordered_map, Json, ToJson};
 use csd_workloads::specs;
-use std::sync::{Mutex, PoisonError};
+use std::convert::Infallible;
 
 /// Knobs for one suite invocation.
 #[derive(Debug, Clone)]
@@ -72,16 +71,6 @@ impl SuiteConfig {
             devec_scale: 0.05,
             checks: false,
             profile: "quick",
-        }
-    }
-
-    /// Builds the profile by name (`"full"` / `"quick"`) — the
-    /// convention shared by `suite` CLI flags and server requests.
-    pub fn named(profile: &str, root_seed: u64, jobs: usize) -> Option<SuiteConfig> {
-        match profile {
-            "full" => Some(SuiteConfig::full(root_seed, jobs)),
-            "quick" => Some(SuiteConfig::quick(root_seed, jobs)),
-            _ => None,
         }
     }
 
@@ -157,170 +146,35 @@ impl SuiteReport {
 /// their results in task order, each task seeded from `root_seed` by
 /// label. Deterministic at any worker count.
 ///
-/// With a `journal`, tasks it already holds are replayed instead of run,
-/// and every fresh completion is durably appended before it counts, so
-/// a resumed run returns the same values as an uninterrupted one.
-///
-/// # Errors
-///
-/// An untrustworthy journal (a replayed record with an unknown label,
-/// the wrong seed, or unparseable result bytes) or a failed journal
-/// append (`ENOSPC` and friends): the durability contract is broken, so
-/// the run stops instead of continuing unjournaled.
-///
 /// # Panics
 ///
 /// Panics if a task panics (the underlying experiment faulted).
-pub fn run_tasks(
-    tasks: &[TaskDef],
-    root_seed: u64,
-    jobs: usize,
-    journal: Option<&Mutex<RunJournal>>,
-) -> Result<Vec<Json>, String> {
-    let mut slots = match journal {
-        Some(j) => replay_into_slots(
-            tasks,
-            root_seed,
-            &j.lock().unwrap_or_else(PoisonError::into_inner),
-        )?,
-        None => vec![None; tasks.len()],
-    };
-    let pending: Vec<usize> = (0..tasks.len()).filter(|&i| slots[i].is_none()).collect();
-    let fresh = ordered_map(
-        jobs,
-        &pending,
-        |&i| Ok(tasks[i].run(tasks[i].seed(root_seed))),
-        // Journal before publishing: a completion the caller can observe
-        // is a completion a crash cannot lose.
-        |&i, out: &Json| {
-            let Some(j) = journal else { return Ok(()) };
-            let t = &tasks[i];
-            j.lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .record(t.label(), t.seed(root_seed), out.dump().as_bytes())
-                .map_err(|e| format!("journal append for {:?}: {e}", t.label()))
-        },
-    )?;
-    for (i, value) in pending.into_iter().zip(fresh) {
-        slots[i] = Some(value);
-    }
-    Ok(slots.into_iter().flatten().collect())
+fn run_tasks(tasks: &[TaskDef], root_seed: u64, jobs: usize) -> Vec<Json> {
+    let Ok(values) = ordered_map(jobs, tasks, |t| {
+        Ok::<_, Infallible>(t.run(t.seed(root_seed)))
+    });
+    values
 }
 
-/// Runs the whole grid on `cfg.jobs` workers, optionally under a
-/// write-ahead journal (see [`run_tasks`]), and assembles the report.
-/// Deterministic for a fixed config at any job count, journaled or not.
-///
-/// # Errors
-///
-/// Journal replay or append failures.
-pub fn run_suite(
-    cfg: &SuiteConfig,
-    journal: Option<&Mutex<RunJournal>>,
-) -> Result<SuiteReport, String> {
+/// Runs the whole grid on `cfg.jobs` workers and assembles the report.
+/// Deterministic for a fixed config at any job count.
+pub fn run_suite(cfg: &SuiteConfig) -> SuiteReport {
     let tasks = build_tasks(cfg);
-    let values = run_tasks(&tasks, cfg.root_seed, cfg.jobs, journal)?;
+    let values = run_tasks(&tasks, cfg.root_seed, cfg.jobs);
     let results = Results {
         labels: tasks.iter().map(|t| t.label().to_string()).collect(),
         values,
     };
-    Ok(assemble(cfg, &results))
+    assemble(cfg, &results)
 }
 
-/// The journal meta document pinning a grid run's determinism domain:
-/// `(profile, root seed, filter)` are exactly the inputs the artifact
-/// bytes are a pure function of, so a journal opened under a different
-/// meta is a different run and must be refused. Scheduling knobs
-/// (`jobs`) are deliberately absent — they cannot change the bytes, so
-/// a run may crash under `--jobs 8` and resume under `--jobs 1`.
-pub fn journal_meta(cfg: &SuiteConfig, filter: Option<&str>) -> Json {
-    Json::obj([
-        ("kind", Json::from("suite-grid")),
-        ("profile", Json::from(cfg.profile)),
-        ("root_seed", Json::from(cfg.root_seed)),
-        ("filter", filter.map_or(Json::Null, Json::from)),
-    ])
-}
-
-/// Splits `tasks` against a resumed journal: returns one slot per task
-/// (`Some` for tasks whose result was replayed — label, seed, and
-/// digest verified — `None` for tasks still to run). The journal's meta
-/// frame was already matched by [`RunJournal::open`], so any replay
-/// mismatch here means the file was tampered with, not misused.
-///
-/// # Errors
-///
-/// A record naming an unknown label, the wrong seed, or unparseable
-/// result bytes — the journal cannot be trusted and the caller should
-/// delete it and rerun.
-fn replay_into_slots(
-    tasks: &[TaskDef],
-    root_seed: u64,
-    journal: &RunJournal,
-) -> Result<Vec<Option<Json>>, String> {
-    let mut slots: Vec<Option<Json>> = (0..tasks.len()).map(|_| None).collect();
-    for rec in journal.replayed() {
-        let Some(i) = tasks.iter().position(|t| t.label() == rec.label) else {
-            return Err(format!(
-                "journal {}: replayed task {:?} is not in this grid",
-                journal.path().display(),
-                rec.label
-            ));
-        };
-        let expected = tasks[i].seed(root_seed);
-        if rec.seed != expected {
-            return Err(format!(
-                "journal {}: task {:?} recorded seed {:#x} != expected {expected:#x}",
-                journal.path().display(),
-                rec.label,
-                rec.seed
-            ));
-        }
-        let text = std::str::from_utf8(&rec.bytes).map_err(|_| {
-            format!(
-                "journal {}: task {:?} result is not UTF-8",
-                journal.path().display(),
-                rec.label
-            )
-        })?;
-        let value = Json::parse(text).map_err(|e| {
-            format!(
-                "journal {}: task {:?} result is not JSON: {e}",
-                journal.path().display(),
-                rec.label
-            )
-        })?;
-        if let Some(prev) = &slots[i] {
-            if prev.dump() != value.dump() {
-                return Err(format!(
-                    "journal {}: task {:?} recorded twice with different results",
-                    journal.path().display(),
-                    rec.label
-                ));
-            }
-        }
-        slots[i] = Some(value);
-    }
-    Ok(slots)
-}
-
-/// Runs the label-matched subset of the grid, optionally under a
-/// write-ahead journal, and returns a reduced report: no figure
-/// summaries or tolerance checks, just each task's label, seed, and
-/// result in grid order. The `csd-serve` daemon emits the identical
-/// document for a single-task request, which is what lets CI
-/// byte-compare a served experiment against `suite --filter`.
-///
-/// # Errors
-///
-/// Journal replay or append failures.
-pub fn run_filtered(
-    cfg: &SuiteConfig,
-    filter: &str,
-    journal: Option<&Mutex<RunJournal>>,
-) -> Result<Json, String> {
+/// Runs the label-matched subset of the grid and returns a reduced
+/// report: no figure summaries or tolerance checks, just each task's
+/// label, seed, and result in grid order. Each result is byte-equal to
+/// the same task's result inside the full grid.
+pub fn run_filtered(cfg: &SuiteConfig, filter: &str) -> Json {
     let tasks = filter_tasks(cfg, filter);
-    let values = run_tasks(&tasks, cfg.root_seed, cfg.jobs, journal)?;
+    let values = run_tasks(&tasks, cfg.root_seed, cfg.jobs);
     let rows: Vec<Json> = tasks
         .iter()
         .zip(values)
@@ -332,11 +186,11 @@ pub fn run_filtered(
             ])
         })
         .collect();
-    Ok(Json::obj([
+    Json::obj([
         ("suite", cfg.to_json()),
         ("filter", Json::from(filter)),
         ("tasks", Json::Arr(rows)),
-    ]))
+    ])
 }
 
 /// Resolves a worker-count request: `0` (the "auto" convention shared by
@@ -738,7 +592,7 @@ mod tests {
         // produces inside the full grid: same label-derived seed, same
         // closure — only the report wrapper differs.
         let cfg = SuiteConfig::quick(0xC5D, 1);
-        let doc = run_filtered(&cfg, "table1", None).unwrap();
+        let doc = run_filtered(&cfg, "table1");
         let rows = doc.get("tasks").unwrap().as_arr().unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].get("label").and_then(Json::as_str), Some("table1"));
@@ -747,13 +601,10 @@ mod tests {
         assert_eq!(
             rows[0].get("result").unwrap().pretty(),
             direct.pretty(),
-            "filtered run must serve the grid's bytes"
+            "filtered run must reproduce the grid's bytes"
         );
         // And the whole filtered document is deterministic.
-        assert_eq!(
-            doc.pretty(),
-            run_filtered(&cfg, "table1", None).unwrap().pretty()
-        );
+        assert_eq!(doc.pretty(), run_filtered(&cfg, "table1").pretty());
     }
 
     #[test]

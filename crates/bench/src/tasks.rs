@@ -3,9 +3,9 @@
 //! Every figure/table datapoint of `EXPERIMENTS.md` is one [`TaskDef`]:
 //! a stable label (which also salts the task's seed — never scheduling
 //! order) plus the closure computing that datapoint as deterministic
-//! JSON. The `suite` binary and the `csd-serve` daemon both build their
-//! work from this one definition, so a task served over HTTP is
-//! byte-identical to the same task run from the CLI.
+//! JSON. `suite` (full grid or `--filter`) and perfbench's `figures`
+//! workload both build their work from this one definition, so a task
+//! yields the same bytes however it is selected.
 
 use crate::suite::SuiteConfig;
 use crate::{policies, security_row, DEFAULT_WATCHDOG};
@@ -218,8 +218,7 @@ pub fn build_tasks(cfg: &SuiteConfig) -> Vec<TaskDef> {
 }
 
 /// The tasks whose label contains `substr` (every task when `substr` is
-/// empty), preserving grid order. Shared by `suite --filter` and the
-/// server's task lookup, so both run the identical subset.
+/// empty), preserving grid order: the subset `suite --filter` runs.
 pub fn filter_tasks(cfg: &SuiteConfig, substr: &str) -> Vec<TaskDef> {
     build_tasks(cfg)
         .into_iter()

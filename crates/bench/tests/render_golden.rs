@@ -27,7 +27,7 @@ fn quick_report_renders_to_the_golden_text() {
 
 #[test]
 fn a_filtered_report_is_rejected_without_panicking() {
-    let doc = run_filtered(&SuiteConfig::quick(0xC5D_2018, 1), "table1", None).expect("runs");
+    let doc = run_filtered(&SuiteConfig::quick(0xC5D_2018, 1), "table1");
     let err = render(&doc).expect_err("a --filter report has no figure sections");
     assert!(err.contains("filter"), "{err}");
     // Without its `filter` marker the document still fails cleanly, at

@@ -9,9 +9,9 @@
 //!   [`crate::asm::parse_asm`]);
 //! - `<name>.json` — metadata: origin, the mode-matrix legs the input
 //!   runs under, the same legs as typed `csd-exp` leg specs (validated
-//!   through `csd_exp::Leg::from_json`, the exact parser the serving
-//!   layer uses), and the divergence classes it reproduces (empty for
-//!   coverage-only entries).
+//!   through `csd_exp::Leg::from_json`, the leg grammar's one parser),
+//!   and the divergence classes it reproduces (empty for coverage-only
+//!   entries).
 //!
 //! Names are content-addressed (FNV-1a over the assembly text), so the
 //! same discovery never produces two entries and corpus merges are
@@ -202,8 +202,8 @@ fn load_entry(json_path: &Path) -> Result<CorpusEntry, String> {
     if legs.is_empty() {
         return Err(ctx("entry must name at least one leg".into()));
     }
-    // Cross-validate the typed csd-exp leg specs through the shared
-    // parser: corpus metadata must stay loadable by the serving layer.
+    // Cross-validate the typed csd-exp leg specs through the leg
+    // grammar's parser: corpus metadata must stay loadable as plan legs.
     if let Some(exp) = j.get("exp_legs").and_then(Json::as_arr) {
         for per_leg in exp {
             for spec in per_leg.as_arr().unwrap_or(&[]) {

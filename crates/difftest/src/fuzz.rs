@@ -204,12 +204,9 @@ pub fn fuzz(cfg: &FuzzConfig, seed_corpus: &[CorpusEntry]) -> FuzzOutcome {
             .collect();
 
         // Evaluate in parallel; results come back in candidate order.
-        let Ok(results) = ordered_map(
-            cfg.jobs,
-            &candidates,
-            |c| Ok::<_, Infallible>(evaluate(c, &legs)),
-            |_, _| Ok(()),
-        );
+        let Ok(results) = ordered_map(cfg.jobs, &candidates, |c| {
+            Ok::<_, Infallible>(evaluate(c, &legs))
+        });
 
         // Fold sequentially in candidate order.
         for (k, (cov, classes)) in results.into_iter().enumerate() {

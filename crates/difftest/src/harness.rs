@@ -62,11 +62,11 @@ impl ModeLeg {
 
     /// The leg as typed `csd-exp` legs — the decode-context changes it
     /// applies, in the experiment spec's grammar. Corpus entries persist
-    /// these so reproducer metadata shares one parser
-    /// (`csd_exp::Leg::from_json`) with the serving layer. Memoization,
-    /// the µop cache, timing mode, and snapshotting are pipeline
-    /// configuration with no decode-context equivalent, so a leg that
-    /// only varies those maps to a single base leg. Note the devec leg
+    /// these so reproducer metadata is checked by the leg grammar's one
+    /// parser (`csd_exp::Leg::from_json`). Memoization, the µop cache,
+    /// timing mode, and snapshotting are pipeline configuration with no
+    /// decode-context equivalent, so a leg that only varies those maps
+    /// to a single base leg. Note the devec leg
     /// names the `csd-devec` policy *family*; the harness itself pins
     /// more aggressive thresholds (window 8) so short programs gate.
     pub fn exp_legs(&self) -> Vec<Leg> {

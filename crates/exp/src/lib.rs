@@ -5,15 +5,14 @@
 //! context (stealth on/off, watchdog period, VPU policy). This crate
 //! owns that idea end to end:
 //!
-//! - [`ExperimentSpec`] — a typed, JSON-round-trippable description of
-//!   an experiment: victim, pipeline, seed, and a list of [`Leg`]s;
+//! - [`ExperimentSpec`] — a typed description of an experiment: victim,
+//!   pipeline, seed, and a list of [`Leg`]s;
 //! - [`run_plan`] — the single warm-fork-measure implementation. It
 //!   warms once (or fetches a parked checkpoint from a
 //!   [`CheckpointProvider`]), snapshots, and forks every leg from the
 //!   shared checkpoint, optionally on a scoped thread pool;
 //! - [`LegResult`] / [`ExperimentResult`] — typed outcomes with one
-//!   `ToJson` schema shared by the suite, the serving daemon, and the
-//!   examples.
+//!   `ToJson` schema shared by the suite and the examples.
 //!
 //! The measurement vocabulary (victims, pipeline configurations, VPU
 //! policies, the warmed-core recipe) lives in [`measure`] and is

@@ -1,7 +1,7 @@
 //! The shared measurement vocabulary of every security experiment:
 //! victims, pipeline configurations, VPU policies, the warmed core
 //! recipe, and the steady-state metric deltas. Moved here from
-//! `csd-bench` so the plan executor, the suite, and the serving layer
+//! `csd-bench` so the plan executor, the suite and perfbench
 //! all build *identical* cores and measure *identical* quantities.
 
 use csd::{CsdConfig, DevecThresholds, VpuPolicy};
@@ -120,7 +120,7 @@ impl ToJson for SecMetrics {
 
 /// Builds the cycle-accurate, DIFT-enabled core every security experiment
 /// runs on, with `victim` installed. Public so every consumer (plan
-/// executor, difftest, serving layer) constructs an identical machine.
+/// executor, suite tests, perfbench) constructs an identical machine.
 pub fn security_core(victim: &dyn Victim, core_cfg: CoreConfig) -> Core {
     let cfg = CoreConfig {
         dift_enabled: true,

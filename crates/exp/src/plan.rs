@@ -41,9 +41,9 @@ pub struct Warmed {
     pub rng: SplitMix64,
 }
 
-/// Where the plan executor parks and fetches warmed checkpoints. The
-/// serving daemon plugs its LRU session cache in here; batch consumers
-/// that re-warm every time use [`NoCache`].
+/// Where the plan executor parks and fetches warmed checkpoints. Every
+/// consumer in the workspace re-warms each time and passes [`NoCache`],
+/// the one implementation; the trait keeps `run_plan`'s signature.
 pub trait CheckpointProvider: Sync {
     /// Fetches a previously warmed session, if one is parked.
     fn lookup(&self, key: &SessionKey) -> Option<Warmed>;
@@ -61,9 +61,9 @@ impl CheckpointProvider for NoCache {
     fn store(&self, _key: SessionKey, _warmed: Warmed) {}
 }
 
-/// A plan-execution failure (unknown name, victim gone mid-run). These
-/// are errors, not panics — a stale spec must cost one failed request,
-/// never a worker.
+/// A plan-execution failure (a victim, pipeline or policy name that does
+/// not resolve). These are errors, not panics, so a bad spec fails the
+/// one plan that names it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExpError(pub String);
 
@@ -112,8 +112,7 @@ pub struct ExperimentResult {
     pub seed: u64,
     /// Whether the warm state came from the checkpoint provider.
     /// Deliberately *not* part of [`ExperimentResult::to_json`]: warm
-    /// and cold documents must stay byte-identical (the daemon reports
-    /// warmness out-of-band, in a response header).
+    /// and cold documents must stay byte-identical.
     pub warm: bool,
     /// Per-leg outcomes, in spec order.
     pub legs: Vec<LegResult>,
@@ -132,8 +131,8 @@ impl ToJson for ExperimentResult {
 }
 
 /// Applies a leg's decode-context change to a forked core. Exported so
-/// the streaming path (which measures exactly one leg with an event sink
-/// attached) arms the identical configuration the plan executor does.
+/// callers that measure one leg by hand (perfbench's per-layer probes)
+/// arm the identical configuration the plan executor does.
 pub fn apply_leg_mode(
     mode: &LegMode,
     victim: &dyn Victim,
@@ -144,7 +143,7 @@ pub fn apply_leg_mode(
         LegMode::Stealth { watchdog } => enable_stealth_for(victim, core, *watchdog),
         LegMode::Devec { policy } => {
             let p = policy_by_name(policy)
-                .ok_or_else(|| ExpError(format!("policy {policy:?} vanished")))?;
+                .ok_or_else(|| ExpError(format!("unknown policy {policy:?}")))?;
             core.engine_mut().set_vpu_policy(p);
         }
     }
@@ -156,8 +155,7 @@ pub fn apply_leg_mode(
 /// # Errors
 ///
 /// Fails when a name in the spec doesn't resolve (victim, pipeline,
-/// policy) — validated specs only hit this if the grid changed under
-/// them.
+/// policy).
 pub fn run_plan(
     spec: &ExperimentSpec,
     provider: &dyn CheckpointProvider,
@@ -166,7 +164,7 @@ pub fn run_plan(
     let (_, mk) = *pipelines()
         .iter()
         .find(|(n, _)| *n == spec.pipeline)
-        .ok_or_else(|| ExpError(format!("pipeline {:?} vanished", spec.pipeline)))?;
+        .ok_or_else(|| ExpError(format!("unknown pipeline {:?}", spec.pipeline)))?;
     run_plan_with(spec, mk(), provider, jobs)
 }
 
@@ -188,7 +186,7 @@ pub fn run_plan_with(
     let victim_index = security_victims()
         .iter()
         .position(|v| v.name() == spec.victim)
-        .ok_or_else(|| ExpError(format!("victim {:?} vanished", spec.victim)))?;
+        .ok_or_else(|| ExpError(format!("unknown victim {:?}", spec.victim)))?;
 
     // Warm phase: fork a parked session when the provider has one (and
     // the spec doesn't force cold), else warm from scratch. A cold run
@@ -234,7 +232,7 @@ pub fn run_plan_with(
         })
     };
 
-    let legs = ordered_map(jobs, &spec.legs, run_leg, |_, _| Ok(()))?;
+    let legs = ordered_map(jobs, &spec.legs, run_leg)?;
 
     Ok(ExperimentResult {
         victim: spec.victim.clone(),
@@ -243,4 +241,31 @@ pub fn run_plan_with(
         warm,
         legs,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unknown_names_are_errors_not_panics() {
+        let spec = |victim: &str, pipeline: &str, policy: &str| ExperimentSpec {
+            victim: victim.to_string(),
+            pipeline: pipeline.to_string(),
+            seed: 1,
+            blocks: 1,
+            cold: false,
+            legs: vec![Leg::new(LegMode::Devec {
+                policy: policy.to_string(),
+            })],
+        };
+        for (s, needle) in [
+            (spec("no-such-victim", "opt", "csd-devec"), "victim"),
+            (spec("aes-enc", "turbo", "csd-devec"), "pipeline"),
+            (spec("aes-enc", "opt", "off"), "policy"),
+        ] {
+            let err = run_plan(&s, &NoCache, 1).expect_err(needle);
+            assert!(err.0.contains(needle), "{needle}: {err}");
+        }
+    }
 }

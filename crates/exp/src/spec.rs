@@ -4,11 +4,11 @@
 //! (victim, pipeline, input-stream seed) plus a list of [`Leg`]s that
 //! differ only in decode context — stealth on/off, watchdog period,
 //! VPU policy — and fork from one shared checkpoint when the plan
-//! executor runs them. The JSON grammar is the wire format of
-//! `POST /v1/experiments` and the `loadgen --spec` flag, and round-trips
-//! exactly: `ExperimentSpec::from_json(&spec.to_json()) == spec`.
+//! executor runs them. Specs serialize to JSON for display; a [`Leg`]
+//! also parses back, because difftest corpus metadata stores its mode
+//! matrix as leg documents: `Leg::from_json(&leg.to_json()) == Ok(leg)`.
 
-use crate::measure::{pipelines, policy_by_name, victim_names, DEFAULT_WATCHDOG};
+use crate::measure::DEFAULT_WATCHDOG;
 use crate::plan::SessionKey;
 use csd_telemetry::{Json, ToJson};
 
@@ -56,9 +56,8 @@ impl Leg {
     }
 
     /// Parses one leg from its JSON grammar (the objects inside an
-    /// experiment's `"legs"` array). Public so other consumers of the leg
-    /// grammar — the difftest corpus records its mode matrix as typed leg
-    /// documents — share one parser with the experiment spec.
+    /// experiment's `"legs"` array). The difftest corpus records its mode
+    /// matrix as typed leg documents and checks them with this parser.
     ///
     /// # Errors
     ///
@@ -190,111 +189,6 @@ impl ExperimentSpec {
             pipeline: self.pipeline.clone(),
             seed: self.seed,
         }
-    }
-
-    /// Parses a spec from its JSON grammar. Two shapes are accepted: the
-    /// typed shape with a `"legs"` array (what [`ExperimentSpec::to_json`]
-    /// emits), and the legacy flat shape (`stealth`/`watchdog` booleans on
-    /// the object itself) describing a single leg. Victim, pipeline, and
-    /// policy names are validated here so admission rejects bad requests
-    /// before they reach a worker.
-    pub fn from_json(j: &Json) -> Result<ExperimentSpec, String> {
-        let str_field = |k: &str| -> Result<String, String> {
-            j.get(k)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("experiment.{k} must be a string"))
-        };
-        let u64_field = |j: &Json, k: &str, default: u64| -> Result<u64, String> {
-            match j.get(k) {
-                None => Ok(default),
-                Some(v) => v
-                    .as_u64()
-                    .ok_or_else(|| format!("experiment.{k} must be a non-negative integer")),
-            }
-        };
-        let bool_field = |k: &str, default: bool| -> Result<bool, String> {
-            match j.get(k) {
-                None => Ok(default),
-                Some(Json::Bool(b)) => Ok(*b),
-                Some(_) => Err(format!("experiment.{k} must be a boolean")),
-            }
-        };
-
-        let legs = match j.get("legs") {
-            Some(Json::Arr(items)) => {
-                let mut legs = Vec::with_capacity(items.len());
-                for item in items {
-                    legs.push(Leg::from_json(item)?);
-                }
-                legs
-            }
-            Some(_) => return Err("experiment.legs must be an array".to_string()),
-            None => {
-                // Legacy flat shape: one leg described by stealth/watchdog
-                // keys on the spec object itself.
-                let mode = if bool_field("stealth", false)? {
-                    LegMode::Stealth {
-                        watchdog: u64_field(j, "watchdog", DEFAULT_WATCHDOG)?,
-                    }
-                } else {
-                    LegMode::Base
-                };
-                vec![Leg::new(mode)]
-            }
-        };
-
-        let spec = ExperimentSpec {
-            victim: str_field("victim")?,
-            pipeline: match j.get("pipeline") {
-                None => "opt".to_string(),
-                Some(_) => str_field("pipeline")?,
-            },
-            seed: u64_field(j, "seed", 0)?,
-            blocks: u64_field(j, "blocks", 4)? as usize,
-            cold: bool_field("cold", false)?,
-            legs,
-        };
-        spec.validate()?;
-        Ok(spec)
-    }
-
-    /// Checks every name and bound the executor depends on.
-    pub fn validate(&self) -> Result<(), String> {
-        let blocks_ok = |b: usize| (1..=10_000).contains(&b);
-        if !blocks_ok(self.blocks) {
-            return Err("experiment.blocks must be in 1..=10000".to_string());
-        }
-        if self.legs.is_empty() {
-            return Err("experiment.legs must not be empty".to_string());
-        }
-        for leg in &self.legs {
-            if let Some(b) = leg.blocks {
-                if !blocks_ok(b) {
-                    return Err("leg.blocks must be in 1..=10000".to_string());
-                }
-            }
-            if let LegMode::Devec { policy } = &leg.mode {
-                if policy_by_name(policy).is_none() {
-                    return Err(format!(
-                        "unknown policy {policy:?} (always-on / conventional / csd-devec)"
-                    ));
-                }
-            }
-        }
-        if !victim_names().contains(&self.victim) {
-            return Err(format!(
-                "unknown victim {:?} (try GET /v1/tasks)",
-                self.victim
-            ));
-        }
-        if !pipelines().iter().any(|(n, _)| *n == self.pipeline) {
-            return Err(format!(
-                "unknown pipeline {:?} (opt / noopt)",
-                self.pipeline
-            ));
-        }
-        Ok(())
     }
 }
 

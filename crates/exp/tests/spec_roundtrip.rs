@@ -1,60 +1,45 @@
-//! Property test: the spec JSON grammar round-trips exactly, and the
-//! parser rejects every name the executor could not resolve.
+//! Property test: the leg JSON grammar round-trips exactly, and the
+//! parser rejects every leg document the executor could not run.
 //!
 //! Seeded randomness only — a failure reproduces from the printed case
 //! index.
 
-use csd_exp::{victim_names, ExperimentSpec, Leg, LegMode, DEFAULT_WATCHDOG};
+use csd_exp::{Leg, LegMode, DEFAULT_WATCHDOG};
 use csd_telemetry::{Json, SplitMix64, ToJson};
 
-/// Draws a random but always-valid spec: every field and leg shape the
-/// grammar can express, over the real victim/pipeline/policy grids.
-fn random_spec(rng: &mut SplitMix64) -> ExperimentSpec {
-    let victims = victim_names();
-    let pipelines = ["opt", "noopt"];
+/// Draws a random but always-valid leg: every mode and override the
+/// grammar can express, over the real policy names.
+fn random_leg(rng: &mut SplitMix64) -> Leg {
     let policies = ["always-on", "conventional", "csd-devec"];
-    let n_legs = rng.range_u64(1, 5) as usize;
-    let legs = (0..n_legs)
-        .map(|_| {
-            let mode = match rng.range_u64(0, 2) {
-                0 => LegMode::Base,
-                1 => LegMode::Stealth {
-                    watchdog: rng.range_u64(1, 100_000),
-                },
-                _ => LegMode::Devec {
-                    policy: policies[rng.range_u64(0, 2) as usize].to_string(),
-                },
-            };
-            Leg {
-                mode,
-                blocks: (rng.range_u64(0, 1) == 1).then(|| rng.range_u64(1, 10_000) as usize),
-            }
-        })
-        .collect();
-    ExperimentSpec {
-        victim: victims[rng.range_u64(0, victims.len() as u64 - 1) as usize].to_string(),
-        pipeline: pipelines[rng.range_u64(0, 1) as usize].to_string(),
-        seed: rng.next_u64(),
-        blocks: rng.range_u64(1, 10_000) as usize,
-        cold: rng.range_u64(0, 1) == 1,
-        legs,
+    let mode = match rng.range_u64(0, 2) {
+        0 => LegMode::Base,
+        1 => LegMode::Stealth {
+            watchdog: rng.range_u64(1, 100_000),
+        },
+        _ => LegMode::Devec {
+            policy: policies[rng.range_u64(0, 2) as usize].to_string(),
+        },
+    };
+    Leg {
+        mode,
+        blocks: (rng.range_u64(0, 1) == 1).then(|| rng.range_u64(1, 10_000) as usize),
     }
 }
 
 #[test]
-fn spec_json_round_trips_over_random_specs() {
+fn leg_json_round_trips_over_random_legs() {
     let mut rng = SplitMix64::new(0x5EED_5EED);
     for case in 0..500 {
-        let spec = random_spec(&mut rng);
-        let doc = spec.to_json();
-        // Through the renderer too, not just the tree: the wire carries
-        // text, so the text must round-trip as well.
+        let leg = random_leg(&mut rng);
+        let doc = leg.to_json();
+        // Through the renderer too, not just the tree: corpus files
+        // carry text, so the text must round-trip as well.
         let reparsed = Json::parse(&doc.pretty()).unwrap_or_else(|e| {
-            panic!("case {case}: rendered spec does not re-parse: {e}\n{spec:?}")
+            panic!("case {case}: rendered leg does not re-parse: {e}\n{leg:?}")
         });
-        let back = ExperimentSpec::from_json(&reparsed)
-            .unwrap_or_else(|e| panic!("case {case}: round-trip rejected: {e}\n{spec:?}"));
-        assert_eq!(back, spec, "case {case}: round-trip changed the spec");
+        let back = Leg::from_json(&reparsed)
+            .unwrap_or_else(|e| panic!("case {case}: round-trip rejected: {e}\n{leg:?}"));
+        assert_eq!(back, leg, "case {case}: round-trip changed the leg");
         assert_eq!(
             back.to_json().pretty(),
             doc.pretty(),
@@ -64,67 +49,34 @@ fn spec_json_round_trips_over_random_specs() {
 }
 
 #[test]
-fn legacy_flat_shape_still_parses() {
-    let flat = Json::parse(
-        "{\"victim\": \"aes-enc\", \"stealth\": true, \"watchdog\": 2000, \
-         \"blocks\": 2, \"seed\": 7}",
-    )
-    .unwrap();
-    let spec = ExperimentSpec::from_json(&flat).expect("legacy shape parses");
-    assert_eq!(spec.pipeline, "opt", "pipeline defaults to opt");
+fn stealth_without_watchdog_gets_the_default() {
+    let doc = Json::parse("{\"mode\": \"stealth\"}").unwrap();
     assert_eq!(
-        spec.legs,
-        vec![Leg::new(LegMode::Stealth { watchdog: 2000 })]
-    );
-
-    let base = Json::parse("{\"victim\": \"aes-enc\"}").unwrap();
-    let spec = ExperimentSpec::from_json(&base).expect("minimal shape parses");
-    assert_eq!(spec.legs, vec![Leg::new(LegMode::Base)]);
-    assert_eq!(spec.blocks, 4, "blocks defaults to 4");
-    assert!(!spec.cold);
-
-    let implicit = Json::parse("{\"victim\": \"rsa-enc\", \"stealth\": true}").unwrap();
-    let spec = ExperimentSpec::from_json(&implicit).expect("stealth without watchdog parses");
-    assert_eq!(
-        spec.legs,
-        vec![Leg::new(LegMode::Stealth {
+        Leg::from_json(&doc),
+        Ok(Leg::new(LegMode::Stealth {
             watchdog: DEFAULT_WATCHDOG
-        })]
+        }))
     );
 }
 
 #[test]
-fn parser_rejects_what_the_executor_cannot_run() {
+fn parser_rejects_malformed_legs() {
     let cases = [
-        ("{\"victim\": \"no-such-victim\"}", "victim"),
+        ("{\"mode\": \"warp\"}", "mode"),
+        ("{\"blocks\": 2}", "mode"),
+        ("{\"mode\": 3}", "mode"),
+        ("{\"mode\": \"devec\"}", "policy"),
         (
-            "{\"victim\": \"aes-enc\", \"pipeline\": \"turbo\"}",
-            "pipeline",
+            "{\"mode\": \"stealth\", \"watchdog\": \"soon\"}",
+            "watchdog",
         ),
-        ("{\"victim\": \"aes-enc\", \"blocks\": 0}", "blocks"),
-        ("{\"victim\": \"aes-enc\", \"blocks\": 99999}", "blocks"),
-        ("{\"victim\": \"aes-enc\", \"legs\": []}", "legs"),
-        (
-            "{\"victim\": \"aes-enc\", \"legs\": [{\"mode\": \"warp\"}]}",
-            "mode",
-        ),
-        (
-            "{\"victim\": \"aes-enc\", \"legs\": [{\"mode\": \"devec\"}]}",
-            "policy",
-        ),
-        (
-            "{\"victim\": \"aes-enc\", \"legs\": [{\"mode\": \"devec\", \"policy\": \"off\"}]}",
-            "policy",
-        ),
-        (
-            "{\"victim\": \"aes-enc\", \"legs\": [{\"mode\": \"base\", \"blocks\": 0}]}",
-            "blocks",
-        ),
-        ("{\"seed\": 1}", "victim"),
+        ("{\"mode\": \"stealth\", \"watchdog\": -1}", "watchdog"),
+        ("{\"mode\": \"base\", \"blocks\": 1.5}", "blocks"),
+        ("{\"mode\": \"base\", \"blocks\": \"2\"}", "blocks"),
     ];
     for (body, needle) in cases {
         let doc = Json::parse(body).unwrap();
-        let err = ExperimentSpec::from_json(&doc).expect_err(&format!("{body} must be rejected"));
+        let err = Leg::from_json(&doc).expect_err(&format!("{body} must be rejected"));
         assert!(
             err.contains(needle),
             "error for {body} should mention {needle:?}, got: {err}"

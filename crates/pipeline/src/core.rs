@@ -176,11 +176,11 @@ pub struct CoreSnapshot {
     halted: bool,
 }
 
-// A snapshot must be shareable across threads: the serving layer parks
-// warmed checkpoints in an `Arc` and restores them into per-session
-// cores concurrently. `EventSink: Send + Sync` makes this hold by
-// construction; this assertion turns any regression into a compile
-// error here rather than a trait-bound error in `csd-serve`.
+// A snapshot must be shareable across threads: `run_plan` shares one
+// warmed checkpoint in an `Arc` and restores it into a fresh core per
+// leg on parallel `ordered_map` workers. `EventSink: Send + Sync` makes
+// this hold by construction; this assertion turns any regression into a
+// compile error here rather than a trait-bound error in `csd-exp`.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<CoreSnapshot>();

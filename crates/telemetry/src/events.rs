@@ -115,10 +115,10 @@ pub struct ContextKeyEvent {
 ///
 /// The `Send + Sync` bound makes every structure that *may* hold a sink
 /// — including a [`SinkHandle`] and a core checkpoint cloned from one —
-/// shareable across threads: the serving layer parks warmed snapshots
-/// in an `Arc` and forks sessions from them concurrently. Dispatch is
-/// still `&mut self`, so implementors need interior synchronization
-/// only if they are actually shared.
+/// shareable across threads: the plan executor shares one warmed
+/// snapshot in an `Arc` and forks legs from it on parallel workers.
+/// Dispatch is still `&mut self`, so implementors need interior
+/// synchronization only if they are actually shared.
 pub trait EventSink: Send + Sync {
     /// A macro-op was decoded.
     fn on_decode(&mut self, event: &DecodeEvent) {

@@ -223,11 +223,12 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Maximum nesting depth [`Json::parse`] accepts — a request-body
-/// parser must not let a hostile payload of `[[[[…` exhaust the stack.
+/// Maximum nesting depth [`Json::parse`] accepts — a parser of files
+/// from outside the program must not let `[[[[…` exhaust the stack.
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -386,14 +387,16 @@ impl<'a> Parser<'a> {
                 }
                 _ if b < 0x20 => return self.err("raw control character in string"),
                 _ => {
-                    // Re-borrow the full UTF-8 character (input is `&str`,
-                    // so slicing at a char start is safe after validation).
+                    // Re-borrow the full UTF-8 character. The parser only
+                    // ever advances by whole characters, so `start` is a
+                    // char boundary of the input `&str`.
                     let start = self.pos - 1;
-                    let s = std::str::from_utf8(&self.bytes[start..]).map_err(|_| ParseError {
-                        offset: start,
-                        message: "invalid utf-8".into(),
-                    })?;
-                    let c = s.chars().next().unwrap();
+                    let Some(c) = self.text.get(start..).and_then(|s| s.chars().next()) else {
+                        return Err(ParseError {
+                            offset: start,
+                            message: "invalid utf-8".into(),
+                        });
+                    };
                     out.push(c);
                     self.pos = start + c.len_utf8();
                 }
@@ -471,6 +474,7 @@ impl Json {
     /// input is an error.
     pub fn parse(text: &str) -> Result<Json, ParseError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };

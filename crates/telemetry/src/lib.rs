@@ -12,14 +12,11 @@
 //!
 //! - [`json`] — a small JSON document model ([`Json`]) with a
 //!   *deterministic* serializer (stable key order, shortest-roundtrip
-//!   float formatting), a strict parser ([`Json::parse`], used by the
-//!   serving layer for request bodies), and the [`ToJson`] trait the
-//!   workspace's counter structs implement. Same data ⇒ byte-identical
-//!   output, which is what lets `BENCH_suite.json` be diffed across
-//!   runs and commits.
-//! - [`hist`] — [`Histogram`], a mergeable log2-bucket latency
-//!   histogram shared by the `csd-serve` daemon (queue-wait / run-time
-//!   metrics) and the `loadgen` client (end-to-end percentiles).
+//!   float formatting), a strict parser ([`Json::parse`], which reads
+//!   reports back for `suite --render`, corpus metadata and benchmark
+//!   goldens), and the [`ToJson`] trait the workspace's counter structs
+//!   implement. Same data ⇒ byte-identical output, which is what lets
+//!   `BENCH_suite.json` be diffed across runs and commits.
 //! - [`rng`] — [`SplitMix64`], the workspace's deterministic PRNG,
 //!   [`derive_seed`] for deriving independent per-task streams from one
 //!   root seed, and [`fnv1a64`], the one content hash.
@@ -32,30 +29,24 @@
 //!   [`CoverageSink`], the [`EventSink`] adapter that fills one.
 //! - [`exec`] — [`ordered_map`], the one ordered parallel executor
 //!   behind suite tasks, plan legs and fuzz candidates.
-//! - [`journal`] — the durability layer: [`write_atomic`] (temp+rename
-//!   artifact writes with typed [`ArtifactError`]s) and the CRC-framed
-//!   write-ahead [`Journal`] / [`RunJournal`] behind crash-resumable
-//!   `suite --resume` runs.
+//! - [`artifact`] — [`write_atomic`], the temp+rename artifact writer
+//!   behind every report and corpus file, with typed [`ArtifactError`]s.
 
 #![warn(missing_docs)]
 
+pub mod artifact;
 pub mod coverage;
 pub mod events;
 pub mod exec;
-pub mod hist;
-pub mod journal;
 pub mod json;
 pub mod rng;
 
+pub use artifact::{write_atomic, ArtifactError};
 pub use coverage::{CoverageMap, CoverageSink};
 pub use events::{
     ContextKeyEvent, CountingSink, DecodeEvent, EventSink, GateEvent, MemoProbeEvent, RetireEvent,
     SinkHandle, StealthWindowEvent, StoreEvent, UopCacheEvent, UopDecodeEvent,
 };
 pub use exec::ordered_map;
-pub use hist::Histogram;
-pub use journal::{
-    content_digest, crc32, write_atomic, ArtifactError, Journal, Recovered, RunJournal, TaskRecord,
-};
 pub use json::{Json, ParseError, ToJson};
 pub use rng::{derive_seed, fnv1a64, SplitMix64};

@@ -102,8 +102,8 @@ pub fn derive_seed(root: u64, label: &str) -> u64 {
 }
 
 /// FNV-1a (64-bit) of `bytes`: the workspace's one non-cryptographic
-/// content hash, behind [`derive_seed`], journal digests, corpus file
-/// names and microcode checksums.
+/// content hash, behind [`derive_seed`], corpus file names and microcode
+/// checksums.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
@@ -116,8 +116,8 @@ mod tests {
 
     #[test]
     fn hash_and_seed_known_answers() {
-        // Pinned: task seeds, journal digests and corpus file names are
-        // all derived from these functions and must never drift.
+        // Pinned: task seeds and corpus file names are derived from
+        // these functions and must never drift.
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(

@@ -1,9 +1,8 @@
 //! One warm-up, many measured legs: the `csd-exp` experiment layer in
 //! miniature. Builds a typed spec mixing a base leg, a stealth watchdog
 //! sweep, and a devectorization-policy leg, runs it through the plan
-//! executor (warm once → snapshot → fork every leg), and prints per-leg
-//! metrics plus the exact JSON document `csd-serve` would return for
-//! the same spec posted to `POST /v1/experiments`.
+//! executor (warm once → snapshot → fork every leg), and prints the
+//! spec as JSON followed by per-leg metrics.
 //!
 //! ```sh
 //! cargo run --release --example experiment_plan
@@ -28,7 +27,7 @@ fn main() {
             }),
         ],
     };
-    println!("spec (what you would POST to /v1/experiments):");
+    println!("spec:");
     println!("{}\n", spec.to_json().pretty());
 
     // Legs are independent after the shared fork, so let two run at once.
