@@ -29,7 +29,7 @@ fn main() {
             && matches!(placed.inst, mx86_isa::Inst::Load { mem, .. } if mem.index.is_some());
         let out = engine.decode(placed, tainted);
         println!("{:#06x}: {}   [{}]", placed.addr, placed.inst, out.context);
-        for u in &out.translation.uops {
+        for u in out.flow.uops() {
             println!("          {u}");
         }
         engine.tick(2000); // keep the watchdog re-arming between insts

@@ -99,7 +99,7 @@ impl Devectorizer {
 
     /// Accounts one devectorized macro-op whose scalar flow has
     /// `scalar_uops` µops replacing a `native_uops`-µop native translation.
-    /// Split out from [`Devectorizer::devectorize`] so a memoized decode
+    /// Split out from [`Devectorizer::devectorize`] so a table-served decode
     /// can replay the accounting without rebuilding the flow.
     pub(crate) fn record(&mut self, scalar_uops: usize, native_uops: usize) {
         self.stats.devectorized_insts += 1;

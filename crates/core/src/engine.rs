@@ -13,8 +13,8 @@ use csd_telemetry::{
     ContextKeyEvent, DecodeEvent, EventSink, GateEvent, Json, MemoProbeEvent, SinkHandle,
     StealthWindowEvent, ToJson, UopDecodeEvent,
 };
-use csd_uops::{translate, DecodeMemo, MemoEntry, UopFlow};
-use mx86_isa::Placed;
+use csd_uops::{translate, Flow, FlowFacts, FlowRef, FlowTable, Served, Stored, Translation};
+use mx86_isa::{Inst, Placed};
 use std::sync::Arc;
 
 /// Engine configuration.
@@ -56,13 +56,14 @@ impl ToJson for CsdStats {
     }
 }
 
-/// The result of decoding one macro-op through the engine.
+/// The result of decoding one macro-op through the engine. `'t` is the
+/// flow table the flow may be borrowed from ([`CsdEngine::decode_memo`]);
+/// a table-less [`CsdEngine::decode`] owns its flow.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DecodeOutcome {
-    /// The µop flow to execute: owned when freshly materialized, shared
-    /// when a memoized decode hands out the same allocation to every
-    /// dynamic instance of the instruction.
-    pub translation: UopFlow,
+pub struct DecodeOutcome<'t> {
+    /// The µop flow to execute, with its static µop, decoy and fused-slot
+    /// counts.
+    pub flow: FlowRef<'t>,
     /// The translation context that produced it (micro-op cache tag bits).
     pub context: ContextId,
     /// Pipeline stall imposed before execution (conventional VPU wake).
@@ -70,6 +71,24 @@ pub struct DecodeOutcome {
     /// For vector macro-ops, how the instruction was classified for the
     /// paper's Figure 16 breakdown.
     pub vector_class: Option<VectorExecClass>,
+}
+
+/// What [`CsdEngine::decide`] settled for one decode.
+struct Decision {
+    /// The active custom mode, when it has a patch for the instruction.
+    patch: Option<ContextId>,
+    /// Whether the gate controller asked for a devectorized flow.
+    devec: bool,
+    stall_cycles: u64,
+    vector_class: Option<VectorExecClass>,
+}
+
+/// The flow a table-served decode starts from, before stealth injection.
+enum Base {
+    /// A flow stored in the decode's flow table.
+    Table(Stored),
+    /// An installed MCU patch flow.
+    Patch(Arc<Flow>),
 }
 
 /// The context-sensitive decoding engine.
@@ -86,7 +105,7 @@ pub struct DecodeOutcome {
 /// let mut engine = CsdEngine::new(CsdConfig::default());
 /// let p = Placed { addr: 0x1000, inst: Inst::MovRI { dst: Gpr::Rax, imm: 7 } };
 /// let out = engine.decode(&p, false);
-/// assert_eq!(out.translation.uops.len(), 1);
+/// assert_eq!(out.flow.uops().len(), 1);
 /// assert_eq!(out.context, csd::ContextId::Native);
 /// ```
 #[derive(Debug, Clone)]
@@ -124,16 +143,16 @@ impl CsdEngine {
     /// key that changes whenever anything that can influence translation
     /// changes — an MSR write, a microcode update, a custom-mode switch, a
     /// stealth-window arm/disarm, or a VPU gate-state change. Two decodes
-    /// of the same `(pc, tainted)` under the same key are guaranteed to
-    /// produce the same µop flow, which is what makes the key usable as a
-    /// memoization generation.
+    /// of the same `(pc, tainted)` under the same key produce the same µop
+    /// flow. The key feeds telemetry and coverage (every bump reports its
+    /// cause); the flow table does not need it, because what the table
+    /// stores depends on the instruction alone.
     pub fn context_key(&self) -> u64 {
         self.context_gen
     }
 
     /// Resets the context generation to zero, as on a freshly constructed
-    /// engine. Only meaningful alongside a full invalidation of anything
-    /// keyed by old generations (`Core::restart` clears its memo table).
+    /// engine (`Core::restart` rewinds its kernel bookkeeping this way).
     pub fn reset_context_key(&mut self) {
         self.context_gen = 0;
     }
@@ -160,12 +179,6 @@ impl CsdEngine {
             cause,
         };
         self.sink.with(|s| s.on_context_key(&ev));
-    }
-
-    /// Reports a decode-memo probe outcome to the sink.
-    fn emit_memo_probe(&mut self, outcome: u8) {
-        let ev = MemoProbeEvent { outcome };
-        self.sink.with(|s| s.on_memo_probe(&ev));
     }
 
     /// Emits a [`GateEvent`] if the VPU's gated-ness changed since `was`.
@@ -264,63 +277,36 @@ impl CsdEngine {
         self.gate.vpu_available()
     }
 
-    /// Decodes one macro-op in the current context.
-    ///
-    /// `tainted` is the DIFT verdict for this instruction (any
-    /// address-forming source register tainted, or tainted flags for a
-    /// conditional branch). The decode path is, in order: MCU patch lookup
-    /// → devectorization (gate-controller decision) → stealth decoy
-    /// injection on top of whatever translation resulted.
-    pub fn decode(&mut self, placed: &Placed, tainted: bool) -> DecodeOutcome {
-        self.decode_memo(placed, tainted, None)
-    }
-
-    /// Like [`CsdEngine::decode`], but consults (and feeds) a
-    /// [`DecodeMemo`] table keyed by `(pc, context_key, tainted)`.
-    ///
-    /// Memoization is semantically transparent: the *decision* phase —
-    /// gate-controller observation, stealth-interception check, statistics,
-    /// and event emission — runs on every decode; only the materialization
-    /// of the µop flow is cached. While the stealth defense is enabled the
-    /// table is bypassed entirely — window transitions and watchdog
-    /// re-arms roll the context key at data-dependent cycles, so no
-    /// cached line survives long enough to be reused — and a hit is
-    /// honored only when its context tag matches the freshly decided
-    /// context, so a gate-state flip triggered by this very decode falls
-    /// back to a full rebuild.
-    pub fn decode_memo(
-        &mut self,
-        placed: &Placed,
-        tainted: bool,
-        memo: Option<&mut DecodeMemo>,
-    ) -> DecodeOutcome {
-        let inst = &placed.inst;
-
-        // --- Decision phase: runs identically with or without the table.
-        // 1. MCU-installed custom translation for the active custom mode.
-        let patch_ctx = self
+    /// The decision phase every decode runs first, whether or not a
+    /// table serves the flow: MCU patch lookup for the active custom mode
+    /// and the VPU gate controller's verdict (with its events and key
+    /// bump).
+    fn decide(&mut self, inst: &Inst) -> Decision {
+        let patch = self
             .active_custom
             .map(ContextId::Custom)
             .filter(|&ctx| self.patches.lookup(OpcodeClass::of(inst), ctx).is_some());
 
-        // 2. VPU power management.
         let gate_was = self.gate.state();
-        let mut stall_cycles = 0;
-        let mut vector_class = None;
-        let mut devec_requested = false;
+        let mut d = Decision {
+            patch,
+            devec: false,
+            stall_cycles: 0,
+            vector_class: None,
+        };
         if inst.is_vector() {
             let weight = Devectorizer::weight(inst);
             match self.gate.on_vector_inst(weight) {
                 VectorDecision::ExecuteOnVpu => {
-                    vector_class = Some(VectorExecClass::PoweredOn);
+                    d.vector_class = Some(VectorExecClass::PoweredOn);
                 }
                 VectorDecision::StallThenExecute(c) => {
-                    stall_cycles = c;
-                    vector_class = Some(VectorExecClass::PoweredOn);
+                    d.stall_cycles = c;
+                    d.vector_class = Some(VectorExecClass::PoweredOn);
                 }
                 VectorDecision::Devectorize(class) => {
-                    vector_class = Some(class);
-                    devec_requested = true;
+                    d.vector_class = Some(class);
+                    d.devec = true;
                 }
             }
         } else {
@@ -330,137 +316,170 @@ impl CsdEngine {
         if self.gate.state() != gate_was {
             self.bump_context(key_cause::GATE);
         }
+        d
+    }
 
-        // --- Memo probe. The slot handle stays open across
-        // materialization so a miss can cache its result without hashing
-        // the key a second time. The whole table is bypassed while the
-        // stealth defense is enabled: its window transitions and watchdog
-        // re-arms bump the context generation at data-dependent cycles,
-        // rolling the key faster than any cached line can be reused, so
-        // probing and filling there is pure churn.
-        let mut slot = None;
-        if self.stealth.enabled() {
-            if let Some(m) = memo {
-                m.note_bypass();
-                self.emit_memo_probe(memo_probe::BYPASS);
-            }
-        } else if let Some(m) = memo {
-            let s = m.probe(placed.addr, self.context_gen, tainted);
-            if let Some(entry) = s.get() {
-                let decided = if devec_requested {
-                    ContextId::Devectorize
-                } else {
-                    patch_ctx.unwrap_or(ContextId::Native)
-                };
-                // A hit is only usable when its tag matches the context
-                // just decided on: a devectorize request must not honor a
-                // native-tagged flow (the devectorizer declines loads and
-                // stores), nor the other way around.
-                if entry.tag == decided.tag() {
-                    let translation = UopFlow::Shared(Arc::clone(&entry.translation));
-                    let (uops, decoys, native_uops) =
-                        (entry.uops, entry.decoy_uops, entry.native_uops);
-                    s.hit();
-                    self.emit_memo_probe(memo_probe::HIT);
-                    if decided == ContextId::Devectorize {
-                        self.devec.record(uops as usize, native_uops as usize);
-                    }
-                    return self.finish_decode(
-                        placed,
-                        translation,
-                        decided,
-                        uops,
-                        decoys,
-                        stall_cycles,
-                        vector_class,
-                    );
-                }
-            }
-            slot = Some(s);
-            self.emit_memo_probe(memo_probe::MISS);
-        }
-
-        // --- Materialization (miss, bypass, or no table).
-        let native = translate(inst, placed.next_addr());
-        let native_len = native.uops.len() as u32;
-        let devectorized = if devec_requested {
-            self.devec.devectorize(inst, &native)
-        } else {
-            None
-        };
-        let (mut translation, mut context) = match devectorized {
-            Some(t) => (t, ContextId::Devectorize),
-            None => match patch_ctx {
-                Some(ctx) => (
-                    self.patches
-                        .lookup(OpcodeClass::of(inst), ctx)
-                        .expect("patch_ctx implies a patch")
-                        .clone(),
-                    ctx,
-                ),
-                None => (native, ContextId::Native),
-            },
-        };
-
-        // Stealth-mode decoy injection (applies on top). Injection disarms
-        // the window: a context transition.
-        if let Some(t) = self.stealth.on_decode(placed, &translation, tainted) {
-            translation = t;
-            context = ContextId::Stealth;
-            self.bump_context(key_cause::STEALTH_INJECT);
-        }
-
-        let uops = translation.uops.len() as u32;
-        let decoys = translation.uops.iter().filter(|u| u.is_decoy()).count() as u32;
-
-        // Only a flow headed into the table pays for shared ownership;
-        // everything else stays an owned, allocation-free handoff.
-        let flow = match slot {
-            Some(s) if context != ContextId::Stealth => {
-                let shared = Arc::new(translation);
-                s.fill(MemoEntry {
-                    translation: Arc::clone(&shared),
-                    tag: context.tag(),
-                    uops,
-                    decoy_uops: decoys,
-                    native_uops: native_len,
-                });
-                UopFlow::Shared(shared)
-            }
-            Some(s) => {
-                // Decoy injection happened on a decode the bypass did not
-                // catch (defensive: keep non-deterministic flows out of
-                // the table).
-                s.skip();
-                UopFlow::Owned(translation)
-            }
-            None => UopFlow::Owned(translation),
-        };
-
-        self.finish_decode(
-            placed,
-            flow,
-            context,
-            uops,
-            decoys,
-            stall_cycles,
-            vector_class,
+    /// The installed patch flow for `inst` in custom context `ctx`.
+    fn patch_flow(&self, inst: &Inst, ctx: ContextId) -> Arc<Flow> {
+        Arc::clone(
+            self.patches
+                .lookup(OpcodeClass::of(inst), ctx)
+                .expect("the decision phase found a patch"),
         )
     }
 
-    /// Shared tail of memoized and full decodes: statistics, event
-    /// emission, and the outcome itself.
-    #[allow(clippy::too_many_arguments)] // internal seam between the two decode paths
-    fn finish_decode(
+    /// Decodes one macro-op in the current context, building every flow
+    /// afresh.
+    ///
+    /// `tainted` is the DIFT verdict for this instruction (any
+    /// address-forming source register tainted, or tainted flags for a
+    /// conditional branch). The decode path is, in order: MCU patch lookup
+    /// → devectorization (gate-controller decision) → stealth decoy
+    /// injection on top of whatever translation resulted.
+    pub fn decode(&mut self, placed: &Placed, tainted: bool) -> DecodeOutcome<'static> {
+        let d = self.decide(&placed.inst);
+        let inst = &placed.inst;
+        let native = (d.devec || d.patch.is_none()).then(|| translate(inst, placed.next_addr()));
+        let devectorized = match &native {
+            Some(n) if d.devec => self.devec.devectorize(inst, n),
+            _ => None,
+        };
+        let (base, context) = match (devectorized, d.patch) {
+            (Some(t), _) => (FlowRef::Fresh(Flow::new(t)), ContextId::Devectorize),
+            (None, Some(ctx)) => (FlowRef::Shared(self.patch_flow(inst, ctx)), ctx),
+            (None, None) => (
+                FlowRef::Fresh(Flow::new(native.expect("built for the native path"))),
+                ContextId::Native,
+            ),
+        };
+        let (flow, context) = match self.inject(placed, tainted, || base.to_translation()) {
+            Some(f) => (FlowRef::Fresh(f), ContextId::Stealth),
+            None => (base, context),
+        };
+        self.finish_decode(placed, flow, context, &d, Served::Bypass)
+    }
+
+    /// Like [`CsdEngine::decode`], but serves the native and devectorized
+    /// flows of instruction `index` from `table`, building each on the
+    /// instruction's first decode that needs it.
+    ///
+    /// Serving is transparent: the decision phase (gate observation,
+    /// patch lookup), stealth interception, statistics and events run on
+    /// every decode exactly as in [`CsdEngine::decode`]; only building the
+    /// flow is skipped. No context change invalidates the table, because
+    /// what it stores depends on the instruction alone. MCU patch flows
+    /// come from the patch table and stealth injections are built fresh;
+    /// both count as bypasses, as does every decode through a disabled
+    /// table. The returned flow borrows `table`, not the engine.
+    pub fn decode_memo<'t>(
         &mut self,
         placed: &Placed,
-        translation: UopFlow,
+        index: usize,
+        tainted: bool,
+        table: &'t mut FlowTable,
+    ) -> DecodeOutcome<'t> {
+        if !table.enabled() {
+            table.record(Served::Bypass);
+            return self.decode(placed, tainted);
+        }
+        let d = self.decide(&placed.inst);
+        let inst = &placed.inst;
+
+        // Build what the decision needs and the slot lacks: the native
+        // flow unless a patch serves the decode, and the devectorized flow
+        // when the gate asked for one (a stored one replays the
+        // devectorizer's statistics instead).
+        let mut slot = *table.slot(index);
+        let mut built = false;
+        if slot.native.is_none() && (d.devec || d.patch.is_none()) {
+            slot.native = Some(table.store(translate(inst, placed.next_addr())));
+            built = true;
+        }
+        if d.devec {
+            let native = slot.native.expect("built for the devectorizer");
+            match slot.devec {
+                None => {
+                    let t = translate(inst, placed.next_addr());
+                    let devectorized = self.devec.devectorize(inst, &t);
+                    slot.devec = Some(devectorized.map(|t| table.store(t)));
+                    built = true;
+                }
+                Some(Some(f)) => self
+                    .devec
+                    .record(f.facts.uops as usize, native.facts.uops as usize),
+                Some(None) => {}
+            }
+        }
+        if built {
+            *table.slot(index) = slot;
+        }
+
+        let (base, context) = match (slot.devec.flatten().filter(|_| d.devec), d.patch) {
+            (Some(s), _) => (Base::Table(s), ContextId::Devectorize),
+            (None, Some(ctx)) => (Base::Patch(self.patch_flow(inst, ctx)), ctx),
+            (None, None) => (
+                Base::Table(slot.native.expect("built for the native path")),
+                ContextId::Native,
+            ),
+        };
+        let injected = match &base {
+            Base::Table(s) => self.inject(placed, tainted, || table.get(*s).to_translation()),
+            Base::Patch(p) => self.inject(placed, tainted, || {
+                FlowRef::Shared(Arc::clone(p)).to_translation()
+            }),
+        };
+        let served = match (&injected, &base) {
+            (None, Base::Table(_)) if built => Served::Miss,
+            (None, Base::Table(_)) => Served::Hit,
+            _ => Served::Bypass,
+        };
+        table.record(served);
+        let table: &'t FlowTable = table;
+        let (flow, context) = match (injected, base) {
+            (Some(f), _) => (FlowRef::Fresh(f), ContextId::Stealth),
+            (None, Base::Table(s)) => (table.get(s), context),
+            (None, Base::Patch(p)) => (FlowRef::Shared(p), context),
+        };
+        self.finish_decode(placed, flow, context, &d, served)
+    }
+
+    /// Stealth decoy injection on top of the chosen flow: the fresh flow
+    /// when the armed window intercepts this decode (which disarms it, a
+    /// context transition). The base translation is built only then.
+    fn inject(
+        &mut self,
+        placed: &Placed,
+        tainted: bool,
+        base: impl FnOnce() -> Translation,
+    ) -> Option<Flow> {
+        if !self.stealth.should_intercept(placed, tainted) {
+            return None;
+        }
+        let t = self.stealth.on_decode(placed, &base(), tainted)?;
+        self.bump_context(key_cause::STEALTH_INJECT);
+        Some(Flow::new(t))
+    }
+
+    /// Shared tail of both decode paths: statistics, event emission
+    /// (including how the flow was `served`), and the outcome.
+    fn finish_decode<'t>(
+        &mut self,
+        placed: &Placed,
+        flow: FlowRef<'t>,
         context: ContextId,
-        uops: u32,
-        decoys: u32,
-        stall_cycles: u64,
-        vector_class: Option<VectorExecClass>,
-    ) -> DecodeOutcome {
+        d: &Decision,
+        served: Served,
+    ) -> DecodeOutcome<'t> {
+        let ev = MemoProbeEvent {
+            outcome: match served {
+                Served::Hit => memo_probe::HIT,
+                Served::Miss => memo_probe::MISS,
+                Served::Bypass => memo_probe::BYPASS,
+            },
+        };
+        self.sink.with(|s| s.on_memo_probe(&ev));
+
+        let FlowFacts { uops, decoys, .. } = flow.facts();
         self.stats.decoded_insts += 1;
         self.stats.total_uops += u64::from(uops);
         self.stats.decoy_uops += u64::from(decoys);
@@ -473,14 +492,14 @@ impl CsdEngine {
             context: context.bit(),
             uops,
             decoy_uops: decoys,
-            stall_cycles,
+            stall_cycles: d.stall_cycles,
         };
         self.sink.with(|s| s.on_decode(&ev));
         // Per-µop events are the one per-µop emission in the engine;
         // the attachment test keeps the detached hot path at the usual
         // single Option check per macro-op.
         if self.sink.is_attached() {
-            for u in &translation.uops {
+            for u in flow.uops() {
                 let ev = UopDecodeEvent {
                     context: context.bit(),
                     class: u.kind.coverage_class(),
@@ -497,10 +516,10 @@ impl CsdEngine {
         }
 
         DecodeOutcome {
-            translation,
+            flow,
             context,
-            stall_cycles,
-            vector_class,
+            stall_cycles: d.stall_cycles,
+            vector_class: d.vector_class,
         }
     }
 
@@ -560,7 +579,7 @@ mod tests {
         let p = load_at(0x100);
         let out = e.decode(&p, false);
         assert_eq!(out.context, ContextId::Native);
-        assert_eq!(*out.translation, translate(&p.inst, p.next_addr()));
+        assert_eq!(out.flow.to_translation(), translate(&p.inst, p.next_addr()));
     }
 
     #[test]
@@ -572,7 +591,7 @@ mod tests {
 
         let out = e.decode(&load_at(0x100), true);
         assert_eq!(out.context, ContextId::Stealth);
-        assert!(out.translation.uops.iter().any(|u| u.is_decoy()));
+        assert!(out.flow.uops().iter().any(|u| u.is_decoy()));
         assert!(e.stats().decoy_uops > 0);
         assert_eq!(e.stats().custom_decoded, 1);
 
@@ -620,7 +639,7 @@ mod tests {
         let out = e.decode(&v, false);
         assert_eq!(out.context, ContextId::Devectorize);
         assert_eq!(out.vector_class, Some(VectorExecClass::PowerGated));
-        assert!(out.translation.uops.len() > 10);
+        assert!(out.flow.uops().len() > 10);
         assert_eq!(out.stall_cycles, 0);
     }
 
@@ -666,11 +685,11 @@ mod tests {
             inst: Inst::Nop { len: 1 },
         };
         // Custom mode inactive: native.
-        assert_eq!(e.decode(&p, false).translation.uops.len(), 1);
+        assert_eq!(e.decode(&p, false).flow.uops().len(), 1);
         // Active: patched two-µop flow.
         e.set_custom_mode(Some(0));
         let out = e.decode(&p, false);
-        assert_eq!(out.translation.uops.len(), 2);
+        assert_eq!(out.flow.uops().len(), 2);
         assert_eq!(out.context, ContextId::Custom(0));
     }
 
@@ -825,13 +844,11 @@ mod tests {
         assert!(e.context_key() > k1);
     }
 
-    /// Memoization must be invisible: identical outcomes, statistics, and
-    /// sink-event counts across a mixed stealth/devec/custom decode
-    /// sequence, with hits actually occurring.
+    /// The flow table must be invisible: identical outcomes and statistics
+    /// across a mixed stealth/devec decode sequence, with hits actually
+    /// occurring.
     #[test]
     fn memoized_decode_is_transparent() {
-        use csd_uops::DecodeMemo;
-
         fn engine() -> CsdEngine {
             let cfg = CsdConfig {
                 vpu_policy: VpuPolicy::CsdDevec(DevecThresholds {
@@ -849,7 +866,7 @@ mod tests {
         }
         let mut plain = engine();
         let mut memoized = engine();
-        let mut memo = DecodeMemo::new();
+        let mut memo = FlowTable::new(3, true);
 
         let scalar = Placed {
             addr: 0x10,
@@ -869,24 +886,25 @@ mod tests {
         // Loop the same footprint several times: tainted loads (stealth
         // fires on the first, then the window is disarmed), scalars (gate
         // the VPU), vectors (devectorized once gated). Stealth enabled for
-        // the first half — every decode bypasses the table — then disabled
-        // by MSR write for the second half, where memoization engages.
+        // the first half — its injections bypass the table — then disabled
+        // by MSR write for the second half. The table index is each
+        // instruction's position in the footprint.
         for round in 0..12 {
             if round == 6 {
                 plain.write_msr(MSR_CSD_CTL, CTL_DIFT_TRIGGER);
                 memoized.write_msr(MSR_CSD_CTL, CTL_DIFT_TRIGGER);
             }
-            for (p, tainted) in [
-                (load_at(0x100), true),
-                (scalar, false),
-                (scalar, false),
-                (vector, false),
-                (load_at(0x100), false),
+            for (p, index, tainted) in [
+                (load_at(0x100), 0, true),
+                (scalar, 1, false),
+                (scalar, 1, false),
+                (vector, 2, false),
+                (load_at(0x100), 0, false),
             ] {
                 let a = plain.decode(&p, tainted);
-                let b = memoized.decode_memo(&p, tainted, Some(&mut memo));
+                let b = memoized.decode_memo(&p, index, tainted, &mut memo);
                 assert_eq!(a.context, b.context, "round {round} @{:#x}", p.addr);
-                assert_eq!(*a.translation, *b.translation);
+                assert_eq!(a.flow, b.flow);
                 assert_eq!(a.stall_cycles, b.stall_cycles);
                 assert_eq!(a.vector_class, b.vector_class);
             }
@@ -901,8 +919,15 @@ mod tests {
         );
         assert_eq!(plain.gate().stats(), memoized.gate().stats());
         assert_eq!(plain.context_key(), memoized.context_key());
-        assert!(memo.stats().hits > 0, "memo never hit: {:?}", memo.stats());
-        assert!(memo.stats().bypasses > 0, "stealth decode never bypassed");
+        let m = memo.stats();
+        assert!(m.hits > 0, "table never hit: {m:?}");
+        assert!(m.bypasses > 0, "stealth injection never bypassed");
+        // One outcome per decode. Only two decodes build into the table
+        // and hand out what they built: the scalar's first, and the
+        // vector's first, which builds its native and devectorized flows
+        // together. The load's first decode injects decoys, a bypass.
+        assert_eq!(m.misses, 2, "{m:?}");
+        assert_eq!(m.hits + m.misses + m.bypasses, 12 * 5);
     }
 
     #[test]

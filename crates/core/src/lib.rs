@@ -38,7 +38,7 @@
 //!     inst: Inst::Load { dst: Gpr::Rax, mem: MemRef::base(Gpr::Rcx), width: Width::B4 },
 //! };
 //! let out = engine.decode(&tainted_lookup, true);
-//! assert!(out.translation.uops.iter().filter(|u| u.is_decoy()).count() >= 64);
+//! assert!(out.flow.uops().iter().filter(|u| u.is_decoy()).count() >= 64);
 //! ```
 
 #![warn(missing_docs)]

@@ -14,11 +14,12 @@
 //! header" — enforced by [`MicrocodeUpdate::verify`].
 
 use crate::mode::ContextId;
-use csd_uops::{fusion, translate, Translation};
+use csd_uops::{fusion, translate, Flow, Translation};
 use mx86_isa::{AluOp, Inst, VecOp};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// The privilege level of the software applying an update.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -271,10 +272,11 @@ impl MicrocodeUpdate {
 }
 
 /// The microcode engine's patch table: installed custom translations,
-/// keyed by `(macro-op class, translation context)`.
+/// keyed by `(macro-op class, translation context)`. Each flow is built
+/// once at install and shared with every decode it serves.
 #[derive(Debug, Clone, Default)]
 pub struct MsromPatchTable {
-    patches: HashMap<(OpcodeClass, ContextId), (u32, Translation)>,
+    patches: HashMap<(OpcodeClass, ContextId), (u32, Arc<Flow>)>,
 }
 
 impl MsromPatchTable {
@@ -290,15 +292,15 @@ impl MsromPatchTable {
         match self.patches.get(&key) {
             Some((rev, _)) if *rev >= mcu.header.revision => false,
             _ => {
-                self.patches
-                    .insert(key, (mcu.header.revision, mcu.auto_translate()));
+                let flow = Arc::new(Flow::new(mcu.auto_translate()));
+                self.patches.insert(key, (mcu.header.revision, flow));
                 true
             }
         }
     }
 
     /// Looks up the custom flow for a macro-op class in a context.
-    pub fn lookup(&self, class: OpcodeClass, mode: ContextId) -> Option<&Translation> {
+    pub fn lookup(&self, class: OpcodeClass, mode: ContextId) -> Option<&Arc<Flow>> {
         self.patches.get(&(class, mode)).map(|(_, t)| t)
     }
 

@@ -32,18 +32,6 @@ impl ContextId {
             ContextId::Custom(n) => 3 + (n % 5),
         }
     }
-
-    /// An injective numeric discriminant, unlike [`ContextId::bit`] which
-    /// folds custom modes onto five tag bits. Used as the memoization tag,
-    /// where two distinct custom modes must never compare equal.
-    pub const fn tag(self) -> u64 {
-        match self {
-            ContextId::Native => 0,
-            ContextId::Stealth => 1,
-            ContextId::Devectorize => 2,
-            ContextId::Custom(n) => 3 + n as u64,
-        }
-    }
 }
 
 impl fmt::Display for ContextId {

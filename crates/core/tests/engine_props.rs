@@ -65,8 +65,8 @@ fn stealth_only_augments() {
             let out = engine.decode(&placed, tainted);
 
             let non_decoys: Vec<_> = out
-                .translation
-                .uops
+                .flow
+                .uops()
                 .iter()
                 .filter(|u| !u.is_decoy())
                 .copied()
@@ -76,7 +76,7 @@ fn stealth_only_augments() {
                 "case {case}: non-decoy stream must be the native translation"
             );
 
-            let has_decoys = out.translation.uops.iter().any(|u| u.is_decoy());
+            let has_decoys = out.flow.uops().iter().any(|u| u.is_decoy());
             if has_decoys {
                 assert!(
                     inst.is_load() || inst.is_store() || inst.is_branch(),

@@ -45,5 +45,5 @@ pub use asm::{AsmError, Assembler, Label};
 pub use cc::Cc;
 pub use inst::{AluOp, Inst, RegImm, VecOp, MAX_INST_LEN};
 pub use operand::{MemRef, Scale, Width};
-pub use program::{AddrRange, Placed, Program};
+pub use program::{AddrRange, Fetched, Placed, Program};
 pub use reg::{Gpr, Xmm};

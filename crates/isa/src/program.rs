@@ -90,6 +90,20 @@ impl Placed {
     }
 }
 
+/// An instruction as [`Program::fetch_indexed`] resolves it: the placed
+/// instruction plus the static facts the front end needs per dynamic
+/// instance, looked up rather than recomputed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fetched {
+    /// Dense index of the instruction in program order (`0..len()`).
+    pub index: usize,
+    /// The instruction and its address.
+    pub placed: Placed,
+    /// Address of the byte following the instruction
+    /// (`placed.next_addr()`).
+    pub next: u64,
+}
+
 /// Marks a byte of [`Program`]'s fetch index where no instruction starts.
 const NO_INST: u32 = u32::MAX;
 
@@ -120,6 +134,10 @@ impl Program {
     ) -> Program {
         let end = insts.last().map_or(entry, Placed::next_addr);
         assert!(insts.len() < NO_INST as usize, "program too large to index");
+        debug_assert!(
+            insts.windows(2).all(|w| w[0].next_addr() == w[1].addr),
+            "code is laid out back-to-back"
+        );
         let mut index = vec![NO_INST; (end - entry) as usize];
         for (i, p) in insts.iter().enumerate() {
             index[(p.addr - entry) as usize] = i as u32;
@@ -159,10 +177,32 @@ impl Program {
 
     /// Resolves `addr` to the instruction starting at that address.
     pub fn fetch(&self, addr: u64) -> Option<&Placed> {
+        self.index_of(addr).map(|i| &self.insts[i])
+    }
+
+    /// Resolves `addr` like [`Program::fetch`], together with the
+    /// instruction's dense index and the address following it. Code is
+    /// laid out back-to-back, so that address is where the next
+    /// instruction starts (or the end of the code), and no encoded length
+    /// is recomputed.
+    pub fn fetch_indexed(&self, addr: u64) -> Option<Fetched> {
+        let index = self.index_of(addr)?;
+        let next = match self.insts.get(index + 1) {
+            Some(p) => p.addr,
+            None => self.entry + self.index.len() as u64,
+        };
+        Some(Fetched {
+            index,
+            placed: self.insts[index],
+            next,
+        })
+    }
+
+    fn index_of(&self, addr: u64) -> Option<usize> {
         let off = usize::try_from(addr.wrapping_sub(self.entry)).ok()?;
         match *self.index.get(off)? {
             NO_INST => None,
-            i => Some(&self.insts[i as usize]),
+            i => Some(i as usize),
         }
     }
 
@@ -273,15 +313,23 @@ mod tests {
             p.len() < (p.end_addr() - p.entry()) as usize,
             "has interior bytes"
         );
+        let order: Vec<u64> = oracle.keys().copied().collect();
         for addr in p.entry() - 64..p.end_addr() + 64 {
             assert_eq!(
                 p.fetch(addr).copied(),
                 oracle.get(&addr).copied(),
                 "{addr:#x}"
             );
+            let indexed = p.fetch_indexed(addr);
+            assert_eq!(indexed.map(|f| f.placed), oracle.get(&addr).copied());
+            if let Some(f) = indexed {
+                assert_eq!(order[f.index], addr);
+                assert_eq!(f.next, f.placed.next_addr(), "{addr:#x}");
+            }
         }
         for addr in [0, p.entry() - 1, p.end_addr(), u64::MAX, u64::MAX - 0x1000] {
             assert!(p.fetch(addr).is_none(), "{addr:#x}");
+            assert!(p.fetch_indexed(addr).is_none(), "{addr:#x}");
         }
         assert!(Program::default().fetch(0).is_none());
     }

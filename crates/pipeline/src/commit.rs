@@ -3,28 +3,23 @@
 
 use crate::core::{Core, SimMode, StepOutcome};
 use crate::decode;
-use crate::stage::{FlowEnd, StageCtx};
+use crate::stage::{Decoded, Fetch, FlowEnd};
 use csd_telemetry::RetireEvent;
 use mx86_isa::Inst;
 
 /// Retires the macro-op: statistics, watchdog/gate time advance, the
-/// retire event, and the next-PC decision.
+/// retire event, and the next-PC decision from how execute ended the
+/// flow.
 #[inline]
-pub(crate) fn run(core: &mut Core, ctx: StageCtx) -> StepOutcome {
-    let uops = ctx.outcome().translation.uops.len() as u64;
-    let decoys = ctx
-        .outcome()
-        .translation
-        .uops
-        .iter()
-        .filter(|u| u.is_decoy())
-        .count() as u64;
+pub(crate) fn run(core: &mut Core, f: &Fetch, d: &Decoded, end: Option<FlowEnd>) -> StepOutcome {
+    let facts = d.out.flow.facts();
+    let uops = u64::from(facts.uops);
 
     core.stats.insts += 1;
     core.stats.uops += uops;
-    core.stats.fused_slots += ctx.fused_slots as u64;
-    core.stats.decoy_uops += decoys;
-    core.prev_fusable_cmp = matches!(ctx.placed.inst, Inst::Cmp { .. } | Inst::Test { .. });
+    core.stats.fused_slots += u64::from(d.fused_slots);
+    core.stats.decoy_uops += u64::from(facts.decoys);
+    core.prev_fusable_cmp = matches!(f.inst.placed.inst, Inst::Cmp { .. } | Inst::Test { .. });
 
     if core.mode == SimMode::Functional {
         core.func_cycles += uops;
@@ -39,14 +34,14 @@ pub(crate) fn run(core: &mut Core, ctx: StageCtx) -> StepOutcome {
     }
 
     let ev = RetireEvent {
-        addr: ctx.placed.addr,
+        addr: f.inst.placed.addr,
         uops: uops as u32,
         insts: core.stats.insts,
         cycles: now,
     };
     core.sink.with(|s| s.on_retire(&ev));
 
-    match ctx.flow_end {
+    match end {
         Some(FlowEnd::Halt) => {
             core.halted = true;
             core.stats.halted = true;
@@ -63,7 +58,7 @@ pub(crate) fn run(core: &mut Core, ctx: StageCtx) -> StepOutcome {
             StepOutcome::Running
         }
         None => {
-            core.state.rip = ctx.placed.next_addr();
+            core.state.rip = f.inst.next;
             core.stats.cycles = core.cycles();
             StepOutcome::Running
         }

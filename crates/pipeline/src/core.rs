@@ -10,14 +10,16 @@
 //! without the timing layer, for experiments whose results depend on
 //! architectural cache state rather than cycles (the side-channel studies).
 //!
-//! [`Core::step`] itself is a thin orchestrator over four explicit stage
-//! modules — [`crate::fetch`], [`crate::decode`], [`crate::execute`],
-//! [`crate::commit`] — connected by a per-instruction
-//! [`StageCtx`](crate::stage::StageCtx). The decode stage consults a
-//! context-keyed memoization table ([`csd_uops::DecodeMemo`]): the
-//! simulator-level analogue of the paper's context-tagged µop cache, keyed
-//! by `(pc, context_key, tainted)` and invalidated wholesale whenever
-//! [`CsdEngine::context_key`] advances.
+//! [`Core::run`] is one batched loop over four explicit stage modules —
+//! [`crate::fetch`], [`crate::decode`], [`crate::execute`],
+//! [`crate::commit`] — that hand each other per-instruction records
+//! ([`crate::stage`]); [`Core::step`] is `run(1)`. The decode stage serves
+//! each instruction's µop flows from a per-instruction flow table
+//! ([`csd_uops::FlowTable`]), built on the instruction's first decode and
+//! never invalidated, because the flows it holds depend on the
+//! instruction alone. The loop holds the table apart from the machine
+//! state for the whole run, so execute and commit read the flow borrowed
+//! from it.
 
 use crate::branch::BranchPredictor;
 use crate::config::CoreConfig;
@@ -30,7 +32,7 @@ use csd_cache::Hierarchy;
 use csd_dift::Dift;
 use csd_power::{Activity, EnergyModel, Unit};
 use csd_telemetry::{EventSink, Json, SinkHandle, ToJson};
-use csd_uops::{DecodeMemo, MemoStats, UReg};
+use csd_uops::{FlowTable, MemoStats, UReg};
 use mx86_isa::Program;
 use std::collections::VecDeque;
 
@@ -146,7 +148,8 @@ pub struct CheckpointStats {
 /// stealth/gate/devec state and statistics), DIFT, branch predictor, µop
 /// cache, simulation statistics, and the cycle-timing state. The program,
 /// configuration, simulation mode, event sinks, checkpoint counters, and
-/// the decode-memoization table stay with the live core.
+/// the flow table stay with the live core (the table's flows depend on
+/// the program alone, so they are valid in every state).
 #[derive(Debug, Clone)]
 pub struct CoreSnapshot {
     state: ArchState,
@@ -206,8 +209,8 @@ pub struct Core {
     pub(crate) sink: SinkHandle,
 
     // --- simulation kernel (not part of the modeled machine) ---
-    pub(crate) memo: DecodeMemo,
-    pub(crate) memo_enabled: bool,
+    /// Per-instruction µop flows; moved out while [`Core::run`] runs.
+    flows: FlowTable,
     ckpt: CheckpointStats,
 
     // --- timing state (cycle mode) ---
@@ -234,7 +237,7 @@ pub struct Core {
 }
 
 /// Whether the `CSD_DECODE_MEMO` environment variable force-disables the
-/// decode-memoization table (`0`, `false`, `off`, or `no`).
+/// flow table (`0`, `false`, `off`, or `no`).
 fn env_memo_enabled() -> bool {
     match std::env::var("CSD_DECODE_MEMO") {
         Ok(v) => !matches!(
@@ -257,7 +260,7 @@ impl Core {
             cfg.uop_cache_line_uops,
             cfg.uop_cache_max_lines_per_window,
         );
-        let memo_enabled = cfg.decode_memo_enabled && env_memo_enabled();
+        let flows = FlowTable::new(program.len(), cfg.decode_memo_enabled && env_memo_enabled());
         Core {
             hier: Hierarchy::new(cfg.hierarchy),
             engine: CsdEngine::new(csd_cfg),
@@ -268,8 +271,7 @@ impl Core {
             mem: Memory::new(),
             stats: SimStats::default(),
             sink: SinkHandle::new(),
-            memo: DecodeMemo::new(),
-            memo_enabled,
+            flows,
             ckpt: CheckpointStats::default(),
             fe_time: 0.0,
             last_dispatch: 0.0,
@@ -358,15 +360,16 @@ impl Core {
         &self.stats
     }
 
-    /// Decode-memoization counters (hits, misses, bypasses).
+    /// Flow-table counters since construction or the last
+    /// [`Core::restart`]: one hit, miss or bypass per decode.
     pub fn memo_stats(&self) -> &MemoStats {
-        self.memo.stats()
+        self.flows.stats()
     }
 
-    /// Whether the decode-memoization table is active (configuration AND
-    /// the `CSD_DECODE_MEMO` environment toggle).
+    /// Whether the flow table serves decodes (configuration AND the
+    /// `CSD_DECODE_MEMO` environment toggle).
     pub fn memo_enabled(&self) -> bool {
-        self.memo_enabled
+        self.flows.enabled()
     }
 
     /// Snapshot/restore counters.
@@ -399,16 +402,14 @@ impl Core {
     /// program can run again. Caches, predictors, the µop cache, CSD state,
     /// statistics, and memory all persist — exactly what repeated victim
     /// invocations (one per encryption) need. The simulation kernel's
-    /// decode-memoization counters and context generation reset to their
+    /// flow-table counters and context generation reset to their
     /// fresh-core values (they are simulator bookkeeping, not machine
-    /// state), while the table's cached lines stay warm like any other
-    /// cache: restart changes no decoder configuration, so every line is
-    /// still valid, and the next run of a straight-line victim hits where
-    /// the first one filled.
+    /// state), while the table's flows stay: every run after the first
+    /// decodes each instruction from the table.
     pub fn restart(&mut self) {
         self.state.rip = self.program.entry();
         self.halted = false;
-        self.memo.reset();
+        self.flows.reset_stats();
         self.engine.reset_context_key();
     }
 
@@ -449,9 +450,8 @@ impl Core {
 
     /// Rewinds the core to `snap`. Event sinks stay attached to the live
     /// core (cloning an engine never drags a sink, so the snapshot holds
-    /// none), and the decode-memoization table is emptied: the restored
-    /// context generation may re-reach values the table already saw under
-    /// different machine state.
+    /// none), and so does the flow table, whose flows are valid in any
+    /// state.
     pub fn restore(&mut self, snap: &CoreSnapshot) {
         self.ckpt.restores += 1;
         self.state = snap.state.clone();
@@ -483,7 +483,6 @@ impl Core {
         self.last_tick = snap.last_tick;
         self.func_cycles = snap.func_cycles;
         self.halted = snap.halted;
-        self.memo.clear_entries();
     }
 
     /// Per-unit activity for the energy model.
@@ -518,7 +517,7 @@ impl Core {
     pub fn telemetry_report(&self) -> Json {
         let e = &self.engine;
         let activity = self.activity();
-        let m = self.memo.stats();
+        let m = self.flows.stats();
         Json::obj([
             ("sim", self.stats.to_json()),
             ("csd", e.stats().to_json()),
@@ -539,12 +538,10 @@ impl Core {
                     (
                         "decode_memo",
                         Json::obj([
-                            ("enabled", Json::from(self.memo_enabled)),
+                            ("enabled", Json::from(self.flows.enabled())),
                             ("hits", Json::from(m.hits)),
                             ("misses", Json::from(m.misses)),
                             ("bypasses", Json::from(m.bypasses)),
-                            ("invalidations", Json::from(m.invalidations)),
-                            ("inserts", Json::from(m.inserts)),
                         ]),
                     ),
                     (
@@ -560,31 +557,15 @@ impl Core {
         ])
     }
 
-    /// Executes one macro-op through the four pipeline stages.
+    /// Executes one macro-op: `run(1)`.
     pub fn step(&mut self) -> StepOutcome {
-        if self.halted {
-            return StepOutcome::Halted;
-        }
-        let mut ctx = match fetch::run(self) {
-            Ok(ctx) => ctx,
-            Err(outcome) => return outcome,
-        };
-        decode::run(self, &mut ctx);
-        execute::run(self, &mut ctx);
-        commit::run(self, ctx)
+        self.run(1)
     }
 
     /// Runs until halt, fault, or `max_insts` retired. Returns the outcome
-    /// of the last step.
+    /// of the last instruction (`Running` when `max_insts` is 0).
     pub fn run(&mut self, max_insts: u64) -> StepOutcome {
-        let mut last = StepOutcome::Running;
-        for _ in 0..max_insts {
-            last = self.step();
-            if last != StepOutcome::Running {
-                break;
-            }
-        }
-        last
+        self.run_batch(max_insts, |_| false)
     }
 
     /// Runs until the cycle counter advances by at least `cycles` (or the
@@ -592,13 +573,43 @@ impl Core {
     /// attacker probes at a fixed cadence.
     pub fn run_cycles(&mut self, cycles: u64) -> StepOutcome {
         let target = self.cycles() + cycles;
+        self.run_batch(u64::MAX, |c| c.cycles() >= target)
+    }
+
+    /// The batched loop behind [`Core::run`] and [`Core::run_cycles`]:
+    /// retires up to `max_insts` macro-ops, stopping early on halt, on a
+    /// fault, or once `stop` holds (checked before each instruction). The
+    /// flow table is moved out of the core for the whole batch, so decode
+    /// can hand execute and commit a flow borrowed from it while those
+    /// stages mutate the machine.
+    fn run_batch(&mut self, max_insts: u64, stop: impl Fn(&Core) -> bool) -> StepOutcome {
+        if max_insts == 0 || stop(self) {
+            return StepOutcome::Running;
+        }
+        if self.halted {
+            return StepOutcome::Halted;
+        }
+        let mut flows = std::mem::take(&mut self.flows);
         let mut last = StepOutcome::Running;
-        while self.cycles() < target {
-            last = self.step();
-            if last != StepOutcome::Running {
+        for _ in 0..max_insts {
+            last = self.retire_one(&mut flows);
+            if last != StepOutcome::Running || stop(self) {
                 break;
             }
         }
+        self.flows = flows;
         last
+    }
+
+    /// Fetch, decode, execute and commit one macro-op.
+    #[inline]
+    fn retire_one(&mut self, flows: &mut FlowTable) -> StepOutcome {
+        let f = match fetch::run(self) {
+            Ok(f) => f,
+            Err(fault) => return fault,
+        };
+        let d = decode::run(self, &f, flows);
+        let end = execute::run(self, &f, &d);
+        commit::run(self, &f, &d, end)
     }
 }

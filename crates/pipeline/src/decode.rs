@@ -1,14 +1,14 @@
-//! Decode stage: DIFT verdict, context-sensitive decode (with the
-//! context-keyed memoization table), and front-end delivery timing
-//! including µop-cache window bookkeeping.
+//! Decode stage: DIFT verdict, context-sensitive decode (served from the
+//! per-instruction flow table), and front-end delivery timing including
+//! µop-cache window bookkeeping.
 
 use crate::core::{Core, SimMode};
-use crate::stage::StageCtx;
+use crate::stage::{Decoded, Fetch};
 use crate::uop_cache::UopCache;
 use csd::{ContextId, DecodeOutcome};
 use csd_telemetry::UopCacheEvent;
-use csd_uops::{fusion, UReg};
-use mx86_isa::{Inst, MemRef, Placed};
+use csd_uops::{FlowTable, UReg};
+use mx86_isa::{Inst, MemRef};
 
 /// One µop-cache window being assembled as successive macro-ops decode
 /// under one context; finalized (inserted) when delivery switches away.
@@ -20,20 +20,20 @@ pub(crate) struct WindowBuilder {
     cacheable: bool,
 }
 
-/// Decodes the fetched macro-op: DIFT verdict, CSD decode (memoized when
-/// the core's table is enabled), stall accounting, and front-end timing.
+/// Decodes the fetched macro-op: DIFT verdict, CSD decode through the
+/// flow table (`flows`, held apart from the core for the whole run so the
+/// flow can stay borrowed through execute and commit), stall accounting,
+/// and front-end timing.
 #[inline]
-pub(crate) fn run(core: &mut Core, ctx: &mut StageCtx) {
-    ctx.tainted = macro_tainted(core, &ctx.placed.inst);
-    let out = if core.memo_enabled {
-        core.engine
-            .decode_memo(&ctx.placed, ctx.tainted, Some(&mut core.memo))
-    } else {
-        core.engine.decode(&ctx.placed, ctx.tainted)
-    };
+pub(crate) fn run<'t>(core: &mut Core, f: &Fetch, flows: &'t mut FlowTable) -> Decoded<'t> {
+    let placed = &f.inst.placed;
+    let tainted = macro_tainted(core, &placed.inst);
+    let out = core
+        .engine
+        .decode_memo(placed, f.inst.index, tainted, flows);
     core.stats.stall_cycles += out.stall_cycles;
-    ctx.fused_slots = front_end(core, &ctx.placed, &out, ctx.fetch_penalty);
-    ctx.decode = Some(out);
+    let fused_slots = front_end(core, f, &out);
+    Decoded { out, fused_slots }
 }
 
 /// The DIFT verdict that arms stealth interception: any address-forming
@@ -62,12 +62,13 @@ fn macro_tainted(core: &Core, inst: &Inst) -> bool {
 }
 
 /// Front-end delivery timing; returns the fused slot count.
-fn front_end(core: &mut Core, placed: &Placed, out: &DecodeOutcome, fetch_penalty: f64) -> usize {
-    let uops = &out.translation.uops;
+fn front_end(core: &mut Core, f: &Fetch, out: &DecodeOutcome) -> u32 {
+    let placed = &f.inst.placed;
+    let facts = out.flow.facts();
     let mut fused = if core.cfg.fusion_enabled {
-        fusion::fused_len(uops)
+        facts.fused
     } else {
-        uops.len()
+        facts.uops
     };
     // Macro-op fusion: a cmp/test immediately followed by jcc shares a
     // slot; model as the jcc contributing zero additional slots.
@@ -85,22 +86,16 @@ fn front_end(core: &mut Core, placed: &Placed, out: &DecodeOutcome, fetch_penalt
                 finalize_window(core);
             } else {
                 emit_ucache(core, window, out.context, false);
-                count_legacy(core, &out.translation);
-                build_window(
-                    core,
-                    window,
-                    out.context,
-                    fused as u32,
-                    out.translation.cacheable,
-                );
+                count_legacy(core, facts.from_msrom);
+                build_window(core, window, out.context, fused, facts.cacheable);
             }
         } else {
-            count_legacy(core, &out.translation);
+            count_legacy(core, facts.from_msrom);
         }
         return fused.max(1);
     }
 
-    core.fe_time += fetch_penalty;
+    core.fe_time += f.penalty;
     let from_uc = if core.cfg.uop_cache_enabled {
         let window = UopCache::window_of(placed.addr);
         if core.ucache.lookup(window, out.context) {
@@ -110,18 +105,12 @@ fn front_end(core: &mut Core, placed: &Placed, out: &DecodeOutcome, fetch_penalt
             true
         } else {
             emit_ucache(core, window, out.context, false);
-            count_legacy(core, &out.translation);
-            build_window(
-                core,
-                window,
-                out.context,
-                fused as u32,
-                out.translation.cacheable,
-            );
+            count_legacy(core, facts.from_msrom);
+            build_window(core, window, out.context, fused, facts.cacheable);
             false
         }
     } else {
-        count_legacy(core, &out.translation);
+        count_legacy(core, facts.from_msrom);
         false
     };
 
@@ -132,12 +121,12 @@ fn front_end(core: &mut Core, placed: &Placed, out: &DecodeOutcome, fetch_penalt
 
     let cost = if from_uc {
         fused.max(1) as f64 / core.cfg.uop_cache_width as f64
-    } else if out.translation.from_msrom {
+    } else if facts.from_msrom {
         // The MSROM sequencer takes over the decode slot entirely.
-        uops.len() as f64 / core.cfg.msrom_width_uops as f64 + 1.0
+        facts.uops as f64 / core.cfg.msrom_width_uops as f64 + 1.0
     } else {
-        let decode = uops.len() as f64 / core.cfg.decode_width_uops as f64;
-        let length_decode = f64::from(placed.inst.len()) / core.cfg.fetch_bytes as f64;
+        let decode = facts.uops as f64 / core.cfg.decode_width_uops as f64;
+        let length_decode = (f.inst.next - placed.addr) as f64 / core.cfg.fetch_bytes as f64;
         decode.max(length_decode).max(0.25)
     };
     core.fe_time += cost;
@@ -155,8 +144,8 @@ fn emit_ucache(core: &mut Core, window: u64, ctx: ContextId, hit: bool) {
     core.sink.with(|s| s.on_uop_cache(&ev));
 }
 
-fn count_legacy(core: &mut Core, t: &csd_uops::Translation) {
-    if t.from_msrom {
+fn count_legacy(core: &mut Core, from_msrom: bool) {
+    if from_msrom {
         core.stats.msrom_insts += 1;
     } else {
         core.stats.legacy_insts += 1;
@@ -218,28 +207,31 @@ mod tests {
     #[test]
     fn decode_fills_the_context() {
         let mut c = core(true);
-        let mut ctx = fetch::run(&mut c).unwrap();
-        run(&mut c, &mut ctx);
-        let out = ctx.outcome();
-        assert_eq!(out.context, ContextId::Native);
-        assert_eq!(out.translation.uops.len(), 1);
-        assert!(ctx.fused_slots >= 1);
+        let mut flows = FlowTable::new(2, true);
+        let f = fetch::run(&mut c).unwrap();
+        let d = run(&mut c, &f, &mut flows);
+        assert_eq!(d.out.context, ContextId::Native);
+        assert_eq!(d.out.flow.uops().len(), 1);
+        assert!(d.fused_slots >= 1);
     }
 
     #[test]
     fn memoized_and_plain_decode_agree_per_stage() {
         let mut with = core(true);
         let mut without = core(false);
+        let mut table = FlowTable::new(2, true);
+        let mut none = FlowTable::new(2, false);
         for _ in 0..3 {
-            let mut ca = fetch::run(&mut with).unwrap();
-            let mut cb = fetch::run(&mut without).unwrap();
-            run(&mut with, &mut ca);
-            run(&mut without, &mut cb);
-            assert_eq!(ca.outcome().context, cb.outcome().context);
-            assert_eq!(*ca.outcome().translation, *cb.outcome().translation);
-            assert_eq!(ca.fused_slots, cb.fused_slots);
+            let fa = fetch::run(&mut with).unwrap();
+            let fb = fetch::run(&mut without).unwrap();
+            let a = run(&mut with, &fa, &mut table);
+            let b = run(&mut without, &fb, &mut none);
+            assert_eq!(a.out, b.out);
+            assert_eq!(a.fused_slots, b.fused_slots);
         }
         assert_eq!(with.stats(), without.stats());
-        assert!(with.memo_stats().hits > 0, "repeat decode must hit");
+        assert_eq!(table.stats().misses, 1, "the first decode builds");
+        assert_eq!(table.stats().hits, 2, "repeat decodes hit");
+        assert_eq!(none.stats().bypasses, 3, "a disabled table builds afresh");
     }
 }

@@ -5,24 +5,22 @@
 use crate::core::{Core, SimMode};
 use crate::fu;
 use crate::machine::Flags;
-use crate::stage::{FlowEnd, StageCtx, UopEffect};
+use crate::stage::{Decoded, Fetch, FlowEnd, UopEffect};
 use csd_cache::AccessKind;
 use csd_dift::DIFT_L2_TAG_PENALTY;
 use csd_telemetry::StoreEvent;
 use csd_uops::{fusion, DecoyTarget, UReg, Uop, UopKind};
-use mx86_isa::{Gpr, Inst, Placed};
+use mx86_isa::{Fetched, Gpr, Inst};
 
-/// Executes (and in cycle mode, times) the decoded µop flow.
+/// Executes (and in cycle mode, times) the decoded µop flow; returns how
+/// it ended control-wise.
 #[inline]
-pub(crate) fn run(core: &mut Core, ctx: &mut StageCtx) {
-    let end = {
-        let out = ctx.outcome();
-        execute_flow(core, &ctx.placed, &out.translation.uops, out.stall_cycles)
-    };
-    ctx.flow_end = end;
+pub(crate) fn run(core: &mut Core, f: &Fetch, d: &Decoded) -> Option<FlowEnd> {
+    let out = &d.out;
+    execute_flow(core, &f.inst, out.flow.uops(), out.stall_cycles)
 }
 
-fn execute_flow(core: &mut Core, placed: &Placed, uops: &[Uop], stall: u64) -> Option<FlowEnd> {
+fn execute_flow(core: &mut Core, fetched: &Fetched, uops: &[Uop], stall: u64) -> Option<FlowEnd> {
     let timing = core.mode == SimMode::Cycle;
     let inst_ready = core.fe_time + stall as f64;
     let mut end = None;
@@ -40,10 +38,10 @@ fn execute_flow(core: &mut Core, placed: &Placed, uops: &[Uop], stall: u64) -> O
             core.last_dispatch = slot_dispatch;
         }
 
-        let (effect, access_latency) = exec_uop(core, u, placed);
+        let (effect, access_latency) = exec_uop(core, u, fetched);
 
         if timing {
-            time_uop(core, u, slot_dispatch, access_latency, &effect, placed);
+            time_uop(core, u, slot_dispatch, access_latency);
         }
 
         match effect {
@@ -65,7 +63,8 @@ fn execute_flow(core: &mut Core, placed: &Placed, uops: &[Uop], stall: u64) -> O
 
 /// Functionally executes one µop. Returns its control effect and, for
 /// memory µops, the hierarchy access latency.
-fn exec_uop(core: &mut Core, u: &Uop, placed: &Placed) -> (UopEffect, u64) {
+fn exec_uop(core: &mut Core, u: &Uop, fetched: &Fetched) -> (UopEffect, u64) {
+    let placed = &fetched.placed;
     // Decoy µops: only the cache touch is real; dataflow stays in
     // temporaries and flags/control are suppressed.
     if let Some(target) = u.decoy {
@@ -292,7 +291,7 @@ fn exec_uop(core: &mut Core, u: &Uop, placed: &Placed) -> (UopEffect, u64) {
         UopKind::JmpImm => {
             let target = u.imm.expect("jmp has target") as u64;
             if matches!(placed.inst, Inst::Call { .. }) {
-                core.bp.on_call(placed.next_addr());
+                core.bp.on_call(fetched.next);
             }
             effect = UopEffect::Branch(target);
             core.pending_mispredict = false;
@@ -392,14 +391,7 @@ fn ea(core: &Core, u: &Uop) -> u64 {
 }
 
 /// Back-end timing for one µop.
-fn time_uop(
-    core: &mut Core,
-    u: &Uop,
-    dispatch: f64,
-    access_latency: u64,
-    effect: &UopEffect,
-    _placed: &Placed,
-) {
+fn time_uop(core: &mut Core, u: &Uop, dispatch: f64, access_latency: u64) {
     // ROB occupancy: dispatch may not pass the completion of the µop
     // rob_entries back.
     let mut ready = dispatch;
@@ -475,12 +467,9 @@ fn time_uop(
     }
 
     // Branch resolution and redirect.
-    if u.kind.is_branch() && !u.is_decoy() {
-        if core.pending_mispredict {
-            core.fe_time = f64::max(core.fe_time, done + core.cfg.mispredict_penalty as f64);
-            core.pending_mispredict = false;
-        }
-        let _ = effect;
+    if u.kind.is_branch() && !u.is_decoy() && core.pending_mispredict {
+        core.fe_time = f64::max(core.fe_time, done + core.cfg.mispredict_penalty as f64);
+        core.pending_mispredict = false;
     }
 
     core.rob.push_back(done);

@@ -2,24 +2,24 @@
 //! L1I for every cache line the encoding spans.
 
 use crate::core::{Core, StepOutcome};
-use crate::stage::StageCtx;
+use crate::stage::Fetch;
 use csd_cache::AccessKind;
 
-/// Fetches the instruction at the current PC. Returns the stage context
-/// for the rest of the pipeline, or the fault outcome when the PC does
-/// not resolve to an instruction start.
+/// Fetches the instruction at the current PC. Returns what the rest of
+/// the pipeline needs, or the fault outcome when the PC does not resolve
+/// to an instruction start.
 #[inline]
-pub(crate) fn run(core: &mut Core) -> Result<StageCtx, StepOutcome> {
-    let placed = match core.program.fetch(core.state.rip) {
-        Some(p) => *p,
+pub(crate) fn run(core: &mut Core) -> Result<Fetch, StepOutcome> {
+    let inst = match core.program.fetch_indexed(core.state.rip) {
+        Some(f) => f,
         None => return Err(StepOutcome::Fault(core.state.rip)),
     };
 
     // Touch every line the encoding spans; the penalty is the worst
     // beyond-L1I latency among them (lines fill in parallel).
     let line = core.cfg.hierarchy.l1i.line_bytes as u64;
-    let first = placed.addr & !(line - 1);
-    let last = (placed.addr + u64::from(placed.inst.len()) - 1) & !(line - 1);
+    let first = inst.placed.addr & !(line - 1);
+    let last = (inst.next - 1) & !(line - 1);
     let mut fetch_penalty = 0.0;
     let mut a = first;
     while a <= last {
@@ -32,7 +32,10 @@ pub(crate) fn run(core: &mut Core) -> Result<StageCtx, StepOutcome> {
         }
         a += line;
     }
-    Ok(StageCtx::new(placed, fetch_penalty))
+    Ok(Fetch {
+        inst,
+        penalty: fetch_penalty,
+    })
 }
 
 #[cfg(test)]
@@ -57,18 +60,19 @@ mod tests {
     #[test]
     fn fetch_resolves_the_entry_instruction() {
         let mut c = core();
-        let ctx = run(&mut c).expect("entry fetch");
-        assert_eq!(ctx.placed.addr, 0x1000);
-        assert!(ctx.decode.is_none() && ctx.flow_end.is_none());
+        let f = run(&mut c).expect("entry fetch");
+        assert_eq!(f.inst.placed.addr, 0x1000);
+        assert_eq!(f.inst.index, 0);
+        assert_eq!(f.inst.next, f.inst.placed.next_addr());
     }
 
     #[test]
     fn cold_fetch_pays_a_penalty_warm_fetch_does_not() {
         let mut c = core();
         let cold = run(&mut c).unwrap();
-        assert!(cold.fetch_penalty > 0.0, "first touch misses L1I");
+        assert!(cold.penalty > 0.0, "first touch misses L1I");
         let warm = run(&mut c).unwrap();
-        assert_eq!(warm.fetch_penalty, 0.0, "second touch hits L1I");
+        assert_eq!(warm.penalty, 0.0, "second touch hits L1I");
     }
 
     #[test]

@@ -1,48 +1,34 @@
-//! The stage-to-stage handoff record for one macro-op.
+//! The stage-to-stage handoff records for one macro-op.
 //!
-//! [`Core::step`](crate::Core::step) is a thin orchestrator over four
-//! explicit stages — [`fetch`](crate::fetch), [`decode`](crate::decode),
-//! [`execute`](crate::execute), [`commit`](crate::commit) — and this
-//! context is the only value that travels between them. Each stage fills
-//! in the fields it owns; everything machine-wide stays on `Core`.
+//! [`Core::run`](crate::Core::run) drives four explicit stages —
+//! [`fetch`](crate::fetch), [`decode`](crate::decode),
+//! [`execute`](crate::execute), [`commit`](crate::commit) — and these
+//! records are the only values that travel between them: each stage
+//! returns what the later ones read. Everything machine-wide stays on
+//! `Core`.
 
 use csd::DecodeOutcome;
-use mx86_isa::Placed;
+use mx86_isa::Fetched;
 
-/// Per-macro-op pipeline context, created by fetch and consumed by commit.
-#[derive(Debug)]
-pub(crate) struct StageCtx {
-    /// The fetched instruction and its address.
-    pub placed: Placed,
+/// What fetch hands onward: the resolved instruction (with its dense
+/// index and next address) and the L1I penalty of fetching it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Fetch {
+    /// The instruction, its program index and the address after it.
+    pub inst: Fetched,
     /// Extra front-end latency from L1I misses during fetch.
-    pub fetch_penalty: f64,
-    /// DIFT verdict for the macro-op (filled by decode).
-    pub tainted: bool,
-    /// The CSD decode outcome (filled by decode).
-    pub decode: Option<DecodeOutcome>,
-    /// Fused issue slots the macro-op dispatches as (filled by decode).
-    pub fused_slots: usize,
-    /// How the µop flow ended control-wise (filled by execute).
-    pub flow_end: Option<FlowEnd>,
+    pub penalty: f64,
 }
 
-impl StageCtx {
-    /// A fresh context as the fetch stage hands it onward.
-    pub fn new(placed: Placed, fetch_penalty: f64) -> StageCtx {
-        StageCtx {
-            placed,
-            fetch_penalty,
-            tainted: false,
-            decode: None,
-            fused_slots: 0,
-            flow_end: None,
-        }
-    }
-
-    /// The decode outcome; panics if the decode stage has not run.
-    pub fn outcome(&self) -> &DecodeOutcome {
-        self.decode.as_ref().expect("decode stage ran")
-    }
+/// What decode hands onward: the decode outcome, whose flow is borrowed
+/// from the core's flow table (`'t`) when the table served it, and the
+/// fused issue slots the macro-op dispatches as.
+#[derive(Debug)]
+pub(crate) struct Decoded<'t> {
+    /// The CSD decode outcome.
+    pub out: DecodeOutcome<'t>,
+    /// Fused issue slots (front-end and dispatch accounting).
+    pub fused_slots: u32,
 }
 
 /// The control effect of one executed µop.

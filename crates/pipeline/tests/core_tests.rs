@@ -489,11 +489,44 @@ fn restarted_core_reports_like_a_fresh_one() {
         SimMode::Cycle,
     );
     assert_eq!(worked.run(1_000), StepOutcome::Halted);
-    assert!(worked.memo_stats().inserts > 0 || !worked.memo_enabled());
+    assert!(worked.memo_stats().misses > 0 || !worked.memo_enabled());
     worked.restart();
     let fresh_kernel = fresh.telemetry_report().get("kernel").unwrap().pretty();
     let kernel = worked.telemetry_report().get("kernel").unwrap().pretty();
     assert_eq!(kernel, fresh_kernel);
+}
+
+/// A straight-line program longer than any fixed-size decode cache: its
+/// second run decodes every instruction from the flow table, with no flow
+/// built twice, in both engines.
+#[test]
+fn second_run_of_a_long_straight_line_program_never_rebuilds_a_flow() {
+    let mut a = Assembler::new(0x1000);
+    for i in 0..5_000i64 {
+        a.alu_ri(AluOp::Add, Gpr::Rax, i % 13);
+    }
+    a.halt();
+    let prog = a.finish().unwrap();
+    assert!(prog.len() > 4_096);
+    for mode in [SimMode::Functional, SimMode::Cycle] {
+        let mut core = Core::new(
+            CoreConfig::default(),
+            CsdConfig::default(),
+            prog.clone(),
+            mode,
+        );
+        if !core.memo_enabled() {
+            return; // CSD_DECODE_MEMO=0 disables the table process-wide.
+        }
+        assert_eq!(core.run(10_000), StepOutcome::Halted);
+        assert_eq!(core.memo_stats().misses, prog.len() as u64, "{mode:?}");
+        core.restart();
+        let before = core.stats().insts;
+        assert_eq!(core.run(10_000), StepOutcome::Halted);
+        let m = *core.memo_stats();
+        assert_eq!(m.misses, 0, "{mode:?}: {m:?}");
+        assert_eq!(m.hits, core.stats().insts - before, "{mode:?}: {m:?}");
+    }
 }
 
 #[test]

@@ -14,6 +14,8 @@
 //! - [`fusion`] — micro-op fusion (load-op and decoy `ld/sub` pairs) and
 //!   macro-op fusion (`cmp`/`test` + `jcc`), the front-end optimizations the
 //!   paper leans on to keep custom translations compact.
+//! - [`FlowTable`] — the per-instruction table of built [`Flow`]s that
+//!   lets each instruction be translated once per context.
 //!
 //! ```
 //! use mx86_isa::{Inst, Gpr, MemRef, Width};
@@ -27,14 +29,14 @@
 
 #![warn(missing_docs)]
 
+mod flow;
 pub mod fusion;
-mod memo;
 mod translate;
 mod uop;
 mod ureg;
 
+pub use flow::{Flow, FlowFacts, FlowRef, FlowSlot, FlowTable, MemoStats, Served, Stored};
 pub use fusion::{can_macro_fuse, fuse_slots, fused_len as fused_len_of, Slot};
-pub use memo::{DecodeMemo, MemoEntry, MemoSlot, MemoStats, UopFlow};
 pub use translate::{translate, DecoderClass, Translation, DIV_UOP_COUNT, MSROM_THRESHOLD};
 pub use uop::{DecoyTarget, FOp, FWidth, UMem, Uop, UopKind};
 pub use ureg::UReg;

@@ -60,8 +60,8 @@ fn main() {
     let custom = engine.decode(&nop, false);
     println!(
         "nop translation: native context -> {} µop(s); custom context -> {} µop(s) [{}]",
-        native.translation.uops.len(),
-        custom.translation.uops.len(),
+        native.flow.uops().len(),
+        custom.flow.uops().len(),
         custom.context,
     );
 }

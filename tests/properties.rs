@@ -197,12 +197,7 @@ fn decoys_never_touch_architectural_state() {
             },
         };
         let out = engine.decode(&p, true);
-        let decoys: Vec<_> = out
-            .translation
-            .uops
-            .iter()
-            .filter(|u| u.is_decoy())
-            .collect();
+        let decoys: Vec<_> = out.flow.uops().iter().filter(|u| u.is_decoy()).collect();
         assert_eq!(decoys.len() as u64, 1 + 3 * blocks, "case {case}");
         for u in decoys {
             assert!(u.validate().is_ok(), "case {case}");
