@@ -5,7 +5,7 @@ use crate::inst::{AluOp, Inst, RegImm, VecOp};
 use crate::operand::{MemRef, Width};
 use crate::program::{Placed, Program};
 use crate::reg::{Gpr, Xmm};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
@@ -65,7 +65,7 @@ pub struct Assembler {
     insts: Vec<Placed>,
     labels: Vec<Option<u64>>,
     fixups: Vec<(usize, Label)>,
-    symbols: HashMap<String, u64>,
+    symbols: BTreeMap<String, u64>,
     open_regions: Vec<String>,
 }
 
@@ -78,7 +78,7 @@ impl Assembler {
             insts: Vec::new(),
             labels: Vec::new(),
             fixups: Vec::new(),
-            symbols: HashMap::new(),
+            symbols: BTreeMap::new(),
             open_regions: Vec::new(),
         }
     }

@@ -1,7 +1,7 @@
 //! Assembled programs: instruction streams indexed by address.
 
 use crate::inst::Inst;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// A half-open address range `[start, end)`.
@@ -122,14 +122,17 @@ pub struct Program {
     /// the table is as long as the code and `fetch` is one bounds-checked
     /// load on every dynamic instruction.
     index: Vec<u32>,
-    symbols: HashMap<String, u64>,
+    /// Ordered, unlike a `HashMap` with its per-process random seed, so
+    /// building and dropping a program allocates and frees the names in
+    /// the same order every run and heap use repeats from run to run.
+    symbols: BTreeMap<String, u64>,
     entry: u64,
 }
 
 impl Program {
     pub(crate) fn from_parts(
         insts: Vec<Placed>,
-        symbols: HashMap<String, u64>,
+        symbols: BTreeMap<String, u64>,
         entry: u64,
     ) -> Program {
         let end = insts.last().map_or(entry, Placed::next_addr);
@@ -211,7 +214,7 @@ impl Program {
         self.symbols.get(name).copied()
     }
 
-    /// All symbols as `(name, addr)` pairs.
+    /// All symbols as `(name, addr)` pairs, in name order.
     pub fn symbols(&self) -> impl Iterator<Item = (&str, u64)> {
         self.symbols.iter().map(|(n, &a)| (n.as_str(), a))
     }
