@@ -209,8 +209,8 @@ mod tests {
         // live core: same construction, same warmup, same plaintext
         // stream (a snapshot/restore costs no model time and rewinds the
         // complete machine).
-        let victims = security_victims();
-        let v = victims[0].as_ref(); // aes-enc
+        let victim = csd_exp::security_victim("aes-enc").unwrap();
+        let v = victim.as_ref();
         let mut core = security_core(v, CoreConfig::opt());
         let mut rng = SplitMix64::new(77);
         let mut input = vec![0u8; v.input_len()];

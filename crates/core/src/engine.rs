@@ -385,6 +385,26 @@ impl CsdEngine {
         let d = self.decide(&placed.inst);
         let inst = &placed.inst;
 
+        // The common case: a native decode of an instruction whose flow
+        // the table already holds, with no stealth window intercepting.
+        // That is exactly the path below with nothing to build and no
+        // injection, so it is a hit served straight from the table.
+        if !d.devec && d.patch.is_none() {
+            if let Some(native) = table.slot(index).native {
+                if !self.stealth.should_intercept(placed, tainted) {
+                    table.record(Served::Hit);
+                    let table: &'t FlowTable = table;
+                    return self.finish_decode(
+                        placed,
+                        table.get(native),
+                        ContextId::Native,
+                        &d,
+                        Served::Hit,
+                    );
+                }
+            }
+        }
+
         // Build what the decision needs and the slot lacks: the native
         // flow unless a patch serves the decode, and the devectorized flow
         // when the gate asked for one (a stored one replays the

@@ -36,9 +36,9 @@ pub mod plan;
 pub mod spec;
 
 pub use measure::{
-    measure_blocks, pipelines, policies, policy_by_name, security_core, security_victims,
-    victim_names, warm_up, Pipeline, SecMetrics, CONVENTIONAL_IDLE_GATE, DEFAULT_WATCHDOG,
-    WARMUP_OPS,
+    measure_blocks, pipelines, policies, policy_by_name, security_core, security_victim,
+    security_victims, victim_names, warm_up, Pipeline, SecMetrics, CONVENTIONAL_IDLE_GATE,
+    DEFAULT_WATCHDOG, WARMUP_OPS,
 };
 pub use plan::{
     apply_leg_mode, run_plan, run_plan_with, CheckpointProvider, ExpError, ExperimentResult,

@@ -19,46 +19,85 @@ pub const CONVENTIONAL_IDLE_GATE: u64 = 400;
 /// Operations [`warm_up`] simulates before the measured region.
 pub const WARMUP_OPS: usize = 12;
 
-/// The eight security datapoints: {AES, RSA, Blowfish, Rijndael} ×
-/// {encrypt, decrypt} (paper §VI-A).
-pub fn security_victims() -> Vec<Box<dyn Victim>> {
-    let aes_key: Vec<u8> = (0..16).map(|i| i * 11 + 3).collect();
-    let rij_key: Vec<u8> = (0..32).map(|i| i * 7 + 5).collect();
-    vec![
+/// A security victim's constructor.
+pub(crate) type VictimCtor = fn() -> Box<dyn Victim>;
+
+/// A victim key: byte `i` is `i * mul + add`.
+fn key(len: u8, mul: u8, add: u8) -> Vec<u8> {
+    (0..len).map(|i| i * mul + add).collect()
+}
+
+/// The eight security datapoints, {AES, RSA, Blowfish, Rijndael} ×
+/// {encrypt, decrypt} (paper §VI-A), in grid order: the one name →
+/// constructor list every victim lookup reads. Each name equals its
+/// victim's [`Victim::name`].
+const VICTIMS: [(&str, VictimCtor); 8] = [
+    ("aes-enc", || {
         Box::new(AesVictim::new(
             AesKeySize::K128,
             CipherDir::Encrypt,
-            &aes_key,
-        )),
+            &key(16, 11, 3),
+        ))
+    }),
+    ("aes-dec", || {
         Box::new(AesVictim::new(
             AesKeySize::K128,
             CipherDir::Decrypt,
-            &aes_key,
-        )),
-        Box::new(RsaVictim::named("rsa-enc", 65_537, 1_000_003)),
+            &key(16, 11, 3),
+        ))
+    }),
+    ("rsa-enc", || {
+        Box::new(RsaVictim::named("rsa-enc", 65_537, 1_000_003))
+    }),
+    ("rsa-dec", || {
         Box::new(RsaVictim::named(
             "rsa-dec",
             0xC3A5_55AA_0F0F_1234,
             1_000_003,
-        )),
-        Box::new(BlowfishVictim::new(CipherDir::Encrypt, b"BF-SECRET-KEY")),
-        Box::new(BlowfishVictim::new(CipherDir::Decrypt, b"BF-SECRET-KEY")),
+        ))
+    }),
+    ("blowfish-enc", || {
+        Box::new(BlowfishVictim::new(CipherDir::Encrypt, b"BF-SECRET-KEY"))
+    }),
+    ("blowfish-dec", || {
+        Box::new(BlowfishVictim::new(CipherDir::Decrypt, b"BF-SECRET-KEY"))
+    }),
+    ("rijndael-enc", || {
         Box::new(AesVictim::new(
             AesKeySize::K256,
             CipherDir::Encrypt,
-            &rij_key,
-        )),
+            &key(32, 7, 5),
+        ))
+    }),
+    ("rijndael-dec", || {
         Box::new(AesVictim::new(
             AesKeySize::K256,
             CipherDir::Decrypt,
-            &rij_key,
-        )),
-    ]
+            &key(32, 7, 5),
+        ))
+    }),
+];
+
+/// The constructor of the security victim named `name`.
+pub(crate) fn victim_ctor(name: &str) -> Option<VictimCtor> {
+    VICTIMS.iter().find(|(n, _)| *n == name).map(|&(_, mk)| mk)
 }
 
-/// Names of the eight security victims, in grid order.
+/// Builds the security victim named `name` (one of [`victim_names`]),
+/// and only that one.
+pub fn security_victim(name: &str) -> Option<Box<dyn Victim>> {
+    victim_ctor(name).map(|mk| mk())
+}
+
+/// All eight security victims, in grid order.
+pub fn security_victims() -> Vec<Box<dyn Victim>> {
+    VICTIMS.iter().map(|(_, mk)| mk()).collect()
+}
+
+/// Names of the eight security victims, in grid order (no victim is
+/// built to list them).
 pub fn victim_names() -> Vec<String> {
-    security_victims().iter().map(|v| v.name()).collect()
+    VICTIMS.iter().map(|(n, _)| n.to_string()).collect()
 }
 
 /// A named pipeline-configuration constructor.
@@ -187,6 +226,16 @@ pub fn measure_blocks(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_victim_is_built_under_its_own_name() {
+        let built: Vec<String> = security_victims().iter().map(|v| v.name()).collect();
+        assert_eq!(built, victim_names());
+        for name in victim_names() {
+            assert_eq!(security_victim(&name).map(|v| v.name()), Some(name));
+        }
+        assert!(security_victim("no-such-victim").is_none());
+    }
 
     #[test]
     fn security_suite_has_eight_datapoints() {

@@ -11,7 +11,7 @@
 //! on the shared ordered executor without changing a single output byte.
 
 use crate::measure::{
-    measure_blocks, pipelines, policy_by_name, security_core, security_victims, warm_up, SecMetrics,
+    measure_blocks, pipelines, policy_by_name, security_core, victim_ctor, warm_up, SecMetrics,
 };
 use crate::spec::{ExperimentSpec, Leg, LegMode};
 use csd_crypto::{enable_stealth_for, Victim};
@@ -183,9 +183,7 @@ pub fn run_plan_with(
     provider: &dyn CheckpointProvider,
     jobs: usize,
 ) -> Result<ExperimentResult, ExpError> {
-    let victim_index = security_victims()
-        .iter()
-        .position(|v| v.name() == spec.victim)
+    let new_victim = victim_ctor(&spec.victim)
         .ok_or_else(|| ExpError(format!("unknown victim {:?}", spec.victim)))?;
 
     // Warm phase: fork a parked session when the provider has one (and
@@ -196,8 +194,8 @@ pub fn run_plan_with(
     let (warmed, warm) = match (!spec.cold).then(|| provider.lookup(&key)).flatten() {
         Some(w) => (w, true),
         None => {
-            let victims = security_victims();
-            let victim = victims[victim_index].as_ref();
+            let victim = new_victim();
+            let victim = victim.as_ref();
             let mut core = security_core(victim, core_cfg.clone());
             let mut rng = SplitMix64::new(spec.seed);
             let mut input = vec![0u8; victim.input_len()];
@@ -212,11 +210,11 @@ pub fn run_plan_with(
     };
 
     let run_leg = |leg: &Leg| -> Result<LegResult, ExpError> {
-        // Victims are not Sync; construct one per fork. The fresh core
-        // is fully overwritten by the restore, so every leg measures
-        // from the identical machine state.
-        let victims = security_victims();
-        let victim = victims[victim_index].as_ref();
+        // Victims are not Sync; construct the spec's one per fork. The
+        // fresh core is fully overwritten by the restore, so every leg
+        // measures from the identical machine state.
+        let victim = new_victim();
+        let victim = victim.as_ref();
         let mut core = security_core(victim, core_cfg.clone());
         core.restore(&warmed.snapshot);
         core.mark_plan_leg();

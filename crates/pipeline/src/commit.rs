@@ -26,6 +26,8 @@ pub(crate) fn run(core: &mut Core, f: &Fetch, d: &Decoded, end: Option<FlowEnd>)
     }
 
     // Advance the engine's notion of time (watchdog, gate residency).
+    // Nothing below moves the clock, so `now` is also the retire's final
+    // cycle count.
     let now = core.cycles();
     let delta = now.saturating_sub(core.last_tick);
     if delta > 0 {
@@ -46,7 +48,7 @@ pub(crate) fn run(core: &mut Core, f: &Fetch, d: &Decoded, end: Option<FlowEnd>)
             core.halted = true;
             core.stats.halted = true;
             decode::finalize_window(core);
-            core.stats.cycles = core.cycles();
+            core.stats.cycles = now;
             StepOutcome::Halted
         }
         Some(FlowEnd::Branch(t)) => {
@@ -54,12 +56,12 @@ pub(crate) fn run(core: &mut Core, f: &Fetch, d: &Decoded, end: Option<FlowEnd>)
             // even when the target lies in the same window.
             decode::finalize_window(core);
             core.state.rip = t;
-            core.stats.cycles = core.cycles();
+            core.stats.cycles = now;
             StepOutcome::Running
         }
         None => {
             core.state.rip = f.inst.next;
-            core.stats.cycles = core.cycles();
+            core.stats.cycles = now;
             StepOutcome::Running
         }
     }

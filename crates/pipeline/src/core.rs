@@ -22,6 +22,7 @@
 //! from it.
 
 use crate::branch::BranchPredictor;
+use crate::clock::ceil_u64;
 use crate::config::CoreConfig;
 use crate::decode::WindowBuilder;
 use crate::machine::{ArchState, Memory};
@@ -214,6 +215,10 @@ pub struct Core {
     ckpt: CheckpointStats,
 
     // --- timing state (cycle mode) ---
+    /// `1 / dispatch_width` and `1 / commit_width`: the slot spacing of
+    /// dispatch and commit, divided once here rather than per µop.
+    pub(crate) dispatch_step: f64,
+    pub(crate) commit_step: f64,
     pub(crate) fe_time: f64,
     pub(crate) last_dispatch: f64,
     pub(crate) last_commit: f64,
@@ -273,6 +278,8 @@ impl Core {
             sink: SinkHandle::new(),
             flows,
             ckpt: CheckpointStats::default(),
+            dispatch_step: 1.0 / cfg.dispatch_width as f64,
+            commit_step: 1.0 / cfg.commit_width as f64,
             fe_time: 0.0,
             last_dispatch: 0.0,
             last_commit: 0.0,
@@ -389,7 +396,7 @@ impl Core {
     pub fn cycles(&self) -> u64 {
         match self.mode {
             SimMode::Functional => self.func_cycles,
-            SimMode::Cycle => self.last_commit.ceil() as u64,
+            SimMode::Cycle => ceil_u64(self.last_commit),
         }
     }
 

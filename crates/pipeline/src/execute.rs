@@ -2,6 +2,7 @@
 //! back-end timing model (dispatch bandwidth, operand scoreboarding, port
 //! contention, ROB occupancy, branch redirects).
 
+use crate::clock::later;
 use crate::core::{Core, SimMode};
 use crate::fu;
 use crate::machine::Flags;
@@ -31,10 +32,7 @@ fn execute_flow(core: &mut Core, fetched: &Fetched, uops: &[Uop], stall: u64) ->
         let in_prev_slot =
             timing && core.cfg.fusion_enabled && i > 0 && fusion::can_micro_fuse(&uops[i - 1], u);
         if timing && !in_prev_slot {
-            slot_dispatch = f64::max(
-                inst_ready,
-                core.last_dispatch + 1.0 / core.cfg.dispatch_width as f64,
-            );
+            slot_dispatch = later(inst_ready, core.last_dispatch + core.dispatch_step);
             core.last_dispatch = slot_dispatch;
         }
 
@@ -397,20 +395,20 @@ fn time_uop(core: &mut Core, u: &Uop, dispatch: f64, access_latency: u64) {
     let mut ready = dispatch;
     if core.rob.len() >= core.cfg.rob_entries {
         if let Some(head) = core.rob.pop_front() {
-            ready = f64::max(ready, head);
+            ready = later(ready, head);
         }
     }
     // Operand readiness.
     for src in [u.src1, u.src2].into_iter().flatten() {
-        ready = f64::max(ready, core.sched[src.index()]);
+        ready = later(ready, core.sched[src.index()]);
     }
     if let Some(m) = u.mem {
         for r in m.base.into_iter().chain(m.index.map(|(r, _)| r)) {
-            ready = f64::max(ready, core.sched[r.index()]);
+            ready = later(ready, core.sched[r.index()]);
         }
     }
     if matches!(u.kind, UopKind::Br(_)) {
-        ready = f64::max(ready, core.flags_ready);
+        ready = later(ready, core.flags_ready);
     }
 
     // Port selection and latency.
@@ -450,9 +448,9 @@ fn time_uop(core: &mut Core, u: &Uop, dispatch: f64, access_latency: u64) {
                     acc
                 }
             });
-    let issue = f64::max(ready, unit_free);
+    let issue = later(ready, unit_free);
     port[idx] = issue + occupy;
-    let done = issue + lat.max(1.0);
+    let done = issue + later(lat, 1.0);
 
     // Writeback.
     if let Some(d) = u.dst {
@@ -468,10 +466,10 @@ fn time_uop(core: &mut Core, u: &Uop, dispatch: f64, access_latency: u64) {
 
     // Branch resolution and redirect.
     if u.kind.is_branch() && !u.is_decoy() && core.pending_mispredict {
-        core.fe_time = f64::max(core.fe_time, done + core.cfg.mispredict_penalty as f64);
+        core.fe_time = later(core.fe_time, done + core.cfg.mispredict_penalty as f64);
         core.pending_mispredict = false;
     }
 
     core.rob.push_back(done);
-    core.last_commit = f64::max(done, core.last_commit + 1.0 / core.cfg.commit_width as f64);
+    core.last_commit = later(done, core.last_commit + core.commit_step);
 }

@@ -1,6 +1,7 @@
 //! Fetch stage: resolve the PC to a placed instruction and charge the
 //! L1I for every cache line the encoding spans.
 
+use crate::clock::later;
 use crate::core::{Core, StepOutcome};
 use crate::stage::Fetch;
 use csd_cache::AccessKind;
@@ -25,7 +26,7 @@ pub(crate) fn run(core: &mut Core) -> Result<Fetch, StepOutcome> {
     while a <= last {
         let r = core.hier.access(a, AccessKind::InstFetch);
         if !r.l1_hit() {
-            fetch_penalty = f64::max(
+            fetch_penalty = later(
                 fetch_penalty,
                 (r.latency - core.cfg.hierarchy.l1i.latency) as f64,
             );

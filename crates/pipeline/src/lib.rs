@@ -46,6 +46,7 @@
 #![warn(missing_docs)]
 
 mod branch;
+mod clock;
 mod commit;
 mod config;
 mod core;

@@ -51,13 +51,31 @@ impl csd_telemetry::ToJson for UopCacheStats {
     }
 }
 
+/// One slot of a set: a resident window, or empty when `ways_used == 0`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Entry {
     window: u64,
-    ctx: ContextId,
-    ways_used: usize,
-    fused_uops: u32,
     stamp: u64,
+    fused_uops: u32,
+    ways_used: u16,
+    ctx: ContextId,
+}
+
+const EMPTY: Entry = Entry {
+    window: 0,
+    stamp: 0,
+    fused_uops: 0,
+    ways_used: 0,
+    ctx: ContextId::Native,
+};
+
+/// Removes slot `i` of a set whose `len` resident windows sit packed at
+/// its front: the last one moves into the hole. Returns the new count.
+fn remove(set: &mut [Entry], i: usize, len: usize) -> usize {
+    let last = len - 1;
+    set[i] = set[last];
+    set[last] = EMPTY;
+    last
 }
 
 /// The micro-op cache model.
@@ -65,9 +83,19 @@ struct Entry {
 /// Timing- and occupancy-only: the µop *content* always comes from the decode path
 /// (translations are deterministic), so the cache tracks which windows are
 /// resident, under which context, and how many ways they occupy.
+///
+/// The state is one flat array of `sets × ways` slots, allocated by the
+/// first insert (a core that never caches a window pays nothing for it).
+/// A resident window fills one slot however many ways (lines) it
+/// occupies, so a set never holds more windows than slots. Resident
+/// windows sit packed at the front of their set, and a lookup stops at
+/// the first empty slot. Their order carries no meaning: at most one
+/// slot matches a `(window, context)` pair, and every lookup and insert
+/// takes a fresh clock stamp, so the least-recent window is unique.
 #[derive(Debug, Clone)]
 pub struct UopCache {
-    sets: Vec<Vec<Entry>>,
+    slots: Vec<Entry>,
+    sets: usize,
     ways: usize,
     line_uops: usize,
     max_lines: usize,
@@ -77,14 +105,18 @@ pub struct UopCache {
 
 impl UopCache {
     /// A µop cache with `sets` sets of `ways` ways, `line_uops` fused µops
-    /// per line, and at most `max_lines` lines per window.
+    /// per line, and at most `max_lines` lines per window. A window can
+    /// never occupy more lines than its set has ways, so a `max_lines`
+    /// above `ways` caches no more than `max_lines == ways` does.
     pub fn new(sets: usize, ways: usize, line_uops: usize, max_lines: usize) -> UopCache {
         assert!(sets.is_power_of_two(), "set count must be a power of two");
+        assert!(ways <= usize::from(u16::MAX), "way count must fit a u16");
         UopCache {
-            sets: vec![Vec::new(); sets],
+            slots: Vec::new(),
+            sets,
             ways,
             line_uops,
-            max_lines,
+            max_lines: max_lines.min(ways),
             clock: 0,
             stats: UopCacheStats::default(),
         }
@@ -95,8 +127,13 @@ impl UopCache {
         pc >> 5
     }
 
-    fn set_of(&self, window: u64) -> usize {
-        (window as usize) & (self.sets.len() - 1)
+    /// The slots of `window`'s set (none before the first insert).
+    fn set_mut(&mut self, window: u64) -> &mut [Entry] {
+        if self.slots.is_empty() {
+            return &mut [];
+        }
+        let base = (window as usize & (self.sets - 1)) * self.ways;
+        &mut self.slots[base..base + self.ways]
     }
 
     /// Looks up a window under a context. A hit means the front end can
@@ -105,9 +142,11 @@ impl UopCache {
         self.stats.lookups += 1;
         self.clock += 1;
         let clock = self.clock;
-        let set = self.set_of(window);
         let mut same_window_other_ctx = false;
-        for e in &mut self.sets[set] {
+        for e in self.set_mut(window) {
+            if e.ways_used == 0 {
+                break;
+            }
             if e.window == window {
                 if e.ctx == ctx {
                     e.stamp = clock;
@@ -125,48 +164,60 @@ impl UopCache {
 
     /// Inserts a decoded window. `fused_uops` is the window's total fused
     /// µop count; `cacheable` is false if any instruction's translation was
-    /// not allowed in the µop cache.
+    /// not allowed in the µop cache. A window needing more than the
+    /// per-window line limit (or than a set's ways) is rejected like an
+    /// uncacheable one.
     pub fn insert(&mut self, window: u64, ctx: ContextId, fused_uops: u32, cacheable: bool) {
         let lines = (fused_uops as usize).div_ceil(self.line_uops).max(1);
-        if !cacheable || lines > self.max_lines {
+        let rejected = !cacheable || lines > self.max_lines;
+        if rejected {
             self.stats.rejected += 1;
-            // An uncacheable rebuild invalidates any stale copy.
-            let set = self.set_of(window);
-            self.sets[set].retain(|e| !(e.window == window && e.ctx == ctx));
+        } else {
+            self.clock += 1;
+            self.stats.inserts += 1;
+            if self.slots.is_empty() {
+                self.slots = vec![EMPTY; self.sets * self.ways];
+            }
+        }
+        let stamp = self.clock;
+        let ways = self.ways;
+        let set = self.set_mut(window);
+        let mut len = set.iter().take_while(|e| e.ways_used != 0).count();
+        // A rebuild replaces the window's copy in this context; an
+        // uncacheable one only invalidates it.
+        if let Some(i) = set[..len]
+            .iter()
+            .position(|e| e.window == window && e.ctx == ctx)
+        {
+            len = remove(set, i, len);
+        }
+        if rejected {
             return;
         }
-        self.clock += 1;
-        let stamp = self.clock;
-        let set_idx = self.set_of(window);
-        let set = &mut self.sets[set_idx];
-        set.retain(|e| !(e.window == window && e.ctx == ctx));
-        let used: usize = set.iter().map(|e| e.ways_used).sum();
-        let mut free = self.ways - used;
+        let used: usize = set[..len].iter().map(|e| usize::from(e.ways_used)).sum();
+        let mut free = ways - used;
         while free < lines {
-            // Evict the LRU entry.
-            let (lru_idx, _) = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.stamp)
-                .expect("set cannot be empty while short on ways");
-            free += set[lru_idx].ways_used;
-            set.remove(lru_idx);
+            // Evict the least recently used window; `lines <= ways` means
+            // one is resident whenever the set is short on ways.
+            let lru = (0..len)
+                .min_by_key(|&i| set[i].stamp)
+                .expect("a set short on ways holds a window");
+            free += usize::from(set[lru].ways_used);
+            len = remove(set, lru, len);
         }
-        set.push(Entry {
+        // `len` windows fill at most `ways - lines` ways, so `len < ways`.
+        set[len] = Entry {
             window,
-            ctx,
-            ways_used: lines,
-            fused_uops,
             stamp,
-        });
-        self.stats.inserts += 1;
+            fused_uops,
+            ways_used: lines as u16,
+            ctx,
+        };
     }
 
     /// Invalidates everything (e.g. on microcode update).
     pub fn flush(&mut self) {
-        for s in &mut self.sets {
-            s.clear();
-        }
+        self.slots.fill(EMPTY);
     }
 
     /// Accumulated statistics.
@@ -181,7 +232,7 @@ impl UopCache {
 
     /// Total µops currently resident (diagnostics).
     pub fn resident_uops(&self) -> u32 {
-        self.sets.iter().flatten().map(|e| e.fused_uops).sum()
+        self.slots.iter().map(|e| e.fused_uops).sum()
     }
 }
 
@@ -222,6 +273,19 @@ mod tests {
         assert_eq!(c.stats().rejected, 1);
         c.insert(0x41, ContextId::Native, 18, true); // exactly 3 lines
         assert!(c.lookup(0x41, ContextId::Native));
+    }
+
+    #[test]
+    fn windows_wider_than_the_set_are_rejected_not_a_panic() {
+        // Three lines may be allowed per window, but a set has two ways.
+        let mut c = UopCache::new(32, 2, 6, 3);
+        c.insert(0x40, ContextId::Native, 12, true); // 2 lines: fits
+        assert!(c.lookup(0x40, ContextId::Native));
+        c.insert(0x40, ContextId::Native, 18, true); // 3 lines: cannot
+        assert_eq!(c.stats().rejected, 1);
+        assert_eq!(c.stats().inserts, 1);
+        assert!(!c.lookup(0x40, ContextId::Native), "stale window must go");
+        assert_eq!(c.resident_uops(), 0);
     }
 
     #[test]
