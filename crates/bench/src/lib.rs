@@ -1,33 +1,30 @@
 //! # csd-bench — the figure/table reproduction harness
 //!
-//! One function per experiment family, shared by the `suite` runner, the
-//! `ablation` binary and the micro-benchmarks. `suite` runs every figure
-//! and table as one task grid and writes one JSON report;
-//! `suite --render` prints the paper's tables from that report
-//! ([`render`]), and `EXPERIMENTS.md` records paper-vs-measured values.
+//! One function per experiment family, shared by the `suite` runner and
+//! the tests. `suite` runs every figure and table as one task grid and
+//! writes one JSON report; `suite --render` prints the paper's tables
+//! from that report ([`render`]), and `EXPERIMENTS.md` records
+//! paper-vs-measured values. The ablations DESIGN.md names are checked
+//! tests (`tests/ablations.rs`), not report entries.
 //!
 //! Security experiments (warm-fork-measure over victims) execute through
-//! the `csd-exp` plan layer; this crate re-exports its measurement
-//! vocabulary and adds the figure-shaped assembly ([`SecurityRow`]) plus
-//! the devectorization family on top.
+//! the `csd-exp` plan layer; this crate adds the figure-shaped assembly
+//! ([`SecurityRow`]) plus the devectorization family on top.
 
 #![warn(missing_docs)]
 
-pub mod microbench;
 pub mod render;
 pub mod suite;
 pub mod tasks;
 
 use csd::{CsdConfig, VpuPolicy};
+use csd_exp::{ExperimentResult, SecMetrics};
 use csd_pipeline::{Core, CoreConfig, SimMode, SimStats, StepOutcome};
 use csd_power::{Activity, EnergyBreakdown, EnergyModel, Unit};
 use csd_telemetry::{Json, ToJson};
 use csd_workloads::Workload;
 
-pub use csd_exp::{
-    measure_blocks, policies, security_core, security_victims, warm_up, ExperimentResult,
-    SecMetrics, CONVENTIONAL_IDLE_GATE, DEFAULT_WATCHDOG, WARMUP_OPS,
-};
+pub use csd_exp::policies;
 
 /// One row of the Figure 8/9/10 family for a single benchmark.
 #[derive(Debug, Clone)]
@@ -164,15 +161,6 @@ pub fn run_devec(workload: &Workload, policy: VpuPolicy) -> DevecRun {
     }
 }
 
-/// Pretty-prints a fixed-width table row.
-pub fn row(cols: &[String], widths: &[usize]) -> String {
-    cols.iter()
-        .zip(widths)
-        .map(|(c, w)| format!("{c:>w$}"))
-        .collect::<Vec<_>>()
-        .join("  ")
-}
-
 /// VPU-relevant share of the energy breakdown, for Figure 12's stacked
 /// bars: `(vpu_dynamic, vpu_leakage+overhead, rest)`.
 fn energy_split(e: &EnergyBreakdown) -> (f64, f64, f64) {
@@ -185,7 +173,10 @@ fn energy_split(e: &EnergyBreakdown) -> (f64, f64, f64) {
 mod tests {
     use super::*;
     use csd::DevecThresholds;
-    use csd_exp::{run_plan, ExperimentSpec, LegMode, NoCache};
+    use csd_exp::{
+        measure_blocks, run_plan, security_core, warm_up, ExperimentSpec, LegMode, NoCache,
+        DEFAULT_WATCHDOG,
+    };
     use csd_telemetry::SplitMix64;
 
     #[test]
@@ -260,7 +251,6 @@ mod tests {
             pipeline: "opt".to_string(),
             seed: 5,
             blocks: 2,
-            cold: false,
             legs: vec![
                 csd_exp::Leg::new(LegMode::Base),
                 csd_exp::Leg::new(LegMode::Devec {

@@ -536,8 +536,8 @@ fn assemble(cfg: &SuiteConfig, results: &Results) -> SuiteReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{security_row, DEFAULT_WATCHDOG};
-    use csd_exp::{run_plan_with, ExperimentSpec, NoCache};
+    use crate::security_row;
+    use csd_exp::{run_plan_with, ExperimentSpec, DEFAULT_WATCHDOG};
     use csd_pipeline::CoreConfig;
     use csd_telemetry::derive_seed;
 
@@ -569,7 +569,7 @@ mod tests {
         let seed = derive_seed(0xC5D_2018, "sec/opt/aes-enc");
         let spec = ExperimentSpec::pair("aes-enc", "opt", seed, 2, DEFAULT_WATCHDOG);
         let run = |cfg: CoreConfig| {
-            let result = run_plan_with(&spec, cfg, &NoCache, 1).unwrap();
+            let result = run_plan_with(&spec, cfg, 1).unwrap();
             security_row(&result).to_json().pretty()
         };
         let on = run(CoreConfig::opt());

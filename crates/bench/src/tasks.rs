@@ -7,11 +7,11 @@
 //! workload both build their work from this one definition, so a task
 //! yields the same bytes however it is selected.
 
+use crate::security_row;
 use crate::suite::SuiteConfig;
-use crate::{policies, security_row, DEFAULT_WATCHDOG};
 use csd_attack::{aes_attack, rsa_attack, AesAttackConfig, AttackMethod, Defense, RsaAttackConfig};
 use csd_crypto::RsaVictim;
-use csd_exp::{run_plan, ExperimentSpec, LegMode, NoCache};
+use csd_exp::{policies, run_plan, ExperimentSpec, LegMode, NoCache, DEFAULT_WATCHDOG};
 use csd_pipeline::CoreConfig;
 use csd_telemetry::{derive_seed, Json, ToJson};
 use csd_workloads::{specs, Workload};

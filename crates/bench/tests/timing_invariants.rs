@@ -15,11 +15,15 @@
 //! - decoys are µops: `decoy_uops ≤ uops`;
 //! - every instruction is delivered by exactly one front-end path:
 //!   `uop_cache_insts + legacy_insts + msrom_insts == insts`.
+//!
+//! One relation spans legs: stealth only adds decoy µops to the victim's
+//! own instruction stream, so a stealth leg forked from a plan's warmed
+//! checkpoint retires at least as many µops as the plan's base leg.
 
 use csd_bench::{policies, run_devec};
 use csd_exp::{
-    apply_leg_mode, measure_blocks, pipelines, security_core, security_victim, victim_names,
-    warm_up, LegMode, DEFAULT_WATCHDOG,
+    apply_leg_mode, measure_blocks, pipelines, run_plan, security_core, security_victim,
+    victim_names, warm_up, ExperimentSpec, LegMode, NoCache, DEFAULT_WATCHDOG,
 };
 use csd_pipeline::{CoreConfig, SimStats};
 use csd_telemetry::SplitMix64;
@@ -90,6 +94,46 @@ fn security_legs_keep_the_timing_invariants() {
                 check(&label, core.stats(), core.config());
             }
         }
+    }
+}
+
+/// Watchdog periods of the full-profile Figure 11 sweep.
+const WD_PERIODS: [u64; 6] = [1000, 2000, 4000, 6000, 8000, 10_000];
+
+#[test]
+fn stealth_legs_retire_at_least_the_base_legs_uops() {
+    let check_plan = |spec: &ExperimentSpec| {
+        let r = run_plan(spec, &NoCache, 1).expect("grid names resolve");
+        let base = r.legs[0].metrics;
+        for leg in &r.legs[1..] {
+            assert!(
+                leg.metrics.uops >= base.uops,
+                "{}/{} {:?}: stealth {} µops < base {}",
+                spec.pipeline,
+                spec.victim,
+                leg.mode,
+                leg.metrics.uops,
+                base.uops
+            );
+        }
+    };
+    for name in victim_names() {
+        for (pipeline, _) in pipelines() {
+            check_plan(&ExperimentSpec::pair(
+                &name,
+                pipeline,
+                0x7131,
+                BLOCKS,
+                DEFAULT_WATCHDOG,
+            ));
+        }
+        check_plan(&ExperimentSpec::watchdog_sweep(
+            &name,
+            "opt",
+            0x7131,
+            BLOCKS,
+            &WD_PERIODS,
+        ));
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release -p csd-difftest --bin fuzz -- \
-//!     [--seed S] [--iters N] [--corpus DIR] [--modes FILTER] \
+//!     [--seed S] [--iters N | --programs N] [--corpus DIR] [--modes FILTER] \
 //!     [--jobs J] [--out PATH] [--coverage-out PATH] [--baseline PATH]
 //! ```
 //!
@@ -13,10 +13,16 @@
 //! accumulated coverage map (`--coverage-out`). Output is byte-identical
 //! for a given seed/iters/modes at any `--jobs` setting.
 //!
+//! `--programs N` replaces the campaign with a no-mutation sweep: `N`
+//! freshly generated programs, each cosimulated once over the selected
+//! legs, for long soak runs. Findings are shrunk and persisted the same
+//! way, and the summary reports `programs` and the reference
+//! interpreter's `ref_insts` in place of `iters`.
+//!
 //! Exit status: `0` clean, `1` new divergence found, `2` usage or I/O
 //! error, `3` coverage regressed below the `--baseline` document.
 
-use csd_difftest::{fnv1a64, fuzz, load_corpus, FuzzConfig};
+use csd_difftest::{active_legs, fnv1a64, fuzz, load_corpus, sweep, FuzzConfig};
 use csd_telemetry::{write_atomic, Json, ToJson};
 use std::path::{Path, PathBuf};
 
@@ -32,6 +38,7 @@ fn main() {
         modes: None,
         jobs: 1,
     };
+    let mut programs: Option<u64> = None;
     let mut corpus_dir = csd_difftest::default_corpus_dir();
     let mut out_path: Option<String> = None;
     let mut coverage_out: Option<String> = None;
@@ -54,6 +61,13 @@ fn main() {
                     .parse()
                     .unwrap_or_else(|_| die("--iters needs a non-negative integer"));
             }
+            "--programs" => {
+                programs = Some(
+                    value("--programs")
+                        .parse()
+                        .unwrap_or_else(|_| die("--programs needs a non-negative integer")),
+                );
+            }
             "--modes" => {
                 let m = value("--modes");
                 cfg.modes = (m != "all").then_some(m);
@@ -69,13 +83,14 @@ fn main() {
             "--baseline" => baseline = Some(value("--baseline")),
             "--help" | "-h" => {
                 println!(
-                    "usage: fuzz [--seed S] [--iters N] [--corpus DIR] [--modes FILTER]\n\
+                    "usage: fuzz [--seed S] [--iters N | --programs N] [--corpus DIR] [--modes FILTER]\n\
                      \x20           [--jobs J] [--out PATH] [--coverage-out PATH] [--baseline PATH]\n\
                      Coverage-guided differential fuzzing over the CSD mode matrix.\n\
                      Interesting inputs (divergences, new coverage) are shrunk and\n\
                      persisted into the corpus directory as reassemblable .asm + .json\n\
                      pairs. Deterministic: same seed/iters/modes => byte-identical\n\
                      corpus and coverage output at any --jobs setting.\n\
+                     --programs N sweeps N generated programs without mutation.\n\
                      Exit: 0 clean, 1 new divergence, 2 error, 3 coverage < baseline."
                 );
                 return;
@@ -86,16 +101,29 @@ fn main() {
 
     let seed_corpus =
         load_corpus(&corpus_dir).unwrap_or_else(|e| die(&format!("loading corpus: {e}")));
+    let work = match programs {
+        Some(n) => format!("programs={n}"),
+        None => format!("iters={}", cfg.iters),
+    };
     eprintln!(
-        "fuzz: seed={} iters={} corpus={} entries={} jobs={}",
+        "fuzz: seed={} {work} corpus={} entries={} jobs={}",
         cfg.seed,
-        cfg.iters,
         corpus_dir.display(),
         seed_corpus.len(),
         cfg.jobs
     );
 
-    let outcome = fuzz(&cfg, &seed_corpus);
+    let modes = cfg.modes.as_deref();
+    if active_legs(modes).is_empty() {
+        die(&format!(
+            "--modes {:?} matches no legs",
+            modes.unwrap_or("all")
+        ));
+    }
+    let (outcome, ref_insts) = match programs {
+        Some(n) => sweep(cfg.seed, n, modes, cfg.jobs),
+        None => (fuzz(&cfg, &seed_corpus), 0),
+    };
 
     for entry in outcome.failures.iter().chain(&outcome.discoveries) {
         entry
@@ -123,11 +151,19 @@ fn main() {
         })
         .unwrap_or_default();
 
-    let summary = Json::obj([
+    let mut summary = vec![
         ("schema", Json::from("csd-fuzz/1")),
         ("seed", Json::from(cfg.seed)),
-        ("iters", Json::from(cfg.iters)),
-        ("modes", Json::from(cfg.modes.as_deref().unwrap_or("all"))),
+    ];
+    match programs {
+        Some(n) => summary.extend([
+            ("programs", Json::from(n)),
+            ("ref_insts", Json::from(ref_insts)),
+        ]),
+        None => summary.push(("iters", Json::from(cfg.iters))),
+    }
+    summary.extend([
+        ("modes", Json::from(modes.unwrap_or("all"))),
         ("corpus_entries", Json::from(seed_corpus.len() as u64)),
         ("evaluated", Json::from(outcome.evaluated)),
         ("coverage_bins", Json::from(outcome.coverage.bins())),
@@ -164,6 +200,7 @@ fn main() {
             }),
         ),
     ]);
+    let summary = Json::obj(summary);
 
     if let Some(p) = &coverage_out {
         let mut text = coverage_json.pretty();

@@ -26,6 +26,10 @@
 //!
 //! Two runs with the same seed, iteration count, and mode filter produce
 //! byte-identical corpus files and coverage JSON.
+//!
+//! [`sweep`] is the same evaluate-and-admit path without mutation: it
+//! cosimulates a fixed stream of freshly generated programs, the mode
+//! behind `fuzz --programs N`, and is deterministic the same way.
 
 use crate::corpus::CorpusEntry;
 use crate::generator::Generator;
@@ -100,21 +104,22 @@ fn select(legs: &[ModeLeg], mask: u32) -> Vec<ModeLeg> {
 }
 
 /// One pure evaluation: cosimulate `input` over its selected legs with a
-/// fresh coverage map. Returns the map and the observed divergence-class
-/// set (sorted). Inputs are valid by construction, but a candidate that
-/// somehow fails to assemble is reported as class `reference`.
-fn evaluate(input: &FuzzInput, legs: &[ModeLeg]) -> (CoverageMap, Vec<String>) {
+/// fresh coverage map. Returns the map, the observed divergence-class
+/// set (sorted) and the reference interpreter's retired instructions.
+/// Inputs are valid by construction, but a candidate that somehow fails
+/// to assemble is reported as class `reference`.
+fn evaluate(input: &FuzzInput, legs: &[ModeLeg]) -> (CoverageMap, Vec<String>, u64) {
     let Ok(p) = input.program.assemble() else {
         let mut m = CoverageMap::new();
         m.record_divergence("reference");
-        return (m, vec!["reference".into()]);
+        return (m, vec!["reference".into()], 0);
     };
     let map = Arc::new(Mutex::new(CoverageMap::new()));
     let result = cosim_with_coverage(&p, &select(legs, input.leg_mask), None, Some(&map));
     let mut classes: Vec<String> = result.classes().iter().map(|s| s.to_string()).collect();
     classes.sort();
     let map = map.lock().map(|m| m.clone()).unwrap_or_default();
-    (map, classes)
+    (map, classes, result.ref_insts)
 }
 
 /// Sorted divergence-class set of `input` (no coverage recording) — the
@@ -170,7 +175,7 @@ pub fn fuzz(cfg: &FuzzConfig, seed_corpus: &[CorpusEntry]) -> FuzzOutcome {
 
     // Prime global coverage with the seed population, sequentially.
     for input in &population {
-        let (cov, classes) = evaluate(input, &legs);
+        let (cov, classes, _) = evaluate(input, &legs);
         global.merge(&cov);
         if !classes.is_empty() {
             // A seed that already diverges is a finding in its own right
@@ -209,7 +214,7 @@ pub fn fuzz(cfg: &FuzzConfig, seed_corpus: &[CorpusEntry]) -> FuzzOutcome {
         });
 
         // Fold sequentially in candidate order.
-        for (k, (cov, classes)) in results.into_iter().enumerate() {
+        for (k, (cov, classes, _)) in results.into_iter().enumerate() {
             evaluated += 1;
             let input = &candidates[k];
             let origin = format!("fuzz seed {:#x} round {round} candidate {k}", cfg.seed);
@@ -237,7 +242,7 @@ pub fn fuzz(cfg: &FuzzConfig, seed_corpus: &[CorpusEntry]) -> FuzzOutcome {
                     program: gp.clone(),
                     leg_mask: input.leg_mask,
                 };
-                let (c, cls) = evaluate(&candidate, &legs);
+                let (c, cls, _) = evaluate(&candidate, &legs);
                 cls.is_empty() && c.covers_all(&new_bins)
             });
             let kept = FuzzInput {
@@ -246,7 +251,7 @@ pub fn fuzz(cfg: &FuzzConfig, seed_corpus: &[CorpusEntry]) -> FuzzOutcome {
             };
             // The shrunk variant's own coverage also feeds the map (it
             // reaches the new bins by construction).
-            let (cov, _) = evaluate(&kept, &legs);
+            let (cov, ..) = evaluate(&kept, &legs);
             global.merge(&cov);
             let entry = CorpusEntry::new(
                 kept.program.clone(),
@@ -267,6 +272,64 @@ pub fn fuzz(cfg: &FuzzConfig, seed_corpus: &[CorpusEntry]) -> FuzzOutcome {
         discoveries,
         evaluated,
     }
+}
+
+/// Programs a [`sweep`] hands the executor at once. It bounds what a long
+/// sweep holds in memory; the output does not depend on it.
+const SWEEP_CHUNK: u64 = 64;
+
+/// A no-mutation sweep: cosimulates the program generated from
+/// [`derive_seed`]`(seed, "difftest/<i>")` for every `i` in `0..programs`
+/// (the seed stream of the former standalone `difftest` runner, so old
+/// seeds reproduce) over the full leg set selected by `modes`,
+/// evaluating on the shared ordered executor at `jobs` and folding in
+/// program order, so the result is the same at any job count. Every
+/// divergence is shrunk and admitted like a campaign finding. Nothing is
+/// mutated, so the outcome has no discoveries. Also returns the total of
+/// instructions the reference interpreter retired over the swept programs.
+pub fn sweep(seed: u64, programs: u64, modes: Option<&str>, jobs: usize) -> (FuzzOutcome, u64) {
+    let legs = active_legs(modes);
+    assert!(!legs.is_empty(), "mode filter matched no legs");
+    let mut global = CoverageMap::new();
+    let mut failures: Vec<CorpusEntry> = Vec::new();
+    let mut seen_names: BTreeSet<String> = BTreeSet::new();
+    let mut seen_classes: BTreeSet<Vec<String>> = BTreeSet::new();
+    let mut ref_insts = 0u64;
+
+    for start in (0..programs).step_by(SWEEP_CHUNK as usize) {
+        let inputs: Vec<FuzzInput> = (start..programs.min(start + SWEEP_CHUNK))
+            .map(|i| {
+                let s = derive_seed(seed, &format!("difftest/{i}"));
+                FuzzInput::full_matrix(Generator::new(s).program(), legs.len())
+            })
+            .collect();
+        let Ok(results) = ordered_map(jobs, &inputs, |input| {
+            Ok::<_, Infallible>(evaluate(input, &legs))
+        });
+        for (k, (cov, classes, insts)) in results.into_iter().enumerate() {
+            global.merge(&cov);
+            ref_insts += insts;
+            if !classes.is_empty() {
+                admit_failure(
+                    &inputs[k],
+                    &classes,
+                    &legs,
+                    &format!("sweep seed {seed:#x} program {}", start + k as u64),
+                    &mut failures,
+                    &mut seen_names,
+                    &mut seen_classes,
+                );
+            }
+        }
+    }
+
+    let outcome = FuzzOutcome {
+        coverage: global,
+        failures,
+        discoveries: Vec::new(),
+        evaluated: programs,
+    };
+    (outcome, ref_insts)
 }
 
 /// Shrinks a diverging input class-preservingly and records it. One
@@ -351,6 +414,43 @@ mod tests {
                 .map(|f| (&f.name, &f.divergence))
                 .collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn sweep_is_reproducible_across_job_counts() {
+        let render = |jobs| {
+            let (o, ref_insts) = sweep(1, 12, Some("fun-...."), jobs);
+            let cov = csd_telemetry::ToJson::to_json(&o.coverage).dump();
+            (
+                cov,
+                o.failures.len(),
+                o.discoveries.len(),
+                o.evaluated,
+                ref_insts,
+            )
+        };
+        let one = render(1);
+        assert_eq!(one, render(3), "job count must not change the sweep");
+        assert_eq!((one.1, one.2, one.3), (0, 0, 12));
+    }
+
+    #[test]
+    fn sweep_checks_the_standalone_runners_programs() {
+        // Seed 1's first 500 programs are the stream the former
+        // standalone `difftest` runner checked; it reported 62,793
+        // reference instructions for them.
+        let ref_insts = |i| {
+            let p = Generator::new(derive_seed(1, &format!("difftest/{i}")))
+                .program()
+                .assemble()
+                .expect("generated programs assemble");
+            let mut cpu = crate::RefCpu::new(p.entry());
+            cpu.run(&p, crate::harness::MAX_INSTS);
+            cpu.retired
+        };
+        assert_eq!((0..500).map(ref_insts).sum::<u64>(), 62_793);
+        let (_, swept) = sweep(1, 6, Some("fun-...."), 2);
+        assert_eq!(swept, (0..6).map(ref_insts).sum::<u64>());
     }
 
     #[test]

@@ -29,10 +29,11 @@
 //!   stealth bins, memo/µop-cache outcomes, divergence classes) decides
 //!   which mutants survive, and survivors are shrunk and persisted.
 //!
-//! The bounded entry point lives in `tests/`; the long-run random fuzzer
-//! is the `difftest` binary (`--seed`, `--programs`, `--modes`), and the
-//! coverage-guided fuzzer is the `fuzz` binary (`--seed`, `--iters`,
-//! `--corpus`, `--modes`).
+//! The bounded entry point lives in `tests/`. The `fuzz` binary is the
+//! one command-line entry: a coverage-guided campaign (`--seed`,
+//! `--iters`, `--corpus`, `--modes`, `--jobs`), or with `--programs N` a
+//! no-mutation [`sweep`] of `N` freshly generated programs for long soak
+//! runs.
 
 #![warn(missing_docs)]
 
@@ -47,7 +48,7 @@ pub mod shrink;
 
 pub use asm::parse_asm;
 pub use corpus::{default_corpus_dir, fnv1a64, load_corpus, CorpusEntry, CORPUS_SCHEMA};
-pub use fuzz::{active_legs, fuzz, FuzzConfig, FuzzOutcome};
+pub use fuzz::{active_legs, fuzz, sweep, FuzzConfig, FuzzOutcome};
 pub use generator::{GenOp, GenProgram, Generator};
 pub use harness::{
     cosim, cosim_with_coverage, mode_matrix, reference_halts, CosimResult, Divergence,

@@ -8,16 +8,14 @@
 //! - [`ExperimentSpec`] — a typed description of an experiment: victim,
 //!   pipeline, seed, and a list of [`Leg`]s;
 //! - [`run_plan`] — the single warm-fork-measure implementation. It
-//!   warms once (or fetches a parked checkpoint from a
-//!   [`CheckpointProvider`]), snapshots, and forks every leg from the
-//!   shared checkpoint, optionally on a scoped thread pool;
+//!   warms once, snapshots, and forks every leg from the shared
+//!   checkpoint, optionally on the shared ordered executor;
 //! - [`LegResult`] / [`ExperimentResult`] — typed outcomes with one
 //!   `ToJson` schema shared by the suite and the examples.
 //!
 //! The measurement vocabulary (victims, pipeline configurations, VPU
 //! policies, the warmed-core recipe) lives in [`measure`] and is
-//! re-exported at the crate root; `csd-bench` re-exports it in turn so
-//! figure binaries keep their historical imports.
+//! re-exported at the crate root.
 //!
 //! ```
 //! use csd_exp::{run_plan, ExperimentSpec, NoCache};
@@ -41,7 +39,6 @@ pub use measure::{
     DEFAULT_WATCHDOG, WARMUP_OPS,
 };
 pub use plan::{
-    apply_leg_mode, run_plan, run_plan_with, CheckpointProvider, ExpError, ExperimentResult,
-    LegResult, NoCache, SessionKey, Warmed,
+    apply_leg_mode, run_plan, run_plan_with, ExpError, ExperimentResult, LegResult, NoCache,
 };
 pub use spec::{ExperimentSpec, Leg, LegMode};

@@ -2,64 +2,25 @@
 //!
 //! [`run_plan`] is the single implementation of the paper's
 //! warm-fork-measure pattern. The victim warms up with stealth off, the
-//! complete machine is snapshotted (or fetched from a
-//! [`CheckpointProvider`]), and every [`Leg`] forks a fresh core from
-//! the shared checkpoint — restoring the snapshot, applying the leg's
-//! decode-context change, and measuring. Forks are byte-identical to
-//! cold runs because a snapshot captures the complete modeled machine,
-//! so warm results never depend on cache state; independent legs may run
-//! on the shared ordered executor without changing a single output byte.
+//! complete machine is snapshotted, and every [`Leg`] forks a fresh core
+//! from the shared checkpoint — restoring the snapshot, applying the
+//! leg's decode-context change, and measuring. Forks are byte-identical
+//! to unforked runs because a snapshot captures the complete modeled
+//! machine, so independent legs may run on the shared ordered executor
+//! without changing a single output byte.
 
 use crate::measure::{
     measure_blocks, pipelines, policy_by_name, security_core, victim_ctor, warm_up, SecMetrics,
 };
 use crate::spec::{ExperimentSpec, Leg, LegMode};
 use csd_crypto::{enable_stealth_for, Victim};
-use csd_pipeline::{Core, CoreConfig, CoreSnapshot};
+use csd_pipeline::{Core, CoreConfig};
 use csd_telemetry::{ordered_map, Json, SplitMix64, ToJson};
-use std::sync::Arc;
 
-/// Everything the warmed state of a session depends on.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct SessionKey {
-    /// Victim benchmark name, e.g. `aes-enc`.
-    pub victim: String,
-    /// Pipeline configuration name (`opt` / `noopt`).
-    pub pipeline: String,
-    /// Input-stream seed.
-    pub seed: u64,
-}
-
-/// A warmed session: the checkpoint plus the RNG positioned just past
-/// warm-up. Cloning is cheap (`Arc` + `Copy`), which is what lets many
-/// concurrent legs fork the same checkpoint.
-#[derive(Clone)]
-pub struct Warmed {
-    /// Snapshot of the complete modeled machine after warm-up.
-    pub snapshot: Arc<CoreSnapshot>,
-    /// Input RNG positioned at the start of the measured region.
-    pub rng: SplitMix64,
-}
-
-/// Where the plan executor parks and fetches warmed checkpoints. Every
-/// consumer in the workspace re-warms each time and passes [`NoCache`],
-/// the one implementation; the trait keeps `run_plan`'s signature.
-pub trait CheckpointProvider: Sync {
-    /// Fetches a previously warmed session, if one is parked.
-    fn lookup(&self, key: &SessionKey) -> Option<Warmed>;
-    /// Parks a freshly warmed session for future plans.
-    fn store(&self, key: SessionKey, warmed: Warmed);
-}
-
-/// A provider that never caches: every plan warms from scratch.
+/// The checkpoint argument of [`run_plan`]. Plans never park warmed
+/// checkpoints: each plan warms from scratch, because no grid forks one
+/// warmed state from two plans.
 pub struct NoCache;
-
-impl CheckpointProvider for NoCache {
-    fn lookup(&self, _key: &SessionKey) -> Option<Warmed> {
-        None
-    }
-    fn store(&self, _key: SessionKey, _warmed: Warmed) {}
-}
 
 /// A plan-execution failure (a victim, pipeline or policy name that does
 /// not resolve). These are errors, not panics, so a bad spec fails the
@@ -110,10 +71,6 @@ pub struct ExperimentResult {
     pub pipeline: String,
     /// Input-stream seed.
     pub seed: u64,
-    /// Whether the warm state came from the checkpoint provider.
-    /// Deliberately *not* part of [`ExperimentResult::to_json`]: warm
-    /// and cold documents must stay byte-identical.
-    pub warm: bool,
     /// Per-leg outcomes, in spec order.
     pub legs: Vec<LegResult>,
 }
@@ -151,6 +108,8 @@ pub fn apply_leg_mode(
 }
 
 /// Runs a plan, resolving the spec's pipeline name to its configuration.
+/// The checkpoint argument is always [`NoCache`]; it stays because the
+/// benchmark package (`perfbench/`) calls `run_plan(&spec, &NoCache, 1)`.
 ///
 /// # Errors
 ///
@@ -158,21 +117,19 @@ pub fn apply_leg_mode(
 /// policy).
 pub fn run_plan(
     spec: &ExperimentSpec,
-    provider: &dyn CheckpointProvider,
+    _checkpoints: &NoCache,
     jobs: usize,
 ) -> Result<ExperimentResult, ExpError> {
     let (_, mk) = *pipelines()
         .iter()
         .find(|(n, _)| *n == spec.pipeline)
         .ok_or_else(|| ExpError(format!("unknown pipeline {:?}", spec.pipeline)))?;
-    run_plan_with(spec, mk(), provider, jobs)
+    run_plan_with(spec, mk(), jobs)
 }
 
 /// [`run_plan`] with an explicit core configuration, for consumers that
-/// sweep configurations outside the named `opt`/`noopt` grid (ablations,
-/// the memo-transparency test). The spec's `pipeline` field still keys
-/// the checkpoint provider, so callers must not reuse a cached name for
-/// a different configuration.
+/// sweep configurations outside the named `opt`/`noopt` grid (the
+/// µop-cache ablation, the memo-transparency test).
 ///
 /// # Errors
 ///
@@ -180,33 +137,20 @@ pub fn run_plan(
 pub fn run_plan_with(
     spec: &ExperimentSpec,
     core_cfg: CoreConfig,
-    provider: &dyn CheckpointProvider,
     jobs: usize,
 ) -> Result<ExperimentResult, ExpError> {
     let new_victim = victim_ctor(&spec.victim)
         .ok_or_else(|| ExpError(format!("unknown victim {:?}", spec.victim)))?;
 
-    // Warm phase: fork a parked session when the provider has one (and
-    // the spec doesn't force cold), else warm from scratch. A cold run
-    // still parks its session — skipping the *lookup* is what `cold`
-    // means, not skipping the store.
-    let key = spec.key();
-    let (warmed, warm) = match (!spec.cold).then(|| provider.lookup(&key)).flatten() {
-        Some(w) => (w, true),
-        None => {
-            let victim = new_victim();
-            let victim = victim.as_ref();
-            let mut core = security_core(victim, core_cfg.clone());
-            let mut rng = SplitMix64::new(spec.seed);
-            let mut input = vec![0u8; victim.input_len()];
-            warm_up(&mut core, victim, &mut rng, &mut input);
-            let w = Warmed {
-                snapshot: Arc::new(core.snapshot()),
-                rng,
-            };
-            provider.store(key, w.clone());
-            (w, false)
-        }
+    // Warm phase: warm once from scratch and snapshot the machine.
+    let (snapshot, rng) = {
+        let victim = new_victim();
+        let victim = victim.as_ref();
+        let mut core = security_core(victim, core_cfg.clone());
+        let mut rng = SplitMix64::new(spec.seed);
+        let mut input = vec![0u8; victim.input_len()];
+        warm_up(&mut core, victim, &mut rng, &mut input);
+        (core.snapshot(), rng)
     };
 
     let run_leg = |leg: &Leg| -> Result<LegResult, ExpError> {
@@ -216,9 +160,9 @@ pub fn run_plan_with(
         let victim = new_victim();
         let victim = victim.as_ref();
         let mut core = security_core(victim, core_cfg.clone());
-        core.restore(&warmed.snapshot);
+        core.restore(&snapshot);
         core.mark_plan_leg();
-        let mut rng = warmed.rng;
+        let mut rng = rng;
         let mut input = vec![0u8; victim.input_len()];
         apply_leg_mode(&leg.mode, victim, &mut core)?;
         let blocks = leg.blocks.unwrap_or(spec.blocks);
@@ -236,7 +180,6 @@ pub fn run_plan_with(
         victim: spec.victim.clone(),
         pipeline: spec.pipeline.clone(),
         seed: spec.seed,
-        warm,
         legs,
     })
 }
@@ -252,7 +195,6 @@ mod tests {
             pipeline: pipeline.to_string(),
             seed: 1,
             blocks: 1,
-            cold: false,
             legs: vec![Leg::new(LegMode::Devec {
                 policy: policy.to_string(),
             })],

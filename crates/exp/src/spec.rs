@@ -9,7 +9,6 @@
 //! matrix as leg documents: `Leg::from_json(&leg.to_json()) == Ok(leg)`.
 
 use crate::measure::DEFAULT_WATCHDOG;
-use crate::plan::SessionKey;
 use csd_telemetry::{Json, ToJson};
 
 /// What one measured leg does to the decode context before measuring.
@@ -122,8 +121,6 @@ pub struct ExperimentSpec {
     pub seed: u64,
     /// Default measured operations per leg.
     pub blocks: usize,
-    /// Skip checkpoint-provider lookup (always re-warm).
-    pub cold: bool,
     /// The measured legs, in result order.
     pub legs: Vec<Leg>,
 }
@@ -136,7 +133,6 @@ impl ExperimentSpec {
             pipeline: pipeline.to_string(),
             seed,
             blocks,
-            cold: false,
             legs: vec![Leg::new(mode)],
         }
     }
@@ -149,7 +145,6 @@ impl ExperimentSpec {
             pipeline: pipeline.to_string(),
             seed,
             blocks,
-            cold: false,
             legs: vec![
                 Leg::new(LegMode::Base),
                 Leg::new(LegMode::Stealth { watchdog }),
@@ -177,17 +172,7 @@ impl ExperimentSpec {
             pipeline: pipeline.to_string(),
             seed,
             blocks,
-            cold: false,
             legs,
-        }
-    }
-
-    /// The session this experiment warms or forks.
-    pub fn key(&self) -> SessionKey {
-        SessionKey {
-            victim: self.victim.clone(),
-            pipeline: self.pipeline.clone(),
-            seed: self.seed,
         }
     }
 }
@@ -200,7 +185,6 @@ impl ToJson for ExperimentSpec {
             ("pipeline", Json::from(self.pipeline.as_str())),
             ("seed", Json::from(self.seed)),
             ("blocks", Json::from(self.blocks as u64)),
-            ("cold", Json::Bool(self.cold)),
             ("legs", Json::Arr(legs)),
         ])
     }

@@ -180,9 +180,9 @@ pub struct CoreSnapshot {
     halted: bool,
 }
 
-// A snapshot must be shareable across threads: `run_plan` shares one
-// warmed checkpoint in an `Arc` and restores it into a fresh core per
-// leg on parallel `ordered_map` workers. `EventSink: Send + Sync` makes
+// A snapshot must be shareable across threads: `run_plan` lends one
+// warmed checkpoint to parallel `ordered_map` workers, which restore it
+// into a fresh core per leg. `EventSink: Send + Sync` makes
 // this hold by construction; this assertion turns any regression into a
 // compile error here rather than a trait-bound error in `csd-exp`.
 const _: () = {

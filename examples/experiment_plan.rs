@@ -17,7 +17,6 @@ fn main() {
         pipeline: "opt".to_string(),
         seed: 0xC5D,
         blocks: 4,
-        cold: false,
         legs: vec![
             Leg::new(LegMode::Base),
             Leg::new(LegMode::Stealth { watchdog: 1000 }),

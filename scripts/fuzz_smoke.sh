@@ -12,6 +12,11 @@
 #
 # The committed corpus itself is never written to: each run mutates its
 # own scratch copy.
+#
+# A second leg sweeps 500 generated programs without mutation
+# (`--programs`), again at --jobs 1 and 2 on scratch corpus copies, and
+# requires zero divergences and byte-identical summaries and coverage
+# maps across the two runs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -38,4 +43,17 @@ cmp "$WORK/summary-1.json" "$WORK/summary-2.json"
 cmp "$WORK/coverage-1.json" "$WORK/coverage-2.json"
 diff -r "$WORK/corpus-1" "$WORK/corpus-2"
 
-echo "fuzz smoke OK: deterministic across --jobs, coverage >= baseline, no divergences"
+for jobs in 1 2; do
+  mkdir -p "$WORK/sweep-corpus-$jobs"
+  cp tests/corpus/* "$WORK/sweep-corpus-$jobs/"
+  target/release/fuzz \
+    --seed 1 --programs 500 --jobs "$jobs" \
+    --corpus "$WORK/sweep-corpus-$jobs" \
+    --out "$WORK/sweep-summary-$jobs.json" \
+    --coverage-out "$WORK/sweep-coverage-$jobs.json"
+done
+
+cmp "$WORK/sweep-summary-1.json" "$WORK/sweep-summary-2.json"
+cmp "$WORK/sweep-coverage-1.json" "$WORK/sweep-coverage-2.json"
+
+echo "fuzz smoke OK: campaign and 500-program sweep deterministic across --jobs, coverage >= baseline, no divergences"
