@@ -47,30 +47,69 @@ const DIRTY: u64 = 2;
 ///
 /// Addresses are byte addresses; the cache computes its own set split.
 ///
-/// All state is one zero-initialised `Vec<u64>`. Set `s` owns the block
-/// `[s * 2 * ways, (s + 1) * 2 * ways)`: first one line word per way (the
-/// line's base address ORed with the `VALID` and `DIRTY` flags; zero means
-/// invalid), then one LRU stamp per way. Stamps come from one clock per
-/// cache, so within a set a larger stamp is a more recent touch. A fresh
-/// cache is all zeros, which the allocator hands out as lazily-zeroed
-/// pages: a set nobody touches costs no memory traffic.
-#[derive(Debug, Clone)]
+/// A set's state is a block of `2 * ways` words: first one line word per
+/// way (the line's base address ORed with the `VALID` and `DIRTY` flags;
+/// zero means invalid), then one LRU stamp per way. Stamps come from one
+/// clock per cache, so within a set a larger stamp is a more recent
+/// touch. Blocks live in one arena, `blocks`, and `dir` holds each set's
+/// block offset into it. Block 0 stays all zeros and stands for every
+/// set never filled: a zero word never matches a lookup (the wanted word
+/// carries `VALID`), and an all-invalid set picks way 0 as its victim. A
+/// set gets its own block on its first fill, so a cache holds, copies and
+/// clones only the sets a run filled.
+#[derive(Debug)]
 pub struct Cache {
     cfg: CacheConfig,
-    state: Vec<u64>,
+    dir: Vec<u32>,
+    blocks: Vec<u64>,
     clock: u64,
     stats: CacheStats,
     set_shift: u32,
     set_mask: u64,
 }
 
+impl Clone for Cache {
+    fn clone(&self) -> Cache {
+        Cache {
+            cfg: self.cfg,
+            dir: self.dir.clone(),
+            blocks: self.blocks.clone(),
+            clock: self.clock,
+            stats: self.stats,
+            set_shift: self.set_shift,
+            set_mask: self.set_mask,
+        }
+    }
+
+    /// Reuses `self`'s directory and arena allocations.
+    fn clone_from(&mut self, source: &Cache) {
+        self.cfg = source.cfg;
+        self.dir.clone_from(&source.dir);
+        self.blocks.clone_from(&source.blocks);
+        self.clock = source.clock;
+        self.stats = source.stats;
+        self.set_shift = source.set_shift;
+        self.set_mask = source.set_mask;
+    }
+}
+
 impl Cache {
     /// Creates an empty cache with the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry is inconsistent (see [`CacheConfig::sets`])
+    /// or its state would not fit 32-bit block offsets.
     pub fn new(cfg: CacheConfig) -> Cache {
         let sets = cfg.sets();
+        assert!(
+            (sets + 1) * 2 * cfg.ways <= u32::MAX as usize,
+            "cache state exceeds 32-bit block offsets"
+        );
         Cache {
             cfg,
-            state: vec![0; 2 * sets * cfg.ways],
+            dir: vec![0; sets],
+            blocks: vec![0; 2 * cfg.ways],
             clock: 0,
             stats: CacheStats::default(),
             set_shift: cfg.line_bytes.trailing_zeros(),
@@ -99,40 +138,28 @@ impl Cache {
     #[inline]
     fn set(&self, addr: u64) -> (&[u64], &[u64]) {
         let ways = self.cfg.ways;
-        let base = self.set_of(addr) * 2 * ways;
-        self.state[base..base + 2 * ways].split_at(ways)
+        let base = self.dir[self.set_of(addr)] as usize;
+        self.blocks[base..base + 2 * ways].split_at(ways)
     }
 
-    #[inline]
-    fn set_mut(&mut self, addr: u64) -> (&mut [u64], &mut [u64]) {
-        let ways = self.cfg.ways;
-        let base = self.set_of(addr) * 2 * ways;
-        self.state[base..base + 2 * ways].split_at_mut(ways)
+    /// Appends a zero block to the arena for `set`. Kept out of line:
+    /// it runs once per set, and inlined it bloats every fill.
+    #[cold]
+    #[inline(never)]
+    fn own_block(&mut self, set: usize) -> usize {
+        let base = self.blocks.len();
+        self.blocks.resize(base + 2 * self.cfg.ways, 0);
+        self.dir[set] = base as u32;
+        base
     }
 
-    /// The way holding `addr`'s line, if any. The dirty bit is masked
-    /// off, so one compare checks both the address and validity.
+    /// The block offset of `addr`'s set and the way holding its line, if
+    /// any; the line word is at `base + way`.
     #[inline]
-    fn find(&self, addr: u64) -> Option<usize> {
+    fn find(&self, addr: u64) -> Option<(usize, usize)> {
+        let base = self.dir[self.set_of(addr)] as usize;
         let want = self.line_addr(addr) | VALID;
-        self.set(addr).0.iter().position(|&w| w & !DIRTY == want)
-    }
-
-    /// The way a fill into `addr`'s set replaces: the first invalid way,
-    /// else the least recently touched one.
-    fn victim(&self, addr: u64) -> usize {
-        let (lines, stamps) = self.set(addr);
-        lines.iter().position(|&w| w == 0).unwrap_or_else(|| {
-            (1..stamps.len()).fold(0, |lru, w| if stamps[w] < stamps[lru] { w } else { lru })
-        })
-    }
-
-    /// Marks `way` of `addr`'s set as the most recently touched.
-    #[inline]
-    fn touch(&mut self, addr: u64, way: usize) {
-        self.clock += 1;
-        let clock = self.clock;
-        self.set_mut(addr).1[way] = clock;
+        way_of(&self.blocks[base..base + self.cfg.ways], want).map(|way| (base, way))
     }
 
     /// Looks up `addr`; on a hit, updates replacement state and dirtiness.
@@ -141,12 +168,19 @@ impl Cache {
     /// outside the cache.
     pub fn access(&mut self, addr: u64, write: bool) -> bool {
         self.stats.accesses += 1;
-        match self.find(addr) {
+        let ways = self.cfg.ways;
+        let want = self.line_addr(addr) | VALID;
+        let base = self.dir[self.set_of(addr)] as usize;
+        // A set never filled borrows block 0 here, but no way of it
+        // matches, so it is never written.
+        let (lines, stamps) = self.blocks[base..base + 2 * ways].split_at_mut(ways);
+        match way_of(lines, want) {
             Some(way) => {
                 self.stats.hits += 1;
-                self.touch(addr, way);
+                self.clock += 1;
+                stamps[way] = self.clock;
                 if write {
-                    self.set_mut(addr).0[way] |= DIRTY;
+                    lines[way] |= DIRTY;
                 }
                 true
             }
@@ -166,23 +200,33 @@ impl Cache {
     /// it was filled. Non-perturbing, like [`Cache::contains`].
     pub fn is_dirty(&self, addr: u64) -> bool {
         self.find(addr)
-            .is_some_and(|way| self.set(addr).0[way] & DIRTY != 0)
+            .is_some_and(|(base, way)| self.blocks[base + way] & DIRTY != 0)
     }
 
     /// Inserts the line containing `addr`, evicting if necessary.
     /// Returns the base address of the evicted line, if a valid line was
     /// displaced (used for back-invalidation / write-back modeling).
     pub fn fill(&mut self, addr: u64, write: bool) -> Option<u64> {
+        let ways = self.cfg.ways;
         let dirty = if write { DIRTY } else { 0 };
-        if let Some(way) = self.find(addr) {
+        let word = self.line_addr(addr) | VALID | dirty;
+        let set = self.set_of(addr);
+        // A set never filled cannot hold the line, so it may own its
+        // block before the lookup.
+        let base = match self.dir[set] {
+            0 => self.own_block(set),
+            base => base as usize,
+        };
+        let (lines, stamps) = self.blocks[base..base + 2 * ways].split_at_mut(ways);
+        if let Some(way) = way_of(lines, word & !DIRTY) {
             // Already present (e.g. filled by a racing path) — refresh.
-            self.set_mut(addr).0[way] |= dirty;
+            lines[way] |= dirty;
             return None;
         }
-        let way = self.victim(addr);
-        let word = self.line_addr(addr) | VALID | dirty;
-        let old = std::mem::replace(&mut self.set_mut(addr).0[way], word);
-        self.touch(addr, way);
+        let way = victim(lines, stamps);
+        let old = std::mem::replace(&mut lines[way], word);
+        self.clock += 1;
+        stamps[way] = self.clock;
         (old != 0).then(|| {
             self.stats.evictions += 1;
             old & !(VALID | DIRTY)
@@ -192,8 +236,8 @@ impl Cache {
     /// Removes the line containing `addr`. Returns whether it was present.
     pub fn flush_line(&mut self, addr: u64) -> bool {
         match self.find(addr) {
-            Some(way) => {
-                self.set_mut(addr).0[way] = 0;
+            Some((base, way)) => {
+                self.blocks[base + way] = 0;
                 self.stats.flushes += 1;
                 true
             }
@@ -204,8 +248,9 @@ impl Cache {
     /// Invalidates the entire cache.
     pub fn flush_all(&mut self) {
         let ways = self.cfg.ways;
-        for set in self.state.chunks_exact_mut(2 * ways) {
-            set[..ways].fill(0);
+        // Block 0, the shared all-zero block, is never written.
+        for block in self.blocks.chunks_exact_mut(2 * ways).skip(1) {
+            block[..ways].fill(0);
         }
     }
 
@@ -228,6 +273,22 @@ impl Cache {
     pub fn reset_stats(&mut self) {
         self.stats = CacheStats::default();
     }
+}
+
+/// The way of a set's `lines` holding the line word `want` (a line
+/// address ORed with `VALID`). The dirty bit is masked off, so one
+/// compare checks both the address and validity.
+#[inline]
+fn way_of(lines: &[u64], want: u64) -> Option<usize> {
+    lines.iter().position(|&w| w & !DIRTY == want)
+}
+
+/// The way a fill into a set replaces: the first invalid way, else the
+/// least recently touched one.
+fn victim(lines: &[u64], stamps: &[u64]) -> usize {
+    lines.iter().position(|&w| w == 0).unwrap_or_else(|| {
+        (1..stamps.len()).fold(0, |lru, w| if stamps[w] < stamps[lru] { w } else { lru })
+    })
 }
 
 #[cfg(test)]
@@ -279,7 +340,8 @@ mod tests {
             c.fill(w * 64, false);
         }
         c.access(0, false); // 1 is now LRU
-        assert_eq!(c.victim(0), 1);
+        let (lines, stamps) = c.set(0);
+        assert_eq!(victim(lines, stamps), 1);
     }
 
     #[test]
@@ -331,6 +393,48 @@ mod tests {
         let mut lines = c.lines_in_set(0x200);
         lines.sort_unstable();
         assert_eq!(lines, vec![0x0, 0x100]);
+    }
+
+    #[test]
+    fn sets_own_a_block_only_once_filled() {
+        // 64 sets x 8 ways: a block is 16 words.
+        let mut c = Cache::new(CacheConfig {
+            size_bytes: 32 * 1024,
+            ways: 8,
+            line_bytes: 64,
+            latency: 4,
+        });
+        let owned = |c: &Cache| c.blocks.len() / 16;
+        assert_eq!(owned(&c), 1, "a fresh cache owns only the zero block");
+        for a in [0x0, 0x40, 0x1000, 0x2000] {
+            assert!(!c.access(a, false));
+            assert!(!c.contains(a) && !c.is_dirty(a));
+        }
+        assert_eq!(owned(&c), 1, "misses and probes own nothing");
+        for (k, a) in [0x0u64, 0x40, 0x80].into_iter().enumerate() {
+            c.fill(a, false);
+            c.fill(a + 0x1000, true); // same set, second way
+            assert_eq!(owned(&c), k + 2);
+        }
+        c.flush_all();
+        assert_eq!(owned(&c), 4, "a flush keeps the blocks");
+        assert!(c.blocks[..16].iter().all(|&w| w == 0), "block 0 stays zero");
+    }
+
+    #[test]
+    fn clone_from_restores_exactly() {
+        let mut snap = small();
+        snap.fill(0x0, true);
+        snap.fill(0x100, false);
+        let mut live = small();
+        for a in [0x40, 0x80, 0xc0, 0x140] {
+            live.fill(a, false);
+        }
+        live.clone_from(&snap);
+        assert_eq!(live.blocks, snap.blocks);
+        assert_eq!(live.dir, snap.dir);
+        assert!(live.is_dirty(0x0) && !live.contains(0x40));
+        assert_eq!(live.fill(0x200, false), Some(0x0), "LRU came along");
     }
 
     #[test]

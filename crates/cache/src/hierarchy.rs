@@ -111,7 +111,7 @@ impl Default for HierarchyConfig {
 /// a core (time-sliced, as in same-core PRIME+PROBE) or a package
 /// (FLUSH+RELOAD through the shared LLC) access the *same* hierarchy, which
 /// is what makes the side channels — and the decoy defenses — observable.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Hierarchy {
     cfg: HierarchyConfig,
     l1i: Cache,
@@ -119,6 +119,29 @@ pub struct Hierarchy {
     l2: Cache,
     llc: Cache,
     memory_accesses: u64,
+}
+
+impl Clone for Hierarchy {
+    fn clone(&self) -> Hierarchy {
+        Hierarchy {
+            cfg: self.cfg,
+            l1i: self.l1i.clone(),
+            l1d: self.l1d.clone(),
+            l2: self.l2.clone(),
+            llc: self.llc.clone(),
+            memory_accesses: self.memory_accesses,
+        }
+    }
+
+    /// Reuses every level's allocations (see [`Cache`]'s `clone_from`).
+    fn clone_from(&mut self, source: &Hierarchy) {
+        self.cfg = source.cfg;
+        self.l1i.clone_from(&source.l1i);
+        self.l1d.clone_from(&source.l1d);
+        self.l2.clone_from(&source.l2);
+        self.llc.clone_from(&source.llc);
+        self.memory_accesses = source.memory_accesses;
+    }
 }
 
 impl Hierarchy {

@@ -101,6 +101,12 @@ fn main() {
 
     let seed_corpus =
         load_corpus(&corpus_dir).unwrap_or_else(|e| die(&format!("loading corpus: {e}")));
+    if !corpus_dir.exists() {
+        eprintln!(
+            "fuzz: corpus directory {} does not exist; starting an empty corpus there",
+            corpus_dir.display()
+        );
+    }
     let work = match programs {
         Some(n) => format!("programs={n}"),
         None => format!("iters={}", cfg.iters),

@@ -235,25 +235,27 @@ fn load_entry(json_path: &Path) -> Result<CorpusEntry, String> {
 
 /// Loads every entry under `dir`, sorted by name (deterministic
 /// iteration regardless of directory order). A missing directory is an
-/// empty corpus, not an error.
+/// empty corpus, not an error: a campaign creates it when it saves its
+/// first finding.
 ///
 /// # Errors
 ///
-/// Reports the first malformed entry.
+/// Reports a directory that exists but cannot be listed (a regular file,
+/// no permission), naming it, and the first malformed entry.
 pub fn load_corpus(dir: &Path) -> Result<Vec<CorpusEntry>, String> {
+    let rd = match fs::read_dir(dir) {
+        Ok(rd) => rd,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) => return Err(format!("{}: {e}", dir.display())),
+    };
     let mut paths = Vec::new();
-    match fs::read_dir(dir) {
-        Ok(rd) => {
-            for e in rd {
-                let path = e.map_err(|e| format!("{}: {e}", dir.display()))?.path();
-                if path.extension().is_some_and(|x| x == "json")
-                    && path.file_stem().is_some_and(|s| s != "coverage-baseline")
-                {
-                    paths.push(path);
-                }
-            }
+    for e in rd {
+        let path = e.map_err(|e| format!("{}: {e}", dir.display()))?.path();
+        if path.extension().is_some_and(|x| x == "json")
+            && path.file_stem().is_some_and(|s| s != "coverage-baseline")
+        {
+            paths.push(path);
         }
-        Err(_) => return Ok(Vec::new()),
     }
     paths.sort();
     paths.iter().map(|p| load_entry(p)).collect()
@@ -318,6 +320,22 @@ mod tests {
     fn missing_corpus_dir_is_empty() {
         let entries = load_corpus(Path::new("/nonexistent/csd-corpus")).unwrap();
         assert!(entries.is_empty());
+    }
+
+    #[test]
+    fn a_regular_file_as_corpus_dir_is_an_error() {
+        let file = std::env::temp_dir().join(format!(
+            "csd-corpus-test-{}-{:x}",
+            std::process::id(),
+            fnv1a64(b"not-a-dir")
+        ));
+        fs::write(&file, b"not a directory").unwrap();
+        let err = load_corpus(&file).unwrap_err();
+        let _ = fs::remove_file(&file);
+        assert!(
+            err.starts_with(&file.display().to_string()),
+            "the error names the directory: {err}"
+        );
     }
 
     #[test]

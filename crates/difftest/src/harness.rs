@@ -430,12 +430,10 @@ fn run_leg(
     }));
     if let Some(map) = coverage {
         // Engine-side events (decode contexts, µops, memo probes, key
-        // causes, gate and stealth windows) land in the same shared map.
-        // The context-edge cursor resets per leg so edges never span two
-        // unrelated runs.
-        if let Ok(mut m) = map.lock() {
-            m.reset_edge_cursor();
-        }
+        // causes, gate and stealth windows) land in the same shared map
+        // when the leg's core, and with it both sinks, drops. The engine
+        // sink's context-edge cursor starts fresh, so edges never span
+        // two unrelated runs.
         core.engine_mut()
             .set_event_sink(Box::new(CoverageSink::new(Arc::clone(map))));
     }

@@ -458,31 +458,32 @@ impl Core {
     /// Rewinds the core to `snap`. Event sinks stay attached to the live
     /// core (cloning an engine never drags a sink, so the snapshot holds
     /// none), and so does the flow table, whose flows are valid in any
-    /// state.
+    /// state. Fields are restored with `clone_from`, so the live core's
+    /// allocations (the cache arenas above all) are reused.
     pub fn restore(&mut self, snap: &CoreSnapshot) {
         self.ckpt.restores += 1;
-        self.state = snap.state.clone();
-        self.mem = snap.mem.clone();
-        self.hier = snap.hier.clone();
+        self.state.clone_from(&snap.state);
+        self.mem.clone_from(&snap.mem);
+        self.hier.clone_from(&snap.hier);
         let sink = self.engine.take_event_sink();
         self.engine = snap.engine.clone();
         if let Some(s) = sink {
             self.engine.set_event_sink(s);
         }
-        self.dift = snap.dift.clone();
-        self.bp = snap.bp.clone();
-        self.ucache = snap.ucache.clone();
+        self.dift.clone_from(&snap.dift);
+        self.bp.clone_from(&snap.bp);
+        self.ucache.clone_from(&snap.ucache);
         self.stats = snap.stats;
         self.fe_time = snap.fe_time;
         self.last_dispatch = snap.last_dispatch;
         self.last_commit = snap.last_commit;
         self.sched = snap.sched;
         self.flags_ready = snap.flags_ready;
-        self.alu_ports = snap.alu_ports.clone();
-        self.load_ports = snap.load_ports.clone();
-        self.store_ports = snap.store_ports.clone();
-        self.vec_ports = snap.vec_ports.clone();
-        self.rob = snap.rob.clone();
+        self.alu_ports.clone_from(&snap.alu_ports);
+        self.load_ports.clone_from(&snap.load_ports);
+        self.store_ports.clone_from(&snap.store_ports);
+        self.vec_ports.clone_from(&snap.vec_ports);
+        self.rob.clone_from(&snap.rob);
         self.prev_from_uc = snap.prev_from_uc;
         self.window_builder = snap.window_builder;
         self.prev_fusable_cmp = snap.prev_fusable_cmp;

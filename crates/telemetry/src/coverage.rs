@@ -16,8 +16,8 @@
 //! [`CoverageMap::missing_from_baseline`].
 //!
 //! [`CoverageSink`] adapts a shared map to the [`EventSink`] hook trait;
-//! attach one clone to the pipeline core and another to the CSD engine
-//! and every event lands in the same map.
+//! attach one sink to the pipeline core and another to the CSD engine,
+//! and every event lands in the same map once the sinks drop.
 
 use crate::events::{
     ContextKeyEvent, DecodeEvent, EventSink, GateEvent, MemoProbeEvent, StealthWindowEvent,
@@ -185,13 +185,6 @@ impl CoverageMap {
             self.ctx_edges[prev as usize][ctx] += 1;
         }
         self.last_ctx = Some(ctx as u8);
-    }
-
-    /// Forgets the previous decode context, so the next decode opens a
-    /// fresh edge chain. Call between independent runs sharing one map —
-    /// an edge spanning two runs is noise, not coverage.
-    pub fn reset_edge_cursor(&mut self) {
-        self.last_ctx = None;
     }
 
     /// Records one emitted µop of `class` under translation context `ctx`.
@@ -397,58 +390,78 @@ impl ToJson for CoverageMap {
     }
 }
 
-/// An [`EventSink`] that folds every observed event into a shared
-/// [`CoverageMap`]. Clone it to attach the same map at several emission
-/// points (the pipeline core and the CSD engine each own a sink slot).
-#[derive(Clone, Default)]
-pub struct CoverageSink(Arc<Mutex<CoverageMap>>);
+/// An [`EventSink`] that counts every observed event into a map of its
+/// own and folds that map into a shared [`CoverageMap`] when dropped.
+/// Attach one at each emission point (the pipeline core and the CSD
+/// engine each own a sink slot): the shared map is touched once per
+/// sink, not once per event. Merging sums counters, so the folded map is
+/// the one per-event updates would have built; each sink's decode-edge
+/// cursor starts fresh, so an edge never spans two sinks' runs.
+#[derive(Default)]
+pub struct CoverageSink {
+    shared: Arc<Mutex<CoverageMap>>,
+    local: CoverageMap,
+}
 
 impl CoverageSink {
     /// A sink folding into `map`.
     pub fn new(map: Arc<Mutex<CoverageMap>>) -> CoverageSink {
-        CoverageSink(map)
+        CoverageSink {
+            shared: map,
+            local: CoverageMap::new(),
+        }
     }
 
-    /// The shared map.
+    /// The shared map. A sink's counts reach it when the sink drops.
     pub fn map(&self) -> Arc<Mutex<CoverageMap>> {
-        Arc::clone(&self.0)
+        Arc::clone(&self.shared)
     }
+}
 
-    fn with(&self, f: impl FnOnce(&mut CoverageMap)) {
+impl Clone for CoverageSink {
+    /// A sink on the same shared map that starts empty, so no count is
+    /// folded in twice.
+    fn clone(&self) -> CoverageSink {
+        CoverageSink::new(self.map())
+    }
+}
+
+impl Drop for CoverageSink {
+    fn drop(&mut self) {
         // A poisoned map just stops accumulating; coverage is advisory.
-        if let Ok(mut m) = self.0.lock() {
-            f(&mut m);
+        if let Ok(mut m) = self.shared.lock() {
+            m.merge(&self.local);
         }
     }
 }
 
 impl EventSink for CoverageSink {
     fn on_decode(&mut self, event: &DecodeEvent) {
-        self.with(|m| m.record_decode_context(event.context));
+        self.local.record_decode_context(event.context);
     }
 
     fn on_gate(&mut self, event: &GateEvent) {
-        self.with(|m| m.record_gate(event.gated));
+        self.local.record_gate(event.gated);
     }
 
     fn on_stealth_window(&mut self, event: &StealthWindowEvent) {
-        self.with(|m| m.record_stealth_window(event.decoy_uops));
+        self.local.record_stealth_window(event.decoy_uops);
     }
 
     fn on_uop_decode(&mut self, event: &UopDecodeEvent) {
-        self.with(|m| m.record_uop(event.context, event.class));
+        self.local.record_uop(event.context, event.class);
     }
 
     fn on_memo_probe(&mut self, event: &MemoProbeEvent) {
-        self.with(|m| m.record_memo(event.outcome));
+        self.local.record_memo(event.outcome);
     }
 
     fn on_uop_cache(&mut self, event: &UopCacheEvent) {
-        self.with(|m| m.record_ucache(event.hit));
+        self.local.record_ucache(event.hit);
     }
 
     fn on_context_key(&mut self, event: &ContextKeyEvent) {
-        self.with(|m| m.record_key_cause(event.cause));
+        self.local.record_key_cause(event.cause);
     }
 }
 
@@ -540,8 +553,50 @@ mod tests {
             key: 1,
             cause: key_cause::GATE,
         });
+        assert_eq!(map.lock().unwrap().bins(), 0, "counts fold in on drop");
+        drop(a);
+        assert_eq!(map.lock().unwrap().bins(), 1);
+        drop(b);
         let m = map.lock().unwrap();
         assert_eq!(m.bins(), 2);
+        assert_eq!(m.events(), 2);
+    }
+
+    #[test]
+    fn a_cloned_sink_starts_empty() {
+        let map = Arc::new(Mutex::new(CoverageMap::new()));
+        let mut a = CoverageSink::new(Arc::clone(&map));
+        for _ in 0..3 {
+            a.on_memo_probe(&MemoProbeEvent {
+                outcome: memo_probe::HIT,
+            });
+        }
+        let b = a.clone();
+        drop(a);
+        drop(b);
+        let m = map.lock().unwrap();
+        assert_eq!(m.bins(), 1);
+        assert_eq!(m.events(), 3, "the clone adds nothing");
+    }
+
+    #[test]
+    fn a_poisoned_map_is_skipped_on_drop() {
+        let map = Arc::new(Mutex::new(CoverageMap::new()));
+        let mut sink = CoverageSink::new(Arc::clone(&map));
+        sink.on_gate(&GateEvent {
+            gated: true,
+            transitions: 1,
+        });
+        let poisoner = Arc::clone(&map);
+        let _ = std::thread::spawn(move || {
+            let _guard = poisoner.lock().unwrap();
+            panic!("poison the coverage map");
+        })
+        .join();
+        assert!(map.is_poisoned());
+        drop(sink);
+        let m = map.lock().unwrap_or_else(|e| e.into_inner());
+        assert_eq!(m.events(), 0, "nothing folded into a poisoned map");
     }
 
     #[test]

@@ -17,6 +17,9 @@
 # (`--programs`), again at --jobs 1 and 2 on scratch corpus copies, and
 # requires zero divergences and byte-identical summaries and coverage
 # maps across the two runs.
+#
+# First, a corpus path that names a regular file must fail the run: only
+# a missing directory is an empty corpus.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,6 +30,13 @@ WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 
 cargo build --release -p csd-difftest --bin fuzz
+
+touch "$WORK/not-a-dir"
+if target/release/fuzz --seed 1 --iters 1 --corpus "$WORK/not-a-dir" \
+    --out "$WORK/not-a-dir.json" 2>/dev/null; then
+  echo "fuzz accepted a regular file as its corpus directory" >&2
+  exit 1
+fi
 
 for jobs in 1 2; do
   mkdir -p "$WORK/corpus-$jobs"
