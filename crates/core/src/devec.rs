@@ -13,7 +13,7 @@
 //! semantics by the pipeline's cross-engine tests and by property tests in
 //! this crate's test suite.
 
-use csd_uops::{fusion, FOp, FWidth, Translation, UReg, Uop, UopKind};
+use csd_uops::{fusion, FOp, FWidth, Src, Translation, UReg, Uop, UopKind};
 use mx86_isa::{AluOp, Inst, VecOp, Xmm};
 
 /// High-bit lane mask for a given element width (SWAR carry isolation).
@@ -41,19 +41,21 @@ const fn lane_mask(elem_bytes: u32) -> u64 {
 // either (a `cmp; paddb; jcc` sequence must branch identically with the
 // VPU gated or powered).
 fn alu(op: AluOp, dst: UReg, a: UReg, b: UReg) -> Uop {
-    Uop::new(UopKind::Alu(op))
-        .dst(dst)
-        .src1(a)
-        .src2(b)
-        .suppress_flags()
+    lane_alu(op, dst, a, Src::Reg(b))
 }
 
 fn alui(op: AluOp, dst: UReg, a: UReg, imm: u64) -> Uop {
-    Uop::new(UopKind::Alu(op))
-        .dst(dst)
-        .src1(a)
-        .imm(imm as i64)
-        .suppress_flags()
+    lane_alu(op, dst, a, Src::Imm(imm as i64))
+}
+
+fn lane_alu(op: AluOp, dst: UReg, a: UReg, b: Src) -> Uop {
+    Uop::new(UopKind::Alu {
+        op,
+        dst: Some(dst),
+        a,
+        b,
+        flags: false,
+    })
 }
 
 /// Statistics for the devectorizer.
@@ -139,9 +141,10 @@ impl Devectorizer {
             Inst::VAlu { op, dst, src } => self.valu_flow(op, dst, VSrc::Xmm(src), None),
             Inst::VAluLoad { op, dst, mem } => {
                 let vt0 = UReg::VTmp(0);
-                let ld = Uop::new(UopKind::VLd)
-                    .dst(vt0)
-                    .mem(csd_uops::UMem::from_mem(mem, mx86_isa::Width::B16));
+                let ld = Uop::new(UopKind::VLd {
+                    dst: vt0,
+                    mem: csd_uops::UMem::from_mem(mem, mx86_isa::Width::B16),
+                });
                 self.valu_flow(op, dst, VSrc::VTmp(0), Some(ld))
             }
             Inst::VMovRR { dst, src } => {
@@ -152,7 +155,6 @@ impl Devectorizer {
             }
             _ => return None,
         };
-        debug_assert!(uops.iter().all(|u| u.validate().is_ok()));
 
         self.record(uops.len(), native.uops.len());
         let n = uops.len();
@@ -192,23 +194,16 @@ enum VSrc {
 }
 
 fn extract_pair(v: &mut Vec<Uop>, src: UReg, lo: UReg, hi: UReg) {
-    v.push(Uop::new(UopKind::VExtractQ).dst(lo).src1(src).imm(0));
-    v.push(Uop::new(UopKind::VExtractQ).dst(hi).src1(src).imm(1));
+    for (dst, hi) in [(lo, false), (hi, true)] {
+        v.push(Uop::new(UopKind::VExtractQ { dst, src, hi }));
+    }
 }
 
 fn insert_pair(v: &mut Vec<Uop>, dst: Xmm, lo: UReg, hi: UReg) {
-    v.push(
-        Uop::new(UopKind::VInsertQ)
-            .dst(UReg::Xmm(dst))
-            .src1(lo)
-            .imm(0),
-    );
-    v.push(
-        Uop::new(UopKind::VInsertQ)
-            .dst(UReg::Xmm(dst))
-            .src1(hi)
-            .imm(1),
-    );
+    let dst = UReg::Xmm(dst);
+    for (src, hi) in [(lo, false), (hi, true)] {
+        v.push(Uop::new(UopKind::VInsertQ { dst, src, hi }));
+    }
 }
 
 /// Emits the scalar computation `x ← x op y` for one 64-bit half.
@@ -243,13 +238,12 @@ fn emit_half(v: &mut Vec<Uop>, op: VecOp, x: UReg, y: UReg) {
         }
         VecOp::PMullW | VecOp::PMullD => {
             emit_lanewise(v, x, y, t4, t5, t6, w, |vv, a, b| {
-                vv.push(
-                    Uop::new(UopKind::Mul)
-                        .dst(a)
-                        .src1(a)
-                        .src2(b)
-                        .suppress_flags(),
-                );
+                vv.push(Uop::new(UopKind::Mul {
+                    dst: a,
+                    a,
+                    b: Src::Reg(b),
+                    flags: false,
+                }));
             });
         }
         VecOp::AddPs | VecOp::SubPs | VecOp::MulPs => {
@@ -259,7 +253,7 @@ fn emit_half(v: &mut Vec<Uop>, op: VecOp, x: UReg, y: UReg) {
                 _ => FOp::Mul,
             };
             emit_lanewise(v, x, y, t4, t5, t6, 4, |vv, a, b| {
-                vv.push(Uop::new(UopKind::FAlu(f, FWidth::S)).dst(a).src1(a).src2(b));
+                vv.push(falu(f, FWidth::S, a, b));
             });
         }
         VecOp::AddPd | VecOp::MulPd => {
@@ -268,9 +262,20 @@ fn emit_half(v: &mut Vec<Uop>, op: VecOp, x: UReg, y: UReg) {
             } else {
                 FOp::Mul
             };
-            v.push(Uop::new(UopKind::FAlu(f, FWidth::D)).dst(x).src1(x).src2(y));
+            v.push(falu(f, FWidth::D, x, y));
         }
     }
+}
+
+/// `a ← a op b` on float bit patterns.
+fn falu(op: FOp, width: FWidth, a: UReg, b: UReg) -> Uop {
+    Uop::new(UopKind::FAlu {
+        op,
+        width,
+        dst: a,
+        a,
+        b,
+    })
 }
 
 /// Unrolled lane-wise computation over one 64-bit half: extract each lane
@@ -288,7 +293,7 @@ fn emit_lanewise(
 ) {
     let lanes = 8 / elem_bytes;
     let mask = lane_mask(elem_bytes);
-    v.push(Uop::new(UopKind::MovImm).dst(acc).imm(0));
+    v.push(Uop::new(UopKind::MovImm { dst: acc, imm: 0 }));
     for lane in 0..lanes {
         let sh = (lane * elem_bytes * 8) as u64;
         v.push(alui(AluOp::Shr, t4, x, sh));
@@ -300,7 +305,7 @@ fn emit_lanewise(
         v.push(alui(AluOp::Shl, t4, t4, sh));
         v.push(alu(AluOp::Or, acc, acc, t4));
     }
-    v.push(Uop::new(UopKind::Mov).dst(x).src1(acc));
+    v.push(Uop::new(UopKind::Mov { dst: x, src: acc }));
 }
 
 #[cfg(test)]
@@ -331,55 +336,58 @@ mod tests {
                 other => panic!("unexpected register {other}"),
             }
         };
+        let float = |op, width, a: u64, b: u64| match width {
+            FWidth::S => {
+                let (fa, fb) = (f32::from_bits(a as u32), f32::from_bits(b as u32));
+                let fr = match op {
+                    FOp::Add => fa + fb,
+                    FOp::Sub => fa - fb,
+                    FOp::Mul => fa * fb,
+                };
+                u64::from(fr.to_bits())
+            }
+            FWidth::D => {
+                let (fa, fb) = (f64::from_bits(a), f64::from_bits(b));
+                let fr = match op {
+                    FOp::Add => fa + fb,
+                    FOp::Sub => fa - fb,
+                    FOp::Mul => fa * fb,
+                };
+                fr.to_bits()
+            }
+        };
         for u in uops {
-            match u.kind {
-                UopKind::VExtractQ => {
-                    let half = u.imm.unwrap();
-                    let v = match u.src1.unwrap() {
-                        UReg::Xmm(x) if x.index() == 0 => {
-                            if half == 0 {
-                                xmm0.0
-                            } else {
-                                xmm0.1
-                            }
-                        }
-                        UReg::Xmm(x) if x.index() == 1 => {
-                            if half == 0 {
-                                xmm1.0
-                            } else {
-                                xmm1.1
-                            }
-                        }
+            let (dst, v) = match u.kind {
+                UopKind::VExtractQ { dst, src, hi } => {
+                    let x = match src {
+                        UReg::Xmm(x) if x.index() == 0 => xmm0,
+                        UReg::Xmm(x) if x.index() == 1 => xmm1,
                         other => panic!("unexpected src {other}"),
                     };
-                    if let UReg::Tmp(i) = u.dst.unwrap() {
-                        tmps[i as usize] = v;
-                    }
+                    (dst, if hi { x.1 } else { x.0 })
                 }
-                UopKind::VInsertQ => {
-                    let v = read(&tmps, u.src1.unwrap());
-                    if u.imm.unwrap() == 0 {
-                        xmm0.0 = v;
-                    } else {
+                UopKind::VInsertQ { src, hi, .. } => {
+                    let v = read(&tmps, src);
+                    if hi {
                         xmm0.1 = v;
+                    } else {
+                        xmm0.0 = v;
                     }
+                    continue;
                 }
-                UopKind::MovImm => {
-                    if let UReg::Tmp(i) = u.dst.unwrap() {
-                        tmps[i as usize] = u.imm.unwrap() as u64;
-                    }
-                }
-                UopKind::Mov => {
-                    let v = read(&tmps, u.src1.unwrap());
-                    if let UReg::Tmp(i) = u.dst.unwrap() {
-                        tmps[i as usize] = v;
-                    }
-                }
-                UopKind::Alu(op) => {
-                    let a = read(&tmps, u.src1.unwrap());
-                    let b = match u.src2 {
-                        Some(r) => read(&tmps, r),
-                        None => u.imm.unwrap() as u64,
+                UopKind::MovImm { dst, imm } => (dst, imm as u64),
+                UopKind::Mov { dst, src } => (dst, read(&tmps, src)),
+                UopKind::Alu {
+                    op,
+                    dst: Some(dst),
+                    a,
+                    b,
+                    flags: false,
+                } => {
+                    let a = read(&tmps, a);
+                    let b = match b {
+                        Src::Reg(r) => read(&tmps, r),
+                        Src::Imm(i) => i as u64,
                     };
                     let r = match op {
                         AluOp::Add => a.wrapping_add(b),
@@ -391,45 +399,25 @@ mod tests {
                         AluOp::Shr => a.wrapping_shr(b as u32),
                         AluOp::Sar => (a as i64).wrapping_shr(b as u32) as u64,
                     };
-                    if let Some(UReg::Tmp(i)) = u.dst {
-                        tmps[i as usize] = r;
-                    }
+                    (dst, r)
                 }
-                UopKind::Mul => {
-                    let a = read(&tmps, u.src1.unwrap());
-                    let b = read(&tmps, u.src2.unwrap());
-                    if let UReg::Tmp(i) = u.dst.unwrap() {
-                        tmps[i as usize] = a.wrapping_mul(b);
-                    }
-                }
-                UopKind::FAlu(op, w) => {
-                    let a = read(&tmps, u.src1.unwrap());
-                    let b = read(&tmps, u.src2.unwrap());
-                    let r = match w {
-                        FWidth::S => {
-                            let (fa, fb) = (f32::from_bits(a as u32), f32::from_bits(b as u32));
-                            let fr = match op {
-                                FOp::Add => fa + fb,
-                                FOp::Sub => fa - fb,
-                                FOp::Mul => fa * fb,
-                            };
-                            u64::from(fr.to_bits())
-                        }
-                        FWidth::D => {
-                            let (fa, fb) = (f64::from_bits(a), f64::from_bits(b));
-                            let fr = match op {
-                                FOp::Add => fa + fb,
-                                FOp::Sub => fa - fb,
-                                FOp::Mul => fa * fb,
-                            };
-                            fr.to_bits()
-                        }
-                    };
-                    if let UReg::Tmp(i) = u.dst.unwrap() {
-                        tmps[i as usize] = r;
-                    }
-                }
+                UopKind::Mul {
+                    dst,
+                    a,
+                    b: Src::Reg(b),
+                    flags: false,
+                } => (dst, read(&tmps, a).wrapping_mul(read(&tmps, b))),
+                UopKind::FAlu {
+                    op,
+                    width,
+                    dst,
+                    a,
+                    b,
+                } => (dst, float(op, width, read(&tmps, a), read(&tmps, b))),
                 other => panic!("unexpected µop kind {other:?}"),
+            };
+            if let UReg::Tmp(i) = dst {
+                tmps[i as usize] = v;
             }
         }
         xmm0

@@ -14,7 +14,7 @@
 //! header" — enforced by [`MicrocodeUpdate::verify`].
 
 use crate::mode::ContextId;
-use csd_uops::{fusion, translate, Flow, Translation};
+use csd_uops::{fusion, translate, Flow, Translation, UReg};
 use mx86_isa::{AluOp, Inst, VecOp};
 use std::collections::HashMap;
 use std::error::Error;
@@ -242,10 +242,9 @@ impl MicrocodeUpdate {
         if !self.header.allow_arch_writes {
             for inst in &self.body {
                 let t = translate(inst, 0);
-                let writes_arch = t
-                    .uops
-                    .iter()
-                    .any(|u| u.kind.is_store() || u.dst.is_some_and(|d| d.is_architectural()));
+                let writes_arch = t.uops.iter().any(|u| {
+                    u.kind.is_store() || u.regs().write.is_some_and(UReg::is_architectural)
+                });
                 if writes_arch {
                     return Err(McuError::AltersArchState);
                 }

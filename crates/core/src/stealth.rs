@@ -20,7 +20,7 @@
 //! cost is one sweep per watchdog period.
 
 use crate::msr::MsrFile;
-use csd_uops::{fusion, Translation, UMem, UReg, Uop, UopKind};
+use csd_uops::{fusion, DecoyTarget, Src, Translation, UMem, UReg, Uop, UopKind};
 use mx86_isa::{AddrRange, AluOp, Cc, Inst, Placed, Width};
 
 /// Static configuration of the stealth translator.
@@ -185,10 +185,10 @@ impl StealthTranslator {
         }
         let mut sweep = Vec::new();
         for r in self.data_ranges.clone() {
-            self.emit_sweep(&mut sweep, r, false);
+            self.emit_sweep(&mut sweep, r, DecoyTarget::Data);
         }
         for r in self.inst_ranges.clone() {
-            self.emit_sweep(&mut sweep, r, true);
+            self.emit_sweep(&mut sweep, r, DecoyTarget::Inst);
         }
         if sweep.is_empty() {
             // No ranges configured: nothing to obfuscate.
@@ -225,7 +225,7 @@ impl StealthTranslator {
     }
 
     /// Emits the unrolled decoy micro-loop sweeping `range`.
-    fn emit_sweep(&mut self, out: &mut Vec<Uop>, range: AddrRange, icache: bool) {
+    fn emit_sweep(&mut self, out: &mut Vec<Uop>, range: AddrRange, target: DecoyTarget) {
         let line = self.cfg.line_bytes;
         let first = range.start & !(line - 1);
         let blocks = range.blocks(line).count() as u64;
@@ -234,31 +234,36 @@ impl StealthTranslator {
         }
         let t0 = UReg::Tmp(0);
         let t1 = UReg::Tmp(1);
-        let mark = |u: Uop| if icache { u.decoy_inst() } else { u.decoy() };
+        let mark = |kind| Uop {
+            kind,
+            decoy: Some(target),
+        };
 
         // mov t0, Range.Size - CBS  (byte offset of the last block)
-        out.push(mark(
-            Uop::new(UopKind::MovImm)
-                .dst(t0)
-                .imm(((blocks - 1) * line) as i64),
-        ));
+        out.push(mark(UopKind::MovImm {
+            dst: t0,
+            imm: ((blocks - 1) * line) as i64,
+        }));
         for _ in 0..blocks {
             // ld t1, [t0 + Range.Start]  (fuses with the following sub)
-            out.push(mark(Uop::new(UopKind::Ld).dst(t1).mem(UMem::base_disp(
-                t0,
-                first as i64,
-                Width::B1,
-            ))));
+            out.push(mark(UopKind::Ld {
+                dst: t1,
+                mem: UMem::base_disp(t0, first as i64, Width::B1),
+            }));
             // sub t0, CBS
-            out.push(mark(
-                Uop::new(UopKind::Alu(AluOp::Sub))
-                    .dst(t0)
-                    .src1(t0)
-                    .imm(line as i64),
-            ));
+            out.push(mark(UopKind::Alu {
+                op: AluOp::Sub,
+                dst: Some(t0),
+                a: t0,
+                b: Src::Imm(line as i64),
+                flags: true,
+            }));
             // br_ge top (micro-loop back edge; unrolled here, so the
             // executor treats decoy branches as sequencing no-ops)
-            out.push(mark(Uop::new(UopKind::Br(Cc::Ge)).imm(0)));
+            out.push(mark(UopKind::Br {
+                cc: Cc::Ge,
+                target: 0,
+            }));
         }
     }
 
@@ -311,7 +316,7 @@ mod tests {
         let decoys: Vec<_> = t.uops.iter().filter(|u| u.is_decoy()).collect();
         // 1 mov + 4 blocks * (ld + sub + br)
         assert_eq!(decoys.len(), 1 + 4 * 3);
-        let loads = decoys.iter().filter(|u| u.kind == UopKind::Ld).count();
+        let loads = decoys.iter().filter(|u| u.kind.is_load()).count();
         assert_eq!(loads, 4);
         assert!(
             !t.cacheable,
@@ -342,7 +347,7 @@ mod tests {
         let iloads = t
             .uops
             .iter()
-            .filter(|u| u.decoy == Some(csd_uops::DecoyTarget::Inst) && u.kind == UopKind::Ld)
+            .filter(|u| u.decoy == Some(DecoyTarget::Inst) && u.kind.is_load())
             .count();
         assert_eq!(iloads, 2);
     }

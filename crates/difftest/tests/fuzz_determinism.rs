@@ -6,8 +6,8 @@ use csd_difftest::{
     cosim, mode_matrix, reference_halts, shrink_with, GenProgram, Generator, InjectedBug, ModeLeg,
 };
 use csd_telemetry::coverage::{uop_class_name, COV_UOP_CLASSES};
-use csd_uops::{FOp, FWidth, UopKind};
-use mx86_isa::{AluOp, Cc, Inst, VecOp};
+use csd_uops::{FOp, FWidth, Src, UMem, UReg, UopKind};
+use mx86_isa::{AluOp, Cc, Gpr, Inst, VecOp, Width, Xmm};
 
 fn classes_under(gp: &GenProgram, legs: &[ModeLeg], bug: &InjectedBug) -> Vec<&'static str> {
     let Ok(p) = gp.assemble() else {
@@ -66,37 +66,95 @@ fn shrink_is_deterministic_and_class_preserving() {
 
 /// `UopKind::coverage_class` (csd-uops) and `UOP_CLASS_NAMES`
 /// (csd-telemetry) are maintained in different crates with no shared
-/// type; this pins their agreement for every one of the 28 classes.
+/// type; this pins their agreement for every one of the 28 classes, one
+/// typed µop per class.
 #[test]
 fn uop_coverage_classes_match_telemetry_names() {
+    let (r, t) = (UReg::Gpr(Gpr::Rax), UReg::Tmp(0));
+    let x = UReg::Xmm(Xmm::new(0));
+    let mem = UMem::abs(0x40, Width::B8);
     let kinds: [(UopKind, &str); 28] = [
         (UopKind::Nop, "nop"),
-        (UopKind::Mov, "mov"),
-        (UopKind::MovImm, "movimm"),
-        (UopKind::Alu(AluOp::Add), "alu"),
-        (UopKind::Mul, "mul"),
-        (UopKind::FAlu(FOp::Add, FWidth::S), "falu"),
-        (UopKind::DivQ, "divq"),
-        (UopKind::DivR, "divr"),
-        (UopKind::Ld, "ld"),
-        (UopKind::St, "st"),
-        (UopKind::Lea, "lea"),
-        (UopKind::Br(Cc::Eq), "br"),
-        (UopKind::JmpImm, "jmp"),
-        (UopKind::JmpReg, "jmpreg"),
-        (UopKind::PushImm, "pushimm"),
-        (UopKind::Push, "push"),
-        (UopKind::Pop, "pop"),
-        (UopKind::VAlu(VecOp::PAddD), "valu"),
-        (UopKind::VLd, "vld"),
-        (UopKind::VSt, "vst"),
-        (UopKind::VMov, "vmov"),
-        (UopKind::VExtractQ, "vextract"),
-        (UopKind::VInsertQ, "vinsert"),
-        (UopKind::Clflush, "clflush"),
-        (UopKind::Rdtsc, "rdtsc"),
-        (UopKind::Wrmsr, "wrmsr"),
-        (UopKind::Rdmsr, "rdmsr"),
+        (UopKind::Mov { dst: r, src: t }, "mov"),
+        (UopKind::MovImm { dst: r, imm: 1 }, "movimm"),
+        (
+            UopKind::Alu {
+                op: AluOp::Add,
+                dst: Some(r),
+                a: r,
+                b: Src::Imm(1),
+                flags: true,
+            },
+            "alu",
+        ),
+        (
+            UopKind::Mul {
+                dst: r,
+                a: r,
+                b: Src::Reg(t),
+                flags: true,
+            },
+            "mul",
+        ),
+        (
+            UopKind::FAlu {
+                op: FOp::Add,
+                width: FWidth::S,
+                dst: t,
+                a: t,
+                b: t,
+            },
+            "falu",
+        ),
+        (UopKind::DivQ { dst: r, a: t, b: r }, "divq"),
+        (UopKind::DivR { dst: r, a: t, b: r }, "divr"),
+        (UopKind::Ld { dst: r, mem }, "ld"),
+        (UopKind::St { src: r, mem }, "st"),
+        (UopKind::Lea { dst: r, mem }, "lea"),
+        (
+            UopKind::Br {
+                cc: Cc::Eq,
+                target: 0x40,
+            },
+            "br",
+        ),
+        (UopKind::JmpImm { target: 0x40 }, "jmp"),
+        (UopKind::JmpReg { src: r }, "jmpreg"),
+        (UopKind::PushImm { imm: 0x40 }, "pushimm"),
+        (UopKind::Push { src: r }, "push"),
+        (UopKind::Pop { dst: r }, "pop"),
+        (
+            UopKind::VAlu {
+                op: VecOp::PAddD,
+                dst: x,
+                a: x,
+                b: x,
+            },
+            "valu",
+        ),
+        (UopKind::VLd { dst: x, mem }, "vld"),
+        (UopKind::VSt { src: x, mem }, "vst"),
+        (UopKind::VMov { dst: x, src: x }, "vmov"),
+        (
+            UopKind::VExtractQ {
+                dst: r,
+                src: x,
+                hi: false,
+            },
+            "vextract",
+        ),
+        (
+            UopKind::VInsertQ {
+                dst: x,
+                src: r,
+                hi: true,
+            },
+            "vinsert",
+        ),
+        (UopKind::Clflush { mem }, "clflush"),
+        (UopKind::Rdtsc { dst: r }, "rdtsc"),
+        (UopKind::Wrmsr { msr: 0x10, src: r }, "wrmsr"),
+        (UopKind::Rdmsr { dst: r, msr: 0x10 }, "rdmsr"),
         (UopKind::Halt, "halt"),
     ];
     assert_eq!(kinds.len(), COV_UOP_CLASSES, "every class covered");

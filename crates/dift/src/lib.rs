@@ -28,15 +28,16 @@
 //! dift.taint_memory(AddrRange::new(0x1000, 0x1010)); // secret key bytes
 //!
 //! // Load a key byte: the destination register becomes tainted.
-//! let ld = Uop::new(UopKind::Ld).dst(UReg::Gpr(Gpr::Rax)).mem(UMem::abs(0x1000, Width::B1));
+//! let ld = Uop::new(UopKind::Ld { dst: UReg::Gpr(Gpr::Rax), mem: UMem::abs(0x1000, Width::B1) });
 //! let ev = dift.propagate(&ld, Some(0x1000));
 //! assert!(ev.loaded_tainted_data);
 //! assert!(dift.reg_tainted(UReg::Gpr(Gpr::Rax)));
 //! ```
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::expect_used, clippy::unwrap_used))]
 
-use csd_uops::{UReg, Uop, UopKind};
+use csd_uops::{Src, UMem, UReg, Uop, UopKind};
 use mx86_isa::page::{self, PageMap, PAGE_SIZE};
 use mx86_isa::AddrRange;
 
@@ -199,11 +200,24 @@ impl Dift {
         self.regs[r.index()] = v;
     }
 
-    fn mem_operand_addr_tainted(&self, uop: &Uop) -> bool {
-        uop.mem.is_some_and(|m| {
-            m.base.is_some_and(|b| self.reg_tainted(b))
-                || m.index.is_some_and(|(i, _)| self.reg_tainted(i))
-        })
+    fn src_tainted(&self, b: Src) -> bool {
+        b.reg().is_some_and(|r| self.reg_tainted(r))
+    }
+
+    /// Gives `dst` (if any) the sources' taint `t`, and the flags too
+    /// when the µop writes them.
+    fn arith(&mut self, uop: &Uop, dst: Option<UReg>, t: bool) {
+        if let Some(d) = dst {
+            self.set_reg(d, t);
+        }
+        if uop.writes_flags() {
+            self.flags = t;
+        }
+    }
+
+    fn addr_tainted(&self, m: &UMem) -> bool {
+        m.base.is_some_and(|b| self.reg_tainted(b))
+            || m.index.is_some_and(|(i, _)| self.reg_tainted(i))
     }
 
     /// Propagates taint through one µop and reports trigger-relevant
@@ -213,85 +227,69 @@ impl Dift {
     /// non-memory µops). Decoy µops are skipped entirely: they are
     /// microarchitectural noise, not data flow.
     pub fn propagate(&mut self, uop: &Uop, ea: Option<u64>) -> TaintEvent {
+        use UopKind as K;
         let mut ev = TaintEvent::default();
         if !self.enabled || uop.is_decoy() {
             return ev;
         }
-        let src_taint = |d: &Dift| {
-            uop.src1.is_some_and(|r| d.reg_tainted(r)) || uop.src2.is_some_and(|r| d.reg_tainted(r))
-        };
         match uop.kind {
-            UopKind::Nop | UopKind::Halt | UopKind::Rdtsc | UopKind::Clflush => {}
-            UopKind::MovImm => {
-                if let Some(d) = uop.dst {
-                    self.set_reg(d, false);
-                }
+            K::Nop | K::Halt | K::Clflush { .. } | K::JmpImm { .. } | K::Wrmsr { .. } => {}
+            // `rdtsc` and `rdmsr` leave their destination's taint as it was.
+            K::Rdtsc { .. } | K::Rdmsr { .. } => {}
+            K::MovImm { dst, .. } => self.set_reg(dst, false),
+            // Register dataflow: the destination takes the union of the
+            // sources' taint, and so do the flags if the µop writes them.
+            K::Mov { dst, src } | K::VMov { dst, src } | K::VExtractQ { dst, src, .. } => {
+                self.set_reg(dst, self.reg_tainted(src));
             }
-            UopKind::Mov | UopKind::VMov | UopKind::VExtractQ | UopKind::VInsertQ => {
-                let t = src_taint(self);
-                if let Some(d) = uop.dst {
-                    // Inserts merge into the destination: keep existing taint.
-                    let keep = uop.kind == UopKind::VInsertQ && self.reg_tainted(d);
-                    self.set_reg(d, t || keep);
-                }
+            K::Alu { dst, a, b, .. } => {
+                self.arith(uop, dst, self.reg_tainted(a) || self.src_tainted(b));
             }
-            UopKind::Alu(_)
-            | UopKind::Mul
-            | UopKind::FAlu(..)
-            | UopKind::DivQ
-            | UopKind::DivR
-            | UopKind::VAlu(_) => {
-                let t = src_taint(self);
-                if let Some(d) = uop.dst {
-                    self.set_reg(d, t);
-                }
-                if uop.kind.writes_flags() || matches!(uop.kind, UopKind::DivQ | UopKind::DivR) {
-                    self.flags = t;
-                }
+            K::Mul { dst, a, b, .. } => {
+                self.arith(uop, Some(dst), self.reg_tainted(a) || self.src_tainted(b));
             }
-            UopKind::Lea => {
-                let t = self.mem_operand_addr_tainted(uop);
-                if let Some(d) = uop.dst {
-                    self.set_reg(d, t);
-                }
+            K::FAlu { dst, a, b, .. }
+            | K::DivQ { dst, a, b }
+            | K::DivR { dst, a, b }
+            | K::VAlu { dst, a, b, .. } => {
+                self.arith(uop, Some(dst), self.reg_tainted(a) || self.reg_tainted(b));
             }
-            UopKind::Ld | UopKind::VLd | UopKind::Pop => {
-                ev.tainted_address = self.mem_operand_addr_tainted(uop);
-                let len = uop.mem.map_or(8, |m| m.width.bytes());
-                let data_t = ea.is_some_and(|a| self.memory_tainted(a, len));
-                ev.loaded_tainted_data = data_t;
-                if let Some(d) = uop.dst {
-                    self.set_reg(d, data_t || ev.tainted_address);
-                }
+            // Inserts merge into the destination: keep existing taint.
+            K::VInsertQ { dst, src, .. } => {
+                self.set_reg(dst, self.reg_tainted(src) || self.reg_tainted(dst));
             }
-            UopKind::St | UopKind::VSt | UopKind::Push => {
-                ev.tainted_address = self.mem_operand_addr_tainted(uop);
-                let t = src_taint(self);
-                // Push without an explicit mem operand writes 8 bytes.
-                // Addresses wrap: a wild store near u64::MAX is still an
-                // executable program, and the taint set must follow the
-                // same wrapping the data write performs.
+            K::Lea { dst, mem } => self.set_reg(dst, self.addr_tainted(&mem)),
+            K::Ld { dst, mem } | K::VLd { dst, mem } => {
+                ev.tainted_address = self.addr_tainted(&mem);
+                ev.loaded_tainted_data =
+                    ea.is_some_and(|a| self.memory_tainted(a, mem.width.bytes()));
+                self.set_reg(dst, ev.loaded_tainted_data || ev.tainted_address);
+            }
+            K::Pop { dst } => {
+                ev.loaded_tainted_data = ea.is_some_and(|a| self.memory_tainted(a, 8));
+                self.set_reg(dst, ev.loaded_tainted_data);
+            }
+            // Addresses wrap: a wild store near u64::MAX is still an
+            // executable program, and the taint set must follow the
+            // same wrapping the data write performs.
+            K::St { src, mem } | K::VSt { src, mem } => {
+                ev.tainted_address = self.addr_tainted(&mem);
                 if let Some(a) = ea {
-                    self.set_memory(a, uop.mem.map_or(8, |m| m.width.bytes()), t);
+                    self.set_memory(a, mem.width.bytes(), self.reg_tainted(src));
                 }
             }
-            UopKind::PushImm => {
+            K::Push { src } => {
+                if let Some(a) = ea {
+                    self.set_memory(a, 8, self.reg_tainted(src));
+                }
+            }
+            K::PushImm { .. } => {
                 if let Some(a) = ea {
                     self.set_memory(a, 8, false);
                 }
             }
-            UopKind::Br(_) => {
-                ev.tainted_branch = self.flags;
-            }
-            UopKind::JmpImm => {}
-            UopKind::JmpReg => {
-                ev.tainted_branch = uop.src1.is_some_and(|r| self.reg_tainted(r));
-            }
-            UopKind::Wrmsr | UopKind::Rdmsr => {
-                if let Some(d) = uop.dst {
-                    self.set_reg(d, false);
-                }
-            }
+            K::Br { .. } => ev.tainted_branch = self.flags,
+            K::JmpReg { src } => ev.tainted_branch = self.reg_tainted(src),
         }
         ev
     }
@@ -301,13 +299,36 @@ impl Dift {
 mod tests {
     use super::*;
     use csd_telemetry::SplitMix64;
-    use csd_uops::UMem;
+    use csd_uops::Src;
     use mx86_isa::{AluOp, Cc, Gpr, Width};
 
     fn ld(dst: UReg, addr: u64) -> Uop {
-        Uop::new(UopKind::Ld)
-            .dst(dst)
-            .mem(UMem::abs(addr, Width::B8))
+        Uop::new(UopKind::Ld {
+            dst,
+            mem: UMem::abs(addr, Width::B8),
+        })
+    }
+
+    fn st(src: UReg, mem: UMem) -> Uop {
+        Uop::new(UopKind::St { src, mem })
+    }
+
+    /// `cmp a, 0`: flags only.
+    fn cmp(a: UReg) -> Uop {
+        Uop::new(UopKind::Alu {
+            op: AluOp::Sub,
+            dst: None,
+            a,
+            b: Src::Imm(0),
+            flags: true,
+        })
+    }
+
+    fn br() -> Uop {
+        Uop::new(UopKind::Br {
+            cc: Cc::Ne,
+            target: 0x40,
+        })
     }
 
     #[test]
@@ -324,10 +345,13 @@ mod tests {
     fn alu_unions_taint_and_taints_flags() {
         let mut d = Dift::new();
         d.taint_reg(UReg::Gpr(Gpr::Rbx));
-        let add = Uop::new(UopKind::Alu(AluOp::Add))
-            .dst(UReg::Gpr(Gpr::Rax))
-            .src1(UReg::Gpr(Gpr::Rax))
-            .src2(UReg::Gpr(Gpr::Rbx));
+        let add = Uop::new(UopKind::Alu {
+            op: AluOp::Add,
+            dst: Some(UReg::Gpr(Gpr::Rax)),
+            a: UReg::Gpr(Gpr::Rax),
+            b: Src::Reg(UReg::Gpr(Gpr::Rbx)),
+            flags: true,
+        });
         d.propagate(&add, None);
         assert!(d.reg_tainted(UReg::Gpr(Gpr::Rax)));
         assert!(d.flags_tainted());
@@ -337,11 +361,14 @@ mod tests {
     fn tainted_index_register_flags_tainted_address() {
         let mut d = Dift::new();
         d.taint_reg(UReg::Gpr(Gpr::Rcx));
-        let u = Uop::new(UopKind::Ld).dst(UReg::Tmp(0)).mem(UMem {
-            base: Some(UReg::Gpr(Gpr::Rbx)),
-            index: Some((UReg::Gpr(Gpr::Rcx), mx86_isa::Scale::S4)),
-            disp: 0,
-            width: Width::B4,
+        let u = Uop::new(UopKind::Ld {
+            dst: UReg::Tmp(0),
+            mem: UMem {
+                base: Some(UReg::Gpr(Gpr::Rbx)),
+                index: Some((UReg::Gpr(Gpr::Rcx), mx86_isa::Scale::S4)),
+                disp: 0,
+                width: Width::B4,
+            },
         });
         let ev = d.propagate(&u, Some(0x9999));
         assert!(ev.tainted_address, "key-dependent table index");
@@ -352,34 +379,43 @@ mod tests {
     fn tainted_compare_then_branch_is_tainted_branch() {
         let mut d = Dift::new();
         d.taint_reg(UReg::Gpr(Gpr::Rax));
-        let cmp = Uop::new(UopKind::Alu(AluOp::Sub))
-            .src1(UReg::Gpr(Gpr::Rax))
-            .imm(0);
-        d.propagate(&cmp, None);
-        let br = Uop::new(UopKind::Br(Cc::Ne)).imm(0x40);
-        let ev = d.propagate(&br, None);
+        d.propagate(&cmp(UReg::Gpr(Gpr::Rax)), None);
+        let ev = d.propagate(&br(), None);
         assert!(ev.tainted_branch);
         assert!(ev.triggers_stealth());
+    }
+
+    /// Devectorized lane arithmetic writes no flags, so it must leave the
+    /// flags taint of a preceding compare for the branch that reads it.
+    #[test]
+    fn lane_arithmetic_keeps_the_flags_taint() {
+        let mut d = Dift::new();
+        d.taint_reg(UReg::Gpr(Gpr::Rax));
+        d.propagate(&cmp(UReg::Gpr(Gpr::Rax)), None);
+        let lane_add = Uop::new(UopKind::Alu {
+            op: AluOp::Add,
+            dst: Some(UReg::Tmp(4)),
+            a: UReg::Tmp(4),
+            b: Src::Reg(UReg::Tmp(5)),
+            flags: false,
+        });
+        d.propagate(&lane_add, None);
+        assert!(d.flags_tainted());
+        assert!(d.propagate(&br(), None).tainted_branch);
     }
 
     #[test]
     fn untainted_branch_does_not_trigger() {
         let mut d = Dift::new();
-        let cmp = Uop::new(UopKind::Alu(AluOp::Sub))
-            .src1(UReg::Gpr(Gpr::Rax))
-            .imm(0);
-        d.propagate(&cmp, None);
-        let br = Uop::new(UopKind::Br(Cc::Ne)).imm(0x40);
-        assert!(!d.propagate(&br, None).triggers_stealth());
+        d.propagate(&cmp(UReg::Gpr(Gpr::Rax)), None);
+        assert!(!d.propagate(&br(), None).triggers_stealth());
     }
 
     #[test]
     fn store_propagates_taint_to_memory_and_back() {
         let mut d = Dift::new();
         d.taint_reg(UReg::Gpr(Gpr::Rdx));
-        let st = Uop::new(UopKind::St)
-            .src1(UReg::Gpr(Gpr::Rdx))
-            .mem(UMem::abs(0x200, Width::B8));
+        let st = st(UReg::Gpr(Gpr::Rdx), UMem::abs(0x200, Width::B8));
         d.propagate(&st, Some(0x200));
         assert!(d.memory_tainted(0x200, 8));
         let ev = d.propagate(&ld(UReg::Gpr(Gpr::Rsi), 0x200), Some(0x200));
@@ -390,9 +426,7 @@ mod tests {
     fn untainted_store_clears_memory_taint() {
         let mut d = Dift::new();
         d.taint_memory(AddrRange::new(0x300, 0x308));
-        let st = Uop::new(UopKind::St)
-            .src1(UReg::Gpr(Gpr::Rax))
-            .mem(UMem::abs(0x300, Width::B8));
+        let st = st(UReg::Gpr(Gpr::Rax), UMem::abs(0x300, Width::B8));
         d.propagate(&st, Some(0x300));
         assert!(!d.memory_tainted(0x300, 8));
     }
@@ -401,7 +435,10 @@ mod tests {
     fn mov_imm_clears_taint() {
         let mut d = Dift::new();
         d.taint_reg(UReg::Gpr(Gpr::Rax));
-        let mi = Uop::new(UopKind::MovImm).dst(UReg::Gpr(Gpr::Rax)).imm(0);
+        let mi = Uop::new(UopKind::MovImm {
+            dst: UReg::Gpr(Gpr::Rax),
+            imm: 0,
+        });
         d.propagate(&mi, None);
         assert!(!d.reg_tainted(UReg::Gpr(Gpr::Rax)));
     }
@@ -410,10 +447,11 @@ mod tests {
     fn decoy_uops_do_not_propagate() {
         let mut d = Dift::new();
         d.taint_memory(AddrRange::new(0x100, 0x140));
-        let decoy = Uop::new(UopKind::Ld)
-            .dst(UReg::Tmp(1))
-            .mem(UMem::abs(0x100, Width::B1))
-            .decoy();
+        let decoy = Uop::new(UopKind::Ld {
+            dst: UReg::Tmp(1),
+            mem: UMem::abs(0x100, Width::B1),
+        })
+        .decoy();
         let ev = d.propagate(&decoy, Some(0x100));
         assert_eq!(ev, TaintEvent::default());
         assert!(!d.reg_tainted(UReg::Tmp(1)));
@@ -475,8 +513,7 @@ mod tests {
                     } else {
                         UReg::Gpr(Gpr::Rax)
                     };
-                    let st = Uop::new(UopKind::St).src1(src).mem(UMem::abs(0, width));
-                    d.propagate(&st, Some(a));
+                    d.propagate(&st(src, UMem::abs(0, width)), Some(a));
                     for b in (0..width.bytes()).map(|i| a.wrapping_add(i)) {
                         if tainted {
                             oracle.insert(b);
@@ -487,7 +524,7 @@ mod tests {
                 }
                 3 => {
                     let a = near_edge(&mut rng);
-                    d.propagate(&Uop::new(UopKind::PushImm).imm(0), Some(a));
+                    d.propagate(&Uop::new(UopKind::PushImm { imm: 0 }), Some(a));
                     for i in 0..8 {
                         oracle.remove(&a.wrapping_add(i));
                     }

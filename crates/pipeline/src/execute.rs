@@ -1,6 +1,10 @@
 //! Execute stage: functional µop execution plus the timestamp-dataflow
 //! back-end timing model (dispatch bandwidth, operand scoreboarding, port
 //! contention, ROB occupancy, branch redirects).
+//!
+//! Each µop kind carries exactly its operands, so nothing here unwraps
+//! one; the lint keeps it that way.
+#![cfg_attr(not(test), deny(clippy::expect_used, clippy::unwrap_used))]
 
 use crate::clock::later;
 use crate::core::{Core, SimMode};
@@ -10,7 +14,7 @@ use crate::stage::{Decoded, Fetch, FlowEnd, UopEffect};
 use csd_cache::AccessKind;
 use csd_dift::DIFT_L2_TAG_PENALTY;
 use csd_telemetry::StoreEvent;
-use csd_uops::{fusion, DecoyTarget, UReg, Uop, UopKind};
+use csd_uops::{fusion, DecoyTarget, FOp, FWidth, Src, UMem, UReg, Uop, UopKind};
 use mx86_isa::{Fetched, Gpr, Inst};
 
 /// Executes (and in cycle mode, times) the decoded µop flow; returns how
@@ -62,40 +66,30 @@ fn execute_flow(core: &mut Core, fetched: &Fetched, uops: &[Uop], stall: u64) ->
 /// Functionally executes one µop. Returns its control effect and, for
 /// memory µops, the hierarchy access latency.
 fn exec_uop(core: &mut Core, u: &Uop, fetched: &Fetched) -> (UopEffect, u64) {
+    use UopKind as K;
     let placed = &fetched.placed;
     // Decoy µops: only the cache touch is real; dataflow stays in
     // temporaries and flags/control are suppressed.
     if let Some(target) = u.decoy {
         return match u.kind {
-            UopKind::Ld => {
-                let ea = ea(core, u);
+            K::Ld { dst, mem } => {
+                let ea = ea(core, &mem);
                 let kind = match target {
                     DecoyTarget::Data => AccessKind::DataRead,
                     DecoyTarget::Inst => AccessKind::InstFetch,
                 };
                 let r = core.hier.access(ea, kind);
-                if let Some(d) = u.dst {
-                    let v = core
-                        .mem
-                        .read_le(ea, u.mem.map_or(1, |m| m.width.bytes().min(8)));
-                    core.state.write(d, v);
-                }
+                let v = core.mem.read_le(ea, mem.width.bytes().min(8));
+                core.state.write(dst, v);
                 (UopEffect::None, r.latency)
             }
-            UopKind::MovImm => {
-                if let Some(d) = u.dst {
-                    core.state.write(d, u.imm.unwrap_or(0) as u64);
-                }
+            K::MovImm { dst, imm } => {
+                core.state.write(dst, imm as u64);
                 (UopEffect::None, 0)
             }
-            UopKind::Alu(op) => {
-                let a = u.src1.map_or(0, |r| core.state.read(r));
-                let b = u
-                    .src2
-                    .map(|r| core.state.read(r))
-                    .unwrap_or(u.imm.unwrap_or(0) as u64);
-                let (res, _) = fu::alu(op, a, b);
-                if let Some(d) = u.dst {
+            K::Alu { op, dst, a, b, .. } => {
+                let (res, _) = fu::alu(op, core.state.read(a), src(core, b));
+                if let Some(d) = dst {
                     core.state.write(d, res);
                 }
                 (UopEffect::None, 0)
@@ -106,221 +100,183 @@ fn exec_uop(core: &mut Core, u: &Uop, fetched: &Fetched) -> (UopEffect, u64) {
         };
     }
 
-    let dift_ea = |u: &Uop, ea: Option<u64>| ea.filter(|_| u.mem.is_some());
     let mut effect = UopEffect::None;
     let mut access_latency = 0u64;
+    let mut dift_ea = None;
 
     match u.kind {
-        UopKind::Nop => {}
-        UopKind::Mov => {
-            let v = core.state.read(u.src1.expect("mov has src"));
-            core.state.write(u.dst.expect("mov has dst"), v);
-            core.dift.propagate(u, None);
+        K::Nop => {}
+        K::Mov { dst, src } => {
+            let v = core.state.read(src);
+            core.state.write(dst, v);
         }
-        UopKind::MovImm => {
-            core.state
-                .write(u.dst.expect("movimm has dst"), u.imm.unwrap_or(0) as u64);
-            core.dift.propagate(u, None);
-        }
-        UopKind::Alu(op) => {
-            let a = u.src1.map_or(0, |r| core.state.read(r));
-            let b = u
-                .src2
-                .map(|r| core.state.read(r))
-                .unwrap_or(u.imm.unwrap_or(0) as u64);
-            let (res, flags) = fu::alu(op, a, b);
-            if let Some(d) = u.dst {
+        K::MovImm { dst, imm } => core.state.write(dst, imm as u64),
+        K::Alu { op, dst, a, b, .. } => {
+            let (res, flags) = fu::alu(op, core.state.read(a), src(core, b));
+            if let Some(d) = dst {
                 core.state.write(d, res);
             }
-            if !u.no_flags {
+            if u.writes_flags() {
                 core.state.flags = flags;
             }
-            core.dift.propagate(u, None);
         }
-        UopKind::Mul => {
-            let a = u.src1.map_or(0, |r| core.state.read(r));
-            let b = u
-                .src2
-                .map(|r| core.state.read(r))
-                .unwrap_or(u.imm.unwrap_or(0) as u64);
-            let (res, flags) = fu::mul(a, b);
-            if let Some(d) = u.dst {
-                core.state.write(d, res);
-            }
-            if !u.no_flags {
+        K::Mul { dst, a, b, .. } => {
+            let (res, flags) = fu::mul(core.state.read(a), src(core, b));
+            core.state.write(dst, res);
+            if u.writes_flags() {
                 core.state.flags = flags;
             }
-            core.dift.propagate(u, None);
         }
-        UopKind::FAlu(op, w) => {
-            let a = core.state.read(u.src1.expect("falu src1"));
-            let b = core.state.read(u.src2.expect("falu src2"));
-            let res = match w {
-                csd_uops::FWidth::S => {
+        K::FAlu {
+            op,
+            width,
+            dst,
+            a,
+            b,
+        } => {
+            let (a, b) = (core.state.read(a), core.state.read(b));
+            let res = match width {
+                FWidth::S => {
                     let (fa, fb) = (f32::from_bits(a as u32), f32::from_bits(b as u32));
                     let r = match op {
-                        csd_uops::FOp::Add => fa + fb,
-                        csd_uops::FOp::Sub => fa - fb,
-                        csd_uops::FOp::Mul => fa * fb,
+                        FOp::Add => fa + fb,
+                        FOp::Sub => fa - fb,
+                        FOp::Mul => fa * fb,
                     };
                     u64::from(r.to_bits())
                 }
-                csd_uops::FWidth::D => {
+                FWidth::D => {
                     let (fa, fb) = (f64::from_bits(a), f64::from_bits(b));
                     let r = match op {
-                        csd_uops::FOp::Add => fa + fb,
-                        csd_uops::FOp::Sub => fa - fb,
-                        csd_uops::FOp::Mul => fa * fb,
+                        FOp::Add => fa + fb,
+                        FOp::Sub => fa - fb,
+                        FOp::Mul => fa * fb,
                     };
                     r.to_bits()
                 }
             };
-            core.state.write(u.dst.expect("falu dst"), res);
-            core.dift.propagate(u, None);
+            core.state.write(dst, res);
         }
-        UopKind::DivQ | UopKind::DivR => {
-            let a = core.state.read(u.src1.expect("div src1"));
-            let b = core.state.read(u.src2.expect("div src2"));
+        K::DivQ { dst, a, b } | K::DivR { dst, a, b } => {
+            let (a, b) = (core.state.read(a), core.state.read(b));
             let res = if b == 0 {
                 0
-            } else if u.kind == UopKind::DivQ {
+            } else if matches!(u.kind, K::DivQ { .. }) {
                 a / b
             } else {
                 a % b
             };
-            if let Some(d) = u.dst {
-                core.state.write(d, res);
-            }
+            core.state.write(dst, res);
             core.state.flags = Flags {
                 zf: res == 0,
                 sf: false,
                 cf: false,
                 of: false,
             };
-            core.dift.propagate(u, None);
         }
-        UopKind::Ld => {
-            let ea = ea(core, u);
-            let w = u.mem.expect("load has mem").width.bytes();
+        K::Ld { dst, mem } => {
+            let ea = ea(core, &mem);
             let r = core.hier.access(ea, AccessKind::DataRead);
             access_latency = r.latency + dift_penalty(core);
-            let v = core.mem.read_le(ea, w.min(8));
-            core.state.write(u.dst.expect("load has dst"), v);
-            core.dift.propagate(u, dift_ea(u, Some(ea)));
+            let v = core.mem.read_le(ea, mem.width.bytes().min(8));
+            core.state.write(dst, v);
+            dift_ea = Some(ea);
             core.stats.load_uops += 1;
         }
-        UopKind::St => {
-            let ea = ea(core, u);
-            let w = u.mem.expect("store has mem").width.bytes();
+        K::St { src, mem } => {
+            let ea = ea(core, &mem);
+            let w = mem.width.bytes().min(8);
             core.hier.access(ea, AccessKind::DataWrite);
-            let v = core.state.read(u.src1.expect("store has src"));
-            core.mem.write_le(ea, w.min(8), v);
-            emit_store(core, ea, w.min(8), v);
-            core.dift.propagate(u, Some(ea));
+            let v = core.state.read(src);
+            core.mem.write_le(ea, w, v);
+            emit_store(core, ea, w, v);
+            dift_ea = Some(ea);
             core.stats.store_uops += 1;
             access_latency = 1;
         }
-        UopKind::Lea => {
-            let ea = ea(core, u);
-            core.state.write(u.dst.expect("lea has dst"), ea);
-            core.dift.propagate(u, None);
+        K::Lea { dst, mem } => {
+            let ea = ea(core, &mem);
+            core.state.write(dst, ea);
         }
-        UopKind::VLd => {
-            let ea = ea(core, u);
+        K::VLd { dst, mem } => {
+            let ea = ea(core, &mem);
             let r = core.hier.access(ea, AccessKind::DataRead);
             access_latency = r.latency + dift_penalty(core);
             let v = core.mem.read_u128(ea);
-            core.state.write_v(u.dst.expect("vld has dst"), v);
-            core.dift.propagate(u, Some(ea));
+            core.state.write_v(dst, v);
+            dift_ea = Some(ea);
             core.stats.load_uops += 1;
         }
-        UopKind::VSt => {
-            let ea = ea(core, u);
+        K::VSt { src, mem } => {
+            let ea = ea(core, &mem);
             core.hier.access(ea, AccessKind::DataWrite);
-            let v = core.state.read_v(u.src1.expect("vst has src"));
+            let v = core.state.read_v(src);
             core.mem.write_u128(ea, v);
             emit_store(core, ea, 8, v.0);
             emit_store(core, ea.wrapping_add(8), 8, v.1);
-            core.dift.propagate(u, Some(ea));
+            dift_ea = Some(ea);
             core.stats.store_uops += 1;
             access_latency = 1;
         }
-        UopKind::VMov => {
-            let v = core.state.read_v(u.src1.expect("vmov src"));
-            core.state.write_v(u.dst.expect("vmov dst"), v);
-            core.dift.propagate(u, None);
+        K::VMov { dst, src } => {
+            let v = core.state.read_v(src);
+            core.state.write_v(dst, v);
         }
-        UopKind::VAlu(op) => {
-            let a = core.state.read_v(u.src1.expect("valu src1"));
-            let b = core.state.read_v(u.src2.expect("valu src2"));
-            let r = fu::valu(op, a, b);
-            core.state.write_v(u.dst.expect("valu dst"), r);
-            core.dift.propagate(u, None);
+        K::VAlu { op, dst, a, b } => {
+            let r = fu::valu(op, core.state.read_v(a), core.state.read_v(b));
+            core.state.write_v(dst, r);
             core.stats.vpu_uops += 1;
         }
-        UopKind::VExtractQ => {
-            let v = core.state.read_v(u.src1.expect("vextract src"));
-            let half = if u.imm.unwrap_or(0) == 0 { v.0 } else { v.1 };
-            core.state.write(u.dst.expect("vextract dst"), half);
-            core.dift.propagate(u, None);
+        K::VExtractQ { dst, src, hi } => {
+            let v = core.state.read_v(src);
+            core.state.write(dst, if hi { v.1 } else { v.0 });
         }
-        UopKind::VInsertQ => {
-            let d = u.dst.expect("vinsert dst");
-            let mut v = core.state.read_v(d);
-            let s = core.state.read(u.src1.expect("vinsert src"));
-            if u.imm.unwrap_or(0) == 0 {
-                v.0 = s;
-            } else {
+        K::VInsertQ { dst, src, hi } => {
+            let mut v = core.state.read_v(dst);
+            let s = core.state.read(src);
+            if hi {
                 v.1 = s;
+            } else {
+                v.0 = s;
             }
-            core.state.write_v(d, v);
-            core.dift.propagate(u, None);
+            core.state.write_v(dst, v);
         }
-        UopKind::Br(cc) => {
+        K::Br { cc, target } => {
             let taken = core.state.flags.eval(cc);
-            core.dift.propagate(u, None);
-            let target = u.imm.expect("br has target") as u64;
             let miss = core.bp.predict_conditional(placed.addr, taken);
             if taken {
                 effect = UopEffect::Branch(target);
             }
             core.pending_mispredict = miss;
         }
-        UopKind::JmpImm => {
-            let target = u.imm.expect("jmp has target") as u64;
+        K::JmpImm { target } => {
             if matches!(placed.inst, Inst::Call { .. }) {
                 core.bp.on_call(fetched.next);
             }
             effect = UopEffect::Branch(target);
             core.pending_mispredict = false;
         }
-        UopKind::JmpReg => {
-            let target = core.state.read(u.src1.expect("jmpreg src"));
+        K::JmpReg { src } => {
+            let target = core.state.read(src);
             let miss = match placed.inst {
                 Inst::Ret => core.bp.predict_return(target),
                 _ => core.bp.predict_indirect(placed.addr, target),
             };
-            core.dift.propagate(u, None);
             effect = UopEffect::Branch(target);
             core.pending_mispredict = miss;
         }
-        UopKind::PushImm | UopKind::Push => {
-            // x86 order: the pushed value is read before rsp moves, so
-            // `push rsp` stores the pre-decrement stack pointer.
-            let v = match u.kind {
-                UopKind::PushImm => u.imm.unwrap_or(0) as u64,
-                _ => core.state.read(u.src1.expect("push src")),
-            };
-            let rsp = core.state.gpr(Gpr::Rsp).wrapping_sub(8);
-            core.state.set_gpr(Gpr::Rsp, rsp);
-            core.hier.access(rsp, AccessKind::DataWrite);
-            core.mem.write_le(rsp, 8, v);
-            emit_store(core, rsp, 8, v);
-            core.dift.propagate(u, Some(rsp));
-            core.stats.store_uops += 1;
+        K::PushImm { imm } => {
+            dift_ea = Some(push(core, imm));
             access_latency = 1;
         }
-        UopKind::Pop => {
+        K::Push { src } => {
+            // x86 order: the pushed value is read before rsp moves, so
+            // `push rsp` stores the pre-decrement stack pointer.
+            let v = core.state.read(src);
+            dift_ea = Some(push(core, v));
+            access_latency = 1;
+        }
+        K::Pop { dst } => {
             let rsp = core.state.gpr(Gpr::Rsp);
             let r = core.hier.access(rsp, AccessKind::DataRead);
             access_latency = r.latency + dift_penalty(core);
@@ -328,34 +284,42 @@ fn exec_uop(core: &mut Core, u: &Uop, fetched: &Fetched) -> (UopEffect, u64) {
             // x86 order: rsp is incremented before the destination write,
             // so `pop rsp` ends up holding the loaded value.
             core.state.set_gpr(Gpr::Rsp, rsp.wrapping_add(8));
-            core.state.write(u.dst.expect("pop dst"), v);
-            core.dift.propagate(u, Some(rsp));
+            core.state.write(dst, v);
+            dift_ea = Some(rsp);
             core.stats.load_uops += 1;
         }
-        UopKind::Clflush => {
-            let ea = ea(core, u);
+        K::Clflush { mem } => {
+            let ea = ea(core, &mem);
             core.hier.flush(ea);
             access_latency = 4;
         }
-        UopKind::Rdtsc => {
+        K::Rdtsc { dst } => {
             let c = core.cycles();
-            core.state.write(u.dst.expect("rdtsc dst"), c);
+            core.state.write(dst, c);
         }
-        UopKind::Wrmsr => {
-            let msr = u.imm.expect("wrmsr msr") as u32;
-            let v = core.state.read(u.src1.expect("wrmsr src"));
+        K::Wrmsr { msr, src } => {
+            let v = core.state.read(src);
             core.engine.write_msr(msr, v);
         }
-        UopKind::Rdmsr => {
-            let msr = u.imm.expect("rdmsr msr") as u32;
+        K::Rdmsr { dst, msr } => {
             let v = core.engine.read_msr(msr);
-            core.state.write(u.dst.expect("rdmsr dst"), v);
+            core.state.write(dst, v);
         }
-        UopKind::Halt => {
-            effect = UopEffect::Halt;
-        }
+        K::Halt => effect = UopEffect::Halt,
     }
+    core.dift.propagate(u, dift_ea);
     (effect, access_latency)
+}
+
+/// `rsp -= 8; [rsp] ← v`; returns the new `rsp`.
+fn push(core: &mut Core, v: u64) -> u64 {
+    let rsp = core.state.gpr(Gpr::Rsp).wrapping_sub(8);
+    core.state.set_gpr(Gpr::Rsp, rsp);
+    core.hier.access(rsp, AccessKind::DataWrite);
+    core.mem.write_le(rsp, 8, v);
+    emit_store(core, rsp, 8, v);
+    core.stats.store_uops += 1;
+    rsp
 }
 
 /// Emits an ordered architectural-store event (the cosimulation oracle
@@ -383,9 +347,16 @@ fn dift_penalty(core: &Core) -> u64 {
     }
 }
 
-fn ea(core: &Core, u: &Uop) -> u64 {
-    let m = u.mem.expect("memory µop without operand");
-    m.effective_address(|r| core.state.read(r))
+fn ea(core: &Core, mem: &UMem) -> u64 {
+    mem.effective_address(|r| core.state.read(r))
+}
+
+/// The value of an ALU operand.
+fn src(core: &Core, b: Src) -> u64 {
+    match b {
+        Src::Reg(r) => core.state.read(r),
+        Src::Imm(i) => i as u64,
+    }
 }
 
 /// Back-end timing for one µop.
@@ -399,27 +370,19 @@ fn time_uop(core: &mut Core, u: &Uop, dispatch: f64, access_latency: u64) {
         }
     }
     // Operand readiness.
-    for src in [u.src1, u.src2].into_iter().flatten() {
-        ready = later(ready, core.sched[src.index()]);
+    let regs = u.regs();
+    for r in regs.reads.into_iter().flatten() {
+        ready = later(ready, core.sched[r.index()]);
     }
-    if let Some(m) = u.mem {
-        for r in m.base.into_iter().chain(m.index.map(|(r, _)| r)) {
-            ready = later(ready, core.sched[r.index()]);
-        }
-    }
-    if matches!(u.kind, UopKind::Br(_)) {
+    if matches!(u.kind, UopKind::Br { .. }) {
         ready = later(ready, core.flags_ready);
     }
 
     // Port selection and latency.
     let (lat, occupy, port): (f64, f64, &mut Vec<f64>) = match u.kind {
-        UopKind::Ld | UopKind::VLd | UopKind::Pop => {
-            (access_latency as f64, 1.0, &mut core.load_ports)
-        }
-        UopKind::St | UopKind::VSt | UopKind::Push | UopKind::PushImm => {
-            (1.0, 1.0, &mut core.store_ports)
-        }
-        UopKind::VAlu(op) => {
+        _ if u.kind.is_load() => (access_latency as f64, 1.0, &mut core.load_ports),
+        _ if u.kind.is_store() => (1.0, 1.0, &mut core.store_ports),
+        UopKind::VAlu { op, .. } => {
             let l = if op.is_multiply() || op.is_float() {
                 core.cfg.vec_mul_latency
             } else {
@@ -427,13 +390,13 @@ fn time_uop(core: &mut Core, u: &Uop, dispatch: f64, access_latency: u64) {
             };
             (l as f64, 1.0, &mut core.vec_ports)
         }
-        UopKind::Mul => (core.cfg.mul_latency as f64, 1.0, &mut core.alu_ports),
-        UopKind::DivQ | UopKind::DivR => {
+        UopKind::Mul { .. } => (core.cfg.mul_latency as f64, 1.0, &mut core.alu_ports),
+        UopKind::DivQ { .. } | UopKind::DivR { .. } => {
             let l = core.cfg.div_latency as f64;
             (l, l, &mut core.alu_ports)
         }
-        UopKind::FAlu(..) => (core.cfg.falu_latency as f64, 1.0, &mut core.alu_ports),
-        UopKind::Clflush => (access_latency as f64, 1.0, &mut core.store_ports),
+        UopKind::FAlu { .. } => (core.cfg.falu_latency as f64, 1.0, &mut core.alu_ports),
+        UopKind::Clflush { .. } => (access_latency as f64, 1.0, &mut core.store_ports),
         _ => (core.cfg.alu_latency as f64, 1.0, &mut core.alu_ports),
     };
     // Acquire the earliest-free unit of the class.
@@ -453,14 +416,17 @@ fn time_uop(core: &mut Core, u: &Uop, dispatch: f64, access_latency: u64) {
     let done = issue + later(lat, 1.0);
 
     // Writeback.
-    if let Some(d) = u.dst {
+    if let Some(d) = regs.write {
         core.sched[d.index()] = done;
     }
-    if u.kind.writes_flags() && !u.is_decoy() && !u.no_flags {
+    if u.writes_flags() {
         core.flags_ready = done;
     }
     // Stack-pointer updates by push/pop.
-    if matches!(u.kind, UopKind::Push | UopKind::PushImm | UopKind::Pop) {
+    if matches!(
+        u.kind,
+        UopKind::Push { .. } | UopKind::PushImm { .. } | UopKind::Pop { .. }
+    ) {
         core.sched[UReg::Gpr(Gpr::Rsp).index()] = done;
     }
 

@@ -150,3 +150,38 @@ fn watchdog_period_paces_decoy_volume() {
         "decoys at 500-cycle watchdog ({fast}) should far exceed 4000-cycle ({slow})"
     );
 }
+
+/// A divide writes the flags, so a conditional branch right after `div`
+/// resolves only once the divide completes: a mispredicted `jcc` there
+/// redirects fetch after the divide latency plus the mispredict penalty.
+/// The branch targets the next instruction, so a taken (mispredicted)
+/// and a not-taken (predicted) branch fetch the same bytes and differ
+/// only in the redirect.
+#[test]
+fn a_mispredict_after_div_pays_the_div_latency() {
+    let cfg = CoreConfig {
+        div_latency: 100,
+        ..CoreConfig::default()
+    };
+    let cycles = |cc: Cc| {
+        let mut a = Assembler::new(0x1000);
+        let next = a.fresh_label();
+        a.mov_ri(Gpr::Rax, 1234);
+        a.mov_ri(Gpr::Rdx, 0);
+        a.mov_ri(Gpr::Rbx, 7);
+        a.div(Gpr::Rbx); // remainder 2: ZF clear
+        a.jcc(cc, next); // a cold predictor says not taken
+        a.bind(next).unwrap();
+        a.halt();
+        let core = run(cfg.clone(), a.finish().unwrap());
+        (core.stats().cycles, core.branch_stats().cond_mispredicts)
+    };
+    let (predicted, none) = cycles(Cc::Eq);
+    let (redirected, one) = cycles(Cc::Ne);
+    assert_eq!((none, one), (0, 1));
+    assert!(
+        redirected >= predicted + cfg.mispredict_penalty,
+        "mispredicted {redirected} vs predicted {predicted} cycles: \
+         the redirect must wait for the divide"
+    );
+}

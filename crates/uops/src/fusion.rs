@@ -6,7 +6,7 @@
 //! slot, and `cmp+jcc` pairs fuse at the macro level. With fusion enabled
 //! the paper's µop-cache hit rate only drops from 43% to 42% under CSD.
 
-use crate::uop::{Uop, UopKind};
+use crate::uop::{Src, Uop, UopKind};
 use mx86_isa::Inst;
 
 /// A fused issue slot holding one or two µops.
@@ -62,12 +62,12 @@ impl Slot {
 /// - a decoy load followed by the decoy index decrement of the stealth
 ///   micro-loop (`ld/subi` in the paper's Figure 4c).
 pub fn can_micro_fuse(a: &Uop, b: &Uop) -> bool {
-    if a.kind != UopKind::Ld {
+    let UopKind::Ld { dst, .. } = a.kind else {
         return false;
-    }
+    };
     match b.kind {
-        UopKind::Alu(_) | UopKind::Mul => {
-            let consumes = a.dst.is_some() && (b.src1 == a.dst || b.src2 == a.dst);
+        UopKind::Alu { a: x, b: y, .. } | UopKind::Mul { a: x, b: y, .. } => {
+            let consumes = x == dst || y == Src::Reg(dst);
             let decoy_pair = a.is_decoy() && b.is_decoy();
             consumes || decoy_pair
         }
@@ -114,15 +114,6 @@ pub fn fused_len(uops: &[Uop]) -> usize {
     n
 }
 
-/// Fuses a `cmp`/`test` µop with the following branch µop into a single
-/// compare-and-branch slot, used by the decoder when
-/// [`can_macro_fuse`] holds for the parent macro-ops.
-pub fn macro_fuse(cmp: Uop, br: Uop) -> Slot {
-    debug_assert!(cmp.kind.writes_flags());
-    debug_assert!(br.kind.is_branch());
-    Slot::fused(cmp, br)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,6 +121,21 @@ mod tests {
     use crate::uop::UMem;
     use crate::ureg::UReg;
     use mx86_isa::{AluOp, Cc, Gpr, MemRef, RegImm, Width};
+
+    fn ld(dst: UReg, mem: UMem) -> Uop {
+        Uop::new(UopKind::Ld { dst, mem })
+    }
+
+    /// `r ← r - imm`, writing flags.
+    fn sub_imm(r: UReg, imm: i64) -> Uop {
+        Uop::new(UopKind::Alu {
+            op: AluOp::Sub,
+            dst: Some(r),
+            a: r,
+            b: Src::Imm(imm),
+            flags: true,
+        })
+    }
 
     #[test]
     fn load_op_pair_fuses() {
@@ -150,40 +156,31 @@ mod tests {
 
     #[test]
     fn independent_uops_do_not_fuse() {
-        let a = Uop::new(UopKind::Ld)
-            .dst(UReg::Tmp(0))
-            .mem(UMem::abs(0, Width::B8));
-        let b = Uop::new(UopKind::Alu(AluOp::Add))
-            .dst(UReg::Tmp(2))
-            .src1(UReg::Tmp(2))
-            .imm(1);
+        let a = ld(UReg::Tmp(0), UMem::abs(0, Width::B8));
+        let b = sub_imm(UReg::Tmp(2), 1);
         assert!(!can_micro_fuse(&a, &b));
         assert_eq!(fuse_slots(&[a, b]).len(), 2);
     }
 
     #[test]
     fn decoy_ld_sub_pair_fuses() {
-        let ld = Uop::new(UopKind::Ld)
-            .dst(UReg::Tmp(1))
-            .mem(UMem::base_disp(UReg::Tmp(0), 0x8000, Width::B1))
-            .decoy();
-        let sub = Uop::new(UopKind::Alu(AluOp::Sub))
-            .dst(UReg::Tmp(0))
-            .src1(UReg::Tmp(0))
-            .imm(64)
-            .decoy();
-        assert!(can_micro_fuse(&ld, &sub));
+        let l = ld(
+            UReg::Tmp(1),
+            UMem::base_disp(UReg::Tmp(0), 0x8000, Width::B1),
+        );
+        let sub = sub_imm(UReg::Tmp(0), 64);
+        assert!(!can_micro_fuse(&l, &sub));
+        assert!(can_micro_fuse(&l.decoy(), &sub.decoy()));
     }
 
     #[test]
     fn stores_do_not_fuse_with_loads() {
-        let ld = Uop::new(UopKind::Ld)
-            .dst(UReg::Tmp(0))
-            .mem(UMem::abs(0, Width::B8));
-        let st = Uop::new(UopKind::St)
-            .src1(UReg::Tmp(0))
-            .mem(UMem::abs(8, Width::B8));
-        assert!(!can_micro_fuse(&ld, &st));
+        let l = ld(UReg::Tmp(0), UMem::abs(0, Width::B8));
+        let st = Uop::new(UopKind::St {
+            src: UReg::Tmp(0),
+            mem: UMem::abs(8, Width::B8),
+        });
+        assert!(!can_micro_fuse(&l, &st));
     }
 
     #[test]
@@ -200,11 +197,6 @@ mod tests {
         assert!(can_macro_fuse(&cmp, &jcc));
         assert!(!can_macro_fuse(&cmp, &jmp));
         assert!(!can_macro_fuse(&jcc, &cmp));
-
-        let cu = translate(&cmp, 0).uops[0];
-        let ju = translate(&jcc, 0).uops[0];
-        let slot = macro_fuse(cu, ju);
-        assert_eq!(slot.uop_count(), 2);
     }
 
     #[test]

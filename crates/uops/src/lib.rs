@@ -4,9 +4,12 @@
 //! *micro-ops* (µops). This crate defines that internal ISA for the CSD
 //! reproduction:
 //!
-//! - [`Uop`] / [`UopKind`] — the µop format, including decoder-internal
-//!   temporary registers ([`UReg::Tmp`]) that are *not architecturally
-//!   visible*. Decoy µops injected by stealth-mode translation use only
+//! - [`Uop`] / [`UopKind`] — the µop format. Each kind carries exactly
+//!   its operands, so a µop with a missing operand cannot be built;
+//!   [`Uop::regs`] and [`Uop::writes_flags`] give the register and flags
+//!   view that consumers share. Registers include decoder-internal
+//!   temporaries ([`UReg::Tmp`]) that are *not architecturally visible*.
+//!   Decoy µops injected by stealth-mode translation use only
 //!   temporaries, so they cannot perturb architectural state.
 //! - [`translate`] — the static, table-driven translation performed by the
 //!   native decoders (the paper's four legacy decoders plus the microcode
@@ -38,5 +41,5 @@ mod ureg;
 pub use flow::{Flow, FlowFacts, FlowRef, FlowSlot, FlowTable, MemoStats, Served, Stored};
 pub use fusion::{can_macro_fuse, fuse_slots, fused_len as fused_len_of, Slot};
 pub use translate::{translate, DecoderClass, Translation, DIV_UOP_COUNT, MSROM_THRESHOLD};
-pub use uop::{DecoyTarget, FOp, FWidth, UMem, Uop, UopKind};
+pub use uop::{DecoyTarget, FOp, FWidth, Src, UMem, Uop, UopKind, UopRegs};
 pub use ureg::UReg;

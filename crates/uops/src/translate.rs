@@ -1,6 +1,6 @@
 //! Static table-driven macro-op → micro-op translation.
 
-use crate::uop::{UMem, Uop, UopKind};
+use crate::uop::{Src, UMem, Uop, UopKind};
 use crate::ureg::UReg;
 use mx86_isa::{AluOp, Inst, RegImm, Width};
 
@@ -64,10 +64,10 @@ impl Translation {
     }
 }
 
-fn ri_to_operands(u: Uop, src: RegImm) -> Uop {
-    match src {
-        RegImm::Reg(r) => u.src2(UReg::Gpr(r)),
-        RegImm::Imm(i) => u.imm(i),
+fn src(ri: RegImm) -> Src {
+    match ri {
+        RegImm::Reg(r) => Src::Reg(r.into()),
+        RegImm::Imm(i) => Src::Imm(i),
     }
 }
 
@@ -82,132 +82,137 @@ pub fn translate(inst: &Inst, next_pc: u64) -> Translation {
     let t0 = UReg::Tmp(0);
     let t7 = UReg::Tmp(7);
     let vt0 = UReg::VTmp(0);
+    // One µop per listed kind, none of them decoys.
+    macro_rules! flow {
+        ($($k:expr),* $(,)?) => { vec![$(Uop::new($k)),*] };
+    }
+    let alu = |op, dst, a, b| K::Alu {
+        op,
+        dst,
+        a,
+        b,
+        flags: true,
+    };
 
     let uops = match *inst {
-        Inst::Nop { .. } => vec![Uop::new(K::Nop)],
-        Inst::MovRR { dst, src } => {
-            vec![Uop::new(K::Mov).dst(dst.into()).src1(src.into())]
-        }
-        Inst::MovRI { dst, imm } => vec![Uop::new(K::MovImm).dst(dst.into()).imm(imm)],
-        Inst::Load { dst, mem, width } => {
-            vec![Uop::new(K::Ld)
-                .dst(dst.into())
-                .mem(UMem::from_mem(mem, width))]
-        }
-        Inst::Store { mem, src, width } => {
-            vec![Uop::new(K::St)
-                .src1(src.into())
-                .mem(UMem::from_mem(mem, width))]
-        }
-        Inst::Lea { dst, mem } => {
-            vec![Uop::new(K::Lea)
-                .dst(dst.into())
-                .mem(UMem::from_mem(mem, Width::B8))]
-        }
-        Inst::Alu { op, dst, src } => {
-            let u = Uop::new(K::Alu(op)).dst(dst.into()).src1(dst.into());
-            vec![ri_to_operands(u, src)]
-        }
+        Inst::Nop { .. } => flow![K::Nop],
+        Inst::MovRR { dst, src } => flow![K::Mov {
+            dst: dst.into(),
+            src: src.into(),
+        }],
+        Inst::MovRI { dst, imm } => flow![K::MovImm {
+            dst: dst.into(),
+            imm,
+        }],
+        Inst::Load { dst, mem, width } => flow![K::Ld {
+            dst: dst.into(),
+            mem: UMem::from_mem(mem, width),
+        }],
+        Inst::Store { mem, src, width } => flow![K::St {
+            src: src.into(),
+            mem: UMem::from_mem(mem, width),
+        }],
+        Inst::Lea { dst, mem } => flow![K::Lea {
+            dst: dst.into(),
+            mem: UMem::from_mem(mem, Width::B8),
+        }],
+        Inst::Alu { op, dst, src: b } => flow![alu(op, Some(dst.into()), dst.into(), src(b))],
         Inst::AluLoad {
             op,
             dst,
             mem,
             width,
-        } => vec![
-            Uop::new(K::Ld).dst(t0).mem(UMem::from_mem(mem, width)),
-            Uop::new(K::Alu(op))
-                .dst(dst.into())
-                .src1(dst.into())
-                .src2(t0),
+        } => flow![
+            K::Ld {
+                dst: t0,
+                mem: UMem::from_mem(mem, width),
+            },
+            alu(op, Some(dst.into()), dst.into(), Src::Reg(t0)),
         ],
         Inst::AluStore {
             op,
             mem,
-            src,
+            src: b,
             width,
         } => {
-            let m = UMem::from_mem(mem, width);
-            let alu = Uop::new(K::Alu(op)).dst(t0).src1(t0);
-            vec![
-                Uop::new(K::Ld).dst(t0).mem(m),
-                ri_to_operands(alu, src),
-                Uop::new(K::St).src1(t0).mem(m),
+            let mem = UMem::from_mem(mem, width);
+            flow![
+                K::Ld { dst: t0, mem },
+                alu(op, Some(t0), t0, src(b)),
+                K::St { src: t0, mem },
             ]
         }
-        Inst::Mul { dst, src } => {
-            let u = Uop::new(K::Mul).dst(dst.into()).src1(dst.into());
-            vec![ri_to_operands(u, src)]
-        }
+        Inst::Mul { dst, src: b } => flow![K::Mul {
+            dst: dst.into(),
+            a: dst.into(),
+            b: src(b),
+            flags: true,
+        }],
         Inst::Div { src } => return translate_div(src),
-        Inst::Cmp { a, b } => {
-            let u = Uop::new(K::Alu(AluOp::Sub)).src1(a.into());
-            vec![ri_to_operands(u, b)]
-        }
-        Inst::Test { a, b } => {
-            let u = Uop::new(K::Alu(AluOp::And)).src1(a.into());
-            vec![ri_to_operands(u, b)]
-        }
-        Inst::Jmp { target } => vec![Uop::new(K::JmpImm).imm(target as i64)],
-        Inst::Jcc { cc, target } => vec![Uop::new(K::Br(cc)).imm(target as i64)],
-        Inst::JmpInd { reg } => vec![Uop::new(K::JmpReg).src1(reg.into())],
-        Inst::Call { target } => vec![
-            Uop::new(K::PushImm).imm(next_pc as i64),
-            Uop::new(K::JmpImm).imm(target as i64),
+        Inst::Cmp { a, b } => flow![alu(AluOp::Sub, None, a.into(), src(b))],
+        Inst::Test { a, b } => flow![alu(AluOp::And, None, a.into(), src(b))],
+        Inst::Jmp { target } => flow![K::JmpImm { target }],
+        Inst::Jcc { cc, target } => flow![K::Br { cc, target }],
+        Inst::JmpInd { reg } => flow![K::JmpReg { src: reg.into() }],
+        Inst::Call { target } => flow![K::PushImm { imm: next_pc }, K::JmpImm { target }],
+        Inst::Ret => flow![K::Pop { dst: t7 }, K::JmpReg { src: t7 }],
+        Inst::Push { src } => flow![K::Push { src: src.into() }],
+        Inst::Pop { dst } => flow![K::Pop { dst: dst.into() }],
+        Inst::VLoad { dst, mem } => flow![K::VLd {
+            dst: dst.into(),
+            mem: UMem::from_mem(mem, Width::B16),
+        }],
+        Inst::VStore { mem, src } => flow![K::VSt {
+            src: src.into(),
+            mem: UMem::from_mem(mem, Width::B16),
+        }],
+        Inst::VMovRR { dst, src } => flow![K::VMov {
+            dst: dst.into(),
+            src: src.into(),
+        }],
+        Inst::VAlu { op, dst, src } => flow![K::VAlu {
+            op,
+            dst: dst.into(),
+            a: dst.into(),
+            b: src.into(),
+        }],
+        Inst::VAluLoad { op, dst, mem } => flow![
+            K::VLd {
+                dst: vt0,
+                mem: UMem::from_mem(mem, Width::B16),
+            },
+            K::VAlu {
+                op,
+                dst: dst.into(),
+                a: dst.into(),
+                b: vt0,
+            },
         ],
-        Inst::Ret => vec![Uop::new(K::Pop).dst(t7), Uop::new(K::JmpReg).src1(t7)],
-        Inst::Push { src } => vec![Uop::new(K::Push).src1(src.into())],
-        Inst::Pop { dst } => vec![Uop::new(K::Pop).dst(dst.into())],
-        Inst::VLoad { dst, mem } => {
-            vec![Uop::new(K::VLd)
-                .dst(dst.into())
-                .mem(UMem::from_mem(mem, Width::B16))]
-        }
-        Inst::VStore { mem, src } => {
-            vec![Uop::new(K::VSt)
-                .src1(src.into())
-                .mem(UMem::from_mem(mem, Width::B16))]
-        }
-        Inst::VMovRR { dst, src } => {
-            vec![Uop::new(K::VMov).dst(dst.into()).src1(src.into())]
-        }
-        Inst::VAlu { op, dst, src } => {
-            vec![Uop::new(K::VAlu(op))
-                .dst(dst.into())
-                .src1(dst.into())
-                .src2(src.into())]
-        }
-        Inst::VAluLoad { op, dst, mem } => vec![
-            Uop::new(K::VLd)
-                .dst(vt0)
-                .mem(UMem::from_mem(mem, Width::B16)),
-            Uop::new(K::VAlu(op))
-                .dst(dst.into())
-                .src1(dst.into())
-                .src2(vt0),
-        ],
-        Inst::VMovToGpr { dst, src } => {
-            vec![Uop::new(K::VExtractQ)
-                .dst(dst.into())
-                .src1(src.into())
-                .imm(0)]
-        }
-        Inst::VMovFromGpr { dst, src } => {
-            vec![Uop::new(K::VInsertQ)
-                .dst(dst.into())
-                .src1(src.into())
-                .imm(0)]
-        }
-        Inst::Clflush { mem } => {
-            vec![Uop::new(K::Clflush).mem(UMem::from_mem(mem, Width::B1))]
-        }
-        Inst::Rdtsc => vec![Uop::new(K::Rdtsc).dst(UReg::Gpr(mx86_isa::Gpr::Rax))],
-        Inst::Wrmsr { msr, src } => {
-            vec![Uop::new(K::Wrmsr).src1(src.into()).imm(i64::from(msr))]
-        }
-        Inst::Rdmsr { dst, msr } => {
-            vec![Uop::new(K::Rdmsr).dst(dst.into()).imm(i64::from(msr))]
-        }
-        Inst::Halt => vec![Uop::new(K::Halt)],
+        Inst::VMovToGpr { dst, src } => flow![K::VExtractQ {
+            dst: dst.into(),
+            src: src.into(),
+            hi: false,
+        }],
+        Inst::VMovFromGpr { dst, src } => flow![K::VInsertQ {
+            dst: dst.into(),
+            src: src.into(),
+            hi: false,
+        }],
+        Inst::Clflush { mem } => flow![K::Clflush {
+            mem: UMem::from_mem(mem, Width::B1),
+        }],
+        Inst::Rdtsc => flow![K::Rdtsc {
+            dst: UReg::Gpr(mx86_isa::Gpr::Rax),
+        }],
+        Inst::Wrmsr { msr, src } => flow![K::Wrmsr {
+            msr,
+            src: src.into(),
+        }],
+        Inst::Rdmsr { dst, msr } => flow![K::Rdmsr {
+            dst: dst.into(),
+            msr,
+        }],
+        Inst::Halt => flow![K::Halt],
     };
     Translation::plain(uops)
 }
@@ -220,19 +225,16 @@ fn translate_div(src: mx86_isa::Gpr) -> Translation {
     use UopKind as K;
     let rax = UReg::Gpr(mx86_isa::Gpr::Rax);
     let rdx = UReg::Gpr(mx86_isa::Gpr::Rdx);
-    let t0 = UReg::Tmp(0);
-    let t1 = UReg::Tmp(1);
+    let (t0, t1, b) = (UReg::Tmp(0), UReg::Tmp(1), src.into());
     let mut uops = vec![
-        Uop::new(K::Mov).dst(t0).src1(rax),
-        Uop::new(K::Mov).dst(t1).src1(rdx),
-        Uop::new(K::DivQ).dst(rax).src1(t0).src2(src.into()),
-        Uop::new(K::DivR).dst(rdx).src1(t0).src2(src.into()),
+        Uop::new(K::Mov { dst: t0, src: rax }),
+        Uop::new(K::Mov { dst: t1, src: rdx }),
+        Uop::new(K::DivQ { dst: rax, a: t0, b }),
+        Uop::new(K::DivR { dst: rdx, a: t0, b }),
     ];
     // Sequencer slots: the MSROM streams in fixed-width groups; pad to the
     // modeled flow length.
-    while uops.len() < DIV_UOP_COUNT {
-        uops.push(Uop::new(K::Nop));
-    }
+    uops.resize(DIV_UOP_COUNT, Uop::new(K::Nop));
     let mut t = Translation::plain(uops);
     t.from_msrom = true;
     t
@@ -302,7 +304,7 @@ mod tests {
         assert_eq!(t.uops.len(), 2);
         assert_eq!(t.decoder_class(), DecoderClass::Complex);
         assert!(t.uops[0].kind.is_load());
-        assert_eq!(t.uops[0].dst, Some(UReg::Tmp(0)));
+        assert_eq!(t.uops[0].regs().write, Some(UReg::Tmp(0)));
     }
 
     #[test]
@@ -332,17 +334,16 @@ mod tests {
     fn call_pushes_return_address() {
         let t = translate(&Inst::Call { target: 0x4000 }, 0x1005);
         assert_eq!(t.uops.len(), 2);
-        assert_eq!(t.uops[0].kind, UopKind::PushImm);
-        assert_eq!(t.uops[0].imm, Some(0x1005));
-        assert_eq!(t.uops[1].imm, Some(0x4000));
+        assert_eq!(t.uops[0].kind, UopKind::PushImm { imm: 0x1005 });
+        assert_eq!(t.uops[1].kind, UopKind::JmpImm { target: 0x4000 });
     }
 
     #[test]
     fn ret_pops_through_temp() {
         let t = translate(&Inst::Ret, 0x1001);
         assert_eq!(t.uops.len(), 2);
-        assert_eq!(t.uops[0].dst, Some(UReg::Tmp(7)));
-        assert_eq!(t.uops[1].kind, UopKind::JmpReg);
+        assert_eq!(t.uops[0].kind, UopKind::Pop { dst: UReg::Tmp(7) });
+        assert_eq!(t.uops[1].kind, UopKind::JmpReg { src: UReg::Tmp(7) });
     }
 
     #[test]
@@ -355,8 +356,8 @@ mod tests {
             0,
         );
         assert_eq!(t.uops.len(), 1);
-        assert_eq!(t.uops[0].dst, None);
-        assert!(t.uops[0].kind.writes_flags());
+        assert_eq!(t.uops[0].regs().write, None);
+        assert!(t.uops[0].writes_flags());
     }
 
     #[test]

@@ -32,16 +32,6 @@ impl UMem {
         }
     }
 
-    /// A base-register operand.
-    pub const fn base(base: UReg, width: Width) -> UMem {
-        UMem {
-            base: Some(base),
-            index: None,
-            disp: 0,
-            width,
-        }
-    }
-
     /// A base + displacement operand.
     pub const fn base_disp(base: UReg, disp: i64, width: Width) -> UMem {
         UMem {
@@ -134,219 +124,225 @@ pub enum FWidth {
     D,
 }
 
-/// The operation performed by a micro-op.
+/// The second operand of an ALU or multiply µop: a register or an
+/// immediate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Src {
+    /// A register.
+    Reg(UReg),
+    /// An immediate.
+    Imm(i64),
+}
+
+impl Src {
+    /// The register, if the operand is one.
+    pub const fn reg(self) -> Option<UReg> {
+        match self {
+            Src::Reg(r) => Some(r),
+            Src::Imm(_) => None,
+        }
+    }
+}
+
+impl fmt::Display for Src {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Src::Reg(r) => write!(f, "{r}"),
+            Src::Imm(i) => write!(f, "{i:#x}"),
+        }
+    }
+}
+
+/// The operation performed by a micro-op, with exactly the operands it
+/// names. Implicit operands are not fields: push and pop move `rsp`,
+/// `VInsertQ` merges into its destination, branches redirect fetch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[allow(missing_docs)] // each variant's doc says what its fields do
 pub enum UopKind {
     /// No operation (also used as a microsequencer slot).
     Nop,
-    /// `dst ← src1` register move.
-    Mov,
+    /// `dst ← src` register move.
+    Mov { dst: UReg, src: UReg },
     /// `dst ← imm`.
-    MovImm,
-    /// `dst ← src1 op src2|imm`; writes flags. A `dst` of `None` is a
-    /// compare/test (flags only).
-    Alu(AluOp),
-    /// `dst ← src1 * src2|imm`; writes flags.
-    Mul,
-    /// Scalar float op on GPR/temp bit patterns:
-    /// `dst ← src1 op src2` (no flags).
-    FAlu(FOp, FWidth),
-    /// Divide step: `dst ← src1 / src2` (quotient). Microsequenced.
-    DivQ,
-    /// Divide step: `dst ← src1 % src2` (remainder). Microsequenced.
-    DivR,
+    MovImm { dst: UReg, imm: i64 },
+    /// `dst ← a op b`; a `dst` of `None` is a compare/test (flags only).
+    /// `flags` is false for devectorized lane arithmetic: the vector
+    /// macro-ops it stands in for (`paddb`, …) do not touch flags.
+    Alu {
+        op: AluOp,
+        dst: Option<UReg>,
+        a: UReg,
+        b: Src,
+        flags: bool,
+    },
+    /// `dst ← a * b`; `flags` as for [`UopKind::Alu`].
+    Mul {
+        dst: UReg,
+        a: UReg,
+        b: Src,
+        flags: bool,
+    },
+    /// Scalar float op on GPR/temp bit patterns: `dst ← a op b` (no flags).
+    FAlu {
+        op: FOp,
+        width: FWidth,
+        dst: UReg,
+        a: UReg,
+        b: UReg,
+    },
+    /// Divide step: `dst ← a / b` (quotient); writes flags. Microsequenced.
+    DivQ { dst: UReg, a: UReg, b: UReg },
+    /// Divide step: `dst ← a % b` (remainder); writes flags. Microsequenced.
+    DivR { dst: UReg, a: UReg, b: UReg },
     /// `dst ← [mem]` scalar load.
-    Ld,
-    /// `[mem] ← src1` scalar store.
-    St,
+    Ld { dst: UReg, mem: UMem },
+    /// `[mem] ← src` scalar store.
+    St { src: UReg, mem: UMem },
     /// `dst ← &mem` address generation without access.
-    Lea,
-    /// Conditional branch to `imm` (absolute); reads flags.
-    Br(Cc),
-    /// Unconditional branch to `imm` (absolute).
-    JmpImm,
-    /// Unconditional branch to the address in `src1`.
-    JmpReg,
-    /// Push `imm` (used for call return addresses): `[rsp-8] ← imm; rsp -= 8`.
-    PushImm,
-    /// Push `src1`: `[rsp-8] ← src1; rsp -= 8`.
-    Push,
+    Lea { dst: UReg, mem: UMem },
+    /// Conditional branch to the absolute `target`; reads flags.
+    Br { cc: Cc, target: u64 },
+    /// Unconditional branch to the absolute `target`.
+    JmpImm { target: u64 },
+    /// Unconditional branch to the address in `src`.
+    JmpReg { src: UReg },
+    /// Push `imm` (call return addresses): `[rsp-8] ← imm; rsp -= 8`.
+    PushImm { imm: u64 },
+    /// Push `src`: `[rsp-8] ← src; rsp -= 8`.
+    Push { src: UReg },
     /// Pop into `dst`: `dst ← [rsp]; rsp += 8`.
-    Pop,
-    /// Packed vector ALU: `dst ← src1 op src2` (128-bit).
-    VAlu(VecOp),
+    Pop { dst: UReg },
+    /// Packed vector ALU: `dst ← a op b` (128-bit).
+    VAlu {
+        op: VecOp,
+        dst: UReg,
+        a: UReg,
+        b: UReg,
+    },
     /// Vector load: `dst ← [mem]` (128-bit).
-    VLd,
-    /// Vector store: `[mem] ← src1` (128-bit).
-    VSt,
+    VLd { dst: UReg, mem: UMem },
+    /// Vector store: `[mem] ← src` (128-bit).
+    VSt { src: UReg, mem: UMem },
     /// Vector register move.
-    VMov,
-    /// `dst(gpr/tmp) ← half `imm` of src1(xmm/vtmp)` — scalar extract.
-    VExtractQ,
-    /// `dst(xmm/vtmp).half imm ← src1(gpr/tmp)` — scalar insert.
-    VInsertQ,
+    VMov { dst: UReg, src: UReg },
+    /// `dst(gpr/tmp) ← the low or `hi` half of src(xmm/vtmp)`.
+    VExtractQ { dst: UReg, src: UReg, hi: bool },
+    /// `dst(xmm/vtmp).(low or hi half) ← src(gpr/tmp)`; the other half
+    /// of `dst` is kept.
+    VInsertQ { dst: UReg, src: UReg, hi: bool },
     /// Flush the cache line containing the effective address of `mem`.
-    Clflush,
+    Clflush { mem: UMem },
     /// `dst ← cycle counter`.
-    Rdtsc,
-    /// Write MSR number `imm` from `src1` (privileged).
-    Wrmsr,
-    /// `dst ← MSR number imm` (privileged).
-    Rdmsr,
+    Rdtsc { dst: UReg },
+    /// `MSR[msr] ← src` (privileged).
+    Wrmsr { msr: u32, src: UReg },
+    /// `dst ← MSR[msr]` (privileged).
+    Rdmsr { dst: UReg, msr: u32 },
     /// Stop the core.
     Halt,
 }
 
 impl UopKind {
     /// Whether the µop reads memory.
-    pub const fn is_load(self) -> bool {
-        matches!(self, UopKind::Ld | UopKind::VLd | UopKind::Pop)
+    pub const fn is_load(&self) -> bool {
+        matches!(
+            self,
+            UopKind::Ld { .. } | UopKind::VLd { .. } | UopKind::Pop { .. }
+        )
     }
 
     /// Whether the µop writes memory.
-    pub const fn is_store(self) -> bool {
+    pub const fn is_store(&self) -> bool {
         matches!(
             self,
-            UopKind::St | UopKind::VSt | UopKind::Push | UopKind::PushImm
+            UopKind::St { .. }
+                | UopKind::VSt { .. }
+                | UopKind::Push { .. }
+                | UopKind::PushImm { .. }
         )
     }
 
     /// Whether the µop is a control transfer.
-    pub const fn is_branch(self) -> bool {
-        matches!(self, UopKind::Br(_) | UopKind::JmpImm | UopKind::JmpReg)
+    pub const fn is_branch(&self) -> bool {
+        matches!(
+            self,
+            UopKind::Br { .. } | UopKind::JmpImm { .. } | UopKind::JmpReg { .. }
+        )
     }
 
     /// Whether the µop executes on the vector unit.
-    pub const fn is_vector_exec(self) -> bool {
-        matches!(self, UopKind::VAlu(_))
-    }
-
-    /// Whether the µop writes the flags register.
-    pub const fn writes_flags(self) -> bool {
-        matches!(self, UopKind::Alu(_) | UopKind::Mul)
+    pub const fn is_vector_exec(&self) -> bool {
+        matches!(self, UopKind::VAlu { .. })
     }
 
     /// Structural coverage class of the µop kind: one stable small
-    /// integer per kind family (operand payloads like the ALU op or
-    /// branch condition are deliberately folded together — coverage bins
-    /// must stay coarse and fixed-shape). The class indexes
+    /// integer per kind family (operands like the ALU op or branch
+    /// condition are deliberately folded together — coverage bins must
+    /// stay coarse and fixed-shape). The class indexes
     /// `csd_telemetry::coverage::UOP_CLASS_NAMES`; a cross-crate test in
     /// `csd-difftest` pins the two tables to each other.
-    pub const fn coverage_class(self) -> u8 {
+    pub const fn coverage_class(&self) -> u8 {
         match self {
             UopKind::Nop => 0,
-            UopKind::Mov => 1,
-            UopKind::MovImm => 2,
-            UopKind::Alu(_) => 3,
-            UopKind::Mul => 4,
-            UopKind::FAlu(_, _) => 5,
-            UopKind::DivQ => 6,
-            UopKind::DivR => 7,
-            UopKind::Ld => 8,
-            UopKind::St => 9,
-            UopKind::Lea => 10,
-            UopKind::Br(_) => 11,
-            UopKind::JmpImm => 12,
-            UopKind::JmpReg => 13,
-            UopKind::PushImm => 14,
-            UopKind::Push => 15,
-            UopKind::Pop => 16,
-            UopKind::VAlu(_) => 17,
-            UopKind::VLd => 18,
-            UopKind::VSt => 19,
-            UopKind::VMov => 20,
-            UopKind::VExtractQ => 21,
-            UopKind::VInsertQ => 22,
-            UopKind::Clflush => 23,
-            UopKind::Rdtsc => 24,
-            UopKind::Wrmsr => 25,
-            UopKind::Rdmsr => 26,
+            UopKind::Mov { .. } => 1,
+            UopKind::MovImm { .. } => 2,
+            UopKind::Alu { .. } => 3,
+            UopKind::Mul { .. } => 4,
+            UopKind::FAlu { .. } => 5,
+            UopKind::DivQ { .. } => 6,
+            UopKind::DivR { .. } => 7,
+            UopKind::Ld { .. } => 8,
+            UopKind::St { .. } => 9,
+            UopKind::Lea { .. } => 10,
+            UopKind::Br { .. } => 11,
+            UopKind::JmpImm { .. } => 12,
+            UopKind::JmpReg { .. } => 13,
+            UopKind::PushImm { .. } => 14,
+            UopKind::Push { .. } => 15,
+            UopKind::Pop { .. } => 16,
+            UopKind::VAlu { .. } => 17,
+            UopKind::VLd { .. } => 18,
+            UopKind::VSt { .. } => 19,
+            UopKind::VMov { .. } => 20,
+            UopKind::VExtractQ { .. } => 21,
+            UopKind::VInsertQ { .. } => 22,
+            UopKind::Clflush { .. } => 23,
+            UopKind::Rdtsc { .. } => 24,
+            UopKind::Wrmsr { .. } => 25,
+            UopKind::Rdmsr { .. } => 26,
             UopKind::Halt => 27,
         }
     }
 }
 
+/// The registers a µop names (see [`Uop::regs`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UopRegs {
+    /// Registers read: the explicit sources, then the memory operand's
+    /// base and index.
+    pub reads: [Option<UReg>; 4],
+    /// The register written, if any.
+    pub write: Option<UReg>,
+}
+
 /// A single micro-op.
 ///
-/// The operand fields are interpreted per [`UopKind`]; unused fields are
-/// `None`. `decoy` marks micro-ops injected by stealth-mode translation;
-/// they must never name an architectural destination (enforced by
+/// `decoy` marks micro-ops injected by stealth-mode translation; they
+/// must never write an architectural register or memory (enforced by
 /// [`Uop::validate`] and checked by property tests).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Uop {
-    /// Operation.
+    /// Operation and operands.
     pub kind: UopKind,
-    /// Destination register.
-    pub dst: Option<UReg>,
-    /// First source register.
-    pub src1: Option<UReg>,
-    /// Second source register.
-    pub src2: Option<UReg>,
-    /// Immediate operand (ALU immediate, branch target, MSR number,
-    /// extract/insert half index).
-    pub imm: Option<i64>,
-    /// Memory operand.
-    pub mem: Option<UMem>,
     /// If set, this is a decoy micro-op injected by stealth translation,
     /// targeting the given cache path.
     pub decoy: Option<DecoyTarget>,
-    /// Suppress the architectural flags write this µop's kind would
-    /// normally perform. Devectorized emulation flows use ALU/MUL µops as
-    /// internal lane arithmetic; the macro-ops they stand in for
-    /// (`paddb`, `pmullw`, …) do not touch flags, so the emulation must
-    /// not either.
-    pub no_flags: bool,
 }
 
 impl Uop {
-    /// A µop with only a kind; builder methods fill the rest.
+    /// A non-decoy µop.
     pub const fn new(kind: UopKind) -> Uop {
-        Uop {
-            kind,
-            dst: None,
-            src1: None,
-            src2: None,
-            imm: None,
-            mem: None,
-            decoy: None,
-            no_flags: false,
-        }
-    }
-
-    /// Sets the destination register.
-    pub const fn dst(mut self, r: UReg) -> Uop {
-        self.dst = Some(r);
-        self
-    }
-
-    /// Sets the first source register.
-    pub const fn src1(mut self, r: UReg) -> Uop {
-        self.src1 = Some(r);
-        self
-    }
-
-    /// Sets the second source register.
-    pub const fn src2(mut self, r: UReg) -> Uop {
-        self.src2 = Some(r);
-        self
-    }
-
-    /// Sets the immediate operand.
-    pub const fn imm(mut self, v: i64) -> Uop {
-        self.imm = Some(v);
-        self
-    }
-
-    /// Sets the memory operand.
-    pub const fn mem(mut self, m: UMem) -> Uop {
-        self.mem = Some(m);
-        self
-    }
-
-    /// Suppresses the flags write (devectorized lane arithmetic).
-    pub const fn suppress_flags(mut self) -> Uop {
-        self.no_flags = true;
-        self
+        Uop { kind, decoy: None }
     }
 
     /// Marks the µop as a data-cache decoy.
@@ -355,115 +351,147 @@ impl Uop {
         self
     }
 
-    /// Marks the µop as an instruction-cache decoy.
-    pub const fn decoy_inst(mut self) -> Uop {
-        self.decoy = Some(DecoyTarget::Inst);
-        self
-    }
-
     /// Whether the µop is a decoy of either flavor.
     pub const fn is_decoy(&self) -> bool {
         self.decoy.is_some()
     }
 
-    /// Validates structural invariants.
+    /// Whether the µop writes the flags register: ALU and multiply µops
+    /// unless they are lane arithmetic, and both divide steps. Decoys
+    /// never do.
+    #[inline]
+    pub const fn writes_flags(&self) -> bool {
+        self.decoy.is_none()
+            && match self.kind {
+                UopKind::Alu { flags, .. } | UopKind::Mul { flags, .. } => flags,
+                UopKind::DivQ { .. } | UopKind::DivR { .. } => true,
+                _ => false,
+            }
+    }
+
+    /// The registers the µop names, for consumers that track registers
+    /// without caring what the µop computes (the cycle scoreboard).
+    /// Implicit operands are left out: the `rsp` of push and pop, and the
+    /// destination `VInsertQ` merges into.
+    #[inline]
+    pub fn regs(&self) -> UopRegs {
+        use UopKind as K;
+        let (write, a, b, mem) = match self.kind {
+            K::Nop | K::Halt | K::Br { .. } | K::JmpImm { .. } | K::PushImm { .. } => {
+                (None, None, None, None)
+            }
+            K::Mov { dst, src }
+            | K::VMov { dst, src }
+            | K::VExtractQ { dst, src, .. }
+            | K::VInsertQ { dst, src, .. } => (Some(dst), Some(src), None, None),
+            K::MovImm { dst, .. } | K::Pop { dst } | K::Rdtsc { dst } | K::Rdmsr { dst, .. } => {
+                (Some(dst), None, None, None)
+            }
+            K::Alu { dst, a, b, .. } => (dst, Some(a), b.reg(), None),
+            K::Mul { dst, a, b, .. } => (Some(dst), Some(a), b.reg(), None),
+            K::FAlu { dst, a, b, .. }
+            | K::DivQ { dst, a, b }
+            | K::DivR { dst, a, b }
+            | K::VAlu { dst, a, b, .. } => (Some(dst), Some(a), Some(b), None),
+            K::Ld { dst, mem } | K::VLd { dst, mem } | K::Lea { dst, mem } => {
+                (Some(dst), None, None, Some(mem))
+            }
+            K::St { src, mem } | K::VSt { src, mem } => (None, Some(src), None, Some(mem)),
+            K::Clflush { mem } => (None, None, None, Some(mem)),
+            K::JmpReg { src } | K::Push { src } | K::Wrmsr { src, .. } => {
+                (None, Some(src), None, None)
+            }
+        };
+        let (base, index) = match mem {
+            Some(m) => (m.base, m.index.map(|(i, _)| i)),
+            None => (None, None),
+        };
+        UopRegs {
+            reads: [a, b, base, index],
+            write,
+        }
+    }
+
+    /// Checks the one rule the operand types cannot express: a decoy
+    /// writes no architectural register and no memory.
     ///
     /// # Errors
     ///
-    /// Returns a description of the violated invariant:
-    /// - loads/stores must carry a memory operand;
-    /// - branches must carry a target (immediate or register);
-    /// - decoy µops must not write architectural registers or memory.
+    /// Returns a description of the violation.
     pub fn validate(&self) -> Result<(), String> {
-        if (self.kind.is_load() || self.kind.is_store() || self.kind == UopKind::Clflush)
-            && self.mem.is_none()
-            && !matches!(self.kind, UopKind::Push | UopKind::PushImm | UopKind::Pop)
-        {
-            return Err(format!("{self}: memory µop without memory operand"));
+        if self.decoy.is_none() {
+            return Ok(());
         }
-        match self.kind {
-            UopKind::Br(_) | UopKind::JmpImm if self.imm.is_none() => {
-                return Err(format!("{self}: direct branch without target"));
-            }
-            UopKind::JmpReg if self.src1.is_none() => {
-                return Err(format!("{self}: indirect branch without source"));
-            }
-            _ => {}
+        if self.regs().write.is_some_and(UReg::is_architectural) {
+            return Err(format!("{self}: decoy µop writes architectural register"));
         }
-        if self.decoy.is_some() {
-            if let Some(d) = self.dst {
-                if d.is_architectural() {
-                    return Err(format!("{self}: decoy µop writes architectural register"));
-                }
-            }
-            if self.kind.is_store() {
-                return Err(format!("{self}: decoy µop writes memory"));
-            }
+        if self.kind.is_store() {
+            return Err(format!("{self}: decoy µop writes memory"));
         }
         Ok(())
     }
 }
 
+/// Writes `name` and its operands as `name a, b, …`.
+fn operands(f: &mut fmt::Formatter<'_>, name: &str, ops: &[&dyn fmt::Display]) -> fmt::Result {
+    f.write_str(name)?;
+    for (i, o) in ops.iter().enumerate() {
+        write!(f, "{}{o}", if i == 0 { " " } else { ", " })?;
+    }
+    Ok(())
+}
+
 impl fmt::Display for Uop {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use UopKind as K;
         match self.decoy {
             Some(DecoyTarget::Data) => write!(f, "decoy.")?,
             Some(DecoyTarget::Inst) => write!(f, "idecoy.")?,
             None => {}
         }
+        let hex = |v: u64| format!("{v:#x}");
         match self.kind {
-            UopKind::Nop => write!(f, "unop")?,
-            UopKind::Mov | UopKind::MovImm | UopKind::VMov => write!(f, "umov")?,
-            UopKind::Alu(op) => write!(f, "u{op}")?,
-            UopKind::Mul => write!(f, "umul")?,
-            UopKind::FAlu(op, w) => {
-                let o = match op {
-                    FOp::Add => "fadd",
-                    FOp::Sub => "fsub",
-                    FOp::Mul => "fmul",
-                };
-                let ww = match w {
-                    FWidth::S => "s",
-                    FWidth::D => "d",
-                };
-                write!(f, "u{o}{ww}")?;
-            }
-            UopKind::DivQ => write!(f, "udivq")?,
-            UopKind::DivR => write!(f, "udivr")?,
-            UopKind::Ld => write!(f, "uld")?,
-            UopKind::St => write!(f, "ust")?,
-            UopKind::Lea => write!(f, "ulea")?,
-            UopKind::Br(cc) => write!(f, "ubr_{cc}")?,
-            UopKind::JmpImm | UopKind::JmpReg => write!(f, "ujmp")?,
-            UopKind::PushImm | UopKind::Push => write!(f, "upush")?,
-            UopKind::Pop => write!(f, "upop")?,
-            UopKind::VAlu(op) => write!(f, "u{op}")?,
-            UopKind::VLd => write!(f, "uvld")?,
-            UopKind::VSt => write!(f, "uvst")?,
-            UopKind::VExtractQ => write!(f, "uvextr")?,
-            UopKind::VInsertQ => write!(f, "uvins")?,
-            UopKind::Clflush => write!(f, "uflush")?,
-            UopKind::Rdtsc => write!(f, "urdtsc")?,
-            UopKind::Wrmsr => write!(f, "uwrmsr")?,
-            UopKind::Rdmsr => write!(f, "urdmsr")?,
-            UopKind::Halt => write!(f, "uhlt")?,
+            K::Nop => operands(f, "unop", &[]),
+            K::Mov { dst, src } | K::VMov { dst, src } => operands(f, "umov", &[&dst, &src]),
+            K::MovImm { dst, imm } => operands(f, "umov", &[&dst, &Src::Imm(imm)]),
+            K::Alu { op, dst, a, b, .. } => match dst {
+                Some(d) => operands(f, &format!("u{op}"), &[&d, &a, &b]),
+                None => operands(f, &format!("u{op}"), &[&a, &b]),
+            },
+            K::Mul { dst, a, b, .. } => operands(f, "umul", &[&dst, &a, &b]),
+            K::FAlu {
+                op,
+                width,
+                dst,
+                a,
+                b,
+            } => operands(
+                f,
+                &format!("uf{op:?}{width:?}").to_lowercase(),
+                &[&dst, &a, &b],
+            ),
+            K::DivQ { dst, a, b } => operands(f, "udivq", &[&dst, &a, &b]),
+            K::DivR { dst, a, b } => operands(f, "udivr", &[&dst, &a, &b]),
+            K::Ld { dst, mem } => operands(f, "uld", &[&dst, &mem]),
+            K::St { src, mem } => operands(f, "ust", &[&mem, &src]),
+            K::Lea { dst, mem } => operands(f, "ulea", &[&dst, &mem]),
+            K::Br { cc, target } => operands(f, &format!("ubr_{cc}"), &[&hex(target)]),
+            K::JmpImm { target } => operands(f, "ujmp", &[&hex(target)]),
+            K::JmpReg { src } => operands(f, "ujmp", &[&src]),
+            K::PushImm { imm } => operands(f, "upush", &[&hex(imm)]),
+            K::Push { src } => operands(f, "upush", &[&src]),
+            K::Pop { dst } => operands(f, "upop", &[&dst]),
+            K::VAlu { op, dst, a, b } => operands(f, &format!("u{op}"), &[&dst, &a, &b]),
+            K::VLd { dst, mem } => operands(f, "uvld", &[&dst, &mem]),
+            K::VSt { src, mem } => operands(f, "uvst", &[&mem, &src]),
+            K::VExtractQ { dst, src, hi } => operands(f, "uvextr", &[&dst, &src, &u8::from(hi)]),
+            K::VInsertQ { dst, src, hi } => operands(f, "uvins", &[&dst, &src, &u8::from(hi)]),
+            K::Clflush { mem } => operands(f, "uflush", &[&mem]),
+            K::Rdtsc { dst } => operands(f, "urdtsc", &[&dst]),
+            K::Wrmsr { msr, src } => operands(f, "uwrmsr", &[&hex(msr.into()), &src]),
+            K::Rdmsr { dst, msr } => operands(f, "urdmsr", &[&dst, &hex(msr.into())]),
+            K::Halt => operands(f, "uhlt", &[]),
         }
-        if let Some(d) = self.dst {
-            write!(f, " {d}")?;
-        }
-        if let Some(s) = self.src1 {
-            write!(f, ", {s}")?;
-        }
-        if let Some(s) = self.src2 {
-            write!(f, ", {s}")?;
-        }
-        if let Some(m) = self.mem {
-            write!(f, ", {m}")?;
-        }
-        if let Some(i) = self.imm {
-            write!(f, ", {i:#x}")?;
-        }
-        Ok(())
     }
 }
 
@@ -471,6 +499,13 @@ impl fmt::Display for Uop {
 mod tests {
     use super::*;
     use mx86_isa::Gpr;
+
+    fn ld(dst: UReg) -> Uop {
+        Uop::new(UopKind::Ld {
+            dst,
+            mem: UMem::abs(0x1000, Width::B1),
+        })
+    }
 
     #[test]
     fn umem_effective_address_with_temps() {
@@ -484,60 +519,131 @@ mod tests {
 
     #[test]
     fn decoy_with_temp_dst_is_valid() {
-        let u = Uop::new(UopKind::Ld)
-            .dst(UReg::Tmp(1))
-            .mem(UMem::abs(0x1000, Width::B1))
-            .decoy();
-        assert!(u.validate().is_ok());
+        assert!(ld(UReg::Tmp(1)).decoy().validate().is_ok());
     }
 
     #[test]
     fn decoy_with_arch_dst_is_invalid() {
-        let u = Uop::new(UopKind::Ld)
-            .dst(UReg::Gpr(Gpr::Rax))
-            .mem(UMem::abs(0x1000, Width::B1))
-            .decoy();
-        assert!(u.validate().is_err());
+        assert!(ld(UReg::Gpr(Gpr::Rax)).decoy().validate().is_err());
+        assert!(ld(UReg::Gpr(Gpr::Rax)).validate().is_ok());
     }
 
     #[test]
     fn decoy_store_is_invalid() {
-        let u = Uop::new(UopKind::St)
-            .src1(UReg::Tmp(0))
-            .mem(UMem::abs(0x1000, Width::B8))
-            .decoy();
+        let u = Uop::new(UopKind::St {
+            src: UReg::Tmp(0),
+            mem: UMem::abs(0x1000, Width::B8),
+        })
+        .decoy();
         assert!(u.validate().is_err());
-    }
-
-    #[test]
-    fn branch_needs_target() {
-        let u = Uop::new(UopKind::JmpImm);
-        assert!(u.validate().is_err());
-        assert!(u.imm(0x10).validate().is_ok());
-    }
-
-    #[test]
-    fn load_needs_mem() {
-        assert!(Uop::new(UopKind::Ld).dst(UReg::Tmp(0)).validate().is_err());
     }
 
     #[test]
     fn classification() {
-        assert!(UopKind::Ld.is_load());
-        assert!(UopKind::Pop.is_load());
-        assert!(UopKind::PushImm.is_store());
-        assert!(UopKind::Br(Cc::Eq).is_branch());
-        assert!(UopKind::VAlu(VecOp::PXor).is_vector_exec());
-        assert!(!UopKind::VLd.is_vector_exec());
-        assert!(UopKind::Alu(AluOp::Add).writes_flags());
+        assert!(ld(UReg::Tmp(0)).kind.is_load());
+        assert!(UopKind::Pop { dst: UReg::Tmp(7) }.is_load());
+        assert!(UopKind::PushImm { imm: 0 }.is_store());
+        assert!(UopKind::Br {
+            cc: Cc::Eq,
+            target: 0
+        }
+        .is_branch());
+        let x = UReg::Xmm(mx86_isa::Xmm::new(0));
+        let valu = UopKind::VAlu {
+            op: VecOp::PXor,
+            dst: x,
+            a: x,
+            b: x,
+        };
+        assert!(valu.is_vector_exec());
+        assert!(!UopKind::VLd {
+            dst: x,
+            mem: UMem::abs(0, Width::B16)
+        }
+        .is_vector_exec());
+    }
+
+    /// One flags-writer rule: ALU/MUL unless lane arithmetic, both divide
+    /// steps, never a decoy.
+    #[test]
+    fn writes_flags_rule() {
+        let t = UReg::Tmp(0);
+        let alu = |flags| {
+            Uop::new(UopKind::Alu {
+                op: AluOp::Add,
+                dst: Some(t),
+                a: t,
+                b: Src::Imm(1),
+                flags,
+            })
+        };
+        let mul = |flags| {
+            Uop::new(UopKind::Mul {
+                dst: t,
+                a: t,
+                b: Src::Reg(t),
+                flags,
+            })
+        };
+        assert!(alu(true).writes_flags());
+        assert!(!alu(false).writes_flags());
+        assert!(!alu(true).decoy().writes_flags());
+        assert!(mul(true).writes_flags());
+        assert!(!mul(false).writes_flags());
+        assert!(Uop::new(UopKind::DivQ { dst: t, a: t, b: t }).writes_flags());
+        assert!(Uop::new(UopKind::DivR { dst: t, a: t, b: t }).writes_flags());
+        assert!(!ld(t).writes_flags());
+    }
+
+    /// The register view lists explicit operands only: the cycle
+    /// scoreboard waits on exactly these.
+    #[test]
+    fn regs_leave_out_implicit_operands() {
+        let (t0, t1, x) = (UReg::Tmp(0), UReg::Tmp(1), UReg::Xmm(mx86_isa::Xmm::new(3)));
+        let ins = Uop::new(UopKind::VInsertQ {
+            dst: x,
+            src: t0,
+            hi: true,
+        });
+        assert_eq!(ins.regs().reads, [Some(t0), None, None, None]);
+        assert_eq!(ins.regs().write, Some(x));
+        let pop = Uop::new(UopKind::Pop { dst: t1 });
+        assert_eq!(pop.regs().reads, [None; 4]);
+        let st = Uop::new(UopKind::St {
+            src: t1,
+            mem: UMem {
+                base: Some(t0),
+                index: Some((x, mx86_isa::Scale::S8)),
+                disp: 0,
+                width: Width::B8,
+            },
+        });
+        assert_eq!(st.regs().reads, [Some(t1), None, Some(t0), Some(x)]);
+        assert_eq!(st.regs().write, None);
+    }
+
+    /// Typed operands shrank the µop from 48 bytes; flows are stored
+    /// by value, so this is the memory cost of every table entry.
+    #[test]
+    fn uop_is_at_most_32_bytes() {
+        assert!(std::mem::size_of::<Uop>() <= 32);
     }
 
     #[test]
     fn display_smoke() {
-        let u = Uop::new(UopKind::Ld)
-            .dst(UReg::Tmp(1))
-            .mem(UMem::base_disp(UReg::Tmp(0), 0x4000, Width::B1))
-            .decoy();
+        let u = Uop::new(UopKind::Ld {
+            dst: UReg::Tmp(1),
+            mem: UMem::base_disp(UReg::Tmp(0), 0x4000, Width::B1),
+        })
+        .decoy();
         assert_eq!(u.to_string(), "decoy.uld t1, [t0 + 0x4000]");
+        let cmp = Uop::new(UopKind::Alu {
+            op: AluOp::Sub,
+            dst: None,
+            a: UReg::Gpr(Gpr::Rax),
+            b: Src::Imm(5),
+            flags: true,
+        });
+        assert_eq!(cmp.to_string(), format!("u{} rax, 0x5", AluOp::Sub));
     }
 }

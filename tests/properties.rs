@@ -201,7 +201,7 @@ fn decoys_never_touch_architectural_state() {
         assert_eq!(decoys.len() as u64, 1 + 3 * blocks, "case {case}");
         for u in decoys {
             assert!(u.validate().is_ok(), "case {case}");
-            if let Some(d) = u.dst {
+            if let Some(d) = u.regs().write {
                 assert!(!d.is_architectural(), "case {case}");
             }
             assert!(!u.kind.is_store(), "case {case}");
