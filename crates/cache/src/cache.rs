@@ -166,6 +166,7 @@ impl Cache {
     /// Returns whether the access hit. Does **not** fill on miss — callers
     /// fill explicitly via [`Cache::fill`] so multi-level logic stays
     /// outside the cache.
+    #[inline]
     pub fn access(&mut self, addr: u64, write: bool) -> bool {
         self.stats.accesses += 1;
         let ways = self.cfg.ways;
@@ -205,24 +206,32 @@ impl Cache {
 
     /// Inserts the line containing `addr`, evicting if necessary.
     /// Returns the base address of the evicted line, if a valid line was
-    /// displaced (used for back-invalidation / write-back modeling).
+    /// displaced (used for back-invalidation / write-back modeling). A
+    /// line already present only takes the dirty bit of a write.
     pub fn fill(&mut self, addr: u64, write: bool) -> Option<u64> {
+        if let Some((base, way)) = self.find(addr) {
+            if write {
+                self.blocks[base + way] |= DIRTY;
+            }
+            return None;
+        }
+        self.insert(addr, write)
+    }
+
+    /// [`Cache::fill`] of a line known to be absent, as right after this
+    /// cache's [`Cache::access`] of it missed: the set is not searched
+    /// for the line again.
+    pub(crate) fn insert(&mut self, addr: u64, write: bool) -> Option<u64> {
+        debug_assert!(!self.contains(addr), "insert of a present line");
         let ways = self.cfg.ways;
         let dirty = if write { DIRTY } else { 0 };
         let word = self.line_addr(addr) | VALID | dirty;
         let set = self.set_of(addr);
-        // A set never filled cannot hold the line, so it may own its
-        // block before the lookup.
         let base = match self.dir[set] {
             0 => self.own_block(set),
             base => base as usize,
         };
         let (lines, stamps) = self.blocks[base..base + 2 * ways].split_at_mut(ways);
-        if let Some(way) = way_of(lines, word & !DIRTY) {
-            // Already present (e.g. filled by a racing path) — refresh.
-            lines[way] |= dirty;
-            return None;
-        }
         let way = victim(lines, stamps);
         let old = std::mem::replace(&mut lines[way], word);
         self.clock += 1;

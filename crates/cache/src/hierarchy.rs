@@ -162,21 +162,37 @@ impl Hierarchy {
         &self.cfg
     }
 
-    /// Performs an access, filling all levels on the way back.
+    /// Performs an access, filling all levels on the way back. Each level
+    /// fills only after its own lookup missed, and nothing in between
+    /// can bring the line in (a back-invalidation only removes lines), so
+    /// fills insert without searching the set again.
+    ///
+    /// The L1 hit path is inlined into callers (the pipeline's fetch and
+    /// load µops); everything below L1 runs out of line.
+    #[inline]
     pub fn access(&mut self, addr: u64, kind: AccessKind) -> AccessResult {
         let write = kind.is_write();
         let l1 = match kind {
             AccessKind::InstFetch => &mut self.l1i,
             _ => &mut self.l1d,
         };
-        let mut latency = l1.config().latency;
         if l1.access(addr, write) {
             return AccessResult {
-                latency,
+                latency: l1.config().latency,
                 level: HitLevel::L1,
             };
         }
-        latency += self.l2.config().latency;
+        self.access_below_l1(addr, kind, write)
+    }
+
+    /// The rest of [`Hierarchy::access`] after an L1 miss.
+    #[inline(never)]
+    fn access_below_l1(&mut self, addr: u64, kind: AccessKind, write: bool) -> AccessResult {
+        let l1 = match kind {
+            AccessKind::InstFetch => &self.l1i,
+            _ => &self.l1d,
+        };
+        let mut latency = l1.config().latency + self.l2.config().latency;
         if self.l2.access(addr, write) {
             self.fill_l1(addr, kind, write);
             return AccessResult {
@@ -186,7 +202,7 @@ impl Hierarchy {
         }
         latency += self.llc.config().latency;
         if self.llc.access(addr, write) {
-            self.l2.fill(addr, write);
+            self.l2.insert(addr, write);
             self.fill_l1(addr, kind, write);
             return AccessResult {
                 latency,
@@ -195,12 +211,12 @@ impl Hierarchy {
         }
         latency += self.cfg.memory_latency;
         self.memory_accesses += 1;
-        if let Some(evicted) = self.llc.fill(addr, write) {
+        if let Some(evicted) = self.llc.insert(addr, write) {
             if self.cfg.inclusive_llc {
                 self.back_invalidate(evicted);
             }
         }
-        self.l2.fill(addr, write);
+        self.l2.insert(addr, write);
         self.fill_l1(addr, kind, write);
         AccessResult {
             latency,
@@ -211,10 +227,10 @@ impl Hierarchy {
     fn fill_l1(&mut self, addr: u64, kind: AccessKind, write: bool) {
         match kind {
             AccessKind::InstFetch => {
-                self.l1i.fill(addr, false);
+                self.l1i.insert(addr, false);
             }
             _ => {
-                self.l1d.fill(addr, write);
+                self.l1d.insert(addr, write);
             }
         }
     }

@@ -12,8 +12,16 @@
 //! counters must agree after every operation. Halfway through, a clone
 //! and a `clone_from` into a differently filled cache join the run and
 //! must answer every later operation exactly as the original does.
+//!
+//! A second, miss-heavy sequence drives a small three-level
+//! [`Hierarchy`] against four reference caches composed the same way
+//! (access each level in turn, fill every level that missed, and on an
+//! LLC eviction back-invalidate the upper levels). Most accesses miss,
+//! so this covers the fills the hierarchy makes right after a miss:
+//! hit levels and latencies, LRU order, evictions, back-invalidation and
+//! every level's counters must agree after every operation.
 
-use csd_cache::{Cache, CacheConfig, CacheStats};
+use csd_cache::{AccessKind, Cache, CacheConfig, CacheStats, Hierarchy, HierarchyConfig, HitLevel};
 use csd_telemetry::SplitMix64;
 
 const LINE: u64 = 64;
@@ -227,5 +235,147 @@ fn cache_matches_a_naive_lru_reference() {
                 run(sets, ways, seed);
             }
         }
+    }
+}
+
+/// The reference hierarchy: one [`Reference`] per level.
+struct RefHierarchy {
+    l1i: Reference,
+    l1d: Reference,
+    l2: Reference,
+    llc: Reference,
+    memory_accesses: u64,
+}
+
+/// Hit latencies of the hierarchy under test, by level.
+const LATENCY: [u64; 4] = [1, 3, 10, 50];
+
+fn level(sets: u64, ways: usize, latency: u64) -> CacheConfig {
+    CacheConfig {
+        size_bytes: (sets * LINE) as usize * ways,
+        ways,
+        line_bytes: LINE as usize,
+        latency,
+    }
+}
+
+impl RefHierarchy {
+    /// The access, and the LLC line it evicted, if any.
+    fn access(&mut self, addr: u64, kind: AccessKind) -> ((u64, HitLevel), Option<u64>) {
+        let write = kind == AccessKind::DataWrite;
+        let inst = kind == AccessKind::InstFetch;
+        let l1 = if inst { &mut self.l1i } else { &mut self.l1d };
+        let mut latency = LATENCY[0];
+        if l1.access(addr, write) {
+            return ((latency, HitLevel::L1), None);
+        }
+        let mut evicted = None;
+        latency += LATENCY[1];
+        let level = if self.l2.access(addr, write) {
+            HitLevel::L2
+        } else {
+            latency += LATENCY[2];
+            if self.llc.access(addr, write) {
+                self.l2.fill(addr, write);
+                HitLevel::Llc
+            } else {
+                latency += LATENCY[3];
+                self.memory_accesses += 1;
+                evicted = self.llc.fill(addr, write);
+                if let Some(line) = evicted {
+                    for upper in [&mut self.l1i, &mut self.l1d, &mut self.l2] {
+                        upper.flush_line(line);
+                    }
+                }
+                self.l2.fill(addr, write);
+                HitLevel::Memory
+            }
+        };
+        let l1 = if inst { &mut self.l1i } else { &mut self.l1d };
+        l1.fill(addr, write && !inst);
+        ((latency, level), evicted)
+    }
+
+    fn flush(&mut self, addr: u64) {
+        for level in [&mut self.l1i, &mut self.l1d, &mut self.l2, &mut self.llc] {
+            level.flush_line(addr);
+        }
+    }
+}
+
+/// Every level's `(line, dirty)` contents of `addr`'s set, and its stats.
+fn hierarchy_view(h: &Hierarchy, addr: u64) -> Vec<(Vec<(u64, bool)>, CacheStats)> {
+    [h.l1i(), h.l1d(), h.l2(), h.llc()]
+        .into_iter()
+        .map(|c| (contents(c, addr), *c.stats()))
+        .collect()
+}
+
+fn reference_view(r: &RefHierarchy, addr: u64) -> Vec<(Vec<(u64, bool)>, CacheStats)> {
+    [&r.l1i, &r.l1d, &r.l2, &r.llc]
+        .into_iter()
+        .map(|c| (c.contents(addr), c.stats))
+        .collect()
+}
+
+fn run_hierarchy(seed: u64) {
+    // L1s: 2 sets x 2 ways; L2: 4 x 4; LLC: 8 x 4, inclusive. Addresses
+    // come from 4x the LLC's capacity, so most accesses miss everywhere
+    // and LLC evictions (with back-invalidation) are frequent.
+    let cfg = HierarchyConfig {
+        l1i: level(2, 2, LATENCY[0]),
+        l1d: level(2, 2, LATENCY[0]),
+        l2: level(4, 4, LATENCY[1]),
+        llc: level(8, 4, LATENCY[2]),
+        memory_latency: LATENCY[3],
+        inclusive_llc: true,
+    };
+    let mut h = Hierarchy::new(cfg);
+    let mut r = RefHierarchy {
+        l1i: Reference::new(2, 2),
+        l1d: Reference::new(2, 2),
+        l2: Reference::new(4, 4),
+        llc: Reference::new(8, 4),
+        memory_accesses: 0,
+    };
+    let lines = 4 * 8 * 4;
+    let mut rng = SplitMix64::new(seed ^ 0x4849_4552);
+    let mut misses = 0;
+    for op in 0..OPS {
+        let a = rng.range_u64(0, lines) * LINE + rng.range_u64(0, LINE);
+        let kind = rng.range_u64(0, 20);
+        let ctx = format!("seed {seed} op {op} kind {kind} addr {a:#x}");
+        let mut checked = vec![a];
+        if kind == 0 {
+            h.flush(a);
+            r.flush(a);
+        } else {
+            let kind = [
+                AccessKind::InstFetch,
+                AccessKind::DataRead,
+                AccessKind::DataWrite,
+            ][(kind % 3) as usize];
+            let got = h.access(a, kind);
+            let (want, evicted) = r.access(a, kind);
+            assert_eq!((got.latency, got.level), want, "{ctx}");
+            misses += u64::from(got.level == HitLevel::Memory);
+            checked.extend(evicted);
+        }
+        for addr in checked {
+            assert_eq!(
+                hierarchy_view(&h, addr),
+                reference_view(&r, addr),
+                "levels at {addr:#x}: {ctx}"
+            );
+        }
+        assert_eq!(h.stats().memory_accesses, r.memory_accesses, "{ctx}");
+    }
+    assert!(misses > OPS as u64 / 2, "seed {seed}: only {misses} misses");
+}
+
+#[test]
+fn hierarchy_fills_match_reference_caches_under_misses() {
+    for seed in 0..SEEDS {
+        run_hierarchy(seed);
     }
 }

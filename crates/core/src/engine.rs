@@ -158,10 +158,17 @@ impl CsdEngine {
     }
 
     /// Attaches an event sink; decode, gate, and stealth-window events
-    /// flow to it from now on. With no sink attached (the default) each
-    /// emission site costs a single `Option` test.
+    /// flow to it from now on. The pipeline tests for a sink once per
+    /// batch of retires ([`CsdEngine::decode_memo_traced`],
+    /// [`CsdEngine::tick_traced`]), so with no sink attached (the default)
+    /// its decode and tick path makes no per-event test at all.
     pub fn set_event_sink(&mut self, sink: Box<dyn EventSink>) {
         self.sink.attach(sink);
+    }
+
+    /// Whether an event sink is attached.
+    pub fn has_event_sink(&self) -> bool {
+        self.sink.is_attached()
     }
 
     /// Detaches and returns the current event sink, if any.
@@ -169,16 +176,18 @@ impl CsdEngine {
         self.sink.detach()
     }
 
-    /// Advances the context generation and reports why. Every bump site
-    /// funnels through here so coverage tools see the full transition
-    /// stream; with no sink attached the cost stays one `Option` test.
-    fn bump_context(&mut self, cause: u8) {
+    /// Advances the context generation and, when `TRACE`, reports why.
+    /// Every bump site funnels through here so coverage tools see the
+    /// full transition stream.
+    fn bump_context<const TRACE: bool>(&mut self, cause: u8) {
         self.context_gen += 1;
-        let ev = ContextKeyEvent {
-            key: self.context_gen,
-            cause,
-        };
-        self.sink.with(|s| s.on_context_key(&ev));
+        if TRACE {
+            let ev = ContextKeyEvent {
+                key: self.context_gen,
+                cause,
+            };
+            self.sink.with(|s| s.on_context_key(&ev));
+        }
     }
 
     /// Emits a [`GateEvent`] if the VPU's gated-ness changed since `was`.
@@ -201,7 +210,7 @@ impl CsdEngine {
         if MsrFile::is_csd_msr(msr) {
             self.stealth.configure(&self.msrs);
         }
-        self.bump_context(key_cause::MSR);
+        self.bump_context::<true>(key_cause::MSR);
     }
 
     /// Reads an MSR.
@@ -218,13 +227,13 @@ impl CsdEngine {
     /// Re-snapshots decoder state from the MSR file.
     pub fn refresh(&mut self) {
         self.stealth.configure(&self.msrs);
-        self.bump_context(key_cause::REFRESH);
+        self.bump_context::<true>(key_cause::REFRESH);
     }
 
     /// Activates (or deactivates) a custom MCU-installed translation mode.
     pub fn set_custom_mode(&mut self, mode: Option<u8>) {
         self.active_custom = mode;
-        self.bump_context(key_cause::CUSTOM_MODE);
+        self.bump_context::<true>(key_cause::CUSTOM_MODE);
     }
 
     /// Replaces the VPU gating policy, restarting the gate controller
@@ -233,7 +242,7 @@ impl CsdEngine {
     /// on it), so the context generation bumps.
     pub fn set_vpu_policy(&mut self, policy: VpuPolicy) {
         self.gate.set_policy(policy);
-        self.bump_context(key_cause::VPU_POLICY);
+        self.bump_context::<true>(key_cause::VPU_POLICY);
     }
 
     /// Applies a microcode update after verification.
@@ -251,7 +260,7 @@ impl CsdEngine {
         if installed {
             self.stats.mcu_applied += 1;
         }
-        self.bump_context(key_cause::MCU);
+        self.bump_context::<true>(key_cause::MCU);
         Ok(installed)
     }
 
@@ -259,17 +268,28 @@ impl CsdEngine {
     /// A watchdog re-arm or a VPU state change bumps the context
     /// generation (both alter what subsequent decodes produce).
     pub fn tick(&mut self, cycles: u64) {
+        self.tick_traced::<true>(cycles);
+    }
+
+    /// [`CsdEngine::tick`] with the sink test hoisted to the caller:
+    /// events reach an attached sink only when `TRACE` holds. The
+    /// pipeline passes whether any sink was attached when its batch of
+    /// retires began, so a sink-free run makes no per-event test.
+    #[inline]
+    pub fn tick_traced<const TRACE: bool>(&mut self, cycles: u64) {
         let armed_was = self.stealth.armed();
         self.stealth.tick(cycles);
         if self.stealth.armed() != armed_was {
-            self.bump_context(key_cause::STEALTH_ARM);
+            self.bump_context::<TRACE>(key_cause::STEALTH_ARM);
         }
         let was = self.gate.state();
         self.gate.tick(cycles);
         if self.gate.state() != was {
-            self.bump_context(key_cause::GATE);
+            self.bump_context::<TRACE>(key_cause::GATE);
+            if TRACE {
+                self.emit_gate_delta(was);
+            }
         }
-        self.emit_gate_delta(was);
     }
 
     /// Whether the VPU is powered and usable this cycle.
@@ -281,7 +301,8 @@ impl CsdEngine {
     /// table serves the flow: MCU patch lookup for the active custom mode
     /// and the VPU gate controller's verdict (with its events and key
     /// bump).
-    fn decide(&mut self, inst: &Inst) -> Decision {
+    #[inline]
+    fn decide<const TRACE: bool>(&mut self, inst: &Inst) -> Decision {
         let patch = self
             .active_custom
             .map(ContextId::Custom)
@@ -312,9 +333,11 @@ impl CsdEngine {
         } else {
             self.gate.on_scalar_inst();
         }
-        self.emit_gate_delta(gate_was);
         if self.gate.state() != gate_was {
-            self.bump_context(key_cause::GATE);
+            if TRACE {
+                self.emit_gate_delta(gate_was);
+            }
+            self.bump_context::<TRACE>(key_cause::GATE);
         }
         d
     }
@@ -337,7 +360,16 @@ impl CsdEngine {
     /// → devectorization (gate-controller decision) → stealth decoy
     /// injection on top of whatever translation resulted.
     pub fn decode(&mut self, placed: &Placed, tainted: bool) -> DecodeOutcome<'static> {
-        let d = self.decide(&placed.inst);
+        self.decode_traced::<true>(placed, tainted)
+    }
+
+    /// [`CsdEngine::decode`] with events only when `TRACE` holds.
+    fn decode_traced<const TRACE: bool>(
+        &mut self,
+        placed: &Placed,
+        tainted: bool,
+    ) -> DecodeOutcome<'static> {
+        let d = self.decide::<TRACE>(&placed.inst);
         let inst = &placed.inst;
         let native = (d.devec || d.patch.is_none()).then(|| translate(inst, placed.next_addr()));
         let devectorized = match &native {
@@ -352,11 +384,12 @@ impl CsdEngine {
                 ContextId::Native,
             ),
         };
-        let (flow, context) = match self.inject(placed, tainted, || base.to_translation()) {
+        let (flow, context) = match self.inject::<TRACE>(placed, tainted, || base.to_translation())
+        {
             Some(f) => (FlowRef::Fresh(f), ContextId::Stealth),
             None => (base, context),
         };
-        self.finish_decode(placed, flow, context, &d, Served::Bypass)
+        self.finish_decode::<TRACE>(placed, flow, context, &d, Served::Bypass)
     }
 
     /// Like [`CsdEngine::decode`], but serves the native and devectorized
@@ -378,23 +411,37 @@ impl CsdEngine {
         tainted: bool,
         table: &'t mut FlowTable,
     ) -> DecodeOutcome<'t> {
+        self.decode_memo_traced::<true>(placed, index, tainted, table)
+    }
+
+    /// [`CsdEngine::decode_memo`] with the sink test hoisted to the
+    /// caller: events reach an attached sink only when `TRACE` holds (see
+    /// [`CsdEngine::tick_traced`]). The table-hit path is inlined into
+    /// the caller; everything else runs out of line.
+    #[inline]
+    pub fn decode_memo_traced<'t, const TRACE: bool>(
+        &mut self,
+        placed: &Placed,
+        index: usize,
+        tainted: bool,
+        table: &'t mut FlowTable,
+    ) -> DecodeOutcome<'t> {
         if !table.enabled() {
             table.record(Served::Bypass);
-            return self.decode(placed, tainted);
+            return self.decode_traced::<TRACE>(placed, tainted);
         }
-        let d = self.decide(&placed.inst);
-        let inst = &placed.inst;
+        let d = self.decide::<TRACE>(&placed.inst);
 
         // The common case: a native decode of an instruction whose flow
         // the table already holds, with no stealth window intercepting.
-        // That is exactly the path below with nothing to build and no
+        // That is exactly the build path with nothing to build and no
         // injection, so it is a hit served straight from the table.
         if !d.devec && d.patch.is_none() {
             if let Some(native) = table.slot(index).native {
                 if !self.stealth.should_intercept(placed, tainted) {
                     table.record(Served::Hit);
                     let table: &'t FlowTable = table;
-                    return self.finish_decode(
+                    return self.finish_decode::<TRACE>(
                         placed,
                         table.get(native),
                         ContextId::Native,
@@ -404,7 +451,21 @@ impl CsdEngine {
                 }
             }
         }
+        self.decode_memo_build::<TRACE>(placed, index, tainted, table, d)
+    }
 
+    /// The rest of [`CsdEngine::decode_memo_traced`]: every decode the
+    /// table does not serve as a plain native hit.
+    #[inline(never)]
+    fn decode_memo_build<'t, const TRACE: bool>(
+        &mut self,
+        placed: &Placed,
+        index: usize,
+        tainted: bool,
+        table: &'t mut FlowTable,
+        d: Decision,
+    ) -> DecodeOutcome<'t> {
+        let inst = &placed.inst;
         // Build what the decision needs and the slot lacks: the native
         // flow unless a patch serves the decode, and the devectorized flow
         // when the gate asked for one (a stored one replays the
@@ -443,8 +504,10 @@ impl CsdEngine {
             ),
         };
         let injected = match &base {
-            Base::Table(s) => self.inject(placed, tainted, || table.get(*s).to_translation()),
-            Base::Patch(p) => self.inject(placed, tainted, || {
+            Base::Table(s) => {
+                self.inject::<TRACE>(placed, tainted, || table.get(*s).to_translation())
+            }
+            Base::Patch(p) => self.inject::<TRACE>(placed, tainted, || {
                 FlowRef::Shared(Arc::clone(p)).to_translation()
             }),
         };
@@ -460,13 +523,13 @@ impl CsdEngine {
             (None, Base::Table(s)) => (table.get(s), context),
             (None, Base::Patch(p)) => (FlowRef::Shared(p), context),
         };
-        self.finish_decode(placed, flow, context, &d, served)
+        self.finish_decode::<TRACE>(placed, flow, context, &d, served)
     }
 
     /// Stealth decoy injection on top of the chosen flow: the fresh flow
     /// when the armed window intercepts this decode (which disarms it, a
     /// context transition). The base translation is built only then.
-    fn inject(
+    fn inject<const TRACE: bool>(
         &mut self,
         placed: &Placed,
         tainted: bool,
@@ -476,13 +539,14 @@ impl CsdEngine {
             return None;
         }
         let t = self.stealth.on_decode(placed, &base(), tainted)?;
-        self.bump_context(key_cause::STEALTH_INJECT);
+        self.bump_context::<TRACE>(key_cause::STEALTH_INJECT);
         Some(Flow::new(t))
     }
 
-    /// Shared tail of both decode paths: statistics, event emission
-    /// (including how the flow was `served`), and the outcome.
-    fn finish_decode<'t>(
+    /// Shared tail of both decode paths: statistics, event emission when
+    /// `TRACE` (including how the flow was `served`), and the outcome.
+    #[inline]
+    fn finish_decode<'t, const TRACE: bool>(
         &mut self,
         placed: &Placed,
         flow: FlowRef<'t>,
@@ -490,15 +554,6 @@ impl CsdEngine {
         d: &Decision,
         served: Served,
     ) -> DecodeOutcome<'t> {
-        let ev = MemoProbeEvent {
-            outcome: match served {
-                Served::Hit => memo_probe::HIT,
-                Served::Miss => memo_probe::MISS,
-                Served::Bypass => memo_probe::BYPASS,
-            },
-        };
-        self.sink.with(|s| s.on_memo_probe(&ev));
-
         let FlowFacts { uops, decoys, .. } = flow.facts();
         self.stats.decoded_insts += 1;
         self.stats.total_uops += u64::from(uops);
@@ -506,40 +561,58 @@ impl CsdEngine {
         if context != ContextId::Native {
             self.stats.custom_decoded += 1;
         }
-
-        let ev = DecodeEvent {
-            addr: placed.addr,
-            context: context.bit(),
-            uops,
-            decoy_uops: decoys,
-            stall_cycles: d.stall_cycles,
-        };
-        self.sink.with(|s| s.on_decode(&ev));
-        // Per-µop events are the one per-µop emission in the engine;
-        // the attachment test keeps the detached hot path at the usual
-        // single Option check per macro-op.
-        if self.sink.is_attached() {
-            for u in flow.uops() {
-                let ev = UopDecodeEvent {
-                    context: context.bit(),
-                    class: u.kind.coverage_class(),
-                };
-                self.sink.with(|s| s.on_uop_decode(&ev));
-            }
+        if TRACE {
+            self.emit_decode(placed, &flow, context, d, served);
         }
-        if context == ContextId::Stealth && decoys > 0 {
-            let ev = StealthWindowEvent {
-                addr: placed.addr,
-                decoy_uops: decoys,
-            };
-            self.sink.with(|s| s.on_stealth_window(&ev));
-        }
-
         DecodeOutcome {
             flow,
             context,
             stall_cycles: d.stall_cycles,
             vector_class: d.vector_class,
+        }
+    }
+
+    /// A decode's events, in order: the flow-table probe, the decode,
+    /// one event per µop, and the stealth window when decoys were
+    /// injected. Per-µop events are the one per-µop emission in the
+    /// engine, so they are built only when a sink is attached.
+    fn emit_decode(
+        &mut self,
+        placed: &Placed,
+        flow: &FlowRef<'_>,
+        context: ContextId,
+        d: &Decision,
+        served: Served,
+    ) {
+        let Some(sink) = self.sink.get() else {
+            return;
+        };
+        sink.on_memo_probe(&MemoProbeEvent {
+            outcome: match served {
+                Served::Hit => memo_probe::HIT,
+                Served::Miss => memo_probe::MISS,
+                Served::Bypass => memo_probe::BYPASS,
+            },
+        });
+        let FlowFacts { uops, decoys, .. } = flow.facts();
+        sink.on_decode(&DecodeEvent {
+            addr: placed.addr,
+            context: context.bit(),
+            uops,
+            decoy_uops: decoys,
+            stall_cycles: d.stall_cycles,
+        });
+        for u in flow.uops() {
+            sink.on_uop_decode(&UopDecodeEvent {
+                context: context.bit(),
+                class: u.kind.coverage_class(),
+            });
+        }
+        if context == ContextId::Stealth && decoys > 0 {
+            sink.on_stealth_window(&StealthWindowEvent {
+                addr: placed.addr,
+                decoy_uops: decoys,
+            });
         }
     }
 

@@ -180,6 +180,7 @@ impl VpuGateController {
 
     /// Advances `n` cycles: accounts state residency, counts down wakes,
     /// and applies conventional idle-gating decisions.
+    #[inline]
     pub fn tick(&mut self, n: u64) {
         let mut left = n;
         while left > 0 {

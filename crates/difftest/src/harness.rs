@@ -348,7 +348,7 @@ fn compare(
         ));
     }
     for (i, g) in mx86_isa::Gpr::ALL.iter().enumerate() {
-        let (got, want) = (core.state.gprs[i], cpu.gprs[i]);
+        let (got, want) = (core.state.gpr(*g), cpu.gprs[i]);
         if got != want {
             d.push(diverge(
                 DivergenceClass::Gpr,
@@ -356,12 +356,12 @@ fn compare(
             ));
         }
     }
-    for i in 0..16 {
-        let (got, want) = (core.state.xmms[i], cpu.xmms[i]);
+    for (i, x) in mx86_isa::Xmm::all().enumerate() {
+        let (got, want) = (core.state.xmm(x), cpu.xmms[i]);
         if got != want {
             d.push(diverge(
                 DivergenceClass::Xmm,
-                format!("xmm{i}: pipeline {got:?}, reference {want:?}"),
+                format!("{x}: pipeline {got:?}, reference {want:?}"),
             ));
         }
     }

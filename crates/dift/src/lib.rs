@@ -38,7 +38,7 @@
 #![cfg_attr(not(test), deny(clippy::expect_used, clippy::unwrap_used))]
 
 use csd_uops::{Src, UMem, UReg, Uop, UopKind};
-use mx86_isa::page::{self, PageMap, PAGE_SIZE};
+use mx86_isa::page::{self, PageMap, PAGE_BITS, PAGE_SIZE};
 use mx86_isa::AddrRange;
 
 /// Extra load latency (cycles) charged while DIFT is active, modeling the
@@ -140,8 +140,12 @@ impl Dift {
     }
 
     /// Sets or clears taint on `len` bytes from `addr`, wrapping at the
-    /// top of the address space. Clearing never maps a page.
+    /// top of the address space. Clearing never maps a page, and while
+    /// no byte is tainted it does nothing.
     fn set_memory(&mut self, addr: u64, len: u64, tainted: bool) {
+        if !tainted && self.mem_bytes == 0 {
+            return;
+        }
         for (page, off, n) in page::spans(addr, len) {
             let bits = if tainted {
                 self.mem
@@ -175,15 +179,27 @@ impl Dift {
     /// Whether any byte of `[addr, addr+len)` is tainted. Addresses wrap
     /// (wild pointers reach the top of the address space; the
     /// architectural memory model wraps the same way).
+    ///
+    /// While no byte is tainted this makes no page probe, and a query
+    /// that stays inside one page makes one probe with no span iterator.
+    #[inline]
     pub fn memory_tainted(&self, addr: u64, len: u64) -> bool {
-        if !self.enabled {
+        if !self.enabled || self.mem_bytes == 0 || len == 0 {
             return false;
         }
-        page::spans(addr, len).any(|(page, off, n)| {
-            self.mem
-                .get(&page)
-                .is_some_and(|bits| word_masks(off, n).any(|(w, mask)| bits[w] & mask != 0))
-        })
+        let off = (addr as usize) & (PAGE_SIZE - 1);
+        if off as u64 + len <= PAGE_SIZE as u64 {
+            return self.page_tainted(addr >> PAGE_BITS, off, len as usize);
+        }
+        page::spans(addr, len).any(|(page, off, n)| self.page_tainted(page, off, n))
+    }
+
+    /// Whether any of `n` bytes from byte `off` of `page` is tainted.
+    #[inline]
+    fn page_tainted(&self, page: u64, off: usize, n: usize) -> bool {
+        self.mem
+            .get(&page)
+            .is_some_and(|bits| word_masks(off, n).any(|(w, mask)| bits[w] & mask != 0))
     }
 
     /// Whether the flags register is tainted.
@@ -226,6 +242,7 @@ impl Dift {
     /// `ea` is the resolved effective address for memory µops (`None` for
     /// non-memory µops). Decoy µops are skipped entirely: they are
     /// microarchitectural noise, not data flow.
+    #[inline(always)]
     pub fn propagate(&mut self, uop: &Uop, ea: Option<u64>) -> TaintEvent {
         use UopKind as K;
         let mut ev = TaintEvent::default();
@@ -544,6 +561,66 @@ mod tests {
             assert_eq!(d.tainted_bytes(), oracle.len());
         }
         assert!(!oracle.is_empty());
+    }
+
+    /// Model-based test of the source API alone: `taint_memory` and
+    /// `untaint_memory` over short ranges, against a byte set, with
+    /// 1-, 2-, 4-, 8- and 16-byte `memory_tainted` queries placed to
+    /// straddle 64-byte bitmap words and pages and to wrap past
+    /// `u64::MAX`. The taint set is emptied every so often, so queries
+    /// also run while no byte is tainted.
+    #[test]
+    fn memory_taint_matches_a_byte_set_oracle() {
+        use std::collections::BTreeSet;
+        let mut d = Dift::new();
+        let mut oracle: BTreeSet<u64> = BTreeSet::new();
+        let mut rng = SplitMix64::new(23);
+        // A point near a word edge, a page edge, or the top of the
+        // address space, then nudged a few bytes either way.
+        let edge = |rng: &mut SplitMix64| {
+            let base = match rng.range_u64(0, 3) {
+                0 => 0x5000 + 64 * rng.range_u64(0, 128),
+                1 => 0x1_0000 + PAGE_SIZE as u64 * rng.range_u64(0, 4),
+                _ => 0u64.wrapping_sub(64 * rng.range_u64(0, 4)),
+            };
+            base.wrapping_add(rng.range_u64(0, 24)).wrapping_sub(12)
+        };
+        let (mut queries, mut hits, mut empty_queries) = (0, 0, 0);
+        for step in 0..4000 {
+            if step % 500 == 499 {
+                for &b in &oracle {
+                    d.untaint_memory(AddrRange::with_len(b, 1));
+                }
+                oracle.clear();
+            } else if rng.range_u64(0, 3) == 0 {
+                let start = edge(&mut rng);
+                let len = rng.range_u64(1, 100).min(u64::MAX - start);
+                let r = AddrRange::with_len(start, len);
+                if rng.range_u64(0, 3) == 0 {
+                    d.untaint_memory(r);
+                    for b in start..start + len {
+                        oracle.remove(&b);
+                    }
+                } else {
+                    d.taint_memory(r);
+                    oracle.extend(start..start + len);
+                }
+            }
+            for len in [1, 2, 4, 8, 16] {
+                let a = edge(&mut rng);
+                let want = (0..len).any(|i| oracle.contains(&a.wrapping_add(i)));
+                assert_eq!(d.memory_tainted(a, len), want, "step {step}: {a:#x}+{len}");
+                queries += 1;
+                hits += usize::from(want);
+                empty_queries += usize::from(oracle.is_empty());
+            }
+            assert_eq!(d.tainted_bytes(), oracle.len(), "step {step}");
+        }
+        assert!(
+            hits > queries / 10 && hits < queries / 2,
+            "{hits}/{queries}"
+        );
+        assert!(empty_queries > 0 && empty_queries < queries);
     }
 
     #[test]

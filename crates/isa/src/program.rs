@@ -91,14 +91,16 @@ impl Placed {
 }
 
 /// An instruction as [`Program::fetch_indexed`] resolves it: the placed
-/// instruction plus the static facts the front end needs per dynamic
-/// instance, looked up rather than recomputed.
+/// instruction, borrowed from the program, plus the static facts the
+/// front end needs per dynamic instance, looked up rather than
+/// recomputed. Every field is one word, so handing it from stage to
+/// stage copies no instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Fetched {
+pub struct Fetched<'p> {
     /// Dense index of the instruction in program order (`0..len()`).
     pub index: usize,
     /// The instruction and its address.
-    pub placed: Placed,
+    pub placed: &'p Placed,
     /// Address of the byte following the instruction
     /// (`placed.next_addr()`).
     pub next: u64,
@@ -188,17 +190,36 @@ impl Program {
     /// laid out back-to-back, so that address is where the next
     /// instruction starts (or the end of the code), and no encoded length
     /// is recomputed.
-    pub fn fetch_indexed(&self, addr: u64) -> Option<Fetched> {
+    pub fn fetch_indexed(&self, addr: u64) -> Option<Fetched<'_>> {
         let index = self.index_of(addr)?;
+        Some(self.fetched(index))
+    }
+
+    /// [`Program::fetch_indexed`] given a guess at the instruction's
+    /// index. When the instruction at `hint` starts at `addr`, as the
+    /// one after the previously fetched instruction does whenever
+    /// execution falls through, the fetch index is not read; otherwise
+    /// this is [`Program::fetch_indexed`].
+    #[inline]
+    pub fn fetch_hinted(&self, addr: u64, hint: usize) -> Option<Fetched<'_>> {
+        match self.insts.get(hint) {
+            Some(p) if p.addr == addr => Some(self.fetched(hint)),
+            _ => self.fetch_indexed(addr),
+        }
+    }
+
+    /// The instruction at `index` (in range), with the address after it.
+    #[inline]
+    fn fetched(&self, index: usize) -> Fetched<'_> {
         let next = match self.insts.get(index + 1) {
             Some(p) => p.addr,
             None => self.entry + self.index.len() as u64,
         };
-        Some(Fetched {
+        Fetched {
             index,
-            placed: self.insts[index],
+            placed: &self.insts[index],
             next,
-        })
+        }
     }
 
     fn index_of(&self, addr: u64) -> Option<usize> {
@@ -324,15 +345,20 @@ mod tests {
                 "{addr:#x}"
             );
             let indexed = p.fetch_indexed(addr);
-            assert_eq!(indexed.map(|f| f.placed), oracle.get(&addr).copied());
+            assert_eq!(indexed.map(|f| *f.placed), oracle.get(&addr).copied());
             if let Some(f) = indexed {
                 assert_eq!(order[f.index], addr);
                 assert_eq!(f.next, f.placed.next_addr(), "{addr:#x}");
+            }
+            // Any hint, right, wrong or out of range, resolves the same.
+            for hint in 0..=p.len() + 1 {
+                assert_eq!(p.fetch_hinted(addr, hint), indexed, "{addr:#x} hint {hint}");
             }
         }
         for addr in [0, p.entry() - 1, p.end_addr(), u64::MAX, u64::MAX - 0x1000] {
             assert!(p.fetch(addr).is_none(), "{addr:#x}");
             assert!(p.fetch_indexed(addr).is_none(), "{addr:#x}");
+            assert!(p.fetch_hinted(addr, 0).is_none(), "{addr:#x}");
         }
         assert!(Program::default().fetch(0).is_none());
     }

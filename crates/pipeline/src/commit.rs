@@ -10,8 +10,14 @@ use mx86_isa::Inst;
 /// Retires the macro-op: statistics, watchdog/gate time advance, the
 /// retire event, and the next-PC decision from how execute ended the
 /// flow.
+/// Events reach the sinks only when `TRACE` (see `Core::run_batch`).
 #[inline]
-pub(crate) fn run(core: &mut Core, f: &Fetch, d: &Decoded, end: Option<FlowEnd>) -> StepOutcome {
+pub(crate) fn run<const TRACE: bool>(
+    core: &mut Core,
+    f: &Fetch,
+    d: &Decoded,
+    end: Option<FlowEnd>,
+) -> StepOutcome {
     let facts = d.out.flow.facts();
     let uops = u64::from(facts.uops);
 
@@ -31,17 +37,19 @@ pub(crate) fn run(core: &mut Core, f: &Fetch, d: &Decoded, end: Option<FlowEnd>)
     let now = core.cycles();
     let delta = now.saturating_sub(core.last_tick);
     if delta > 0 {
-        core.engine.tick(delta);
+        core.engine.tick_traced::<TRACE>(delta);
         core.last_tick = now;
     }
 
-    let ev = RetireEvent {
-        addr: f.inst.placed.addr,
-        uops: uops as u32,
-        insts: core.stats.insts,
-        cycles: now,
-    };
-    core.sink.with(|s| s.on_retire(&ev));
+    if TRACE {
+        let ev = RetireEvent {
+            addr: f.inst.placed.addr,
+            uops: uops as u32,
+            insts: core.stats.insts,
+            cycles: now,
+        };
+        core.sink.with(|s| s.on_retire(&ev));
+    }
 
     match end {
         Some(FlowEnd::Halt) => {

@@ -17,9 +17,9 @@
 //! each instruction's µop flows from a per-instruction flow table
 //! ([`csd_uops::FlowTable`]), built on the instruction's first decode and
 //! never invalidated, because the flows it holds depend on the
-//! instruction alone. The loop holds the table apart from the machine
-//! state for the whole run, so execute and commit read the flow borrowed
-//! from it.
+//! instruction alone. The loop holds the program and the table apart from
+//! the machine state for the whole run, so the later stages read the
+//! instruction and the flow borrowed from them.
 
 use crate::branch::BranchPredictor;
 use crate::clock::ceil_u64;
@@ -213,6 +213,10 @@ pub struct Core {
     /// Per-instruction µop flows; moved out while [`Core::run`] runs.
     flows: FlowTable,
     ckpt: CheckpointStats,
+    /// The program index after the last fetched instruction: where the
+    /// next fetch looks first ([`Program::fetch_hinted`]). Only a guess,
+    /// checked against the PC on use, so it stays out of snapshots.
+    pub(crate) fetch_hint: usize,
 
     // --- timing state (cycle mode) ---
     /// `1 / dispatch_width` and `1 / commit_width`: the slot spacing of
@@ -278,6 +282,7 @@ impl Core {
             sink: SinkHandle::new(),
             flows,
             ckpt: CheckpointStats::default(),
+            fetch_hint: 0,
             dispatch_step: 1.0 / cfg.dispatch_width as f64,
             commit_step: 1.0 / cfg.commit_width as f64,
             fe_time: 0.0,
@@ -310,9 +315,11 @@ impl Core {
 
     /// Attaches an event sink to the core's retire stage. Decode-level
     /// events come from the CSD engine's own sink
-    /// ([`CsdEngine::set_event_sink`] via [`Core::engine_mut`]). With no
-    /// sink attached (the default) the retire path pays one `Option`
-    /// test per macro-op.
+    /// ([`CsdEngine::set_event_sink`] via [`Core::engine_mut`]). Each
+    /// [`Core::run`] batch tests once whether either sink is attached;
+    /// with neither (the default) it runs stage code compiled without
+    /// emission sites, so it pays nothing per event. A sink attached
+    /// between two batches sees all of the later one.
     pub fn set_event_sink(&mut self, sink: Box<dyn EventSink>) {
         self.sink.attach(sink);
     }
@@ -587,9 +594,15 @@ impl Core {
     /// The batched loop behind [`Core::run`] and [`Core::run_cycles`]:
     /// retires up to `max_insts` macro-ops, stopping early on halt, on a
     /// fault, or once `stop` holds (checked before each instruction). The
-    /// flow table is moved out of the core for the whole batch, so decode
-    /// can hand execute and commit a flow borrowed from it while those
-    /// stages mutate the machine.
+    /// program and the flow table are moved out of the core for the whole
+    /// batch, so fetch and decode can hand the later stages an
+    /// instruction and a flow borrowed from them while those stages
+    /// mutate the machine.
+    ///
+    /// Whether a core or engine sink is attached is tested here, once:
+    /// nothing inside a batch can attach or detach one, so the stages run
+    /// monomorphised on the answer (`TRACE`), and without a sink they
+    /// contain no emission site.
     fn run_batch(&mut self, max_insts: u64, stop: impl Fn(&Core) -> bool) -> StepOutcome {
         if max_insts == 0 || stop(self) {
             return StepOutcome::Running;
@@ -598,26 +611,48 @@ impl Core {
             return StepOutcome::Halted;
         }
         let mut flows = std::mem::take(&mut self.flows);
+        let program = std::mem::take(&mut self.program);
+        let last = if self.sink.is_attached() || self.engine.has_event_sink() {
+            self.retire_batch::<true>(max_insts, &stop, &program, &mut flows)
+        } else {
+            self.retire_batch::<false>(max_insts, &stop, &program, &mut flows)
+        };
+        self.program = program;
+        self.flows = flows;
+        last
+    }
+
+    /// Retires up to `max_insts` macro-ops for [`Core::run_batch`].
+    fn retire_batch<const TRACE: bool>(
+        &mut self,
+        max_insts: u64,
+        stop: &impl Fn(&Core) -> bool,
+        program: &Program,
+        flows: &mut FlowTable,
+    ) -> StepOutcome {
         let mut last = StepOutcome::Running;
         for _ in 0..max_insts {
-            last = self.retire_one(&mut flows);
+            last = self.retire_one::<TRACE>(program, flows);
             if last != StepOutcome::Running || stop(self) {
                 break;
             }
         }
-        self.flows = flows;
         last
     }
 
     /// Fetch, decode, execute and commit one macro-op.
     #[inline]
-    fn retire_one(&mut self, flows: &mut FlowTable) -> StepOutcome {
-        let f = match fetch::run(self) {
+    fn retire_one<const TRACE: bool>(
+        &mut self,
+        program: &Program,
+        flows: &mut FlowTable,
+    ) -> StepOutcome {
+        let f = match fetch::run(self, program) {
             Ok(f) => f,
             Err(fault) => return fault,
         };
-        let d = decode::run(self, &f, flows);
-        let end = execute::run(self, &f, &d);
-        commit::run(self, &f, &d, end)
+        let d = decode::run::<TRACE>(self, &f, flows);
+        let end = execute::run::<TRACE>(self, &f, &d);
+        commit::run::<TRACE>(self, &f, &d, end)
     }
 }

@@ -24,15 +24,20 @@ pub(crate) struct WindowBuilder {
 /// flow table (`flows`, held apart from the core for the whole run so the
 /// flow can stay borrowed through execute and commit), stall accounting,
 /// and front-end timing.
+/// Events reach the sinks only when `TRACE` (see `Core::run_batch`).
 #[inline]
-pub(crate) fn run<'t>(core: &mut Core, f: &Fetch, flows: &'t mut FlowTable) -> Decoded<'t> {
+pub(crate) fn run<'t, const TRACE: bool>(
+    core: &mut Core,
+    f: &Fetch,
+    flows: &'t mut FlowTable,
+) -> Decoded<'t> {
     let placed = &f.inst.placed;
     let tainted = macro_tainted(core, &placed.inst);
     let out = core
         .engine
-        .decode_memo(placed, f.inst.index, tainted, flows);
+        .decode_memo_traced::<TRACE>(placed, f.inst.index, tainted, flows);
     core.stats.stall_cycles += out.stall_cycles;
-    let fused_slots = front_end(core, f, &out);
+    let fused_slots = front_end::<TRACE>(core, f, &out);
     Decoded { out, fused_slots }
 }
 
@@ -62,7 +67,8 @@ fn macro_tainted(core: &Core, inst: &Inst) -> bool {
 }
 
 /// Front-end delivery timing; returns the fused slot count.
-fn front_end(core: &mut Core, f: &Fetch, out: &DecodeOutcome) -> u32 {
+#[inline]
+fn front_end<const TRACE: bool>(core: &mut Core, f: &Fetch, out: &DecodeOutcome) -> u32 {
     let placed = &f.inst.placed;
     let facts = out.flow.facts();
     let mut fused = if core.cfg.fusion_enabled {
@@ -81,11 +87,11 @@ fn front_end(core: &mut Core, f: &Fetch, out: &DecodeOutcome) -> u32 {
         if core.cfg.uop_cache_enabled {
             let window = UopCache::window_of(placed.addr);
             if core.ucache.lookup(window, out.context) {
-                emit_ucache(core, window, out.context, true);
+                emit_ucache::<TRACE>(core, window, out.context, true);
                 core.stats.uop_cache_insts += 1;
                 finalize_window(core);
             } else {
-                emit_ucache(core, window, out.context, false);
+                emit_ucache::<TRACE>(core, window, out.context, false);
                 count_legacy(core, facts.from_msrom);
                 build_window(core, window, out.context, fused, facts.cacheable);
             }
@@ -99,12 +105,12 @@ fn front_end(core: &mut Core, f: &Fetch, out: &DecodeOutcome) -> u32 {
     let from_uc = if core.cfg.uop_cache_enabled {
         let window = UopCache::window_of(placed.addr);
         if core.ucache.lookup(window, out.context) {
-            emit_ucache(core, window, out.context, true);
+            emit_ucache::<TRACE>(core, window, out.context, true);
             core.stats.uop_cache_insts += 1;
             finalize_window(core);
             true
         } else {
-            emit_ucache(core, window, out.context, false);
+            emit_ucache::<TRACE>(core, window, out.context, false);
             count_legacy(core, facts.from_msrom);
             build_window(core, window, out.context, fused, facts.cacheable);
             false
@@ -135,13 +141,15 @@ fn front_end(core: &mut Core, f: &Fetch, out: &DecodeOutcome) -> u32 {
 
 /// Reports a µop-cache lookup to the core's sink (the retire-stage sink:
 /// the µop cache is pipeline state, not engine state).
-fn emit_ucache(core: &mut Core, window: u64, ctx: ContextId, hit: bool) {
-    let ev = UopCacheEvent {
-        addr: window,
-        context: ctx.bit(),
-        hit,
-    };
-    core.sink.with(|s| s.on_uop_cache(&ev));
+fn emit_ucache<const TRACE: bool>(core: &mut Core, window: u64, ctx: ContextId, hit: bool) {
+    if TRACE {
+        let ev = UopCacheEvent {
+            addr: window,
+            context: ctx.bit(),
+            hit,
+        };
+        core.sink.with(|s| s.on_uop_cache(&ev));
+    }
 }
 
 fn count_legacy(core: &mut Core, from_msrom: bool) {
@@ -207,9 +215,10 @@ mod tests {
     #[test]
     fn decode_fills_the_context() {
         let mut c = core(true);
+        let p = c.program.clone();
         let mut flows = FlowTable::new(2, true);
-        let f = fetch::run(&mut c).unwrap();
-        let d = run(&mut c, &f, &mut flows);
+        let f = fetch::run(&mut c, &p).unwrap();
+        let d = run::<true>(&mut c, &f, &mut flows);
         assert_eq!(d.out.context, ContextId::Native);
         assert_eq!(d.out.flow.uops().len(), 1);
         assert!(d.fused_slots >= 1);
@@ -221,11 +230,12 @@ mod tests {
         let mut without = core(false);
         let mut table = FlowTable::new(2, true);
         let mut none = FlowTable::new(2, false);
+        let p = with.program.clone();
         for _ in 0..3 {
-            let fa = fetch::run(&mut with).unwrap();
-            let fb = fetch::run(&mut without).unwrap();
-            let a = run(&mut with, &fa, &mut table);
-            let b = run(&mut without, &fb, &mut none);
+            let fa = fetch::run(&mut with, &p).unwrap();
+            let fb = fetch::run(&mut without, &p).unwrap();
+            let a = run::<true>(&mut with, &fa, &mut table);
+            let b = run::<false>(&mut without, &fb, &mut none);
             assert_eq!(a.out, b.out);
             assert_eq!(a.fused_slots, b.fused_slots);
         }

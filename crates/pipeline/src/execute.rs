@@ -18,14 +18,21 @@ use csd_uops::{fusion, DecoyTarget, FOp, FWidth, Src, UMem, UReg, Uop, UopKind};
 use mx86_isa::{Fetched, Gpr, Inst};
 
 /// Executes (and in cycle mode, times) the decoded µop flow; returns how
-/// it ended control-wise.
+/// it ended control-wise. Store events reach the sink only when `TRACE`
+/// (see `Core::run_batch`).
 #[inline]
-pub(crate) fn run(core: &mut Core, f: &Fetch, d: &Decoded) -> Option<FlowEnd> {
+pub(crate) fn run<const TRACE: bool>(core: &mut Core, f: &Fetch, d: &Decoded) -> Option<FlowEnd> {
     let out = &d.out;
-    execute_flow(core, &f.inst, out.flow.uops(), out.stall_cycles)
+    execute_flow::<TRACE>(core, &f.inst, out.flow.uops(), out.stall_cycles)
 }
 
-fn execute_flow(core: &mut Core, fetched: &Fetched, uops: &[Uop], stall: u64) -> Option<FlowEnd> {
+#[inline]
+fn execute_flow<const TRACE: bool>(
+    core: &mut Core,
+    fetched: &Fetched,
+    uops: &[Uop],
+    stall: u64,
+) -> Option<FlowEnd> {
     let timing = core.mode == SimMode::Cycle;
     let inst_ready = core.fe_time + stall as f64;
     let mut end = None;
@@ -40,7 +47,7 @@ fn execute_flow(core: &mut Core, fetched: &Fetched, uops: &[Uop], stall: u64) ->
             core.last_dispatch = slot_dispatch;
         }
 
-        let (effect, access_latency) = exec_uop(core, u, fetched);
+        let (effect, access_latency) = exec_uop::<TRACE>(core, u, fetched);
 
         if timing {
             time_uop(core, u, slot_dispatch, access_latency);
@@ -65,7 +72,8 @@ fn execute_flow(core: &mut Core, fetched: &Fetched, uops: &[Uop], stall: u64) ->
 
 /// Functionally executes one µop. Returns its control effect and, for
 /// memory µops, the hierarchy access latency.
-fn exec_uop(core: &mut Core, u: &Uop, fetched: &Fetched) -> (UopEffect, u64) {
+#[inline(always)]
+fn exec_uop<const TRACE: bool>(core: &mut Core, u: &Uop, fetched: &Fetched) -> (UopEffect, u64) {
     use UopKind as K;
     let placed = &fetched.placed;
     // Decoy µops: only the cache touch is real; dataflow stays in
@@ -189,7 +197,7 @@ fn exec_uop(core: &mut Core, u: &Uop, fetched: &Fetched) -> (UopEffect, u64) {
             core.hier.access(ea, AccessKind::DataWrite);
             let v = core.state.read(src);
             core.mem.write_le(ea, w, v);
-            emit_store(core, ea, w, v);
+            emit_store::<TRACE>(core, ea, w, v);
             dift_ea = Some(ea);
             core.stats.store_uops += 1;
             access_latency = 1;
@@ -212,8 +220,8 @@ fn exec_uop(core: &mut Core, u: &Uop, fetched: &Fetched) -> (UopEffect, u64) {
             core.hier.access(ea, AccessKind::DataWrite);
             let v = core.state.read_v(src);
             core.mem.write_u128(ea, v);
-            emit_store(core, ea, 8, v.0);
-            emit_store(core, ea.wrapping_add(8), 8, v.1);
+            emit_store::<TRACE>(core, ea, 8, v.0);
+            emit_store::<TRACE>(core, ea.wrapping_add(8), 8, v.1);
             dift_ea = Some(ea);
             core.stats.store_uops += 1;
             access_latency = 1;
@@ -266,14 +274,14 @@ fn exec_uop(core: &mut Core, u: &Uop, fetched: &Fetched) -> (UopEffect, u64) {
             core.pending_mispredict = miss;
         }
         K::PushImm { imm } => {
-            dift_ea = Some(push(core, imm));
+            dift_ea = Some(push::<TRACE>(core, imm));
             access_latency = 1;
         }
         K::Push { src } => {
             // x86 order: the pushed value is read before rsp moves, so
             // `push rsp` stores the pre-decrement stack pointer.
             let v = core.state.read(src);
-            dift_ea = Some(push(core, v));
+            dift_ea = Some(push::<TRACE>(core, v));
             access_latency = 1;
         }
         K::Pop { dst } => {
@@ -312,20 +320,20 @@ fn exec_uop(core: &mut Core, u: &Uop, fetched: &Fetched) -> (UopEffect, u64) {
 }
 
 /// `rsp -= 8; [rsp] ← v`; returns the new `rsp`.
-fn push(core: &mut Core, v: u64) -> u64 {
+fn push<const TRACE: bool>(core: &mut Core, v: u64) -> u64 {
     let rsp = core.state.gpr(Gpr::Rsp).wrapping_sub(8);
     core.state.set_gpr(Gpr::Rsp, rsp);
     core.hier.access(rsp, AccessKind::DataWrite);
     core.mem.write_le(rsp, 8, v);
-    emit_store(core, rsp, 8, v);
+    emit_store::<TRACE>(core, rsp, 8, v);
     core.stats.store_uops += 1;
     rsp
 }
 
 /// Emits an ordered architectural-store event (the cosimulation oracle
 /// compares this stream against the reference interpreter's).
-fn emit_store(core: &mut Core, addr: u64, len: u64, value: u64) {
-    if core.sink.is_attached() {
+fn emit_store<const TRACE: bool>(core: &mut Core, addr: u64, len: u64, value: u64) {
+    if TRACE && core.sink.is_attached() {
         let ev = StoreEvent {
             addr,
             len: len as u32,

@@ -5,16 +5,21 @@ use crate::clock::later;
 use crate::core::{Core, StepOutcome};
 use crate::stage::Fetch;
 use csd_cache::AccessKind;
+use mx86_isa::Program;
 
-/// Fetches the instruction at the current PC. Returns what the rest of
-/// the pipeline needs, or the fault outcome when the PC does not resolve
-/// to an instruction start.
+/// Fetches the instruction at the current PC from `program` (the core's,
+/// held apart from it for the whole run like the flow table). Returns
+/// what the rest of the pipeline needs, or the fault outcome when the PC
+/// does not resolve to an instruction start. The instruction after the
+/// previous fetch is tried first (`Core::fetch_hint`), so falling
+/// through reads no fetch index.
 #[inline]
-pub(crate) fn run(core: &mut Core) -> Result<Fetch, StepOutcome> {
-    let inst = match core.program.fetch_indexed(core.state.rip) {
+pub(crate) fn run<'p>(core: &mut Core, program: &'p Program) -> Result<Fetch<'p>, StepOutcome> {
+    let inst = match program.fetch_hinted(core.state.rip, core.fetch_hint) {
         Some(f) => f,
         None => return Err(StepOutcome::Fault(core.state.rip)),
     };
+    core.fetch_hint = inst.index + 1;
 
     // Touch every line the encoding spans; the penalty is the worst
     // beyond-L1I latency among them (lines fill in parallel).
@@ -61,7 +66,8 @@ mod tests {
     #[test]
     fn fetch_resolves_the_entry_instruction() {
         let mut c = core();
-        let f = run(&mut c).expect("entry fetch");
+        let p = c.program.clone();
+        let f = run(&mut c, &p).expect("entry fetch");
         assert_eq!(f.inst.placed.addr, 0x1000);
         assert_eq!(f.inst.index, 0);
         assert_eq!(f.inst.next, f.inst.placed.next_addr());
@@ -70,16 +76,18 @@ mod tests {
     #[test]
     fn cold_fetch_pays_a_penalty_warm_fetch_does_not() {
         let mut c = core();
-        let cold = run(&mut c).unwrap();
+        let p = c.program.clone();
+        let cold = run(&mut c, &p).unwrap();
         assert!(cold.penalty > 0.0, "first touch misses L1I");
-        let warm = run(&mut c).unwrap();
+        let warm = run(&mut c, &p).unwrap();
         assert_eq!(warm.penalty, 0.0, "second touch hits L1I");
     }
 
     #[test]
     fn bad_pc_faults() {
         let mut c = core();
+        let p = c.program.clone();
         c.state.rip = 0xDEAD;
-        assert_eq!(run(&mut c).unwrap_err(), StepOutcome::Fault(0xDEAD));
+        assert_eq!(run(&mut c, &p).unwrap_err(), StepOutcome::Fault(0xDEAD));
     }
 }

@@ -29,18 +29,18 @@ impl Flags {
 /// The scalar/vector *temporaries* belong to the decoder, not the ISA: they
 /// are scratch space for µop flows (including decoy and devectorized flows)
 /// and are unobservable from software.
+///
+/// Every register of the µop namespace lives in one flat file indexed by
+/// [`UReg::index`]: `lo` holds each register's value (the low half of a
+/// vector register) and `hi` the high half of a vector register, so a
+/// register access is one indexed load with no match on the register's
+/// class. The `hi` slots of scalar registers stay zero.
 #[derive(Debug, Clone)]
 pub struct ArchState {
-    /// General-purpose registers.
-    pub gprs: [u64; Gpr::COUNT],
-    /// 128-bit vector registers as (low, high) 64-bit halves.
-    pub xmms: [(u64, u64); Xmm::COUNT],
+    lo: [u64; UReg::COUNT],
+    hi: [u64; UReg::COUNT],
     /// Architectural flags.
     pub flags: Flags,
-    /// Decoder-internal scalar temporaries.
-    pub tmps: [u64; UReg::TMP_COUNT],
-    /// Decoder-internal vector temporaries.
-    pub vtmps: [(u64, u64); UReg::VTMP_COUNT],
     /// Program counter.
     pub rip: u64,
 }
@@ -49,69 +49,91 @@ impl ArchState {
     /// Zeroed state starting at `entry`.
     pub fn new(entry: u64) -> ArchState {
         ArchState {
-            gprs: [0; Gpr::COUNT],
-            xmms: [(0, 0); Xmm::COUNT],
+            lo: [0; UReg::COUNT],
+            hi: [0; UReg::COUNT],
             flags: Flags::default(),
-            tmps: [0; UReg::TMP_COUNT],
-            vtmps: [(0, 0); UReg::VTMP_COUNT],
             rip: entry,
         }
     }
 
     /// Reads a 64-bit register (low half for vector registers).
+    #[inline]
     pub fn read(&self, r: UReg) -> u64 {
-        match r {
-            UReg::Gpr(g) => self.gprs[g.index()],
-            UReg::Tmp(i) => self.tmps[i as usize],
-            UReg::Xmm(x) => self.xmms[x.index()].0,
-            UReg::VTmp(i) => self.vtmps[i as usize].0,
-        }
+        self.lo[r.index()]
     }
 
     /// Writes a 64-bit register (low half for vector registers).
+    #[inline]
     pub fn write(&mut self, r: UReg, v: u64) {
-        match r {
-            UReg::Gpr(g) => self.gprs[g.index()] = v,
-            UReg::Tmp(i) => self.tmps[i as usize] = v,
-            UReg::Xmm(x) => self.xmms[x.index()].0 = v,
-            UReg::VTmp(i) => self.vtmps[i as usize].0 = v,
-        }
+        self.lo[r.index()] = v;
     }
 
-    /// Reads a full 128-bit vector register.
+    /// Reads a full 128-bit vector register as (low, high) halves.
     ///
     /// # Panics
     ///
     /// Panics if `r` is not a vector register.
+    #[inline]
     pub fn read_v(&self, r: UReg) -> (u64, u64) {
-        match r {
-            UReg::Xmm(x) => self.xmms[x.index()],
-            UReg::VTmp(i) => self.vtmps[i as usize],
-            other => panic!("{other} is not a vector register"),
-        }
+        assert!(r.is_vector(), "{r} is not a vector register");
+        (self.lo[r.index()], self.hi[r.index()])
     }
 
-    /// Writes a full 128-bit vector register.
+    /// Writes a full 128-bit vector register from (low, high) halves.
     ///
     /// # Panics
     ///
     /// Panics if `r` is not a vector register.
+    #[inline]
     pub fn write_v(&mut self, r: UReg, v: (u64, u64)) {
-        match r {
-            UReg::Xmm(x) => self.xmms[x.index()] = v,
-            UReg::VTmp(i) => self.vtmps[i as usize] = v,
-            other => panic!("{other} is not a vector register"),
-        }
+        assert!(r.is_vector(), "{r} is not a vector register");
+        self.lo[r.index()] = v.0;
+        self.hi[r.index()] = v.1;
     }
 
-    /// Convenience accessor for a GPR.
+    /// Reads a GPR.
+    #[inline]
     pub fn gpr(&self, g: Gpr) -> u64 {
-        self.gprs[g.index()]
+        self.lo[UReg::Gpr(g).index()]
     }
 
-    /// Convenience setter for a GPR.
+    /// Writes a GPR.
+    #[inline]
     pub fn set_gpr(&mut self, g: Gpr, v: u64) {
-        self.gprs[g.index()] = v;
+        self.lo[UReg::Gpr(g).index()] = v;
+    }
+
+    /// Reads an XMM register as (low, high) halves.
+    pub fn xmm(&self, x: Xmm) -> (u64, u64) {
+        self.read_v(UReg::Xmm(x))
+    }
+
+    /// Every GPR, in [`Gpr::ALL`] order.
+    pub fn gprs(&self) -> [u64; Gpr::COUNT] {
+        Gpr::ALL.map(|g| self.gpr(g))
+    }
+
+    /// Every XMM register as (low, high) halves, in register order.
+    pub fn xmms(&self) -> [(u64, u64); Xmm::COUNT] {
+        std::array::from_fn(|i| self.xmm(Xmm::new(i as u8)))
+    }
+}
+
+/// The eight bytes of `page` from `off` (≤ `PAGE_SIZE - 8`), little-endian.
+#[inline]
+fn word(page: &[u8; PAGE_SIZE], off: usize) -> u64 {
+    let mut b = [0u8; 8];
+    b.copy_from_slice(&page[off..off + 8]);
+    u64::from_le_bytes(b)
+}
+
+/// The mask of the low `len` (≤ 8) bytes of a word.
+#[inline]
+fn low_bytes(len: u64) -> u64 {
+    if len >= 8 {
+        u64::MAX
+    } else {
+        (1 << (8 * len)) - 1
     }
 }
 
@@ -144,18 +166,44 @@ impl Memory {
         self.write_bytes(addr, &[v]);
     }
 
-    /// Reads `len` (≤ 8) bytes little-endian.
+    /// Reads `len` (≤ 8) bytes little-endian. When the eight bytes from
+    /// `addr` lie in one page (all but the last seven bytes of a page),
+    /// this is one page probe and one 8-byte load, masked to `len`
+    /// bytes.
+    #[inline]
     pub fn read_le(&self, addr: u64, len: u64) -> u64 {
         debug_assert!(len <= 8);
-        let mut buf = [0u8; 8];
-        self.read_into(addr, &mut buf[..len as usize]);
-        u64::from_le_bytes(buf)
+        let off = (addr as usize) & (PAGE_SIZE - 1);
+        if off + 8 > PAGE_SIZE {
+            let mut buf = [0u8; 8];
+            self.read_into(addr, &mut buf[..len as usize]);
+            return u64::from_le_bytes(buf);
+        }
+        match self.pages.get(&(addr >> PAGE_BITS)) {
+            Some(p) => word(p, off) & low_bytes(len),
+            None => 0,
+        }
     }
 
-    /// Writes the low `len` (≤ 8) bytes of `v` little-endian.
+    /// Writes the low `len` (≤ 8) bytes of `v` little-endian, with the
+    /// same in-page fast path as [`Memory::read_le`]: one probe and one
+    /// 8-byte read-modify-write.
+    #[inline]
     pub fn write_le(&mut self, addr: u64, len: u64, v: u64) {
         debug_assert!(len <= 8);
-        self.write_bytes(addr, &v.to_le_bytes()[..len as usize]);
+        let off = (addr as usize) & (PAGE_SIZE - 1);
+        // An empty write maps no page.
+        if off + 8 > PAGE_SIZE || len == 0 {
+            self.write_bytes(addr, &v.to_le_bytes()[..len as usize]);
+            return;
+        }
+        let p = self
+            .pages
+            .entry(addr >> PAGE_BITS)
+            .or_insert_with(|| Box::new([0; PAGE_SIZE]));
+        let mask = low_bytes(len);
+        let w = (word(p, off) & !mask) | (v & mask);
+        p[off..off + 8].copy_from_slice(&w.to_le_bytes());
     }
 
     /// Reads a 128-bit value as (low, high) halves.

@@ -10,12 +10,13 @@
 use csd::DecodeOutcome;
 use mx86_isa::Fetched;
 
-/// What fetch hands onward: the resolved instruction (with its dense
-/// index and next address) and the L1I penalty of fetching it.
+/// What fetch hands onward: the resolved instruction (borrowed from the
+/// program, with its dense index and next address) and the L1I penalty
+/// of fetching it.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Fetch {
+pub(crate) struct Fetch<'p> {
     /// The instruction, its program index and the address after it.
-    pub inst: Fetched,
+    pub inst: Fetched<'p>,
     /// Extra front-end latency from L1I misses during fetch.
     pub penalty: f64,
 }

@@ -92,9 +92,15 @@ fn remove(set: &mut [Entry], i: usize, len: usize) -> usize {
 /// the first empty slot. Their order carries no meaning: at most one
 /// slot matches a `(window, context)` pair, and every lookup and insert
 /// takes a fresh clock stamp, so the least-recent window is unique.
+///
+/// Successive instructions mostly share a window, so the cache remembers
+/// the slot of its last hit: a lookup of the same `(window, context)`
+/// pair goes straight to it. Only inserts and flushes move or drop a
+/// resident window, and both forget the remembered slot.
 #[derive(Debug, Clone)]
 pub struct UopCache {
     slots: Vec<Entry>,
+    last_hit: Option<(u64, ContextId, usize)>,
     sets: usize,
     ways: usize,
     line_uops: usize,
@@ -113,6 +119,7 @@ impl UopCache {
         assert!(ways <= usize::from(u16::MAX), "way count must fit a u16");
         UopCache {
             slots: Vec::new(),
+            last_hit: None,
             sets,
             ways,
             line_uops,
@@ -127,23 +134,45 @@ impl UopCache {
         pc >> 5
     }
 
+    /// The index of `window`'s set's first slot.
+    fn set_base(&self, window: u64) -> usize {
+        (window as usize & (self.sets - 1)) * self.ways
+    }
+
     /// The slots of `window`'s set (none before the first insert).
     fn set_mut(&mut self, window: u64) -> &mut [Entry] {
         if self.slots.is_empty() {
             return &mut [];
         }
-        let base = (window as usize & (self.sets - 1)) * self.ways;
+        let base = self.set_base(window);
         &mut self.slots[base..base + self.ways]
     }
 
     /// Looks up a window under a context. A hit means the front end can
-    /// stream this window's µops without the legacy pipeline.
+    /// stream this window's µops without the legacy pipeline. A repeat
+    /// of the last hit is served inline; every other lookup scans the
+    /// set out of line.
+    #[inline]
     pub fn lookup(&mut self, window: u64, ctx: ContextId) -> bool {
         self.stats.lookups += 1;
         self.clock += 1;
+        if let Some((w, c, i)) = self.last_hit {
+            if w == window && c == ctx {
+                self.slots[i].stamp = self.clock;
+                self.stats.hits += 1;
+                return true;
+            }
+        }
+        self.scan(window, ctx)
+    }
+
+    /// [`UopCache::lookup`] past the remembered slot: searches the set.
+    #[inline(never)]
+    fn scan(&mut self, window: u64, ctx: ContextId) -> bool {
         let clock = self.clock;
+        let base = self.set_base(window);
         let mut same_window_other_ctx = false;
-        for e in self.set_mut(window) {
+        for (i, e) in self.set_mut(window).iter_mut().enumerate() {
             if e.ways_used == 0 {
                 break;
             }
@@ -151,6 +180,7 @@ impl UopCache {
                 if e.ctx == ctx {
                     e.stamp = clock;
                     self.stats.hits += 1;
+                    self.last_hit = Some((window, ctx, base + i));
                     return true;
                 }
                 same_window_other_ctx = true;
@@ -168,6 +198,7 @@ impl UopCache {
     /// per-window line limit (or than a set's ways) is rejected like an
     /// uncacheable one.
     pub fn insert(&mut self, window: u64, ctx: ContextId, fused_uops: u32, cacheable: bool) {
+        self.last_hit = None;
         let lines = (fused_uops as usize).div_ceil(self.line_uops).max(1);
         let rejected = !cacheable || lines > self.max_lines;
         if rejected {
@@ -217,6 +248,7 @@ impl UopCache {
 
     /// Invalidates everything (e.g. on microcode update).
     pub fn flush(&mut self) {
+        self.last_hit = None;
         self.slots.fill(EMPTY);
     }
 

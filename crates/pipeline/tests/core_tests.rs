@@ -356,7 +356,7 @@ fn functional_and_cycle_engines_agree_on_architectural_state() {
     };
     let f = run_core(build(), SimMode::Functional);
     let c = run_core(build(), SimMode::Cycle);
-    assert_eq!(f.state.gprs, c.state.gprs);
+    assert_eq!(f.state.gprs(), c.state.gprs());
     assert_eq!(f.stats().insts, c.stats().insts);
     assert_eq!(f.stats().uops, c.stats().uops);
 }

@@ -1,11 +1,13 @@
 //! Event hooks for tracing the simulator without touching the hot path.
 //!
-//! The pipeline and the CSD engine each embed a [`SinkHandle`]; with no
-//! sink attached (the default) every emission site is a single
-//! `Option` test. Attaching a boxed [`EventSink`] turns on decode,
-//! retire, gate-transition, and stealth-window events — enough to build
-//! tracers, coverage tools, or live dashboards outside the simulator
-//! crates.
+//! The pipeline and the CSD engine each embed a [`SinkHandle`]. The
+//! pipeline tests whether either holds a sink once per batch of retires
+//! (one `Core::run` call) and runs a copy of its stage code compiled
+//! without emission sites when neither does, so a run with no sink
+//! attached (the default) makes no per-event test. Attaching a boxed
+//! [`EventSink`] turns on decode, retire, gate-transition, and
+//! stealth-window events — enough to build tracers, coverage tools, or
+//! live dashboards outside the simulator crates.
 //!
 //! Events carry only primitive fields so the trait can live below every
 //! other crate in the dependency graph.
@@ -196,13 +198,21 @@ impl SinkHandle {
         self.sink.is_some()
     }
 
-    /// Runs `f` against the sink, if one is attached. This is the only
-    /// cost emission sites pay when tracing is off: one `Option` test.
+    /// Runs `f` against the sink, if one is attached. Each call tests
+    /// the attachment; hot paths test once per batch instead and skip
+    /// their emission sites entirely when no sink is attached.
     #[inline]
     pub fn with(&mut self, f: impl FnOnce(&mut dyn EventSink)) {
-        if let Some(sink) = self.sink.as_mut() {
-            f(&mut **sink);
+        if let Some(sink) = self.get() {
+            f(sink);
         }
+    }
+
+    /// The attached sink, if any, for emitting several events after one
+    /// test.
+    #[inline]
+    pub fn get(&mut self) -> Option<&mut (dyn EventSink + 'static)> {
+        self.sink.as_deref_mut()
     }
 }
 

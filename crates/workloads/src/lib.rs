@@ -441,8 +441,8 @@ mod tests {
         );
         let on = run(&w, VpuPolicy::AlwaysOn);
         let devec = run(&w, VpuPolicy::default());
-        assert_eq!(on.state.gprs, devec.state.gprs);
-        assert_eq!(on.state.xmms, devec.state.xmms);
+        assert_eq!(on.state.gprs(), devec.state.gprs());
+        assert_eq!(on.state.xmms(), devec.state.xmms());
     }
 
     #[test]

@@ -104,8 +104,8 @@ fn assert_table_is_transparent(
         "{what}: telemetry"
     );
     let (a, b) = (&on.state, &off.state);
-    assert_eq!(a.gprs, b.gprs, "{what}: gprs");
-    assert_eq!(a.xmms, b.xmms, "{what}: xmms");
+    assert_eq!(a.gprs(), b.gprs(), "{what}: gprs");
+    assert_eq!(a.xmms(), b.xmms(), "{what}: xmms");
     assert_eq!(a.flags, b.flags, "{what}: flags");
     assert_eq!(a.rip, b.rip, "{what}: rip");
     if on.memo_enabled() {

@@ -1,0 +1,193 @@
+//! Tracing is observation only: a core with event sinks attached to its
+//! retire stage and its CSD engine computes and reports exactly what the
+//! same core computes with none, in both simulation modes, with and
+//! without stealth. `Core::run` tests for a sink once per batch, so a
+//! sink attached between two batches sees all of the later one and
+//! nothing of the earlier.
+
+use csd_difftest::generator::{CODE_BASE, DATA_BASE, DATA_SIZE};
+use csd_difftest::harness::STEALTH_WATCHDOG;
+use csd_difftest::Generator;
+use csd_repro::attack::{victim_core, Defense};
+use csd_repro::core::{CsdConfig, DevecThresholds, VpuPolicy};
+use csd_repro::crypto::{arm_stealth, AesKeySize, AesVictim, CipherDir, Victim};
+use csd_repro::isa::{AddrRange, Program};
+use csd_repro::pipeline::{Core, CoreConfig, SimMode, StepOutcome};
+use csd_repro::telemetry::{
+    CountingSink, DecodeEvent, EventSink, GateEvent, RetireEvent, StealthWindowEvent, StoreEvent,
+};
+use std::sync::{Arc, Mutex};
+
+const KEY: [u8; 16] = [
+    0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf, 0x4f, 0x3c,
+];
+
+const MODES: [SimMode; 2] = [SimMode::Functional, SimMode::Cycle];
+
+/// A [`CountingSink`] the test can read while the core owns the sink.
+struct Shared(Arc<Mutex<CountingSink>>);
+
+impl EventSink for Shared {
+    fn on_decode(&mut self, ev: &DecodeEvent) {
+        self.0.lock().unwrap().on_decode(ev);
+    }
+    fn on_retire(&mut self, ev: &RetireEvent) {
+        self.0.lock().unwrap().on_retire(ev);
+    }
+    fn on_store(&mut self, ev: &StoreEvent) {
+        self.0.lock().unwrap().on_store(ev);
+    }
+    fn on_gate(&mut self, ev: &GateEvent) {
+        self.0.lock().unwrap().on_gate(ev);
+    }
+    fn on_stealth_window(&mut self, ev: &StealthWindowEvent) {
+        self.0.lock().unwrap().on_stealth_window(ev);
+    }
+}
+
+/// Attaches counting sinks to the core and to its engine; returns the
+/// retire-stage and the engine counts.
+fn attach(core: &mut Core) -> (Arc<Mutex<CountingSink>>, Arc<Mutex<CountingSink>>) {
+    let (retire, engine) = (Arc::default(), Arc::default());
+    core.set_event_sink(Box::new(Shared(Arc::clone(&retire))));
+    core.engine_mut()
+        .set_event_sink(Box::new(Shared(Arc::clone(&engine))));
+    (retire, engine)
+}
+
+/// Builds the core twice, drives the copy with sinks attached and the
+/// one without the same way, and requires identical reports, statistics,
+/// architectural state and drive results; the sinks must have seen every
+/// retire and every decode.
+fn assert_tracing_is_transparent<T: PartialEq + std::fmt::Debug>(
+    what: &str,
+    build: impl Fn() -> Core,
+    drive: impl Fn(&mut Core) -> T,
+) {
+    let mut plain = build();
+    let mut traced = build();
+    let (retire, engine) = attach(&mut traced);
+    let want = drive(&mut plain);
+    assert_eq!(drive(&mut traced), want, "{what}: results");
+    assert_eq!(traced.stats(), plain.stats(), "{what}: SimStats");
+    assert_eq!(
+        traced.telemetry_report().dump(),
+        plain.telemetry_report().dump(),
+        "{what}: telemetry"
+    );
+    let (a, b) = (&traced.state, &plain.state);
+    assert_eq!(a.gprs(), b.gprs(), "{what}: gprs");
+    assert_eq!(a.xmms(), b.xmms(), "{what}: xmms");
+    assert_eq!(a.flags, b.flags, "{what}: flags");
+    assert_eq!(a.rip, b.rip, "{what}: rip");
+    assert_eq!(
+        retire.lock().unwrap().retires,
+        plain.stats().insts,
+        "{what}"
+    );
+    assert_eq!(
+        engine.lock().unwrap().decodes,
+        plain.engine().stats().decoded_insts,
+        "{what}"
+    );
+}
+
+#[test]
+fn sinks_change_nothing_on_the_aes_victim() {
+    let v = AesVictim::new(AesKeySize::K128, CipherDir::Encrypt, &KEY);
+    for mode in MODES {
+        for defense in [Defense::None, Defense::stealth_default()] {
+            assert_tracing_is_transparent(
+                &format!("aes {mode:?} {defense:?}"),
+                || victim_core(&v, mode, defense),
+                |core| {
+                    (0..8u8)
+                        .map(|i| v.run_once(core, &[i.wrapping_mul(37); 16]))
+                        .collect::<Vec<_>>()
+                },
+            );
+        }
+    }
+}
+
+/// A difftest core as the cosimulation harness arms its devectorizing
+/// legs: a short criticality window, so the VPU gate flips often, and
+/// with stealth, decoy ranges over the data and code heads, the data
+/// region tainted, and the DIFT trigger on.
+fn difftest_core(program: &Program, mode: SimMode, stealth: bool) -> Core {
+    let cfg = CoreConfig {
+        dift_enabled: stealth,
+        ..CoreConfig::default()
+    };
+    let csd = CsdConfig {
+        vpu_policy: VpuPolicy::CsdDevec(DevecThresholds {
+            window: 8,
+            low: 1,
+            high: 16,
+        }),
+        ..CsdConfig::default()
+    };
+    let mut core = Core::new(cfg, csd, program.clone(), mode);
+    if stealth {
+        arm_stealth(
+            &mut core,
+            &[AddrRange::new(DATA_BASE, DATA_BASE + 128)],
+            &[AddrRange::new(CODE_BASE, CODE_BASE + 128)],
+            STEALTH_WATCHDOG,
+        );
+        core.dift_mut()
+            .taint_memory(AddrRange::new(DATA_BASE, DATA_BASE + DATA_SIZE));
+    }
+    core
+}
+
+#[test]
+fn sinks_change_nothing_on_difftest_programs() {
+    for seed in 0..6 {
+        let program = Generator::new(seed).program().assemble().unwrap();
+        for mode in MODES {
+            for stealth in [false, true] {
+                assert_tracing_is_transparent(
+                    &format!("difftest seed {seed} {mode:?} stealth {stealth}"),
+                    || difftest_core(&program, mode, stealth),
+                    |core| {
+                        assert_eq!(core.run(1_000_000), StepOutcome::Halted);
+                        core.mem.read_bytes(DATA_BASE, DATA_SIZE as usize)
+                    },
+                );
+            }
+        }
+    }
+    // The programs flip the gate, so every gate-driven context-key bump
+    // and gate event is exercised on both sides.
+    let program = Generator::new(0).program().assemble().unwrap();
+    let mut core = difftest_core(&program, SimMode::Functional, false);
+    core.run(1_000_000);
+    let gate = core.engine().gate().stats();
+    assert!(gate.on_cycles > 0 && gate.gated_cycles > 0, "{gate:?}");
+}
+
+#[test]
+fn a_sink_attached_between_batches_sees_exactly_the_later_one() {
+    let v = AesVictim::new(AesKeySize::K128, CipherDir::Encrypt, &KEY);
+    for mode in MODES {
+        let mut core = victim_core(&v, mode, Defense::stealth_default());
+        v.run_once(&mut core, &[1; 16]);
+        v.prepare(&mut core, &[2; 16]);
+        assert_eq!(core.run(100), StepOutcome::Running);
+        let (insts, decodes) = (core.stats().insts, core.engine().stats().decoded_insts);
+        let (retire, engine) = attach(&mut core);
+        assert_eq!(core.run(1_000_000), StepOutcome::Halted);
+        assert_eq!(
+            retire.lock().unwrap().retires,
+            core.stats().insts - insts,
+            "{mode:?}"
+        );
+        assert_eq!(
+            engine.lock().unwrap().decodes,
+            core.engine().stats().decoded_insts - decodes,
+            "{mode:?}"
+        );
+        assert!(engine.lock().unwrap().decoy_uops > 0, "{mode:?}: stealth");
+    }
+}
