@@ -105,11 +105,6 @@ impl RsaAttackOutcome {
             .filter(|(a, b)| a == b)
             .count()
     }
-
-    /// Whether the full exponent was recovered.
-    pub fn full_recovery(&self) -> bool {
-        self.correct_bits() == 64
-    }
 }
 
 /// Calibrates per-iteration costs on the attacker's own copy of the code:

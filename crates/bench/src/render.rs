@@ -4,9 +4,12 @@
 //! (Figures 7a–16 and Table I, in paper order) from a full or quick
 //! `suite` report, so every printed number comes from the artifact CI
 //! byte-checks. It reads only the report's `security`, `watchdog`,
-//! `attacks`, `devec` and `figures` sections, derives nothing but
-//! ratios and means, and never simulates. The report is outside input:
-//! a missing or mistyped member is an `Err` naming its JSON path.
+//! `attacks`, `devec` and `figures` sections and never simulates. Every
+//! figure summary the suite writes into `figures` is printed from there;
+//! render derives only per-row ratios and the two averages that have no
+//! `figures` member (Figure 8's µop-cache hit rates and Figure 13's
+//! conventional column). The report is outside input: a missing or
+//! mistyped member is an `Err` naming its JSON path.
 
 use crate::mean;
 use csd_telemetry::Json;
@@ -238,8 +241,8 @@ fn security(r: &At, out: &mut Vec<String>) -> Res<()> {
     )?;
     out.push(format!(
         "average slowdown: noopt {}  opt {}",
-        delta(avg(&noopt, |n| n.num("slowdown"))? - 1.0),
-        delta(avg(&opt, |o| o.num("slowdown"))? - 1.0)
+        delta(r.num("figures.fig08.noopt.avg_slowdown")? - 1.0),
+        delta(r.num("figures.fig08.opt.avg_slowdown")? - 1.0)
     ));
     out.push(format!(
         "µop cache hit rate (opt, fusion on): {} -> {} with CSD",
@@ -262,8 +265,10 @@ fn security(r: &At, out: &mut Vec<String>) -> Res<()> {
             ])
         },
     )?;
-    let expansion = avg(&opt, |o| o.num("uop_expansion"))?;
-    out.push(format!("average expansion: {}", delta(expansion)));
+    out.push(format!(
+        "average expansion: {}",
+        delta(r.num("figures.fig09.opt.avg_uop_expansion")?)
+    ));
     out.push("paper: average expansion 8.0%".into());
 
     table(
@@ -281,8 +286,8 @@ fn security(r: &At, out: &mut Vec<String>) -> Res<()> {
     )?;
     out.push(format!(
         "average MPKI: base {:.2}  stealth {:.2}",
-        avg(&opt, |o| o.num("base.l1d_mpki"))?,
-        avg(&opt, |o| o.num("stealth.l1d_mpki"))?
+        r.num("figures.fig10.avg_base_l1d_mpki")?,
+        r.num("figures.fig10.avg_stealth_l1d_mpki")?
     ));
     out.push("paper: MPKI stays about the same".into());
     Ok(())
@@ -359,16 +364,11 @@ fn devec(r: &At, out: &mut Vec<String>) -> Res<()> {
             ])
         },
     )?;
-    let saving = |w: &(&str, At)| -> Res<f64> {
-        Ok(1.0 - w.1.num(&format!("{CSD}.total_pj"))? / w.1.num(&format!("{CONV}.total_pj"))?)
-    };
-    let positive = ws
-        .iter()
-        .filter(|w| saving(w).is_ok_and(|s| s > 0.0))
-        .count();
+    let fig12 = r.at("figures.fig12")?;
     out.push(format!(
-        "average energy saving vs conventional: {} ({positive}/{} workloads positive)",
-        pct(avg(&ws, saving)?),
+        "average energy saving vs conventional: {} ({}/{} workloads positive)",
+        pct(fig12.num("avg_saving_vs_conventional")?),
+        fig12.int("workloads_with_positive_saving")?,
         ws.len()
     ));
     out.push("paper: average saving 12.9%".into());
@@ -391,13 +391,12 @@ fn devec(r: &At, out: &mut Vec<String>) -> Res<()> {
             ])
         },
     )?;
-    let (c, d) = (
-        avg(&ws, |w| cycles(w, CONV))?,
-        avg(&ws, |w| cycles(w, CSD))?,
-    );
+    let fig13 = r.at("figures.fig13")?;
     out.push(format!(
-        "average: conventional {c:.3}, csd {d:.3} (csd {} cycles vs conventional)",
-        delta(d / c - 1.0)
+        "average: conventional {:.3}, csd {:.3} (csd {} cycles vs conventional)",
+        avg(&ws, |w| cycles(w, CONV))?,
+        fig13.num("avg_csd_over_always_on")?,
+        delta(fig13.num("avg_csd_over_conventional")? - 1.0)
     ));
     out.push("paper: CSD 3.4% faster than conventional gating".into());
 
@@ -416,12 +415,9 @@ fn devec(r: &At, out: &mut Vec<String>) -> Res<()> {
             ])
         },
     )?;
-    let expansion = avg(&ws, |w| {
-        Ok(uops(w, CSD)? as f64 / uops(w, ALWAYS_ON)? as f64 - 1.0)
-    })?;
     out.push(format!(
         "average csd µop expansion over always-on: {}",
-        delta(expansion)
+        delta(r.num("figures.fig14.avg_uop_expansion_csd_over_always_on")?)
     ));
     out.push("paper: CSD's µop count grows only where devectorization is active".into());
 
@@ -435,7 +431,7 @@ fn devec(r: &At, out: &mut Vec<String>) -> Res<()> {
     )?;
     out.push(format!(
         "average CSD gated fraction: {}",
-        pct(avg(&ws, |w| gated(w, CSD))?)
+        pct(r.num("figures.fig15.avg_gated_fraction")?)
     ));
     out.push("paper: >70% on average; ~100% for astar/gcc/gobmk/sjeng".into());
 

@@ -163,9 +163,10 @@ impl Cache {
     }
 
     /// Looks up `addr`; on a hit, updates replacement state and dirtiness.
-    /// Returns whether the access hit. Does **not** fill on miss — callers
-    /// fill explicitly via [`Cache::fill`] so multi-level logic stays
-    /// outside the cache.
+    /// Returns whether the access hit. Does **not** fill on miss — the
+    /// hierarchy fills explicitly (through the crate-private `insert`,
+    /// since the miss already searched the set), so multi-level logic
+    /// stays outside the cache.
     #[inline]
     pub fn access(&mut self, addr: u64, write: bool) -> bool {
         self.stats.accesses += 1;

@@ -218,12 +218,6 @@ impl CsdEngine {
         self.msrs.read(msr)
     }
 
-    /// Mutable access to the MSR file for bulk configuration; call
-    /// [`CsdEngine::refresh`] afterwards.
-    pub fn msrs_mut(&mut self) -> &mut MsrFile {
-        &mut self.msrs
-    }
-
     /// Re-snapshots decoder state from the MSR file.
     pub fn refresh(&mut self) {
         self.stealth.configure(&self.msrs);

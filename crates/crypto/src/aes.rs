@@ -187,16 +187,16 @@ impl Victim for AesVictim {
         };
         for (i, t) in tables.iter().enumerate() {
             for (j, &w) in t.iter().enumerate() {
-                core.mem.write_le(
+                core.mem_mut().write_le(
                     self.layout.tables + 0x400 * i as u64 + 4 * j as u64,
                     4,
                     u64::from(w),
                 );
             }
         }
-        core.mem.write_bytes(self.layout.sbox, &sbox);
+        core.mem_mut().write_bytes(self.layout.sbox, &sbox);
         for (i, &w) in keys.iter().enumerate() {
-            core.mem
+            core.mem_mut()
                 .write_le(self.layout.round_keys + 4 * i as u64, 4, u64::from(w));
         }
         // The expanded key schedule is the secret: taint it so every
@@ -212,7 +212,7 @@ impl Victim for AesVictim {
         core.restart();
         for c in 0..4 {
             let w = u32::from_be_bytes(input[4 * c..4 * c + 4].try_into().unwrap());
-            core.mem
+            core.mem_mut()
                 .write_le(self.layout.input + 4 * c as u64, 4, u64::from(w));
         }
     }
@@ -220,7 +220,7 @@ impl Victim for AesVictim {
     fn collect(&self, core: &Core) -> Vec<u8> {
         let mut ct = Vec::with_capacity(16);
         for c in 0..4 {
-            let w = core.mem.read_le(self.layout.output + 4 * c as u64, 4) as u32;
+            let w = core.mem().read_le(self.layout.output + 4 * c as u64, 4) as u32;
             ct.extend_from_slice(&w.to_be_bytes());
         }
         ct

@@ -268,7 +268,7 @@ impl Victim for BlowfishVictim {
     fn install(&self, core: &mut Core) {
         for (i, sb) in self.bf.s.iter().enumerate() {
             for (j, &w) in sb.iter().enumerate() {
-                core.mem.write_le(
+                core.mem_mut().write_le(
                     self.layout.sboxes + 0x400 * i as u64 + 4 * j as u64,
                     4,
                     u64::from(w),
@@ -276,7 +276,7 @@ impl Victim for BlowfishVictim {
             }
         }
         for (i, &w) in self.bf.p_in_order(self.dir).iter().enumerate() {
-            core.mem
+            core.mem_mut()
                 .write_le(self.layout.p + 4 * i as u64, 4, u64::from(w));
         }
         // P and S are key-derived secrets; tainting P suffices to taint
@@ -290,13 +290,14 @@ impl Victim for BlowfishVictim {
         core.restart();
         let l = u32::from_be_bytes(input[0..4].try_into().unwrap());
         let r = u32::from_be_bytes(input[4..8].try_into().unwrap());
-        core.mem.write_le(self.layout.input, 4, u64::from(l));
-        core.mem.write_le(self.layout.input + 4, 4, u64::from(r));
+        core.mem_mut().write_le(self.layout.input, 4, u64::from(l));
+        core.mem_mut()
+            .write_le(self.layout.input + 4, 4, u64::from(r));
     }
 
     fn collect(&self, core: &Core) -> Vec<u8> {
-        let lo = core.mem.read_le(self.layout.output, 4) as u32;
-        let ro = core.mem.read_le(self.layout.output + 4, 4) as u32;
+        let lo = core.mem().read_le(self.layout.output, 4) as u32;
+        let ro = core.mem().read_le(self.layout.output + 4, 4) as u32;
         let mut v = lo.to_be_bytes().to_vec();
         v.extend_from_slice(&ro.to_be_bytes());
         v

@@ -190,8 +190,10 @@ impl Victim for RsaVictim {
     }
 
     fn install(&self, core: &mut Core) {
-        core.mem.write_le(self.layout.exponent, 8, self.exponent);
-        core.mem.write_le(self.layout.modulus, 8, self.modulus);
+        core.mem_mut()
+            .write_le(self.layout.exponent, 8, self.exponent);
+        core.mem_mut()
+            .write_le(self.layout.modulus, 8, self.modulus);
         core.dift_mut()
             .taint_memory(AddrRange::with_len(self.layout.exponent, 8));
     }
@@ -200,11 +202,11 @@ impl Victim for RsaVictim {
         assert_eq!(input.len(), 8, "RSA base is 8 bytes");
         core.restart();
         let base = u64::from_le_bytes(input.try_into().unwrap()) % self.modulus;
-        core.mem.write_le(self.layout.base, 8, base);
+        core.mem_mut().write_le(self.layout.base, 8, base);
     }
 
     fn collect(&self, core: &Core) -> Vec<u8> {
-        core.mem
+        core.mem()
             .read_le(self.layout.result, 8)
             .to_le_bytes()
             .to_vec()

@@ -175,23 +175,6 @@ impl DivergenceClass {
             DivergenceClass::Stores => "stores",
         }
     }
-
-    /// Parses a class from its stable name.
-    pub fn from_name(name: &str) -> Option<DivergenceClass> {
-        [
-            DivergenceClass::Reference,
-            DivergenceClass::NoHalt,
-            DivergenceClass::Retired,
-            DivergenceClass::Partition,
-            DivergenceClass::Gpr,
-            DivergenceClass::Xmm,
-            DivergenceClass::Flags,
-            DivergenceClass::Mem,
-            DivergenceClass::Stores,
-        ]
-        .into_iter()
-        .find(|c| c.name() == name)
-    }
 }
 
 /// One observed divergence between a pipeline leg and the reference.
@@ -348,7 +331,7 @@ fn compare(
         ));
     }
     for (i, g) in mx86_isa::Gpr::ALL.iter().enumerate() {
-        let (got, want) = (core.state.gpr(*g), cpu.gprs[i]);
+        let (got, want) = (core.state().gpr(*g), cpu.gprs[i]);
         if got != want {
             d.push(diverge(
                 DivergenceClass::Gpr,
@@ -357,7 +340,7 @@ fn compare(
         }
     }
     for (i, x) in mx86_isa::Xmm::all().enumerate() {
-        let (got, want) = (core.state.xmm(x), cpu.xmms[i]);
+        let (got, want) = (core.state().xmm(x), cpu.xmms[i]);
         if got != want {
             d.push(diverge(
                 DivergenceClass::Xmm,
@@ -365,12 +348,13 @@ fn compare(
             ));
         }
     }
-    if core.state.flags != cpu.flags {
+    if core.state().flags != cpu.flags {
         d.push(diverge(
             DivergenceClass::Flags,
             format!(
                 "flags: pipeline {:?}, reference {:?}",
-                core.state.flags, cpu.flags
+                core.state().flags,
+                cpu.flags
             ),
         ));
     }
@@ -378,7 +362,7 @@ fn compare(
         (DATA_BASE, DATA_SIZE as usize, "data region"),
         (STACK_TOP - 0x1000, 0x1000, "stack"),
     ] {
-        let got = core.mem.read_bytes(base, len);
+        let got = core.mem().read_bytes(base, len);
         let want = cpu.mem.read_bytes(base, len);
         if got != want {
             let off = got.iter().zip(&want).position(|(a, b)| a != b).unwrap_or(0);

@@ -21,16 +21,16 @@ fn build(program: &Program) -> Core {
 fn assert_same_final_state(core: &Core, base: &Core, what: &str) {
     assert!(core.halted(), "{what}: core did not halt");
     assert_eq!(core.stats().insts, base.stats().insts, "{what}: insts");
-    assert_eq!(core.state.gprs(), base.state.gprs(), "{what}: gprs");
-    assert_eq!(core.state.xmms(), base.state.xmms(), "{what}: xmms");
-    assert_eq!(core.state.flags, base.state.flags, "{what}: flags");
+    assert_eq!(core.state().gprs(), base.state().gprs(), "{what}: gprs");
+    assert_eq!(core.state().xmms(), base.state().xmms(), "{what}: xmms");
+    assert_eq!(core.state().flags, base.state().flags, "{what}: flags");
     for (base_addr, len, region) in [
         (DATA_BASE, DATA_SIZE as usize, "data"),
         (STACK_TOP - 0x1000, 0x1000, "stack"),
     ] {
         assert_eq!(
-            core.mem.read_bytes(base_addr, len),
-            base.mem.read_bytes(base_addr, len),
+            core.mem().read_bytes(base_addr, len),
+            base.mem().read_bytes(base_addr, len),
             "{what}: {region} memory"
         );
     }

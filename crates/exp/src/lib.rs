@@ -10,8 +10,8 @@
 //! - [`run_plan`] — the single warm-fork-measure implementation. It
 //!   warms once, snapshots, and forks every leg from the shared
 //!   checkpoint, optionally on the shared ordered executor;
-//! - [`LegResult`] / [`ExperimentResult`] — typed outcomes with one
-//!   `ToJson` schema shared by the suite and the examples.
+//! - [`LegResult`] / [`ExperimentResult`] — typed outcomes: each leg's
+//!   mode, measured blocks and [`SecMetrics`].
 //!
 //! The measurement vocabulary (victims, pipeline configurations, VPU
 //! policies, the warmed-core recipe) lives in [`measure`] and is

@@ -15,7 +15,7 @@ use crate::measure::{
 use crate::spec::{ExperimentSpec, Leg, LegMode};
 use csd_crypto::{enable_stealth_for, Victim};
 use csd_pipeline::{Core, CoreConfig};
-use csd_telemetry::{ordered_map, Json, SplitMix64, ToJson};
+use csd_telemetry::{ordered_map, SplitMix64};
 
 /// The checkpoint argument of [`run_plan`]. Plans never park warmed
 /// checkpoints: each plan warms from scratch, because no grid forks one
@@ -47,20 +47,6 @@ pub struct LegResult {
     pub metrics: SecMetrics,
 }
 
-impl ToJson for LegResult {
-    fn to_json(&self) -> Json {
-        let mut members: Vec<(&str, Json)> = vec![("mode", Json::from(self.mode.tag()))];
-        match &self.mode {
-            LegMode::Base => {}
-            LegMode::Stealth { watchdog } => members.push(("watchdog", Json::from(*watchdog))),
-            LegMode::Devec { policy } => members.push(("policy", Json::from(policy.as_str()))),
-        }
-        members.push(("blocks", Json::from(self.blocks as u64)));
-        members.push(("metrics", self.metrics.to_json()));
-        Json::obj(members)
-    }
-}
-
 /// A whole plan's outcome: the spec's identity fields plus one
 /// [`LegResult`] per leg, in spec order.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,18 +59,6 @@ pub struct ExperimentResult {
     pub seed: u64,
     /// Per-leg outcomes, in spec order.
     pub legs: Vec<LegResult>,
-}
-
-impl ToJson for ExperimentResult {
-    fn to_json(&self) -> Json {
-        let legs: Vec<Json> = self.legs.iter().map(LegResult::to_json).collect();
-        Json::obj([
-            ("victim", Json::from(self.victim.as_str())),
-            ("pipeline", Json::from(self.pipeline.as_str())),
-            ("seed", Json::from(self.seed)),
-            ("legs", Json::Arr(legs)),
-        ])
-    }
 }
 
 /// Applies a leg's decode-context change to a forked core. Exported so

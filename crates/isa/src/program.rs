@@ -165,11 +165,6 @@ impl Program {
         self.insts.last().map_or(self.entry, Placed::next_addr)
     }
 
-    /// The full code footprint `[entry, end)`.
-    pub fn code_range(&self) -> AddrRange {
-        AddrRange::new(self.entry, self.end_addr())
-    }
-
     /// Number of instructions.
     pub fn len(&self) -> usize {
         self.insts.len()

@@ -1,6 +1,7 @@
 //! Commit stage: retire accounting, engine time advance, retire-event
 //! emission, and the PC update / halt latch.
 
+use crate::clock::ceil_u64;
 use crate::core::{Core, SimMode, StepOutcome};
 use crate::decode;
 use crate::stage::{Decoded, Fetch, FlowEnd};
@@ -21,31 +22,30 @@ pub(crate) fn run<const TRACE: bool>(
     let facts = d.out.flow.facts();
     let uops = u64::from(facts.uops);
 
-    core.stats.insts += 1;
-    core.stats.uops += uops;
-    core.stats.fused_slots += u64::from(d.fused_slots);
-    core.stats.decoy_uops += u64::from(facts.decoys);
-    core.prev_fusable_cmp = matches!(f.inst.placed.inst, Inst::Cmp { .. } | Inst::Test { .. });
+    core.m.stats.insts += 1;
+    core.m.stats.uops += uops;
+    core.m.stats.fused_slots += u64::from(d.fused_slots);
+    core.m.stats.decoy_uops += u64::from(facts.decoys);
+    core.m.prev_fusable_cmp = matches!(f.inst.placed.inst, Inst::Cmp { .. } | Inst::Test { .. });
 
-    if core.mode == SimMode::Functional {
-        core.func_cycles += uops;
-    }
-
-    // Advance the engine's notion of time (watchdog, gate residency).
-    // Nothing below moves the clock, so `now` is also the retire's final
-    // cycle count.
-    let now = core.cycles();
-    let delta = now.saturating_sub(core.last_tick);
-    if delta > 0 {
-        core.engine.tick_traced::<TRACE>(delta);
-        core.last_tick = now;
+    // Advance the clock and the engine's notion of time (watchdog, gate
+    // residency) by the cycles this retire took. Nothing below moves the
+    // clock, so `now` is also the retire's final cycle count.
+    let before = core.m.stats.cycles;
+    let now = match core.mode {
+        SimMode::Functional => before + uops,
+        SimMode::Cycle => ceil_u64(core.m.last_commit),
+    };
+    core.m.stats.cycles = now;
+    if now > before {
+        core.m.engine.tick_traced::<TRACE>(now - before);
     }
 
     if TRACE {
         let ev = RetireEvent {
             addr: f.inst.placed.addr,
             uops: uops as u32,
-            insts: core.stats.insts,
+            insts: core.m.stats.insts,
             cycles: now,
         };
         core.sink.with(|s| s.on_retire(&ev));
@@ -53,23 +53,20 @@ pub(crate) fn run<const TRACE: bool>(
 
     match end {
         Some(FlowEnd::Halt) => {
-            core.halted = true;
-            core.stats.halted = true;
+            core.m.halted = true;
+            core.m.stats.halted = true;
             decode::finalize_window(core);
-            core.stats.cycles = now;
             StepOutcome::Halted
         }
         Some(FlowEnd::Branch(t)) => {
             // A taken control transfer ends µop-cache window building,
             // even when the target lies in the same window.
             decode::finalize_window(core);
-            core.state.rip = t;
-            core.stats.cycles = now;
+            core.m.state.rip = t;
             StepOutcome::Running
         }
         None => {
-            core.state.rip = f.inst.next;
-            core.stats.cycles = now;
+            core.m.state.rip = f.inst.next;
             StepOutcome::Running
         }
     }

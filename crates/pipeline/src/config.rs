@@ -65,10 +65,12 @@ pub struct CoreConfig {
     pub uop_cache_enabled: bool,
     /// Whether micro-op fusion is modeled.
     pub fusion_enabled: bool,
-    /// Whether the simulation kernel memoizes decodes by
-    /// `(pc, context_key, tainted)`. Semantically transparent — purely a
-    /// simulator speedup, not part of the modeled machine — and can also
-    /// be force-disabled at runtime with `CSD_DECODE_MEMO=0`.
+    /// Whether the simulation kernel serves decodes from the
+    /// per-instruction flow table ([`csd_uops::FlowTable`]), which builds
+    /// each instruction's flows on its first decode and is never
+    /// invalidated. Semantically transparent — purely a simulator speedup,
+    /// not part of the modeled machine — and can also be force-disabled
+    /// at runtime with `CSD_DECODE_MEMO=0`.
     pub decode_memo_enabled: bool,
 }
 

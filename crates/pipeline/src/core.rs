@@ -144,85 +144,32 @@ pub struct CheckpointStats {
     pub plan_legs: u64,
 }
 
-/// Everything [`Core::restore`] rewinds: architectural and decoder-internal
-/// registers, the memory image, the cache hierarchy, the CSD engine (MSRs,
+/// The modeled machine: architectural and decoder-internal registers, the
+/// memory image, the cache hierarchy, the CSD engine (MSRs,
 /// stealth/gate/devec state and statistics), DIFT, branch predictor, µop
-/// cache, simulation statistics, and the cycle-timing state. The program,
-/// configuration, simulation mode, event sinks, checkpoint counters, and
-/// the flow table stay with the live core (the table's flows depend on
-/// the program alone, so they are valid in every state).
-#[derive(Debug, Clone)]
-pub struct CoreSnapshot {
-    state: ArchState,
-    mem: Memory,
-    hier: Hierarchy,
-    engine: CsdEngine,
-    dift: Dift,
-    bp: BranchPredictor,
-    ucache: UopCache,
-    stats: SimStats,
-    fe_time: f64,
-    last_dispatch: f64,
-    last_commit: f64,
-    sched: [f64; UReg::COUNT],
-    flags_ready: f64,
-    alu_ports: Vec<f64>,
-    load_ports: Vec<f64>,
-    store_ports: Vec<f64>,
-    vec_ports: Vec<f64>,
-    rob: VecDeque<f64>,
-    prev_from_uc: bool,
-    window_builder: Option<WindowBuilder>,
-    prev_fusable_cmp: bool,
-    pending_mispredict: bool,
-    last_tick: u64,
-    func_cycles: u64,
-    halted: bool,
-}
-
-// A snapshot must be shareable across threads: `run_plan` lends one
-// warmed checkpoint to parallel `ordered_map` workers, which restore it
-// into a fresh core per leg. `EventSink: Send + Sync` makes
-// this hold by construction; this assertion turns any regression into a
-// compile error here rather than a trait-bound error in `csd-exp`.
-const _: () = {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<CoreSnapshot>();
-};
-
-/// The simulator core: program, architectural state, memory, caches, CSD
-/// engine, DIFT, branch prediction, and the timing model.
+/// cache, simulation statistics, and the cycle-timing state.
+///
+/// This struct is the one definition of what a snapshot holds:
+/// [`CoreSnapshot`] wraps a clone of it and [`Core::restore`] is one
+/// `clone_from`. Everything else on [`Core`] (the program, configuration,
+/// simulation mode, event sinks, checkpoint counters, and the flow
+/// table) is the simulation kernel and stays with the live core.
 #[derive(Debug)]
-pub struct Core {
-    pub(crate) cfg: CoreConfig,
-    pub(crate) mode: SimMode,
-    pub(crate) program: Program,
+pub(crate) struct Machine {
     /// Architectural + decoder-internal register state.
-    pub state: ArchState,
+    pub(crate) state: ArchState,
     /// Flat data/instruction memory.
-    pub mem: Memory,
+    pub(crate) mem: Memory,
     pub(crate) hier: Hierarchy,
     pub(crate) engine: CsdEngine,
     pub(crate) dift: Dift,
     pub(crate) bp: BranchPredictor,
     pub(crate) ucache: UopCache,
+    /// Statistics; `stats.cycles` is also the clock the CSD engine has
+    /// been ticked to.
     pub(crate) stats: SimStats,
-    pub(crate) sink: SinkHandle,
-
-    // --- simulation kernel (not part of the modeled machine) ---
-    /// Per-instruction µop flows; moved out while [`Core::run`] runs.
-    flows: FlowTable,
-    ckpt: CheckpointStats,
-    /// The program index after the last fetched instruction: where the
-    /// next fetch looks first ([`Program::fetch_hinted`]). Only a guess,
-    /// checked against the PC on use, so it stays out of snapshots.
-    pub(crate) fetch_hint: usize,
 
     // --- timing state (cycle mode) ---
-    /// `1 / dispatch_width` and `1 / commit_width`: the slot spacing of
-    /// dispatch and commit, divided once here rather than per µop.
-    pub(crate) dispatch_step: f64,
-    pub(crate) commit_step: f64,
     pub(crate) fe_time: f64,
     pub(crate) last_dispatch: f64,
     pub(crate) last_commit: f64,
@@ -239,10 +186,172 @@ pub struct Core {
     pub(crate) prev_from_uc: bool,
     pub(crate) window_builder: Option<WindowBuilder>,
     pub(crate) prev_fusable_cmp: bool,
-    pub(crate) pending_mispredict: bool,
-    pub(crate) last_tick: u64,
-    pub(crate) func_cycles: u64,
     pub(crate) halted: bool,
+}
+
+impl Machine {
+    /// The power-on machine for `cfg`, starting at `entry`.
+    fn new(cfg: &CoreConfig, csd_cfg: CsdConfig, entry: u64) -> Machine {
+        let mut dift = Dift::new();
+        dift.set_enabled(cfg.dift_enabled);
+        let ucache = UopCache::new(
+            cfg.uop_cache_sets(),
+            cfg.uop_cache_ways,
+            cfg.uop_cache_line_uops,
+            cfg.uop_cache_max_lines_per_window,
+        );
+        Machine {
+            hier: Hierarchy::new(cfg.hierarchy),
+            engine: CsdEngine::new(csd_cfg),
+            dift,
+            bp: BranchPredictor::default(),
+            ucache,
+            state: ArchState::new(entry),
+            mem: Memory::new(),
+            stats: SimStats::default(),
+            fe_time: 0.0,
+            last_dispatch: 0.0,
+            last_commit: 0.0,
+            sched: [0.0; UReg::COUNT],
+            flags_ready: 0.0,
+            alu_ports: vec![0.0; cfg.alu_units],
+            load_ports: vec![0.0; cfg.load_units],
+            store_ports: vec![0.0; cfg.store_units],
+            vec_ports: vec![0.0; cfg.vector_units],
+            rob: VecDeque::new(),
+            prev_from_uc: false,
+            window_builder: None,
+            prev_fusable_cmp: false,
+            halted: false,
+        }
+    }
+}
+
+impl Clone for Machine {
+    fn clone(&self) -> Machine {
+        Machine {
+            state: self.state.clone(),
+            mem: self.mem.clone(),
+            hier: self.hier.clone(),
+            engine: self.engine.clone(),
+            dift: self.dift.clone(),
+            bp: self.bp.clone(),
+            ucache: self.ucache.clone(),
+            stats: self.stats,
+            fe_time: self.fe_time,
+            last_dispatch: self.last_dispatch,
+            last_commit: self.last_commit,
+            sched: self.sched,
+            flags_ready: self.flags_ready,
+            alu_ports: self.alu_ports.clone(),
+            load_ports: self.load_ports.clone(),
+            store_ports: self.store_ports.clone(),
+            vec_ports: self.vec_ports.clone(),
+            rob: self.rob.clone(),
+            prev_from_uc: self.prev_from_uc,
+            window_builder: self.window_builder,
+            prev_fusable_cmp: self.prev_fusable_cmp,
+            halted: self.halted,
+        }
+    }
+
+    /// Rewinds `self` to `src`, reusing `self`'s allocations (the cache
+    /// arenas above all). The pattern names every field with no `..`
+    /// rest, so a field added to [`Machine`] does not compile until it
+    /// is restored here.
+    fn clone_from(&mut self, src: &Machine) {
+        let Machine {
+            state,
+            mem,
+            hier,
+            engine,
+            dift,
+            bp,
+            ucache,
+            stats,
+            fe_time,
+            last_dispatch,
+            last_commit,
+            sched,
+            flags_ready,
+            alu_ports,
+            load_ports,
+            store_ports,
+            vec_ports,
+            rob,
+            prev_from_uc,
+            window_builder,
+            prev_fusable_cmp,
+            halted,
+        } = self;
+        state.clone_from(&src.state);
+        mem.clone_from(&src.mem);
+        hier.clone_from(&src.hier);
+        engine.clone_from(&src.engine);
+        dift.clone_from(&src.dift);
+        bp.clone_from(&src.bp);
+        ucache.clone_from(&src.ucache);
+        *stats = src.stats;
+        *fe_time = src.fe_time;
+        *last_dispatch = src.last_dispatch;
+        *last_commit = src.last_commit;
+        *sched = src.sched;
+        *flags_ready = src.flags_ready;
+        alu_ports.clone_from(&src.alu_ports);
+        load_ports.clone_from(&src.load_ports);
+        store_ports.clone_from(&src.store_ports);
+        vec_ports.clone_from(&src.vec_ports);
+        rob.clone_from(&src.rob);
+        *prev_from_uc = src.prev_from_uc;
+        *window_builder = src.window_builder;
+        *prev_fusable_cmp = src.prev_fusable_cmp;
+        *halted = src.halted;
+    }
+}
+
+/// A checkpoint of the whole modeled machine, taken by [`Core::snapshot`]
+/// and rewound to by [`Core::restore`]: architectural and
+/// decoder-internal registers, the memory image, the cache hierarchy, the
+/// CSD engine, DIFT, branch predictor, µop cache, simulation statistics,
+/// and the cycle-timing state. The program, configuration, simulation
+/// mode, event sinks, checkpoint counters, and the flow table stay with
+/// the live core (the table's flows depend on the program alone, so they
+/// are valid in every state).
+#[derive(Debug, Clone)]
+pub struct CoreSnapshot(Machine);
+
+// A snapshot must be shareable across threads: `run_plan` lends one
+// warmed checkpoint to parallel `ordered_map` workers, which restore it
+// into a fresh core per leg. `EventSink: Send + Sync` makes
+// this hold by construction; this assertion turns any regression into a
+// compile error here rather than a trait-bound error in `csd-exp`.
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<CoreSnapshot>();
+};
+
+/// The simulator core: the modeled machine plus the simulation kernel
+/// that drives it (program, configuration, mode, flow table, event sink,
+/// checkpoint counters).
+#[derive(Debug)]
+pub struct Core {
+    pub(crate) cfg: CoreConfig,
+    pub(crate) mode: SimMode,
+    pub(crate) program: Program,
+    /// The modeled machine: everything a snapshot holds.
+    pub(crate) m: Machine,
+    pub(crate) sink: SinkHandle,
+    /// Per-instruction µop flows; moved out while [`Core::run`] runs.
+    flows: FlowTable,
+    ckpt: CheckpointStats,
+    /// The program index after the last fetched instruction: where the
+    /// next fetch looks first ([`Program::fetch_hinted`]). Only a guess,
+    /// checked against the PC on use, so it stays out of snapshots.
+    pub(crate) fetch_hint: usize,
+    /// `1 / dispatch_width` and `1 / commit_width`: the slot spacing of
+    /// dispatch and commit, divided once here rather than per µop.
+    pub(crate) dispatch_step: f64,
+    pub(crate) commit_step: f64,
 }
 
 /// Whether the `CSD_DECODE_MEMO` environment variable force-disables the
@@ -260,48 +369,15 @@ fn env_memo_enabled() -> bool {
 impl Core {
     /// Builds a core around a program.
     pub fn new(cfg: CoreConfig, csd_cfg: CsdConfig, program: Program, mode: SimMode) -> Core {
-        let mut dift = Dift::new();
-        dift.set_enabled(cfg.dift_enabled);
-        let entry = program.entry();
-        let ucache = UopCache::new(
-            cfg.uop_cache_sets(),
-            cfg.uop_cache_ways,
-            cfg.uop_cache_line_uops,
-            cfg.uop_cache_max_lines_per_window,
-        );
         let flows = FlowTable::new(program.len(), cfg.decode_memo_enabled && env_memo_enabled());
         Core {
-            hier: Hierarchy::new(cfg.hierarchy),
-            engine: CsdEngine::new(csd_cfg),
-            dift,
-            bp: BranchPredictor::default(),
-            ucache,
-            state: ArchState::new(entry),
-            mem: Memory::new(),
-            stats: SimStats::default(),
+            m: Machine::new(&cfg, csd_cfg, program.entry()),
             sink: SinkHandle::new(),
             flows,
             ckpt: CheckpointStats::default(),
             fetch_hint: 0,
             dispatch_step: 1.0 / cfg.dispatch_width as f64,
             commit_step: 1.0 / cfg.commit_width as f64,
-            fe_time: 0.0,
-            last_dispatch: 0.0,
-            last_commit: 0.0,
-            sched: [0.0; UReg::COUNT],
-            flags_ready: 0.0,
-            alu_ports: vec![0.0; cfg.alu_units],
-            load_ports: vec![0.0; cfg.load_units],
-            store_ports: vec![0.0; cfg.store_units],
-            vec_ports: vec![0.0; cfg.vector_units],
-            rob: VecDeque::new(),
-            prev_from_uc: false,
-            window_builder: None,
-            prev_fusable_cmp: false,
-            pending_mispredict: false,
-            last_tick: 0,
-            func_cycles: 0,
-            halted: false,
             program,
             cfg,
             mode,
@@ -334,44 +410,64 @@ impl Core {
         &self.program
     }
 
+    /// Architectural + decoder-internal register state.
+    pub fn state(&self) -> &ArchState {
+        &self.m.state
+    }
+
+    /// Mutable register state (test set-up, PC redirects).
+    pub fn state_mut(&mut self) -> &mut ArchState {
+        &mut self.m.state
+    }
+
+    /// Flat data/instruction memory.
+    pub fn mem(&self) -> &Memory {
+        &self.m.mem
+    }
+
+    /// Mutable memory (victim inputs and tables are written through this).
+    pub fn mem_mut(&mut self) -> &mut Memory {
+        &mut self.m.mem
+    }
+
     /// The CSD engine (stats, gate state).
     pub fn engine(&self) -> &CsdEngine {
-        &self.engine
+        &self.m.engine
     }
 
     /// Mutable CSD engine (MSR configuration, MCU installation).
     pub fn engine_mut(&mut self) -> &mut CsdEngine {
-        &mut self.engine
+        &mut self.m.engine
     }
 
     /// The memory hierarchy (attack agents probe and flush through this).
     pub fn hierarchy(&self) -> &Hierarchy {
-        &self.hier
+        &self.m.hier
     }
 
     /// Mutable memory hierarchy.
     pub fn hierarchy_mut(&mut self) -> &mut Hierarchy {
-        &mut self.hier
+        &mut self.m.hier
     }
 
     /// The DIFT engine (taint sources).
     pub fn dift_mut(&mut self) -> &mut Dift {
-        &mut self.dift
+        &mut self.m.dift
     }
 
     /// The branch predictor statistics.
     pub fn branch_stats(&self) -> &crate::branch::BranchStats {
-        self.bp.stats()
+        self.m.bp.stats()
     }
 
     /// µop cache statistics.
     pub fn uop_cache_stats(&self) -> &UopCacheStats {
-        self.ucache.stats()
+        self.m.ucache.stats()
     }
 
     /// Simulation statistics so far.
     pub fn stats(&self) -> &SimStats {
-        &self.stats
+        &self.m.stats
     }
 
     /// Flow-table counters since construction or the last
@@ -402,14 +498,14 @@ impl Core {
     /// Current cycle count.
     pub fn cycles(&self) -> u64 {
         match self.mode {
-            SimMode::Functional => self.func_cycles,
-            SimMode::Cycle => ceil_u64(self.last_commit),
+            SimMode::Functional => self.m.stats.cycles,
+            SimMode::Cycle => ceil_u64(self.m.last_commit),
         }
     }
 
     /// Whether a `hlt` has retired.
     pub fn halted(&self) -> bool {
-        self.halted
+        self.m.halted
     }
 
     /// Rewinds the PC to the program entry and clears the halt latch so the
@@ -421,10 +517,10 @@ impl Core {
     /// state), while the table's flows stay: every run after the first
     /// decodes each instruction from the table.
     pub fn restart(&mut self) {
-        self.state.rip = self.program.entry();
-        self.halted = false;
+        self.m.state.rip = self.program.entry();
+        self.m.halted = false;
         self.flows.reset_stats();
-        self.engine.reset_context_key();
+        self.m.engine.reset_context_key();
     }
 
     /// Captures everything needed to resume simulation from this exact
@@ -433,91 +529,41 @@ impl Core {
     /// attack variants from the checkpoint instead of re-simulating it.
     pub fn snapshot(&mut self) -> CoreSnapshot {
         self.ckpt.snapshots += 1;
-        CoreSnapshot {
-            state: self.state.clone(),
-            mem: self.mem.clone(),
-            hier: self.hier.clone(),
-            engine: self.engine.clone(),
-            dift: self.dift.clone(),
-            bp: self.bp.clone(),
-            ucache: self.ucache.clone(),
-            stats: self.stats,
-            fe_time: self.fe_time,
-            last_dispatch: self.last_dispatch,
-            last_commit: self.last_commit,
-            sched: self.sched,
-            flags_ready: self.flags_ready,
-            alu_ports: self.alu_ports.clone(),
-            load_ports: self.load_ports.clone(),
-            store_ports: self.store_ports.clone(),
-            vec_ports: self.vec_ports.clone(),
-            rob: self.rob.clone(),
-            prev_from_uc: self.prev_from_uc,
-            window_builder: self.window_builder,
-            prev_fusable_cmp: self.prev_fusable_cmp,
-            pending_mispredict: self.pending_mispredict,
-            last_tick: self.last_tick,
-            func_cycles: self.func_cycles,
-            halted: self.halted,
-        }
+        CoreSnapshot(self.m.clone())
     }
 
-    /// Rewinds the core to `snap`. Event sinks stay attached to the live
-    /// core (cloning an engine never drags a sink, so the snapshot holds
-    /// none), and so does the flow table, whose flows are valid in any
-    /// state. Fields are restored with `clone_from`, so the live core's
-    /// allocations (the cache arenas above all) are reused.
+    /// Rewinds the core to `snap`, reusing the live core's allocations
+    /// (the cache arenas above all). Event sinks stay attached to the live
+    /// core: cloning an engine never drags a sink, so the snapshot holds
+    /// none and the engine's sink is carried across the rewind. The flow
+    /// table stays too, since its flows are valid in any state.
     pub fn restore(&mut self, snap: &CoreSnapshot) {
         self.ckpt.restores += 1;
-        self.state.clone_from(&snap.state);
-        self.mem.clone_from(&snap.mem);
-        self.hier.clone_from(&snap.hier);
-        let sink = self.engine.take_event_sink();
-        self.engine = snap.engine.clone();
+        let sink = self.m.engine.take_event_sink();
+        self.m.clone_from(&snap.0);
         if let Some(s) = sink {
-            self.engine.set_event_sink(s);
+            self.m.engine.set_event_sink(s);
         }
-        self.dift.clone_from(&snap.dift);
-        self.bp.clone_from(&snap.bp);
-        self.ucache.clone_from(&snap.ucache);
-        self.stats = snap.stats;
-        self.fe_time = snap.fe_time;
-        self.last_dispatch = snap.last_dispatch;
-        self.last_commit = snap.last_commit;
-        self.sched = snap.sched;
-        self.flags_ready = snap.flags_ready;
-        self.alu_ports.clone_from(&snap.alu_ports);
-        self.load_ports.clone_from(&snap.load_ports);
-        self.store_ports.clone_from(&snap.store_ports);
-        self.vec_ports.clone_from(&snap.vec_ports);
-        self.rob.clone_from(&snap.rob);
-        self.prev_from_uc = snap.prev_from_uc;
-        self.window_builder = snap.window_builder;
-        self.prev_fusable_cmp = snap.prev_fusable_cmp;
-        self.pending_mispredict = snap.pending_mispredict;
-        self.last_tick = snap.last_tick;
-        self.func_cycles = snap.func_cycles;
-        self.halted = snap.halted;
     }
 
     /// Per-unit activity for the energy model.
     pub fn activity(&self) -> Activity {
         let mut a = Activity::new(self.cycles());
-        a.add_ops(Unit::Vpu, self.stats.vpu_uops);
-        a.add_ops(Unit::Lsu, self.stats.load_uops + self.stats.store_uops);
+        a.add_ops(Unit::Vpu, self.m.stats.vpu_uops);
+        a.add_ops(Unit::Lsu, self.m.stats.load_uops + self.m.stats.store_uops);
         a.add_ops(
             Unit::ScalarAlu,
-            self.stats
-                .uops
-                .saturating_sub(self.stats.vpu_uops + self.stats.load_uops + self.stats.store_uops),
+            self.m.stats.uops.saturating_sub(
+                self.m.stats.vpu_uops + self.m.stats.load_uops + self.m.stats.store_uops,
+            ),
         );
         a.add_ops(
             Unit::LegacyDecode,
-            self.stats.legacy_insts + self.stats.msrom_insts,
+            self.m.stats.legacy_insts + self.m.stats.msrom_insts,
         );
-        a.add_ops(Unit::UopCache, self.stats.uop_cache_insts);
-        a.add_ops(Unit::Core, self.stats.uops);
-        let gs = self.engine.gate().stats();
+        a.add_ops(Unit::UopCache, self.m.stats.uop_cache_insts);
+        a.add_ops(Unit::Core, self.m.stats.uops);
+        let gs = self.m.engine.gate().stats();
         a.vpu_gated_cycles = gs.gated_cycles.min(a.cycles);
         a.vpu_gate_transitions = gs.gate_transitions;
         a
@@ -530,17 +576,17 @@ impl Core {
     /// decode memoization, checkpointing — see the README telemetry
     /// schema).
     pub fn telemetry_report(&self) -> Json {
-        let e = &self.engine;
+        let e = &self.m.engine;
         let activity = self.activity();
         let m = self.flows.stats();
         Json::obj([
-            ("sim", self.stats.to_json()),
+            ("sim", self.m.stats.to_json()),
             ("csd", e.stats().to_json()),
             ("stealth", e.stealth().stats().to_json()),
             ("devec", e.devectorizer().stats().to_json()),
             ("gate", e.gate().stats().to_json()),
-            ("uop_cache", self.ucache.stats().to_json()),
-            ("caches", self.hier.stats().to_json()),
+            ("uop_cache", self.m.ucache.stats().to_json()),
+            ("caches", self.m.hier.stats().to_json()),
             ("activity", activity.to_json()),
             (
                 "energy",
@@ -607,12 +653,12 @@ impl Core {
         if max_insts == 0 || stop(self) {
             return StepOutcome::Running;
         }
-        if self.halted {
+        if self.m.halted {
             return StepOutcome::Halted;
         }
         let mut flows = std::mem::take(&mut self.flows);
         let program = std::mem::take(&mut self.program);
-        let last = if self.sink.is_attached() || self.engine.has_event_sink() {
+        let last = if self.sink.is_attached() || self.m.engine.has_event_sink() {
             self.retire_batch::<true>(max_insts, &stop, &program, &mut flows)
         } else {
             self.retire_batch::<false>(max_insts, &stop, &program, &mut flows)

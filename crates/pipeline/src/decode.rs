@@ -34,9 +34,10 @@ pub(crate) fn run<'t, const TRACE: bool>(
     let placed = &f.inst.placed;
     let tainted = macro_tainted(core, &placed.inst);
     let out = core
+        .m
         .engine
         .decode_memo_traced::<TRACE>(placed, f.inst.index, tainted, flows);
-    core.stats.stall_cycles += out.stall_cycles;
+    core.m.stats.stall_cycles += out.stall_cycles;
     let fused_slots = front_end::<TRACE>(core, f, &out);
     Decoded { out, fused_slots }
 }
@@ -48,9 +49,10 @@ fn macro_tainted(core: &Core, inst: &Inst) -> bool {
         return false;
     }
     let mem_tainted = |m: &MemRef| {
-        m.base.is_some_and(|b| core.dift.reg_tainted(UReg::Gpr(b)))
+        m.base
+            .is_some_and(|b| core.m.dift.reg_tainted(UReg::Gpr(b)))
             || m.index
-                .is_some_and(|(i, _)| core.dift.reg_tainted(UReg::Gpr(i)))
+                .is_some_and(|(i, _)| core.m.dift.reg_tainted(UReg::Gpr(i)))
     };
     match inst {
         Inst::Load { mem, .. }
@@ -60,8 +62,8 @@ fn macro_tainted(core: &Core, inst: &Inst) -> bool {
         | Inst::VLoad { mem, .. }
         | Inst::VStore { mem, .. }
         | Inst::VAluLoad { mem, .. } => mem_tainted(mem),
-        Inst::Jcc { .. } => core.dift.flags_tainted(),
-        Inst::JmpInd { reg } => core.dift.reg_tainted(UReg::Gpr(*reg)),
+        Inst::Jcc { .. } => core.m.dift.flags_tainted(),
+        Inst::JmpInd { reg } => core.m.dift.reg_tainted(UReg::Gpr(*reg)),
         _ => false,
     }
 }
@@ -78,35 +80,18 @@ fn front_end<const TRACE: bool>(core: &mut Core, f: &Fetch, out: &DecodeOutcome)
     };
     // Macro-op fusion: a cmp/test immediately followed by jcc shares a
     // slot; model as the jcc contributing zero additional slots.
-    if core.cfg.fusion_enabled && core.prev_fusable_cmp && matches!(placed.inst, Inst::Jcc { .. }) {
+    if core.cfg.fusion_enabled && core.m.prev_fusable_cmp && matches!(placed.inst, Inst::Jcc { .. })
+    {
         fused = fused.saturating_sub(1);
     }
 
-    if core.mode == SimMode::Functional {
-        // Track µop-cache *occupancy* statistics even without timing.
-        if core.cfg.uop_cache_enabled {
-            let window = UopCache::window_of(placed.addr);
-            if core.ucache.lookup(window, out.context) {
-                emit_ucache::<TRACE>(core, window, out.context, true);
-                core.stats.uop_cache_insts += 1;
-                finalize_window(core);
-            } else {
-                emit_ucache::<TRACE>(core, window, out.context, false);
-                count_legacy(core, facts.from_msrom);
-                build_window(core, window, out.context, fused, facts.cacheable);
-            }
-        } else {
-            count_legacy(core, facts.from_msrom);
-        }
-        return fused.max(1);
-    }
-
-    core.fe_time += f.penalty;
+    // Both modes track µop-cache occupancy; only cycle mode times the
+    // delivery.
     let from_uc = if core.cfg.uop_cache_enabled {
         let window = UopCache::window_of(placed.addr);
-        if core.ucache.lookup(window, out.context) {
+        if core.m.ucache.lookup(window, out.context) {
             emit_ucache::<TRACE>(core, window, out.context, true);
-            core.stats.uop_cache_insts += 1;
+            core.m.stats.uop_cache_insts += 1;
             finalize_window(core);
             true
         } else {
@@ -119,11 +104,15 @@ fn front_end<const TRACE: bool>(core: &mut Core, f: &Fetch, out: &DecodeOutcome)
         count_legacy(core, facts.from_msrom);
         false
     };
-
-    if from_uc != core.prev_from_uc {
-        core.fe_time += core.cfg.uop_cache_switch_penalty;
+    if core.mode == SimMode::Functional {
+        return fused.max(1);
     }
-    core.prev_from_uc = from_uc;
+
+    core.m.fe_time += f.penalty;
+    if from_uc != core.m.prev_from_uc {
+        core.m.fe_time += core.cfg.uop_cache_switch_penalty;
+    }
+    core.m.prev_from_uc = from_uc;
 
     let cost = if from_uc {
         fused.max(1) as f64 / core.cfg.uop_cache_width as f64
@@ -135,7 +124,7 @@ fn front_end<const TRACE: bool>(core: &mut Core, f: &Fetch, out: &DecodeOutcome)
         let length_decode = (f.inst.next - placed.addr) as f64 / core.cfg.fetch_bytes as f64;
         decode.max(length_decode).max(0.25)
     };
-    core.fe_time += cost;
+    core.m.fe_time += cost;
     fused.max(1)
 }
 
@@ -154,21 +143,21 @@ fn emit_ucache<const TRACE: bool>(core: &mut Core, window: u64, ctx: ContextId, 
 
 fn count_legacy(core: &mut Core, from_msrom: bool) {
     if from_msrom {
-        core.stats.msrom_insts += 1;
+        core.m.stats.msrom_insts += 1;
     } else {
-        core.stats.legacy_insts += 1;
+        core.m.stats.legacy_insts += 1;
     }
 }
 
 fn build_window(core: &mut Core, window: u64, ctx: ContextId, fused: u32, cacheable: bool) {
-    match &mut core.window_builder {
+    match &mut core.m.window_builder {
         Some(b) if b.window == window && b.ctx == ctx => {
             b.fused += fused;
             b.cacheable &= cacheable;
         }
         _ => {
             finalize_window(core);
-            core.window_builder = Some(WindowBuilder {
+            core.m.window_builder = Some(WindowBuilder {
                 window,
                 ctx,
                 fused,
@@ -181,9 +170,9 @@ fn build_window(core: &mut Core, window: u64, ctx: ContextId, fused: u32, cachea
 /// Flushes the in-progress µop-cache window into the cache (called when a
 /// taken branch or halt ends window building).
 pub(crate) fn finalize_window(core: &mut Core) {
-    if let Some(b) = core.window_builder.take() {
+    if let Some(b) = core.m.window_builder.take() {
         if core.cfg.uop_cache_enabled {
-            core.ucache.insert(b.window, b.ctx, b.fused, b.cacheable);
+            core.m.ucache.insert(b.window, b.ctx, b.fused, b.cacheable);
         }
     }
 }

@@ -34,7 +34,7 @@ fn execute_flow<const TRACE: bool>(
     stall: u64,
 ) -> Option<FlowEnd> {
     let timing = core.mode == SimMode::Cycle;
-    let inst_ready = core.fe_time + stall as f64;
+    let inst_ready = core.m.fe_time + stall as f64;
     let mut end = None;
     let mut slot_dispatch = inst_ready;
 
@@ -43,14 +43,14 @@ fn execute_flow<const TRACE: bool>(
         let in_prev_slot =
             timing && core.cfg.fusion_enabled && i > 0 && fusion::can_micro_fuse(&uops[i - 1], u);
         if timing && !in_prev_slot {
-            slot_dispatch = later(inst_ready, core.last_dispatch + core.dispatch_step);
-            core.last_dispatch = slot_dispatch;
+            slot_dispatch = later(inst_ready, core.m.last_dispatch + core.dispatch_step);
+            core.m.last_dispatch = slot_dispatch;
         }
 
-        let (effect, access_latency) = exec_uop::<TRACE>(core, u, fetched);
+        let (effect, access_latency, mispredicted) = exec_uop::<TRACE>(core, u, fetched);
 
         if timing {
-            time_uop(core, u, slot_dispatch, access_latency);
+            time_uop(core, u, slot_dispatch, access_latency, mispredicted);
         }
 
         match effect {
@@ -70,10 +70,15 @@ fn execute_flow<const TRACE: bool>(
     end
 }
 
-/// Functionally executes one µop. Returns its control effect and, for
-/// memory µops, the hierarchy access latency.
+/// Functionally executes one µop. Returns its control effect, the
+/// hierarchy access latency of a memory µop, and whether a (non-decoy)
+/// branch µop was mispredicted.
 #[inline(always)]
-fn exec_uop<const TRACE: bool>(core: &mut Core, u: &Uop, fetched: &Fetched) -> (UopEffect, u64) {
+fn exec_uop<const TRACE: bool>(
+    core: &mut Core,
+    u: &Uop,
+    fetched: &Fetched,
+) -> (UopEffect, u64, bool) {
     use UopKind as K;
     let placed = &fetched.placed;
     // Decoy µops: only the cache touch is real; dataflow stays in
@@ -86,53 +91,54 @@ fn exec_uop<const TRACE: bool>(core: &mut Core, u: &Uop, fetched: &Fetched) -> (
                     DecoyTarget::Data => AccessKind::DataRead,
                     DecoyTarget::Inst => AccessKind::InstFetch,
                 };
-                let r = core.hier.access(ea, kind);
-                let v = core.mem.read_le(ea, mem.width.bytes().min(8));
-                core.state.write(dst, v);
-                (UopEffect::None, r.latency)
+                let r = core.m.hier.access(ea, kind);
+                let v = core.m.mem.read_le(ea, mem.width.bytes().min(8));
+                core.m.state.write(dst, v);
+                (UopEffect::None, r.latency, false)
             }
             K::MovImm { dst, imm } => {
-                core.state.write(dst, imm as u64);
-                (UopEffect::None, 0)
+                core.m.state.write(dst, imm as u64);
+                (UopEffect::None, 0, false)
             }
             K::Alu { op, dst, a, b, .. } => {
-                let (res, _) = fu::alu(op, core.state.read(a), src(core, b));
+                let (res, _) = fu::alu(op, core.m.state.read(a), src(core, b));
                 if let Some(d) = dst {
-                    core.state.write(d, res);
+                    core.m.state.write(d, res);
                 }
-                (UopEffect::None, 0)
+                (UopEffect::None, 0, false)
             }
             // Decoy branches are sequencing artifacts of the unrolled
             // micro-loop: no control effect.
-            _ => (UopEffect::None, 0),
+            _ => (UopEffect::None, 0, false),
         };
     }
 
     let mut effect = UopEffect::None;
     let mut access_latency = 0u64;
+    let mut mispredicted = false;
     let mut dift_ea = None;
 
     match u.kind {
         K::Nop => {}
         K::Mov { dst, src } => {
-            let v = core.state.read(src);
-            core.state.write(dst, v);
+            let v = core.m.state.read(src);
+            core.m.state.write(dst, v);
         }
-        K::MovImm { dst, imm } => core.state.write(dst, imm as u64),
+        K::MovImm { dst, imm } => core.m.state.write(dst, imm as u64),
         K::Alu { op, dst, a, b, .. } => {
-            let (res, flags) = fu::alu(op, core.state.read(a), src(core, b));
+            let (res, flags) = fu::alu(op, core.m.state.read(a), src(core, b));
             if let Some(d) = dst {
-                core.state.write(d, res);
+                core.m.state.write(d, res);
             }
             if u.writes_flags() {
-                core.state.flags = flags;
+                core.m.state.flags = flags;
             }
         }
         K::Mul { dst, a, b, .. } => {
-            let (res, flags) = fu::mul(core.state.read(a), src(core, b));
-            core.state.write(dst, res);
+            let (res, flags) = fu::mul(core.m.state.read(a), src(core, b));
+            core.m.state.write(dst, res);
             if u.writes_flags() {
-                core.state.flags = flags;
+                core.m.state.flags = flags;
             }
         }
         K::FAlu {
@@ -142,7 +148,7 @@ fn exec_uop<const TRACE: bool>(core: &mut Core, u: &Uop, fetched: &Fetched) -> (
             a,
             b,
         } => {
-            let (a, b) = (core.state.read(a), core.state.read(b));
+            let (a, b) = (core.m.state.read(a), core.m.state.read(b));
             let res = match width {
                 FWidth::S => {
                     let (fa, fb) = (f32::from_bits(a as u32), f32::from_bits(b as u32));
@@ -163,10 +169,10 @@ fn exec_uop<const TRACE: bool>(core: &mut Core, u: &Uop, fetched: &Fetched) -> (
                     r.to_bits()
                 }
             };
-            core.state.write(dst, res);
+            core.m.state.write(dst, res);
         }
         K::DivQ { dst, a, b } | K::DivR { dst, a, b } => {
-            let (a, b) = (core.state.read(a), core.state.read(b));
+            let (a, b) = (core.m.state.read(a), core.m.state.read(b));
             let res = if b == 0 {
                 0
             } else if matches!(u.kind, K::DivQ { .. }) {
@@ -174,8 +180,8 @@ fn exec_uop<const TRACE: bool>(core: &mut Core, u: &Uop, fetched: &Fetched) -> (
             } else {
                 a % b
             };
-            core.state.write(dst, res);
-            core.state.flags = Flags {
+            core.m.state.write(dst, res);
+            core.m.state.flags = Flags {
                 zf: res == 0,
                 sf: false,
                 cf: false,
@@ -184,94 +190,91 @@ fn exec_uop<const TRACE: bool>(core: &mut Core, u: &Uop, fetched: &Fetched) -> (
         }
         K::Ld { dst, mem } => {
             let ea = ea(core, &mem);
-            let r = core.hier.access(ea, AccessKind::DataRead);
+            let r = core.m.hier.access(ea, AccessKind::DataRead);
             access_latency = r.latency + dift_penalty(core);
-            let v = core.mem.read_le(ea, mem.width.bytes().min(8));
-            core.state.write(dst, v);
+            let v = core.m.mem.read_le(ea, mem.width.bytes().min(8));
+            core.m.state.write(dst, v);
             dift_ea = Some(ea);
-            core.stats.load_uops += 1;
+            core.m.stats.load_uops += 1;
         }
         K::St { src, mem } => {
             let ea = ea(core, &mem);
             let w = mem.width.bytes().min(8);
-            core.hier.access(ea, AccessKind::DataWrite);
-            let v = core.state.read(src);
-            core.mem.write_le(ea, w, v);
+            core.m.hier.access(ea, AccessKind::DataWrite);
+            let v = core.m.state.read(src);
+            core.m.mem.write_le(ea, w, v);
             emit_store::<TRACE>(core, ea, w, v);
             dift_ea = Some(ea);
-            core.stats.store_uops += 1;
+            core.m.stats.store_uops += 1;
             access_latency = 1;
         }
         K::Lea { dst, mem } => {
             let ea = ea(core, &mem);
-            core.state.write(dst, ea);
+            core.m.state.write(dst, ea);
         }
         K::VLd { dst, mem } => {
             let ea = ea(core, &mem);
-            let r = core.hier.access(ea, AccessKind::DataRead);
+            let r = core.m.hier.access(ea, AccessKind::DataRead);
             access_latency = r.latency + dift_penalty(core);
-            let v = core.mem.read_u128(ea);
-            core.state.write_v(dst, v);
+            let v = core.m.mem.read_u128(ea);
+            core.m.state.write_v(dst, v);
             dift_ea = Some(ea);
-            core.stats.load_uops += 1;
+            core.m.stats.load_uops += 1;
         }
         K::VSt { src, mem } => {
             let ea = ea(core, &mem);
-            core.hier.access(ea, AccessKind::DataWrite);
-            let v = core.state.read_v(src);
-            core.mem.write_u128(ea, v);
+            core.m.hier.access(ea, AccessKind::DataWrite);
+            let v = core.m.state.read_v(src);
+            core.m.mem.write_u128(ea, v);
             emit_store::<TRACE>(core, ea, 8, v.0);
             emit_store::<TRACE>(core, ea.wrapping_add(8), 8, v.1);
             dift_ea = Some(ea);
-            core.stats.store_uops += 1;
+            core.m.stats.store_uops += 1;
             access_latency = 1;
         }
         K::VMov { dst, src } => {
-            let v = core.state.read_v(src);
-            core.state.write_v(dst, v);
+            let v = core.m.state.read_v(src);
+            core.m.state.write_v(dst, v);
         }
         K::VAlu { op, dst, a, b } => {
-            let r = fu::valu(op, core.state.read_v(a), core.state.read_v(b));
-            core.state.write_v(dst, r);
-            core.stats.vpu_uops += 1;
+            let r = fu::valu(op, core.m.state.read_v(a), core.m.state.read_v(b));
+            core.m.state.write_v(dst, r);
+            core.m.stats.vpu_uops += 1;
         }
         K::VExtractQ { dst, src, hi } => {
-            let v = core.state.read_v(src);
-            core.state.write(dst, if hi { v.1 } else { v.0 });
+            let v = core.m.state.read_v(src);
+            core.m.state.write(dst, if hi { v.1 } else { v.0 });
         }
         K::VInsertQ { dst, src, hi } => {
-            let mut v = core.state.read_v(dst);
-            let s = core.state.read(src);
+            let mut v = core.m.state.read_v(dst);
+            let s = core.m.state.read(src);
             if hi {
                 v.1 = s;
             } else {
                 v.0 = s;
             }
-            core.state.write_v(dst, v);
+            core.m.state.write_v(dst, v);
         }
         K::Br { cc, target } => {
-            let taken = core.state.flags.eval(cc);
-            let miss = core.bp.predict_conditional(placed.addr, taken);
+            let taken = core.m.state.flags.eval(cc);
+            mispredicted = core.m.bp.predict_conditional(placed.addr, taken);
             if taken {
                 effect = UopEffect::Branch(target);
             }
-            core.pending_mispredict = miss;
         }
         K::JmpImm { target } => {
             if matches!(placed.inst, Inst::Call { .. }) {
-                core.bp.on_call(fetched.next);
+                core.m.bp.on_call(fetched.next);
             }
             effect = UopEffect::Branch(target);
-            core.pending_mispredict = false;
         }
         K::JmpReg { src } => {
-            let target = core.state.read(src);
-            let miss = match placed.inst {
-                Inst::Ret => core.bp.predict_return(target),
-                _ => core.bp.predict_indirect(placed.addr, target),
+            let target = core.m.state.read(src);
+            mispredicted = match placed.inst {
+                Inst::Ret => core.m.bp.predict_return(target),
+                _ => core.m.bp.predict_indirect(placed.addr, target),
             };
             effect = UopEffect::Branch(target);
-            core.pending_mispredict = miss;
         }
         K::PushImm { imm } => {
             dift_ea = Some(push::<TRACE>(core, imm));
@@ -280,53 +283,53 @@ fn exec_uop<const TRACE: bool>(core: &mut Core, u: &Uop, fetched: &Fetched) -> (
         K::Push { src } => {
             // x86 order: the pushed value is read before rsp moves, so
             // `push rsp` stores the pre-decrement stack pointer.
-            let v = core.state.read(src);
+            let v = core.m.state.read(src);
             dift_ea = Some(push::<TRACE>(core, v));
             access_latency = 1;
         }
         K::Pop { dst } => {
-            let rsp = core.state.gpr(Gpr::Rsp);
-            let r = core.hier.access(rsp, AccessKind::DataRead);
+            let rsp = core.m.state.gpr(Gpr::Rsp);
+            let r = core.m.hier.access(rsp, AccessKind::DataRead);
             access_latency = r.latency + dift_penalty(core);
-            let v = core.mem.read_le(rsp, 8);
+            let v = core.m.mem.read_le(rsp, 8);
             // x86 order: rsp is incremented before the destination write,
             // so `pop rsp` ends up holding the loaded value.
-            core.state.set_gpr(Gpr::Rsp, rsp.wrapping_add(8));
-            core.state.write(dst, v);
+            core.m.state.set_gpr(Gpr::Rsp, rsp.wrapping_add(8));
+            core.m.state.write(dst, v);
             dift_ea = Some(rsp);
-            core.stats.load_uops += 1;
+            core.m.stats.load_uops += 1;
         }
         K::Clflush { mem } => {
             let ea = ea(core, &mem);
-            core.hier.flush(ea);
+            core.m.hier.flush(ea);
             access_latency = 4;
         }
         K::Rdtsc { dst } => {
             let c = core.cycles();
-            core.state.write(dst, c);
+            core.m.state.write(dst, c);
         }
         K::Wrmsr { msr, src } => {
-            let v = core.state.read(src);
-            core.engine.write_msr(msr, v);
+            let v = core.m.state.read(src);
+            core.m.engine.write_msr(msr, v);
         }
         K::Rdmsr { dst, msr } => {
-            let v = core.engine.read_msr(msr);
-            core.state.write(dst, v);
+            let v = core.m.engine.read_msr(msr);
+            core.m.state.write(dst, v);
         }
         K::Halt => effect = UopEffect::Halt,
     }
-    core.dift.propagate(u, dift_ea);
-    (effect, access_latency)
+    core.m.dift.propagate(u, dift_ea);
+    (effect, access_latency, mispredicted)
 }
 
 /// `rsp -= 8; [rsp] ← v`; returns the new `rsp`.
 fn push<const TRACE: bool>(core: &mut Core, v: u64) -> u64 {
-    let rsp = core.state.gpr(Gpr::Rsp).wrapping_sub(8);
-    core.state.set_gpr(Gpr::Rsp, rsp);
-    core.hier.access(rsp, AccessKind::DataWrite);
-    core.mem.write_le(rsp, 8, v);
+    let rsp = core.m.state.gpr(Gpr::Rsp).wrapping_sub(8);
+    core.m.state.set_gpr(Gpr::Rsp, rsp);
+    core.m.hier.access(rsp, AccessKind::DataWrite);
+    core.m.mem.write_le(rsp, 8, v);
     emit_store::<TRACE>(core, rsp, 8, v);
-    core.stats.store_uops += 1;
+    core.m.stats.store_uops += 1;
     rsp
 }
 
@@ -356,56 +359,56 @@ fn dift_penalty(core: &Core) -> u64 {
 }
 
 fn ea(core: &Core, mem: &UMem) -> u64 {
-    mem.effective_address(|r| core.state.read(r))
+    mem.effective_address(|r| core.m.state.read(r))
 }
 
 /// The value of an ALU operand.
 fn src(core: &Core, b: Src) -> u64 {
     match b {
-        Src::Reg(r) => core.state.read(r),
+        Src::Reg(r) => core.m.state.read(r),
         Src::Imm(i) => i as u64,
     }
 }
 
 /// Back-end timing for one µop.
-fn time_uop(core: &mut Core, u: &Uop, dispatch: f64, access_latency: u64) {
+fn time_uop(core: &mut Core, u: &Uop, dispatch: f64, access_latency: u64, mispredicted: bool) {
     // ROB occupancy: dispatch may not pass the completion of the µop
     // rob_entries back.
     let mut ready = dispatch;
-    if core.rob.len() >= core.cfg.rob_entries {
-        if let Some(head) = core.rob.pop_front() {
+    if core.m.rob.len() >= core.cfg.rob_entries {
+        if let Some(head) = core.m.rob.pop_front() {
             ready = later(ready, head);
         }
     }
     // Operand readiness.
     let regs = u.regs();
     for r in regs.reads.into_iter().flatten() {
-        ready = later(ready, core.sched[r.index()]);
+        ready = later(ready, core.m.sched[r.index()]);
     }
     if matches!(u.kind, UopKind::Br { .. }) {
-        ready = later(ready, core.flags_ready);
+        ready = later(ready, core.m.flags_ready);
     }
 
     // Port selection and latency.
     let (lat, occupy, port): (f64, f64, &mut Vec<f64>) = match u.kind {
-        _ if u.kind.is_load() => (access_latency as f64, 1.0, &mut core.load_ports),
-        _ if u.kind.is_store() => (1.0, 1.0, &mut core.store_ports),
+        _ if u.kind.is_load() => (access_latency as f64, 1.0, &mut core.m.load_ports),
+        _ if u.kind.is_store() => (1.0, 1.0, &mut core.m.store_ports),
         UopKind::VAlu { op, .. } => {
             let l = if op.is_multiply() || op.is_float() {
                 core.cfg.vec_mul_latency
             } else {
                 core.cfg.vec_latency
             };
-            (l as f64, 1.0, &mut core.vec_ports)
+            (l as f64, 1.0, &mut core.m.vec_ports)
         }
-        UopKind::Mul { .. } => (core.cfg.mul_latency as f64, 1.0, &mut core.alu_ports),
+        UopKind::Mul { .. } => (core.cfg.mul_latency as f64, 1.0, &mut core.m.alu_ports),
         UopKind::DivQ { .. } | UopKind::DivR { .. } => {
             let l = core.cfg.div_latency as f64;
-            (l, l, &mut core.alu_ports)
+            (l, l, &mut core.m.alu_ports)
         }
-        UopKind::FAlu { .. } => (core.cfg.falu_latency as f64, 1.0, &mut core.alu_ports),
-        UopKind::Clflush { .. } => (access_latency as f64, 1.0, &mut core.store_ports),
-        _ => (core.cfg.alu_latency as f64, 1.0, &mut core.alu_ports),
+        UopKind::FAlu { .. } => (core.cfg.falu_latency as f64, 1.0, &mut core.m.alu_ports),
+        UopKind::Clflush { .. } => (access_latency as f64, 1.0, &mut core.m.store_ports),
+        _ => (core.cfg.alu_latency as f64, 1.0, &mut core.m.alu_ports),
     };
     // Acquire the earliest-free unit of the class.
     let (idx, unit_free) =
@@ -425,25 +428,24 @@ fn time_uop(core: &mut Core, u: &Uop, dispatch: f64, access_latency: u64) {
 
     // Writeback.
     if let Some(d) = regs.write {
-        core.sched[d.index()] = done;
+        core.m.sched[d.index()] = done;
     }
     if u.writes_flags() {
-        core.flags_ready = done;
+        core.m.flags_ready = done;
     }
     // Stack-pointer updates by push/pop.
     if matches!(
         u.kind,
         UopKind::Push { .. } | UopKind::PushImm { .. } | UopKind::Pop { .. }
     ) {
-        core.sched[UReg::Gpr(Gpr::Rsp).index()] = done;
+        core.m.sched[UReg::Gpr(Gpr::Rsp).index()] = done;
     }
 
     // Branch resolution and redirect.
-    if u.kind.is_branch() && !u.is_decoy() && core.pending_mispredict {
-        core.fe_time = later(core.fe_time, done + core.cfg.mispredict_penalty as f64);
-        core.pending_mispredict = false;
+    if mispredicted {
+        core.m.fe_time = later(core.m.fe_time, done + core.cfg.mispredict_penalty as f64);
     }
 
-    core.rob.push_back(done);
-    core.last_commit = later(done, core.last_commit + core.commit_step);
+    core.m.rob.push_back(done);
+    core.m.last_commit = later(done, core.m.last_commit + core.commit_step);
 }

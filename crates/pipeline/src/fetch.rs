@@ -15,9 +15,9 @@ use mx86_isa::Program;
 /// through reads no fetch index.
 #[inline]
 pub(crate) fn run<'p>(core: &mut Core, program: &'p Program) -> Result<Fetch<'p>, StepOutcome> {
-    let inst = match program.fetch_hinted(core.state.rip, core.fetch_hint) {
+    let inst = match program.fetch_hinted(core.m.state.rip, core.fetch_hint) {
         Some(f) => f,
-        None => return Err(StepOutcome::Fault(core.state.rip)),
+        None => return Err(StepOutcome::Fault(core.m.state.rip)),
     };
     core.fetch_hint = inst.index + 1;
 
@@ -29,7 +29,7 @@ pub(crate) fn run<'p>(core: &mut Core, program: &'p Program) -> Result<Fetch<'p>
     let mut fetch_penalty = 0.0;
     let mut a = first;
     while a <= last {
-        let r = core.hier.access(a, AccessKind::InstFetch);
+        let r = core.m.hier.access(a, AccessKind::InstFetch);
         if !r.l1_hit() {
             fetch_penalty = later(
                 fetch_penalty,
@@ -87,7 +87,7 @@ mod tests {
     fn bad_pc_faults() {
         let mut c = core();
         let p = c.program.clone();
-        c.state.rip = 0xDEAD;
+        c.m.state.rip = 0xDEAD;
         assert_eq!(run(&mut c, &p).unwrap_err(), StepOutcome::Fault(0xDEAD));
     }
 }

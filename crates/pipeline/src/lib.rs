@@ -37,7 +37,7 @@
 //!
 //! let mut core = Core::new(CoreConfig::default(), CsdConfig::default(), prog, SimMode::Cycle);
 //! assert_eq!(core.run(10_000), StepOutcome::Halted);
-//! assert_eq!(core.state.gpr(Gpr::Rcx), 0);
+//! assert_eq!(core.state().gpr(Gpr::Rcx), 0);
 //! assert!(core.stats().cycles > 0);
 //! # Ok(())
 //! # }

@@ -161,11 +161,6 @@ impl Memory {
         }
     }
 
-    /// Writes one byte.
-    pub fn write_u8(&mut self, addr: u64, v: u8) {
-        self.write_bytes(addr, &[v]);
-    }
-
     /// Reads `len` (≤ 8) bytes little-endian. When the eight bytes from
     /// `addr` lie in one page (all but the last seven bytes of a page),
     /// this is one page probe and one 8-byte load, masked to `len`

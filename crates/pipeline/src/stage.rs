@@ -5,7 +5,7 @@
 //! [`execute`](crate::execute), [`commit`](crate::commit) — and these
 //! records are the only values that travel between them: each stage
 //! returns what the later ones read. Everything machine-wide stays on
-//! `Core`.
+//! the core's modeled machine (`Core::m`).
 
 use csd::DecodeOutcome;
 use mx86_isa::Fetched;

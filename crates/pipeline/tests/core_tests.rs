@@ -25,7 +25,7 @@ fn loop_countdown_executes_correctly() {
         a.jcc(Cc::Ne, top);
         a.halt();
         let core = run_core(a.finish().unwrap(), mode);
-        assert_eq!(core.state.gpr(Gpr::Rax), 150, "{mode:?}");
+        assert_eq!(core.state().gpr(Gpr::Rax), 150, "{mode:?}");
         assert_eq!(core.stats().insts, 2 + 50 * 3 + 1);
     }
 }
@@ -46,8 +46,8 @@ fn loads_and_stores_roundtrip_through_memory() {
     a.load(Gpr::Rdx, MemRef::base(Gpr::Rbx));
     a.halt();
     let core = run_core(a.finish().unwrap(), SimMode::Cycle);
-    assert_eq!(core.state.gpr(Gpr::Rcx), 0xDEAD);
-    assert_eq!(core.state.gpr(Gpr::Rdx), 0xDEAE);
+    assert_eq!(core.state().gpr(Gpr::Rcx), 0xDEAD);
+    assert_eq!(core.state().gpr(Gpr::Rdx), 0xDEAE);
 }
 
 #[test]
@@ -64,8 +64,8 @@ fn call_and_ret_use_the_stack() {
     a.bind(done).unwrap();
     a.halt();
     let core = run_core(a.finish().unwrap(), SimMode::Cycle);
-    assert_eq!(core.state.gpr(Gpr::Rax), 42);
-    assert_eq!(core.state.gpr(Gpr::Rsp), 0x9000, "stack balanced");
+    assert_eq!(core.state().gpr(Gpr::Rax), 42);
+    assert_eq!(core.state().gpr(Gpr::Rsp), 0x9000, "stack balanced");
 }
 
 #[test]
@@ -78,8 +78,8 @@ fn byte_width_loads_are_zero_extended() {
     a.load_w(Gpr::Rdx, MemRef::base(Gpr::Rbx), Width::B2);
     a.halt();
     let core = run_core(a.finish().unwrap(), SimMode::Functional);
-    assert_eq!(core.state.gpr(Gpr::Rcx), 0xFF);
-    assert_eq!(core.state.gpr(Gpr::Rdx), 0x56FF);
+    assert_eq!(core.state().gpr(Gpr::Rcx), 0xFF);
+    assert_eq!(core.state().gpr(Gpr::Rdx), 0x56FF);
 }
 
 #[test]
@@ -101,11 +101,11 @@ fn table_lookup_with_index_scaling() {
         SimMode::Cycle,
     );
     for i in 0..16u32 {
-        core.mem
+        core.mem_mut()
             .write_le(0x8000 + u64::from(i) * 4, 4, u64::from(i * 100));
     }
     assert_eq!(core.run(100), StepOutcome::Halted);
-    assert_eq!(core.state.gpr(Gpr::Rax), 500);
+    assert_eq!(core.state().gpr(Gpr::Rax), 500);
 }
 
 #[test]
@@ -117,8 +117,8 @@ fn division_is_microsequenced_and_correct() {
     a.div(Gpr::Rbx);
     a.halt();
     let core = run_core(a.finish().unwrap(), SimMode::Cycle);
-    assert_eq!(core.state.gpr(Gpr::Rax), 176);
-    assert_eq!(core.state.gpr(Gpr::Rdx), 2);
+    assert_eq!(core.state().gpr(Gpr::Rax), 176);
+    assert_eq!(core.state().gpr(Gpr::Rdx), 2);
     assert_eq!(core.stats().msrom_insts, 1);
 }
 
@@ -138,13 +138,13 @@ fn vector_ops_execute_on_vpu() {
         prog,
         SimMode::Cycle,
     );
-    core.mem
+    core.mem_mut()
         .write_u128(0x8000, (0x0102_0304_0506_0708, 0xFF00_FF00_FF00_FF00));
-    core.mem
+    core.mem_mut()
         .write_u128(0x8010, (0x0101_0101_0101_0101, 0x0102_0102_0102_0102));
     assert_eq!(core.run(100), StepOutcome::Halted);
     assert_eq!(
-        core.mem.read_u128(0x8020),
+        core.mem().read_u128(0x8020),
         (0x0203_0405_0607_0809, 0x0002_0002_0002_0002)
     );
     assert_eq!(core.stats().vpu_uops, 1);
@@ -183,8 +183,8 @@ fn devectorized_results_match_vpu_results() {
         build(),
         SimMode::Cycle,
     );
-    on.mem.write_u128(0x8000, data[0]);
-    on.mem.write_u128(0x8010, data[1]);
+    on.mem_mut().write_u128(0x8000, data[0]);
+    on.mem_mut().write_u128(0x8010, data[1]);
     assert_eq!(on.run(10_000), StepOutcome::Halted);
 
     let mut devec = Core::new(
@@ -200,13 +200,13 @@ fn devectorized_results_match_vpu_results() {
         build(),
         SimMode::Cycle,
     );
-    devec.mem.write_u128(0x8000, data[0]);
-    devec.mem.write_u128(0x8010, data[1]);
+    devec.mem_mut().write_u128(0x8000, data[0]);
+    devec.mem_mut().write_u128(0x8010, data[1]);
     assert_eq!(devec.run(10_000), StepOutcome::Halted);
 
     assert_eq!(
-        on.mem.read_u128(0x8020),
-        devec.mem.read_u128(0x8020),
+        on.mem().read_u128(0x8020),
+        devec.mem().read_u128(0x8020),
         "scalarized flow must be semantically identical"
     );
     assert!(
@@ -240,7 +240,7 @@ fn stealth_mode_sweeps_decoy_ranges_without_touching_arch_state() {
         ..CoreConfig::default()
     };
     let mut core = Core::new(cfg, CsdConfig::default(), prog, SimMode::Functional);
-    core.mem.write_le(0x8000, 8, 3); // the "key"
+    core.mem_mut().write_le(0x8000, 8, 3); // the "key"
     core.dift_mut()
         .taint_memory(mx86_isa::AddrRange::new(0x8000, 0x8008));
     // Decoy range: 4 cache lines at 0xA000.
@@ -261,8 +261,8 @@ fn stealth_mode_sweeps_decoy_ranges_without_touching_arch_state() {
     }
     assert!(core.stats().decoy_uops >= 4 * 3);
     // Architectural state: rax holds the real lookup (byte 0 of 0xA003=0).
-    assert_eq!(core.state.gpr(Gpr::Rax), 0);
-    assert_eq!(core.state.gpr(Gpr::Rcx), 3, "key value intact");
+    assert_eq!(core.state().gpr(Gpr::Rax), 0);
+    assert_eq!(core.state().gpr(Gpr::Rcx), 3, "key value intact");
     assert_eq!(core.engine().stealth().stats().triggers, 1);
 }
 
@@ -356,7 +356,7 @@ fn functional_and_cycle_engines_agree_on_architectural_state() {
     };
     let f = run_core(build(), SimMode::Functional);
     let c = run_core(build(), SimMode::Cycle);
-    assert_eq!(f.state.gprs(), c.state.gprs());
+    assert_eq!(f.state().gprs(), c.state().gprs());
     assert_eq!(f.stats().insts, c.stats().insts);
     assert_eq!(f.stats().uops, c.stats().uops);
 }
@@ -413,7 +413,7 @@ fn rdtsc_increases_monotonically() {
     a.rdtsc();
     a.halt();
     let core = run_core(a.finish().unwrap(), SimMode::Cycle);
-    assert!(core.state.gpr(Gpr::Rax) > core.state.gpr(Gpr::Rbx));
+    assert!(core.state().gpr(Gpr::Rax) > core.state().gpr(Gpr::Rbx));
 }
 
 #[test]
@@ -553,14 +553,14 @@ fn snapshot_restore_replays_identically() {
 
     assert_eq!(core.run(1_000_000), StepOutcome::Halted);
     let end_stats = *core.stats();
-    let end_rax = core.state.gpr(Gpr::Rax);
+    let end_rax = core.state().gpr(Gpr::Rax);
 
     core.restore(&ckpt);
     assert_eq!(core.run(1_000_000), StepOutcome::Halted);
     assert_eq!(core.stats().cycles, end_stats.cycles);
     assert_eq!(core.stats().insts, end_stats.insts);
     assert_eq!(core.stats().uops, end_stats.uops);
-    assert_eq!(core.state.gpr(Gpr::Rax), end_rax);
+    assert_eq!(core.state().gpr(Gpr::Rax), end_rax);
     assert_eq!(core.checkpoint_stats().snapshots, 1);
     assert_eq!(core.checkpoint_stats().restores, 1);
 }

@@ -109,11 +109,12 @@ pub mod key_cause {
 /// Decode-memo probe outcomes carried by
 /// [`MemoProbeEvent::outcome`].
 pub mod memo_probe {
-    /// The probe returned a usable cached flow.
+    /// The flow came from the flow table.
     pub const HIT: u8 = 0;
-    /// The probe missed (or the occupant's tag was stale).
+    /// The flow was built by this decode and stored in the table.
     pub const MISS: u8 = 1;
-    /// The decode skipped the table entirely (stealth enabled).
+    /// The flow was built outside the table: a stealth injection, an MCU
+    /// patch, or a decode with the table disabled.
     pub const BYPASS: u8 = 2;
 
     /// Stable name of an outcome code.

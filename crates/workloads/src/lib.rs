@@ -233,7 +233,7 @@ impl Workload {
         let mut rng = SplitMix64::new(self.spec.seed ^ 0xDA7A);
         let mut addr = DATA_BASE;
         while addr < DATA_BASE + DATA_LEN {
-            core.mem.write_le(addr, 8, rng.next_u64());
+            core.mem_mut().write_le(addr, 8, rng.next_u64());
             addr += 8;
         }
     }
@@ -441,8 +441,8 @@ mod tests {
         );
         let on = run(&w, VpuPolicy::AlwaysOn);
         let devec = run(&w, VpuPolicy::default());
-        assert_eq!(on.state.gprs(), devec.state.gprs());
-        assert_eq!(on.state.xmms(), devec.state.xmms());
+        assert_eq!(on.state().gprs(), devec.state().gprs());
+        assert_eq!(on.state().xmms(), devec.state().xmms());
     }
 
     #[test]

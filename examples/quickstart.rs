@@ -51,14 +51,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         program.clone(),
         SimMode::Cycle,
     );
-    core.mem.write_le(0x7000, 8, 5); // the secret
+    core.mem_mut().write_le(0x7000, 8, 5); // the secret
     for i in 0..16u64 {
-        core.mem.write_le(0x8000 + 8 * i, 8, i * i);
+        core.mem_mut().write_le(0x8000 + 8 * i, 8, i * i);
     }
     assert_eq!(core.run(10_000), StepOutcome::Halted);
     println!(
         "native run:  sum={}  cycles={}  uops={}  IPC={:.2}  uop$ hit rate={:.0}%",
-        core.state.gpr(Gpr::Rax),
+        core.state().gpr(Gpr::Rax),
         core.stats().cycles,
         core.stats().uops,
         core.stats().ipc(),
@@ -71,9 +71,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // lookup — the attacker-visible access pattern is fully obfuscated,
     // and the architectural result is bit-identical.
     let mut secure = Core::new(cfg, CsdConfig::default(), program, SimMode::Cycle);
-    secure.mem.write_le(0x7000, 8, 5); // the secret
+    secure.mem_mut().write_le(0x7000, 8, 5); // the secret
     for i in 0..16u64 {
-        secure.mem.write_le(0x8000 + 8 * i, 8, i * i);
+        secure.mem_mut().write_le(0x8000 + 8 * i, 8, i * i);
     }
     secure
         .dift_mut()
@@ -87,7 +87,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(secure.run(10_000), StepOutcome::Halted);
     println!(
         "stealth run: sum={}  cycles={}  uops={} ({} decoys)  sweeps={}",
-        secure.state.gpr(Gpr::Rax),
+        secure.state().gpr(Gpr::Rax),
         secure.stats().cycles,
         secure.stats().uops,
         secure.stats().decoy_uops,

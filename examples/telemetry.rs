@@ -68,9 +68,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..CoreConfig::default()
     };
     let mut core = Core::new(cfg, CsdConfig::default(), program, SimMode::Cycle);
-    core.mem.write_le(0x7000, 8, 5);
+    core.mem_mut().write_le(0x7000, 8, 5);
     for i in 0..16u64 {
-        core.mem.write_le(0x8000 + 8 * i, 8, i * i);
+        core.mem_mut().write_le(0x8000 + 8 * i, 8, i * i);
     }
     core.dift_mut().taint_memory(AddrRange::new(0x7000, 0x7008));
 

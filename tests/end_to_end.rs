@@ -127,7 +127,7 @@ fn the_full_energy_story() {
         w.install(&mut core);
         assert_eq!(core.run(100_000_000), StepOutcome::Halted);
         energies.push(model.breakdown(&core.activity()).total_pj());
-        gprs.push(core.state.gprs());
+        gprs.push(core.state().gprs());
     }
     assert_eq!(gprs[0], gprs[1]);
     assert_eq!(gprs[0], gprs[2]);

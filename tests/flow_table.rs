@@ -103,7 +103,7 @@ fn assert_table_is_transparent(
         report_without_kernel(&off),
         "{what}: telemetry"
     );
-    let (a, b) = (&on.state, &off.state);
+    let (a, b) = (on.state(), off.state());
     assert_eq!(a.gprs(), b.gprs(), "{what}: gprs");
     assert_eq!(a.xmms(), b.xmms(), "{what}: xmms");
     assert_eq!(a.flags, b.flags, "{what}: flags");

@@ -238,10 +238,10 @@ fn devectorization_is_semantics_preserving() {
                 ..CsdConfig::default()
             };
             let mut core = Core::new(CoreConfig::default(), cfg, build(), SimMode::Functional);
-            core.mem.write_u128(0x8000, a);
-            core.mem.write_u128(0x8010, b);
+            core.mem_mut().write_u128(0x8000, a);
+            core.mem_mut().write_u128(0x8010, b);
             assert_eq!(core.run(10_000), StepOutcome::Halted, "case {case}");
-            core.mem.read_u128(0x8020)
+            core.mem().read_u128(0x8020)
         };
         let on = run(csd_repro::core::VpuPolicy::AlwaysOn);
         let devec = run(csd_repro::core::VpuPolicy::default());

@@ -75,7 +75,7 @@ fn assert_tracing_is_transparent<T: PartialEq + std::fmt::Debug>(
         plain.telemetry_report().dump(),
         "{what}: telemetry"
     );
-    let (a, b) = (&traced.state, &plain.state);
+    let (a, b) = (traced.state(), plain.state());
     assert_eq!(a.gprs(), b.gprs(), "{what}: gprs");
     assert_eq!(a.xmms(), b.xmms(), "{what}: xmms");
     assert_eq!(a.flags, b.flags, "{what}: flags");
@@ -152,7 +152,7 @@ fn sinks_change_nothing_on_difftest_programs() {
                     || difftest_core(&program, mode, stealth),
                     |core| {
                         assert_eq!(core.run(1_000_000), StepOutcome::Halted);
-                        core.mem.read_bytes(DATA_BASE, DATA_SIZE as usize)
+                        core.mem().read_bytes(DATA_BASE, DATA_SIZE as usize)
                     },
                 );
             }
