@@ -10,8 +10,8 @@ use crate::stealth::{StealthConfig, StealthTranslator};
 use csd_power::GatingParams;
 use csd_telemetry::coverage::{key_cause, memo_probe};
 use csd_telemetry::{
-    ContextKeyEvent, DecodeEvent, EventSink, GateEvent, Json, MemoProbeEvent, SinkHandle,
-    StealthWindowEvent, ToJson, UopDecodeEvent,
+    ContextKeyEvent, DecodeEvent, GateEvent, Json, MemoProbeEvent, SinkHandle, StealthWindowEvent,
+    ToJson, UopDecodeEvent,
 };
 use csd_uops::{translate, Flow, FlowFacts, FlowRef, FlowTable, Served, Stored, Translation};
 use mx86_isa::{Inst, Placed};
@@ -95,8 +95,12 @@ enum Base {
 ///
 /// Owns the MSR file, the stealth translator, the devectorizer, the VPU
 /// gate controller, and the microcode patch table. The pipeline calls
-/// [`CsdEngine::decode`] for every macro-op, [`CsdEngine::tick`] as cycles
-/// elapse, and [`CsdEngine::write_msr`] when `wrmsr` retires.
+/// [`CsdEngine::decode_memo_traced`] for every macro-op,
+/// [`CsdEngine::tick_traced`] as cycles elapse, and
+/// [`CsdEngine::write_msr_traced`] when `wrmsr` retires, lending each the
+/// core's event sink. The engine owns no sink, so the untraced forms
+/// ([`CsdEngine::decode`], [`CsdEngine::tick`], [`CsdEngine::write_msr`]
+/// and the other set-up calls) report nothing.
 ///
 /// ```
 /// use csd::{CsdEngine, CsdConfig};
@@ -117,7 +121,6 @@ pub struct CsdEngine {
     patches: MsromPatchTable,
     active_custom: Option<u8>,
     stats: CsdStats,
-    sink: SinkHandle,
     /// Monotonically increasing decoder-context generation; see
     /// [`CsdEngine::context_key`].
     context_gen: u64,
@@ -134,7 +137,6 @@ impl CsdEngine {
             patches: MsromPatchTable::new(),
             active_custom: None,
             stats: CsdStats::default(),
-            sink: SinkHandle::new(),
             context_gen: 0,
         }
     }
@@ -144,9 +146,10 @@ impl CsdEngine {
     /// changes — an MSR write, a microcode update, a custom-mode switch, a
     /// stealth-window arm/disarm, or a VPU gate-state change. Two decodes
     /// of the same `(pc, tainted)` under the same key produce the same µop
-    /// flow. The key feeds telemetry and coverage (every bump reports its
-    /// cause); the flow table does not need it, because what the table
-    /// stores depends on the instruction alone.
+    /// flow. The key feeds telemetry and coverage (every bump a run makes
+    /// reports its cause to the lent sink); the flow table does not need
+    /// it, because what the table stores depends on the instruction
+    /// alone.
     pub fn context_key(&self) -> u64 {
         self.context_gen
     }
@@ -157,60 +160,56 @@ impl CsdEngine {
         self.context_gen = 0;
     }
 
-    /// Attaches an event sink; decode, gate, and stealth-window events
-    /// flow to it from now on. The pipeline tests for a sink once per
-    /// batch of retires ([`CsdEngine::decode_memo_traced`],
-    /// [`CsdEngine::tick_traced`]), so with no sink attached (the default)
-    /// its decode and tick path makes no per-event test at all.
-    pub fn set_event_sink(&mut self, sink: Box<dyn EventSink>) {
-        self.sink.attach(sink);
-    }
-
-    /// Whether an event sink is attached.
-    pub fn has_event_sink(&self) -> bool {
-        self.sink.is_attached()
-    }
-
-    /// Detaches and returns the current event sink, if any.
-    pub fn take_event_sink(&mut self) -> Option<Box<dyn EventSink>> {
-        self.sink.detach()
-    }
-
-    /// Advances the context generation and, when `TRACE`, reports why.
-    /// Every bump site funnels through here so coverage tools see the
-    /// full transition stream.
-    fn bump_context<const TRACE: bool>(&mut self, cause: u8) {
+    /// Advances the context generation and, when `TRACE`, reports why to
+    /// `sink`. Every bump a run makes funnels through here so coverage
+    /// tools see the full transition stream; set-up calls outside a run
+    /// bump the generation without reporting.
+    fn bump_context<const TRACE: bool>(&mut self, cause: u8, sink: &mut SinkHandle) {
         self.context_gen += 1;
         if TRACE {
             let ev = ContextKeyEvent {
                 key: self.context_gen,
                 cause,
             };
-            self.sink.with(|s| s.on_context_key(&ev));
+            sink.with(|s| s.on_context_key(&ev));
         }
     }
 
-    /// Emits a [`GateEvent`] if the VPU's gated-ness changed since `was`.
-    fn emit_gate_delta(&mut self, was: VpuState) {
+    /// Reports a [`GateEvent`] to `sink` if the VPU's gated-ness changed
+    /// since `was`.
+    fn emit_gate_delta(&self, was: VpuState, sink: &mut SinkHandle) {
         let now = self.gate.state();
         if (was == VpuState::Gated) != (now == VpuState::Gated) {
             let ev = GateEvent {
                 gated: now == VpuState::Gated,
                 transitions: self.gate.stats().gate_transitions,
             };
-            self.sink.with(|s| s.on_gate(&ev));
+            sink.with(|s| s.on_gate(&ev));
         }
     }
 
     /// Writes an MSR. Writes inside the CSD block re-snapshot the stealth
     /// translator's internal registers (the decoder's register-tracking
-    /// optimization noticing the update).
+    /// optimization noticing the update). A set-up write reports nothing;
+    /// a retiring `wrmsr` goes through [`CsdEngine::write_msr_traced`].
     pub fn write_msr(&mut self, msr: u32, value: u64) {
+        self.write_msr_traced::<false>(msr, value, &mut SinkHandle::new());
+    }
+
+    /// [`CsdEngine::write_msr`] reporting the context-key bump to the
+    /// caller's `sink` when `TRACE` holds (see
+    /// [`CsdEngine::tick_traced`]).
+    pub fn write_msr_traced<const TRACE: bool>(
+        &mut self,
+        msr: u32,
+        value: u64,
+        sink: &mut SinkHandle,
+    ) {
         self.msrs.write(msr, value);
         if MsrFile::is_csd_msr(msr) {
             self.stealth.configure(&self.msrs);
         }
-        self.bump_context::<true>(key_cause::MSR);
+        self.bump_context::<TRACE>(key_cause::MSR, sink);
     }
 
     /// Reads an MSR.
@@ -221,13 +220,13 @@ impl CsdEngine {
     /// Re-snapshots decoder state from the MSR file.
     pub fn refresh(&mut self) {
         self.stealth.configure(&self.msrs);
-        self.bump_context::<true>(key_cause::REFRESH);
+        self.context_gen += 1;
     }
 
     /// Activates (or deactivates) a custom MCU-installed translation mode.
     pub fn set_custom_mode(&mut self, mode: Option<u8>) {
         self.active_custom = mode;
-        self.bump_context::<true>(key_cause::CUSTOM_MODE);
+        self.context_gen += 1;
     }
 
     /// Replaces the VPU gating policy, restarting the gate controller
@@ -236,7 +235,7 @@ impl CsdEngine {
     /// on it), so the context generation bumps.
     pub fn set_vpu_policy(&mut self, policy: VpuPolicy) {
         self.gate.set_policy(policy);
-        self.bump_context::<true>(key_cause::VPU_POLICY);
+        self.context_gen += 1;
     }
 
     /// Applies a microcode update after verification.
@@ -254,7 +253,7 @@ impl CsdEngine {
         if installed {
             self.stats.mcu_applied += 1;
         }
-        self.bump_context::<true>(key_cause::MCU);
+        self.context_gen += 1;
         Ok(installed)
     }
 
@@ -262,26 +261,27 @@ impl CsdEngine {
     /// A watchdog re-arm or a VPU state change bumps the context
     /// generation (both alter what subsequent decodes produce).
     pub fn tick(&mut self, cycles: u64) {
-        self.tick_traced::<true>(cycles);
+        self.tick_traced::<false>(cycles, &mut SinkHandle::new());
     }
 
-    /// [`CsdEngine::tick`] with the sink test hoisted to the caller:
-    /// events reach an attached sink only when `TRACE` holds. The
-    /// pipeline passes whether any sink was attached when its batch of
-    /// retires began, so a sink-free run makes no per-event test.
+    /// [`CsdEngine::tick`] reporting its events to the caller's `sink`
+    /// when `TRACE` holds. The engine owns no sink: the pipeline lends
+    /// the core's, with `TRACE` set to whether one was attached when its
+    /// batch of retires began, so a sink-free run makes no per-event
+    /// test.
     #[inline]
-    pub fn tick_traced<const TRACE: bool>(&mut self, cycles: u64) {
+    pub fn tick_traced<const TRACE: bool>(&mut self, cycles: u64, sink: &mut SinkHandle) {
         let armed_was = self.stealth.armed();
         self.stealth.tick(cycles);
         if self.stealth.armed() != armed_was {
-            self.bump_context::<TRACE>(key_cause::STEALTH_ARM);
+            self.bump_context::<TRACE>(key_cause::STEALTH_ARM, sink);
         }
         let was = self.gate.state();
         self.gate.tick(cycles);
         if self.gate.state() != was {
-            self.bump_context::<TRACE>(key_cause::GATE);
+            self.bump_context::<TRACE>(key_cause::GATE, sink);
             if TRACE {
-                self.emit_gate_delta(was);
+                self.emit_gate_delta(was, sink);
             }
         }
     }
@@ -296,7 +296,7 @@ impl CsdEngine {
     /// and the VPU gate controller's verdict (with its events and key
     /// bump).
     #[inline]
-    fn decide<const TRACE: bool>(&mut self, inst: &Inst) -> Decision {
+    fn decide<const TRACE: bool>(&mut self, inst: &Inst, sink: &mut SinkHandle) -> Decision {
         let patch = self
             .active_custom
             .map(ContextId::Custom)
@@ -329,9 +329,9 @@ impl CsdEngine {
         }
         if self.gate.state() != gate_was {
             if TRACE {
-                self.emit_gate_delta(gate_was);
+                self.emit_gate_delta(gate_was, sink);
             }
-            self.bump_context::<TRACE>(key_cause::GATE);
+            self.bump_context::<TRACE>(key_cause::GATE, sink);
         }
         d
     }
@@ -354,16 +354,18 @@ impl CsdEngine {
     /// → devectorization (gate-controller decision) → stealth decoy
     /// injection on top of whatever translation resulted.
     pub fn decode(&mut self, placed: &Placed, tainted: bool) -> DecodeOutcome<'static> {
-        self.decode_traced::<true>(placed, tainted)
+        self.decode_traced::<false>(placed, tainted, &mut SinkHandle::new())
     }
 
-    /// [`CsdEngine::decode`] with events only when `TRACE` holds.
+    /// [`CsdEngine::decode`] with events to `sink` only when `TRACE`
+    /// holds.
     fn decode_traced<const TRACE: bool>(
         &mut self,
         placed: &Placed,
         tainted: bool,
+        sink: &mut SinkHandle,
     ) -> DecodeOutcome<'static> {
-        let d = self.decide::<TRACE>(&placed.inst);
+        let d = self.decide::<TRACE>(&placed.inst, sink);
         let inst = &placed.inst;
         let native = (d.devec || d.patch.is_none()).then(|| translate(inst, placed.next_addr()));
         let devectorized = match &native {
@@ -378,12 +380,12 @@ impl CsdEngine {
                 ContextId::Native,
             ),
         };
-        let (flow, context) = match self.inject::<TRACE>(placed, tainted, || base.to_translation())
-        {
-            Some(f) => (FlowRef::Fresh(f), ContextId::Stealth),
-            None => (base, context),
-        };
-        self.finish_decode::<TRACE>(placed, flow, context, &d, Served::Bypass)
+        let (flow, context) =
+            match self.inject::<TRACE>(placed, tainted, sink, || base.to_translation()) {
+                Some(f) => (FlowRef::Fresh(f), ContextId::Stealth),
+                None => (base, context),
+            };
+        self.finish_decode::<TRACE>(placed, flow, context, &d, Served::Bypass, sink)
     }
 
     /// Like [`CsdEngine::decode`], but serves the native and devectorized
@@ -405,13 +407,13 @@ impl CsdEngine {
         tainted: bool,
         table: &'t mut FlowTable,
     ) -> DecodeOutcome<'t> {
-        self.decode_memo_traced::<true>(placed, index, tainted, table)
+        self.decode_memo_traced::<false>(placed, index, tainted, table, &mut SinkHandle::new())
     }
 
-    /// [`CsdEngine::decode_memo`] with the sink test hoisted to the
-    /// caller: events reach an attached sink only when `TRACE` holds (see
-    /// [`CsdEngine::tick_traced`]). The table-hit path is inlined into
-    /// the caller; everything else runs out of line.
+    /// [`CsdEngine::decode_memo`] reporting its events to the caller's
+    /// `sink` when `TRACE` holds (see [`CsdEngine::tick_traced`]). The
+    /// table-hit path is inlined into the caller; everything else runs
+    /// out of line.
     #[inline]
     pub fn decode_memo_traced<'t, const TRACE: bool>(
         &mut self,
@@ -419,12 +421,13 @@ impl CsdEngine {
         index: usize,
         tainted: bool,
         table: &'t mut FlowTable,
+        sink: &mut SinkHandle,
     ) -> DecodeOutcome<'t> {
         if !table.enabled() {
             table.record(Served::Bypass);
-            return self.decode_traced::<TRACE>(placed, tainted);
+            return self.decode_traced::<TRACE>(placed, tainted, sink);
         }
-        let d = self.decide::<TRACE>(&placed.inst);
+        let d = self.decide::<TRACE>(&placed.inst, sink);
 
         // The common case: a native decode of an instruction whose flow
         // the table already holds, with no stealth window intercepting.
@@ -441,11 +444,12 @@ impl CsdEngine {
                         ContextId::Native,
                         &d,
                         Served::Hit,
+                        sink,
                     );
                 }
             }
         }
-        self.decode_memo_build::<TRACE>(placed, index, tainted, table, d)
+        self.decode_memo_build::<TRACE>(placed, index, tainted, table, d, sink)
     }
 
     /// The rest of [`CsdEngine::decode_memo_traced`]: every decode the
@@ -458,6 +462,7 @@ impl CsdEngine {
         tainted: bool,
         table: &'t mut FlowTable,
         d: Decision,
+        sink: &mut SinkHandle,
     ) -> DecodeOutcome<'t> {
         let inst = &placed.inst;
         // Build what the decision needs and the slot lacks: the native
@@ -499,9 +504,9 @@ impl CsdEngine {
         };
         let injected = match &base {
             Base::Table(s) => {
-                self.inject::<TRACE>(placed, tainted, || table.get(*s).to_translation())
+                self.inject::<TRACE>(placed, tainted, sink, || table.get(*s).to_translation())
             }
-            Base::Patch(p) => self.inject::<TRACE>(placed, tainted, || {
+            Base::Patch(p) => self.inject::<TRACE>(placed, tainted, sink, || {
                 FlowRef::Shared(Arc::clone(p)).to_translation()
             }),
         };
@@ -517,7 +522,7 @@ impl CsdEngine {
             (None, Base::Table(s)) => (table.get(s), context),
             (None, Base::Patch(p)) => (FlowRef::Shared(p), context),
         };
-        self.finish_decode::<TRACE>(placed, flow, context, &d, served)
+        self.finish_decode::<TRACE>(placed, flow, context, &d, served, sink)
     }
 
     /// Stealth decoy injection on top of the chosen flow: the fresh flow
@@ -527,13 +532,14 @@ impl CsdEngine {
         &mut self,
         placed: &Placed,
         tainted: bool,
+        sink: &mut SinkHandle,
         base: impl FnOnce() -> Translation,
     ) -> Option<Flow> {
         if !self.stealth.should_intercept(placed, tainted) {
             return None;
         }
         let t = self.stealth.on_decode(placed, &base(), tainted)?;
-        self.bump_context::<TRACE>(key_cause::STEALTH_INJECT);
+        self.bump_context::<TRACE>(key_cause::STEALTH_INJECT, sink);
         Some(Flow::new(t))
     }
 
@@ -547,6 +553,7 @@ impl CsdEngine {
         context: ContextId,
         d: &Decision,
         served: Served,
+        sink: &mut SinkHandle,
     ) -> DecodeOutcome<'t> {
         let FlowFacts { uops, decoys, .. } = flow.facts();
         self.stats.decoded_insts += 1;
@@ -556,7 +563,7 @@ impl CsdEngine {
             self.stats.custom_decoded += 1;
         }
         if TRACE {
-            self.emit_decode(placed, &flow, context, d, served);
+            Self::emit_decode(placed, &flow, context, d, served, sink);
         }
         DecodeOutcome {
             flow,
@@ -566,19 +573,19 @@ impl CsdEngine {
         }
     }
 
-    /// A decode's events, in order: the flow-table probe, the decode,
-    /// one event per µop, and the stealth window when decoys were
+    /// A decode's events to `sink`, in order: the flow-table probe, the
+    /// decode, one event per µop, and the stealth window when decoys were
     /// injected. Per-µop events are the one per-µop emission in the
     /// engine, so they are built only when a sink is attached.
     fn emit_decode(
-        &mut self,
         placed: &Placed,
         flow: &FlowRef<'_>,
         context: ContextId,
         d: &Decision,
         served: Served,
+        sink: &mut SinkHandle,
     ) {
-        let Some(sink) = self.sink.get() else {
+        let Some(sink) = sink.get() else {
             return;
         };
         sink.on_memo_probe(&MemoProbeEvent {
@@ -794,7 +801,6 @@ mod tests {
     #[test]
     fn event_sink_observes_decode_gate_and_stealth() {
         use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::Arc;
 
         #[derive(Default)]
         struct Counts {
@@ -802,25 +808,33 @@ mod tests {
             gates: AtomicU64,
             stealth: AtomicU64,
             decoys: AtomicU64,
+            msr_keys: AtomicU64,
         }
         struct Shared(Arc<Counts>);
         impl csd_telemetry::EventSink for Shared {
-            fn on_decode(&mut self, ev: &csd_telemetry::DecodeEvent) {
+            fn on_decode(&mut self, ev: &DecodeEvent) {
                 self.0.decodes.fetch_add(1, Ordering::Relaxed);
                 self.0
                     .decoys
                     .fetch_add(u64::from(ev.decoy_uops), Ordering::Relaxed);
             }
-            fn on_gate(&mut self, _ev: &csd_telemetry::GateEvent) {
+            fn on_gate(&mut self, _ev: &GateEvent) {
                 self.0.gates.fetch_add(1, Ordering::Relaxed);
             }
-            fn on_stealth_window(&mut self, ev: &csd_telemetry::StealthWindowEvent) {
+            fn on_stealth_window(&mut self, ev: &StealthWindowEvent) {
                 self.0.stealth.fetch_add(1, Ordering::Relaxed);
                 assert!(ev.decoy_uops > 0);
+            }
+            fn on_context_key(&mut self, ev: &ContextKeyEvent) {
+                if ev.cause == key_cause::MSR {
+                    self.0.msr_keys.fetch_add(1, Ordering::Relaxed);
+                }
             }
         }
 
         let counts = Arc::new(Counts::default());
+        let mut sink = SinkHandle::new();
+        sink.attach(Box::new(Shared(Arc::clone(&counts))));
         let cfg = CsdConfig {
             vpu_policy: VpuPolicy::CsdDevec(DevecThresholds {
                 window: 8,
@@ -830,13 +844,16 @@ mod tests {
             ..CsdConfig::default()
         };
         let mut e = CsdEngine::new(cfg);
-        e.set_event_sink(Box::new(Shared(Arc::clone(&counts))));
+        // A set-up write reports nothing; a traced one reports its bump.
         e.write_msr(MSR_DATA_RANGE_BASE, 0x8000);
         e.write_msr(MSR_DATA_RANGE_BASE + 1, 0x8000 + 2 * 64);
-        e.write_msr(MSR_CSD_CTL, CTL_STEALTH | CTL_DIFT_TRIGGER);
+        assert_eq!(counts.msr_keys.load(Ordering::Relaxed), 0);
+        e.write_msr_traced::<true>(MSR_CSD_CTL, CTL_STEALTH | CTL_DIFT_TRIGGER, &mut sink);
+        assert_eq!(counts.msr_keys.load(Ordering::Relaxed), 1);
 
+        let mut table = FlowTable::new(2, true);
         // Tainted load: decode + stealth window.
-        e.decode(&load_at(0x100), true);
+        e.decode_memo_traced::<true>(&load_at(0x100), 0, true, &mut table, &mut sink);
         // Scalar phase long enough to gate the VPU: gate event.
         let scalar = Placed {
             addr: 0,
@@ -846,7 +863,7 @@ mod tests {
             },
         };
         for _ in 0..8 {
-            e.decode(&scalar, false);
+            e.decode_memo_traced::<true>(&scalar, 1, false, &mut table, &mut sink);
         }
 
         assert_eq!(counts.decodes.load(Ordering::Relaxed), 9);
@@ -856,14 +873,6 @@ mod tests {
             "gating must emit an event"
         );
         assert_eq!(counts.decoys.load(Ordering::Relaxed), e.stats().decoy_uops);
-        assert!(e.take_event_sink().is_some());
-        // Cloning an engine never drags the sink along.
-        e.set_event_sink(Box::new(Shared(Arc::clone(&counts))));
-        let cloned = e.clone();
-        let before = counts.decodes.load(Ordering::Relaxed);
-        let mut cloned = cloned;
-        cloned.decode(&load_at(0x200), false);
-        assert_eq!(counts.decodes.load(Ordering::Relaxed), before);
     }
 
     /// Property: any MSR write or (verified) microcode update strictly

@@ -19,8 +19,9 @@ pub const INST_RANGE_COUNT: usize = 4;
 /// Number of scratchpad tainted-PC registers (paper §VI-A uses five).
 pub const SCRATCHPAD_PC_COUNT: usize = 5;
 
-/// `CSD_CTL` — master control. Bit 0: stealth enable; bit 1: selective
-/// devectorization enable; bit 2: DIFT trigger enable.
+/// `CSD_CTL` — master control. Bit 0: stealth enable; bit 2: DIFT
+/// trigger enable. Selective devectorization follows the VPU policy, not
+/// an MSR bit.
 pub const MSR_CSD_CTL: u32 = 0x0C50;
 /// Watchdog timer period in cycles (0 disables the watchdog).
 pub const MSR_WATCHDOG_PERIOD: u32 = 0x0C51;
@@ -34,8 +35,6 @@ pub const MSR_SCRATCHPAD_PC_BASE: u32 = 0x0C80;
 
 /// `CSD_CTL` bit 0: enable stealth-mode translation.
 pub const CTL_STEALTH: u64 = 1 << 0;
-/// `CSD_CTL` bit 1: enable selective devectorization.
-pub const CTL_DEVEC: u64 = 1 << 1;
 /// `CSD_CTL` bit 2: honor DIFT taint events as stealth triggers.
 pub const CTL_DIFT_TRIGGER: u64 = 1 << 2;
 
@@ -64,11 +63,6 @@ impl MsrFile {
     /// Whether stealth mode is enabled in `CSD_CTL`.
     pub fn stealth_enabled(&self) -> bool {
         self.read(MSR_CSD_CTL) & CTL_STEALTH != 0
-    }
-
-    /// Whether devectorization is enabled in `CSD_CTL`.
-    pub fn devec_enabled(&self) -> bool {
-        self.read(MSR_CSD_CTL) & CTL_DEVEC != 0
     }
 
     /// Whether DIFT events may trigger stealth mode.
@@ -121,20 +115,6 @@ impl MsrFile {
             .collect()
     }
 
-    /// Convenience: writes decoy data range `i`.
-    pub fn set_data_range(&mut self, i: usize, r: AddrRange) {
-        assert!(i < DATA_RANGE_COUNT, "data range index out of bounds");
-        self.write(MSR_DATA_RANGE_BASE + 2 * i as u32, r.start);
-        self.write(MSR_DATA_RANGE_BASE + 2 * i as u32 + 1, r.end);
-    }
-
-    /// Convenience: writes decoy instruction range `i`.
-    pub fn set_inst_range(&mut self, i: usize, r: AddrRange) {
-        assert!(i < INST_RANGE_COUNT, "inst range index out of bounds");
-        self.write(MSR_INST_RANGE_BASE + 2 * i as u32, r.start);
-        self.write(MSR_INST_RANGE_BASE + 2 * i as u32 + 1, r.end);
-    }
-
     /// Whether `msr` belongs to the CSD register block (used by the
     /// decoder's register-tracking optimization to notice mode changes).
     pub fn is_csd_msr(msr: u32) -> bool {
@@ -159,15 +139,16 @@ mod tests {
         let mut f = MsrFile::new();
         f.write(MSR_CSD_CTL, CTL_STEALTH | CTL_DIFT_TRIGGER);
         assert!(f.stealth_enabled());
-        assert!(!f.devec_enabled());
         assert!(f.dift_trigger_enabled());
     }
 
     #[test]
     fn ranges_roundtrip() {
         let mut f = MsrFile::new();
-        f.set_data_range(0, AddrRange::new(0x8000, 0x9000));
-        f.set_inst_range(2, AddrRange::new(0x1000, 0x1400));
+        f.write(MSR_DATA_RANGE_BASE, 0x8000);
+        f.write(MSR_DATA_RANGE_BASE + 1, 0x9000);
+        f.write(MSR_INST_RANGE_BASE + 4, 0x1000);
+        f.write(MSR_INST_RANGE_BASE + 5, 0x1400);
         assert_eq!(f.data_range(0), Some(AddrRange::new(0x8000, 0x9000)));
         assert_eq!(f.data_range(1), None);
         assert_eq!(f.inst_ranges(), vec![AddrRange::new(0x1000, 0x1400)]);

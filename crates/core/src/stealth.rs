@@ -277,18 +277,21 @@ impl StealthTranslator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::msr::{CTL_DIFT_TRIGGER, CTL_STEALTH, MSR_CSD_CTL, MSR_SCRATCHPAD_PC_BASE};
+    use crate::msr::{
+        CTL_DIFT_TRIGGER, CTL_STEALTH, MSR_CSD_CTL, MSR_DATA_RANGE_BASE, MSR_INST_RANGE_BASE,
+        MSR_SCRATCHPAD_PC_BASE,
+    };
     use csd_uops::translate;
     use mx86_isa::{Gpr, MemRef};
 
     fn configured(data: &[AddrRange], inst_r: &[AddrRange]) -> StealthTranslator {
         let mut msrs = MsrFile::new();
         msrs.write(MSR_CSD_CTL, CTL_STEALTH | CTL_DIFT_TRIGGER);
-        for (i, r) in data.iter().enumerate() {
-            msrs.set_data_range(i, *r);
-        }
-        for (i, r) in inst_r.iter().enumerate() {
-            msrs.set_inst_range(i, *r);
+        for (base, ranges) in [(MSR_DATA_RANGE_BASE, data), (MSR_INST_RANGE_BASE, inst_r)] {
+            for (i, r) in (0..).zip(ranges) {
+                msrs.write(base + 2 * i, r.start);
+                msrs.write(base + 2 * i + 1, r.end);
+            }
         }
         let mut s = StealthTranslator::new(StealthConfig::default());
         s.configure(&msrs);
@@ -400,7 +403,8 @@ mod tests {
         let range = AddrRange::new(0x8000, 0x8040);
         let mut msrs = MsrFile::new();
         msrs.write(MSR_CSD_CTL, CTL_STEALTH); // no DIFT trigger
-        msrs.set_data_range(0, range);
+        msrs.write(MSR_DATA_RANGE_BASE, range.start);
+        msrs.write(MSR_DATA_RANGE_BASE + 1, range.end);
         msrs.write(MSR_SCRATCHPAD_PC_BASE, 0x1000);
         let mut s = StealthTranslator::new(StealthConfig::default());
         s.configure(&msrs);
@@ -418,7 +422,8 @@ mod tests {
         let range = AddrRange::new(0x8000, 0x8040);
         let mut msrs = MsrFile::new();
         msrs.write(MSR_CSD_CTL, CTL_STEALTH); // stealth on, DIFT trigger off
-        msrs.set_data_range(0, range);
+        msrs.write(MSR_DATA_RANGE_BASE, range.start);
+        msrs.write(MSR_DATA_RANGE_BASE + 1, range.end);
         let mut s = StealthTranslator::new(StealthConfig::default());
         s.configure(&msrs);
         let p = tainted_load();

@@ -10,7 +10,10 @@ use csd::{
 };
 use csd_exp::{Leg, LegMode};
 use csd_pipeline::{Core, CoreConfig, SimMode};
-use csd_telemetry::{CoverageMap, CoverageSink, EventSink, StoreEvent, UopCacheEvent};
+use csd_telemetry::{
+    ContextKeyEvent, CoverageMap, CoverageSink, DecodeEvent, EventSink, GateEvent, MemoProbeEvent,
+    StealthWindowEvent, StoreEvent, UopCacheEvent, UopDecodeEvent,
+};
 use mx86_isa::AddrRange as TaintRange;
 use mx86_isa::Program;
 use std::sync::{Arc, Mutex};
@@ -215,13 +218,21 @@ impl CosimResult {
     }
 }
 
-/// The core-side sink a leg runs under: collects the ordered store
-/// stream the harness compares, and forwards µop-cache probes to the
-/// coverage map when one is being filled.
-#[derive(Default)]
+/// The sink a leg runs under: collects the ordered store stream the
+/// harness compares, and forwards every coverage event to the coverage
+/// map when one is being filled.
 struct LegSink {
     stores: Arc<Mutex<Vec<StoreRecord>>>,
     coverage: Option<CoverageSink>,
+}
+
+impl LegSink {
+    /// Runs `f` on the coverage sink, if the leg fills a map.
+    fn cover(&mut self, f: impl FnOnce(&mut CoverageSink)) {
+        if let Some(c) = &mut self.coverage {
+            f(c);
+        }
+    }
 }
 
 impl EventSink for LegSink {
@@ -233,10 +244,32 @@ impl EventSink for LegSink {
         });
     }
 
+    fn on_decode(&mut self, ev: &DecodeEvent) {
+        self.cover(|c| c.on_decode(ev));
+    }
+
+    fn on_gate(&mut self, ev: &GateEvent) {
+        self.cover(|c| c.on_gate(ev));
+    }
+
+    fn on_stealth_window(&mut self, ev: &StealthWindowEvent) {
+        self.cover(|c| c.on_stealth_window(ev));
+    }
+
+    fn on_uop_decode(&mut self, ev: &UopDecodeEvent) {
+        self.cover(|c| c.on_uop_decode(ev));
+    }
+
+    fn on_memo_probe(&mut self, ev: &MemoProbeEvent) {
+        self.cover(|c| c.on_memo_probe(ev));
+    }
+
     fn on_uop_cache(&mut self, ev: &UopCacheEvent) {
-        if let Some(c) = &mut self.coverage {
-            c.on_uop_cache(ev);
-        }
+        self.cover(|c| c.on_uop_cache(ev));
+    }
+
+    fn on_context_key(&mut self, ev: &ContextKeyEvent) {
+        self.cover(|c| c.on_context_key(ev));
     }
 }
 
@@ -408,19 +441,13 @@ fn run_leg(
 ) -> Vec<Divergence> {
     let mut core = build_core(program, leg, bug);
     let stores = Arc::new(Mutex::new(Vec::new()));
+    // Coverage lands in the shared map when the leg's core, and with it
+    // the sink, drops. Each leg's context-edge cursor starts fresh, so
+    // edges never span two unrelated runs.
     core.set_event_sink(Box::new(LegSink {
         stores: Arc::clone(&stores),
         coverage: coverage.map(|m| CoverageSink::new(Arc::clone(m))),
     }));
-    if let Some(map) = coverage {
-        // Engine-side events (decode contexts, µops, memo probes, key
-        // causes, gate and stealth windows) land in the same shared map
-        // when the leg's core, and with it both sinks, drops. The engine
-        // sink's context-edge cursor starts fresh, so edges never span
-        // two unrelated runs.
-        core.engine_mut()
-            .set_event_sink(Box::new(CoverageSink::new(Arc::clone(map))));
-    }
 
     if leg.snapshot {
         // Run half the program, snapshot, finish; then rewind to the

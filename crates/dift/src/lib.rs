@@ -16,8 +16,9 @@
 //!   tainted data) — exactly the conditions that fire stealth mode.
 //!
 //! The paper models the taint lookup as an extra 4-cycle L2-tag access
-//! latency ([`DIFT_L2_TAG_PENALTY`]); the pipeline applies it to loads
-//! while DIFT is enabled.
+//! latency ([`DIFT_L2_TAG_PENALTY`]). Whether DIFT runs at all is the
+//! pipeline's configuration: only while it enables DIFT does the
+//! pipeline propagate taint, query it, and charge the penalty to loads.
 //!
 //! ```
 //! use csd_dift::Dift;
@@ -81,7 +82,6 @@ pub struct Dift {
     mem: PageMap<Box<TaintPage>>,
     /// Number of set bits across `mem`.
     mem_bytes: usize,
-    enabled: bool,
 }
 
 /// The words of a page bitmap covered by `n` bytes from byte `off`, with
@@ -96,36 +96,21 @@ fn word_masks(off: usize, n: usize) -> impl Iterator<Item = (usize, u64)> {
 }
 
 impl Default for Dift {
-    /// Nothing tainted and tracking disabled.
+    /// [`Dift::new`].
     fn default() -> Dift {
-        Dift {
-            enabled: false,
-            ..Dift::new()
-        }
+        Dift::new()
     }
 }
 
 impl Dift {
-    /// Fresh, enabled DIFT state with nothing tainted.
+    /// Fresh DIFT state with nothing tainted.
     pub fn new() -> Dift {
         Dift {
             regs: [false; UReg::COUNT],
             flags: false,
             mem: PageMap::default(),
             mem_bytes: 0,
-            enabled: true,
         }
-    }
-
-    /// Enables or disables tracking. While disabled, propagation is a
-    /// no-op and all queries report untainted.
-    pub fn set_enabled(&mut self, on: bool) {
-        self.enabled = on;
-    }
-
-    /// Whether tracking is enabled.
-    pub fn enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Marks every byte in `range` as tainted (a taint *source*, e.g. the
@@ -173,7 +158,7 @@ impl Dift {
 
     /// Whether a register is tainted.
     pub fn reg_tainted(&self, r: UReg) -> bool {
-        self.enabled && self.regs[r.index()]
+        self.regs[r.index()]
     }
 
     /// Whether any byte of `[addr, addr+len)` is tainted. Addresses wrap
@@ -184,7 +169,7 @@ impl Dift {
     /// that stays inside one page makes one probe with no span iterator.
     #[inline]
     pub fn memory_tainted(&self, addr: u64, len: u64) -> bool {
-        if !self.enabled || self.mem_bytes == 0 || len == 0 {
+        if self.mem_bytes == 0 || len == 0 {
             return false;
         }
         let off = (addr as usize) & (PAGE_SIZE - 1);
@@ -204,7 +189,7 @@ impl Dift {
 
     /// Whether the flags register is tainted.
     pub fn flags_tainted(&self) -> bool {
-        self.enabled && self.flags
+        self.flags
     }
 
     /// Number of tainted memory bytes (diagnostics).
@@ -246,7 +231,7 @@ impl Dift {
     pub fn propagate(&mut self, uop: &Uop, ea: Option<u64>) -> TaintEvent {
         use UopKind as K;
         let mut ev = TaintEvent::default();
-        if !self.enabled || uop.is_decoy() {
+        if uop.is_decoy() {
             return ev;
         }
         match uop.kind {
@@ -472,17 +457,6 @@ mod tests {
         let ev = d.propagate(&decoy, Some(0x100));
         assert_eq!(ev, TaintEvent::default());
         assert!(!d.reg_tainted(UReg::Tmp(1)));
-    }
-
-    #[test]
-    fn disabled_dift_reports_nothing() {
-        let mut d = Dift::new();
-        d.taint_memory(AddrRange::new(0x100, 0x108));
-        d.set_enabled(false);
-        let ev = d.propagate(&ld(UReg::Gpr(Gpr::Rax), 0x100), Some(0x100));
-        assert!(!ev.loaded_tainted_data);
-        assert!(!d.reg_tainted(UReg::Gpr(Gpr::Rax)));
-        assert!(!d.memory_tainted(0x100, 8));
     }
 
     /// An address near a page boundary, low memory, or the top of the

@@ -11,7 +11,8 @@ use mx86_isa::Inst;
 /// Retires the macro-op: statistics, watchdog/gate time advance, the
 /// retire event, and the next-PC decision from how execute ended the
 /// flow.
-/// Events reach the sinks only when `TRACE` (see `Core::run_batch`).
+/// Events reach the core's sink only when `TRACE` (see `Core::run_batch`);
+/// the engine reports its tick events to that sink too.
 #[inline]
 pub(crate) fn run<const TRACE: bool>(
     core: &mut Core,
@@ -38,7 +39,9 @@ pub(crate) fn run<const TRACE: bool>(
     };
     core.m.stats.cycles = now;
     if now > before {
-        core.m.engine.tick_traced::<TRACE>(now - before);
+        core.m
+            .engine
+            .tick_traced::<TRACE>(now - before, &mut core.sink);
     }
 
     if TRACE {

@@ -152,8 +152,10 @@ pub struct CheckpointStats {
 /// This struct is the one definition of what a snapshot holds:
 /// [`CoreSnapshot`] wraps a clone of it and [`Core::restore`] is one
 /// `clone_from`. Everything else on [`Core`] (the program, configuration,
-/// simulation mode, event sinks, checkpoint counters, and the flow
-/// table) is the simulation kernel and stays with the live core.
+/// simulation mode, event sink, checkpoint counters, and the flow
+/// table) is the simulation kernel and stays with the live core. The
+/// machine holds no observer: the CSD engine reports its events to the
+/// core's sink, lent to it for each run.
 #[derive(Debug)]
 pub(crate) struct Machine {
     /// Architectural + decoder-internal register state.
@@ -192,8 +194,6 @@ pub(crate) struct Machine {
 impl Machine {
     /// The power-on machine for `cfg`, starting at `entry`.
     fn new(cfg: &CoreConfig, csd_cfg: CsdConfig, entry: u64) -> Machine {
-        let mut dift = Dift::new();
-        dift.set_enabled(cfg.dift_enabled);
         let ucache = UopCache::new(
             cfg.uop_cache_sets(),
             cfg.uop_cache_ways,
@@ -203,7 +203,7 @@ impl Machine {
         Machine {
             hier: Hierarchy::new(cfg.hierarchy),
             engine: CsdEngine::new(csd_cfg),
-            dift,
+            dift: Dift::new(),
             bp: BranchPredictor::default(),
             ucache,
             state: ArchState::new(entry),
@@ -314,7 +314,7 @@ impl Clone for Machine {
 /// decoder-internal registers, the memory image, the cache hierarchy, the
 /// CSD engine, DIFT, branch predictor, µop cache, simulation statistics,
 /// and the cycle-timing state. The program, configuration, simulation
-/// mode, event sinks, checkpoint counters, and the flow table stay with
+/// mode, event sink, checkpoint counters, and the flow table stay with
 /// the live core (the table's flows depend on the program alone, so they
 /// are valid in every state).
 #[derive(Debug, Clone)]
@@ -322,9 +322,9 @@ pub struct CoreSnapshot(Machine);
 
 // A snapshot must be shareable across threads: `run_plan` lends one
 // warmed checkpoint to parallel `ordered_map` workers, which restore it
-// into a fresh core per leg. `EventSink: Send + Sync` makes
-// this hold by construction; this assertion turns any regression into a
-// compile error here rather than a trait-bound error in `csd-exp`.
+// into a fresh core per leg. The machine holds no sink, so this holds
+// by construction; this assertion turns any regression into a compile
+// error here rather than a trait-bound error in `csd-exp`.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<CoreSnapshot>();
@@ -389,18 +389,21 @@ impl Core {
         &self.cfg
     }
 
-    /// Attaches an event sink to the core's retire stage. Decode-level
-    /// events come from the CSD engine's own sink
-    /// ([`CsdEngine::set_event_sink`] via [`Core::engine_mut`]). Each
-    /// [`Core::run`] batch tests once whether either sink is attached;
-    /// with neither (the default) it runs stage code compiled without
-    /// emission sites, so it pays nothing per event. A sink attached
-    /// between two batches sees all of the later one.
+    /// Attaches an event sink, replacing any previous one. This is the
+    /// one place a sink attaches: the stages report µop-cache, store and
+    /// retire events to it, and lend it to the CSD engine for its decode, gate,
+    /// stealth-window and context-key events, so the sink sees one
+    /// ordered stream. Set-up calls made through [`Core::engine_mut`]
+    /// outside a run report nothing. Each [`Core::run`] batch tests once
+    /// whether a sink is attached; without one (the default) it runs
+    /// stage code compiled without emission sites, so it pays nothing per
+    /// event. A sink attached between two batches sees all of the later
+    /// one, and a sink stays attached across [`Core::restore`].
     pub fn set_event_sink(&mut self, sink: Box<dyn EventSink>) {
         self.sink.attach(sink);
     }
 
-    /// Detaches and returns the core's retire-stage sink, if any.
+    /// Detaches and returns the core's event sink, if any.
     pub fn take_event_sink(&mut self) -> Option<Box<dyn EventSink>> {
         self.sink.detach()
     }
@@ -533,17 +536,13 @@ impl Core {
     }
 
     /// Rewinds the core to `snap`, reusing the live core's allocations
-    /// (the cache arenas above all). Event sinks stay attached to the live
-    /// core: cloning an engine never drags a sink, so the snapshot holds
-    /// none and the engine's sink is carried across the rewind. The flow
-    /// table stays too, since its flows are valid in any state.
+    /// (the cache arenas above all). The event sink and the flow table
+    /// belong to the live core, not the machine, so they stay: the sink
+    /// sees the run after the rewind, and the table's flows are valid in
+    /// any state.
     pub fn restore(&mut self, snap: &CoreSnapshot) {
         self.ckpt.restores += 1;
-        let sink = self.m.engine.take_event_sink();
         self.m.clone_from(&snap.0);
-        if let Some(s) = sink {
-            self.m.engine.set_event_sink(s);
-        }
     }
 
     /// Per-unit activity for the energy model.
@@ -645,10 +644,11 @@ impl Core {
     /// instruction and a flow borrowed from them while those stages
     /// mutate the machine.
     ///
-    /// Whether a core or engine sink is attached is tested here, once:
-    /// nothing inside a batch can attach or detach one, so the stages run
+    /// Whether the core's sink is attached is tested here, once: nothing
+    /// inside a batch can attach or detach it, so the stages run
     /// monomorphised on the answer (`TRACE`), and without a sink they
-    /// contain no emission site.
+    /// contain no emission site. The stages lend the sink to the engine
+    /// calls they make, so engine events need no second test.
     fn run_batch(&mut self, max_insts: u64, stop: impl Fn(&Core) -> bool) -> StepOutcome {
         if max_insts == 0 || stop(self) {
             return StepOutcome::Running;
@@ -658,7 +658,7 @@ impl Core {
         }
         let mut flows = std::mem::take(&mut self.flows);
         let program = std::mem::take(&mut self.program);
-        let last = if self.sink.is_attached() || self.m.engine.has_event_sink() {
+        let last = if self.sink.is_attached() {
             self.retire_batch::<true>(max_insts, &stop, &program, &mut flows)
         } else {
             self.retire_batch::<false>(max_insts, &stop, &program, &mut flows)

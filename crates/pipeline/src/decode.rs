@@ -24,7 +24,8 @@ pub(crate) struct WindowBuilder {
 /// flow table (`flows`, held apart from the core for the whole run so the
 /// flow can stay borrowed through execute and commit), stall accounting,
 /// and front-end timing.
-/// Events reach the sinks only when `TRACE` (see `Core::run_batch`).
+/// Events reach the core's sink only when `TRACE` (see `Core::run_batch`);
+/// the engine reports its decode events to that sink too.
 #[inline]
 pub(crate) fn run<'t, const TRACE: bool>(
     core: &mut Core,
@@ -33,10 +34,13 @@ pub(crate) fn run<'t, const TRACE: bool>(
 ) -> Decoded<'t> {
     let placed = &f.inst.placed;
     let tainted = macro_tainted(core, &placed.inst);
-    let out = core
-        .m
-        .engine
-        .decode_memo_traced::<TRACE>(placed, f.inst.index, tainted, flows);
+    let out = core.m.engine.decode_memo_traced::<TRACE>(
+        placed,
+        f.inst.index,
+        tainted,
+        flows,
+        &mut core.sink,
+    );
     core.m.stats.stall_cycles += out.stall_cycles;
     let fused_slots = front_end::<TRACE>(core, f, &out);
     Decoded { out, fused_slots }
@@ -128,8 +132,7 @@ fn front_end<const TRACE: bool>(core: &mut Core, f: &Fetch, out: &DecodeOutcome)
     fused.max(1)
 }
 
-/// Reports a µop-cache lookup to the core's sink (the retire-stage sink:
-/// the µop cache is pipeline state, not engine state).
+/// Reports a µop-cache lookup to the core's sink.
 fn emit_ucache<const TRACE: bool>(core: &mut Core, window: u64, ctx: ContextId, hit: bool) {
     if TRACE {
         let ev = UopCacheEvent {

@@ -18,8 +18,9 @@ use csd_uops::{fusion, DecoyTarget, FOp, FWidth, Src, UMem, UReg, Uop, UopKind};
 use mx86_isa::{Fetched, Gpr, Inst};
 
 /// Executes (and in cycle mode, times) the decoded µop flow; returns how
-/// it ended control-wise. Store events reach the sink only when `TRACE`
-/// (see `Core::run_batch`).
+/// it ended control-wise. Store events, and the context-key event of a
+/// retiring `wrmsr`, reach the core's sink only when `TRACE` (see
+/// `Core::run_batch`).
 #[inline]
 pub(crate) fn run<const TRACE: bool>(core: &mut Core, f: &Fetch, d: &Decoded) -> Option<FlowEnd> {
     let out = &d.out;
@@ -310,7 +311,9 @@ fn exec_uop<const TRACE: bool>(
         }
         K::Wrmsr { msr, src } => {
             let v = core.m.state.read(src);
-            core.m.engine.write_msr(msr, v);
+            core.m
+                .engine
+                .write_msr_traced::<TRACE>(msr, v, &mut core.sink);
         }
         K::Rdmsr { dst, msr } => {
             let v = core.m.engine.read_msr(msr);
@@ -318,7 +321,9 @@ fn exec_uop<const TRACE: bool>(
         }
         K::Halt => effect = UopEffect::Halt,
     }
-    core.m.dift.propagate(u, dift_ea);
+    if core.cfg.dift_enabled {
+        core.m.dift.propagate(u, dift_ea);
+    }
     (effect, access_latency, mispredicted)
 }
 
@@ -336,7 +341,7 @@ fn push<const TRACE: bool>(core: &mut Core, v: u64) -> u64 {
 /// Emits an ordered architectural-store event (the cosimulation oracle
 /// compares this stream against the reference interpreter's).
 fn emit_store<const TRACE: bool>(core: &mut Core, addr: u64, len: u64, value: u64) {
-    if TRACE && core.sink.is_attached() {
+    if TRACE {
         let ev = StoreEvent {
             addr,
             len: len as u32,

@@ -3,6 +3,7 @@
 
 use csd::{msr, CsdConfig, DevecThresholds, VpuPolicy};
 use csd_pipeline::{Core, CoreConfig, SimMode, StepOutcome};
+use csd_uops::UReg;
 use mx86_isa::{AluOp, Assembler, Cc, Gpr, MemRef, Program, Scale, VecOp, Width, Xmm};
 
 fn run_core(prog: Program, mode: SimMode) -> Core {
@@ -220,9 +221,10 @@ fn devectorized_results_match_vpu_results() {
     assert!(devec.engine().gate().stats().vec_gated > 0);
 }
 
-#[test]
-fn stealth_mode_sweeps_decoy_ranges_without_touching_arch_state() {
-    // Victim: one key-dependent load (tainted pointer).
+/// A victim with one key-dependent load (a tainted pointer): the key at
+/// 0x8000 is tainted, and stealth is armed with the DIFT trigger over 4
+/// decoy cache lines at 0xA000.
+fn tainted_lookup_core(dift_enabled: bool) -> Core {
     let mut a = Assembler::new(0x1000);
     a.mov_ri(Gpr::Rbx, 0x8000); // key address
     a.load(Gpr::Rcx, MemRef::base(Gpr::Rbx)); // rcx ← key (tainted)
@@ -236,19 +238,23 @@ fn stealth_mode_sweeps_decoy_ranges_without_touching_arch_state() {
     let prog = a.finish().unwrap();
 
     let cfg = CoreConfig {
-        dift_enabled: true,
+        dift_enabled,
         ..CoreConfig::default()
     };
     let mut core = Core::new(cfg, CsdConfig::default(), prog, SimMode::Functional);
     core.mem_mut().write_le(0x8000, 8, 3); // the "key"
     core.dift_mut()
         .taint_memory(mx86_isa::AddrRange::new(0x8000, 0x8008));
-    // Decoy range: 4 cache lines at 0xA000.
     let e = core.engine_mut();
     e.write_msr(msr::MSR_DATA_RANGE_BASE, 0xA000);
     e.write_msr(msr::MSR_DATA_RANGE_BASE + 1, 0xA000 + 4 * 64);
     e.write_msr(msr::MSR_CSD_CTL, msr::CTL_STEALTH | msr::CTL_DIFT_TRIGGER);
+    core
+}
 
+#[test]
+fn stealth_mode_sweeps_decoy_ranges_without_touching_arch_state() {
+    let mut core = tainted_lookup_core(true);
     assert_eq!(core.run(100), StepOutcome::Halted);
 
     // All four decoy lines are now cached, though the victim only loaded
@@ -264,6 +270,28 @@ fn stealth_mode_sweeps_decoy_ranges_without_touching_arch_state() {
     assert_eq!(core.state().gpr(Gpr::Rax), 0);
     assert_eq!(core.state().gpr(Gpr::Rcx), 3, "key value intact");
     assert_eq!(core.engine().stealth().stats().triggers, 1);
+}
+
+/// With DIFT off in the core's configuration, tainted memory taints
+/// nothing, so the DIFT trigger never fires.
+#[test]
+fn disabled_dift_taints_nothing_and_triggers_nothing() {
+    let mut core = tainted_lookup_core(false);
+    assert_eq!(core.run(100), StepOutcome::Halted);
+    assert_eq!(core.state().gpr(Gpr::Rcx), 3, "the key was loaded");
+    assert_eq!(core.stats().decoy_uops, 0);
+    assert_eq!(core.engine().stealth().stats().triggers, 0);
+    let dift = core.dift_mut();
+    let regs = Gpr::ALL
+        .iter()
+        .map(|&g| UReg::Gpr(g))
+        .chain(Xmm::all().map(UReg::Xmm))
+        .chain((0..UReg::TMP_COUNT as u8).map(UReg::Tmp))
+        .chain((0..UReg::VTMP_COUNT as u8).map(UReg::VTmp));
+    for r in regs {
+        assert!(!dift.reg_tainted(r), "{r} tainted");
+    }
+    assert!(!dift.flags_tainted());
 }
 
 #[test]

@@ -16,8 +16,8 @@
 //! [`CoverageMap::missing_from_baseline`].
 //!
 //! [`CoverageSink`] adapts a shared map to the [`EventSink`] hook trait;
-//! attach one sink to the pipeline core and another to the CSD engine,
-//! and every event lands in the same map once the sinks drop.
+//! attach one to a core, and every event of its runs lands in the map
+//! once the sink drops.
 
 use crate::events::{
     ContextKeyEvent, DecodeEvent, EventSink, GateEvent, MemoProbeEvent, StealthWindowEvent,
@@ -35,8 +35,8 @@ pub const COV_CONTEXTS: usize = 8;
 /// from concrete µops lives in `csd-uops`).
 pub const COV_UOP_CLASSES: usize = 28;
 
-/// Number of context-key bump causes.
-pub const COV_KEY_CAUSES: usize = 8;
+/// Number of context-key bump causes a run reports.
+pub const COV_KEY_CAUSES: usize = 4;
 
 /// Number of log2 bins for stealth decoy-window sizes.
 pub const COV_DECOY_BINS: usize = 8;
@@ -72,33 +72,24 @@ pub fn uop_class_name(class: u8) -> &'static str {
         .unwrap_or("unknown")
 }
 
-/// Context-key bump causes carried by [`ContextKeyEvent::cause`].
+/// Context-key bump causes carried by [`ContextKeyEvent::cause`]: the
+/// bumps a run makes. Set-up calls outside a run (a microcode update, a
+/// custom-mode switch, a VPU-policy change, a refresh, an MSR write)
+/// advance the key without reporting.
 pub mod key_cause {
-    /// An MSR write.
+    /// A retiring `wrmsr`.
     pub const MSR: u8 = 0;
-    /// A bulk MSR refresh.
-    pub const REFRESH: u8 = 1;
-    /// A custom-mode activation change.
-    pub const CUSTOM_MODE: u8 = 2;
-    /// A VPU-policy replacement.
-    pub const VPU_POLICY: u8 = 3;
-    /// A microcode update.
-    pub const MCU: u8 = 4;
     /// A stealth watchdog arm/disarm transition.
-    pub const STEALTH_ARM: u8 = 5;
+    pub const STEALTH_ARM: u8 = 1;
     /// A VPU gate-state change.
-    pub const GATE: u8 = 6;
+    pub const GATE: u8 = 2;
     /// A stealth decoy injection (window disarm at decode).
-    pub const STEALTH_INJECT: u8 = 7;
+    pub const STEALTH_INJECT: u8 = 3;
 
     /// Stable name of a cause code.
     pub fn name(cause: u8) -> &'static str {
         match cause {
             MSR => "msr",
-            REFRESH => "refresh",
-            CUSTOM_MODE => "custom-mode",
-            VPU_POLICY => "vpu-policy",
-            MCU => "mcu",
             STEALTH_ARM => "stealth-arm",
             GATE => "gate",
             _ => "stealth-inject",
@@ -393,12 +384,10 @@ impl ToJson for CoverageMap {
 
 /// An [`EventSink`] that counts every observed event into a map of its
 /// own and folds that map into a shared [`CoverageMap`] when dropped.
-/// Attach one at each emission point (the pipeline core and the CSD
-/// engine each own a sink slot): the shared map is touched once per
-/// sink, not once per event. Merging sums counters, so the folded map is
-/// the one per-event updates would have built; each sink's decode-edge
-/// cursor starts fresh, so an edge never spans two sinks' runs.
-#[derive(Default)]
+/// Attach one per core: the shared map is touched once per sink, not
+/// once per event. Merging sums counters, so the folded map is the one
+/// per-event updates would have built; each sink's decode-edge cursor
+/// starts fresh, so an edge never spans two cores' runs.
 pub struct CoverageSink {
     shared: Arc<Mutex<CoverageMap>>,
     local: CoverageMap,
@@ -411,19 +400,6 @@ impl CoverageSink {
             shared: map,
             local: CoverageMap::new(),
         }
-    }
-
-    /// The shared map. A sink's counts reach it when the sink drops.
-    pub fn map(&self) -> Arc<Mutex<CoverageMap>> {
-        Arc::clone(&self.shared)
-    }
-}
-
-impl Clone for CoverageSink {
-    /// A sink on the same shared map that starts empty, so no count is
-    /// folded in twice.
-    fn clone(&self) -> CoverageSink {
-        CoverageSink::new(self.map())
     }
 }
 
@@ -545,7 +521,7 @@ mod tests {
     fn sink_routes_events_into_the_shared_map() {
         let map = Arc::new(Mutex::new(CoverageMap::new()));
         let mut a = CoverageSink::new(Arc::clone(&map));
-        let mut b = a.clone();
+        let mut b = CoverageSink::new(Arc::clone(&map));
         a.on_uop_decode(&UopDecodeEvent {
             context: 0,
             class: 8,
@@ -561,23 +537,6 @@ mod tests {
         let m = map.lock().unwrap();
         assert_eq!(m.bins(), 2);
         assert_eq!(m.events(), 2);
-    }
-
-    #[test]
-    fn a_cloned_sink_starts_empty() {
-        let map = Arc::new(Mutex::new(CoverageMap::new()));
-        let mut a = CoverageSink::new(Arc::clone(&map));
-        for _ in 0..3 {
-            a.on_memo_probe(&MemoProbeEvent {
-                outcome: memo_probe::HIT,
-            });
-        }
-        let b = a.clone();
-        drop(a);
-        drop(b);
-        let m = map.lock().unwrap();
-        assert_eq!(m.bins(), 1);
-        assert_eq!(m.events(), 3, "the clone adds nothing");
     }
 
     #[test]

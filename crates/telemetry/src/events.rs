@@ -1,13 +1,15 @@
 //! Event hooks for tracing the simulator without touching the hot path.
 //!
-//! The pipeline and the CSD engine each embed a [`SinkHandle`]. The
-//! pipeline tests whether either holds a sink once per batch of retires
-//! (one `Core::run` call) and runs a copy of its stage code compiled
-//! without emission sites when neither does, so a run with no sink
-//! attached (the default) makes no per-event test. Attaching a boxed
-//! [`EventSink`] turns on decode, retire, gate-transition, and
-//! stealth-window events — enough to build tracers, coverage tools, or
-//! live dashboards outside the simulator crates.
+//! The pipeline core embeds one [`SinkHandle`], the only place a sink
+//! attaches. During a run it lends that handle to the CSD engine calls
+//! that report decode, gate, stealth-window and context-key events, so
+//! an attached [`EventSink`] sees one ordered stream: each macro-op's
+//! decode events, then its stores, then its retire. The core tests
+//! whether a sink is attached once per batch of retires (one `Core::run`
+//! call) and runs a copy of its stage code compiled without emission
+//! sites when none is, so a run with no sink attached (the default)
+//! makes no per-event test. That is enough to build tracers, coverage
+//! tools, or live dashboards outside the simulator crates.
 //!
 //! Events carry only primitive fields so the trait can live below every
 //! other crate in the dependency graph.
@@ -115,13 +117,10 @@ pub struct ContextKeyEvent {
 /// Receiver for simulator events. Every method is a no-op by default, so
 /// implementors override only what they observe.
 ///
-/// The `Send + Sync` bound makes every structure that *may* hold a sink
-/// — including a [`SinkHandle`] and a core checkpoint cloned from one —
-/// shareable across threads: the plan executor shares one warmed
-/// snapshot in an `Arc` and forks legs from it on parallel workers.
-/// Dispatch is still `&mut self`, so implementors need interior
-/// synchronization only if they are actually shared.
-pub trait EventSink: Send + Sync {
+/// The `Send` bound lets a core with a sink attached move to another
+/// thread. Dispatch is `&mut self`, so implementors need interior
+/// synchronization only for state they share with other threads.
+pub trait EventSink: Send {
     /// A macro-op was decoded.
     fn on_decode(&mut self, event: &DecodeEvent) {
         let _ = event;
@@ -168,10 +167,9 @@ pub trait EventSink: Send + Sync {
     }
 }
 
-/// Holder for an optional event sink, embeddable in `derive(Debug,
-/// Clone)` structs: cloning a handle yields a *detached* handle (sinks
-/// are stateful observers of one simulation, not data), and `Debug`
-/// prints only the attachment state.
+/// Holder for an optional event sink, embeddable in `derive(Debug)`
+/// structs: `Debug` prints only the attachment state. A handle is not
+/// `Clone`: a sink is a stateful observer of one simulation, not data.
 #[derive(Default)]
 pub struct SinkHandle {
     sink: Option<Box<dyn EventSink>>,
@@ -223,12 +221,6 @@ impl std::fmt::Debug for SinkHandle {
         } else {
             "SinkHandle(none)"
         })
-    }
-}
-
-impl Clone for SinkHandle {
-    fn clone(&self) -> SinkHandle {
-        SinkHandle::new()
     }
 }
 
@@ -311,15 +303,6 @@ mod tests {
         assert_eq!(count.load(Ordering::Relaxed), 2);
         assert!(h.detach().is_some());
         assert!(!h.is_attached());
-    }
-
-    #[test]
-    fn cloning_detaches() {
-        let mut h = SinkHandle::new();
-        h.attach(Box::new(CountingSink::default()));
-        let c = h.clone();
-        assert!(h.is_attached());
-        assert!(!c.is_attached());
     }
 
     #[test]

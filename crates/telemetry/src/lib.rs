@@ -21,9 +21,10 @@
 //!   [`derive_seed`] for deriving independent per-task streams from one
 //!   root seed, and [`fnv1a64`], the one content hash.
 //! - [`events`] — the [`EventSink`] hook trait (decode / retire / gate /
-//!   stealth-window events) and the [`SinkHandle`] container the
-//!   pipeline embeds so tracing can be attached without touching the hot
-//!   path when disabled.
+//!   stealth-window events) and the [`SinkHandle`] container: the
+//!   pipeline core embeds one, the single place a sink attaches, and
+//!   lends it to the CSD engine during a run, so tracing sees one ordered
+//!   stream and costs nothing on the hot path when disabled.
 //! - [`coverage`] — [`CoverageMap`], the fixed-shape structural coverage
 //!   counters behind coverage-guided differential fuzzing, and
 //!   [`CoverageSink`], the [`EventSink`] adapter that fills one.

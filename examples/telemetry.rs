@@ -1,4 +1,4 @@
-//! Telemetry: attach event sinks to a running core, then dump the full
+//! Telemetry: attach an event sink to a running core, then dump the full
 //! nested counter report as JSON.
 //!
 //! ```sh
@@ -74,12 +74,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     core.dift_mut().taint_memory(AddrRange::new(0x7000, 0x7008));
 
-    // Attach sinks *before* running: retire events come from the core,
-    // decode/gate/stealth events from the CSD engine.
+    // Attach the sink *before* running: it sees the core's retire events
+    // and the CSD engine's decode/gate/stealth events as one stream.
     let counts = Arc::new(Counts::default());
     core.set_event_sink(Box::new(Tracer(Arc::clone(&counts))));
-    core.engine_mut()
-        .set_event_sink(Box::new(Tracer(Arc::clone(&counts))));
 
     // Enable stealth mode so decoy events fire too.
     let e = core.engine_mut();

@@ -18,6 +18,14 @@
 # requires zero divergences and byte-identical summaries and coverage
 # maps across the two runs.
 #
+# Both legs' --jobs 1 coverage maps must also equal the committed
+# goldens under crates/difftest/tests/golden/, byte for byte: the maps
+# bin every event a leg's sink sees, so a change that moves, drops or
+# duplicates an event fails here. A deliberate re-baseline (say, taint
+# propagation through `rdmsr`/`rdtsc`, which changes what the stealth
+# legs decode) regenerates both goldens with this script's commands and
+# says why in the same change.
+#
 # First, a corpus path that names a regular file must fail the run: only
 # a missing directory is an empty corpus.
 set -euo pipefail
@@ -26,6 +34,7 @@ cd "$(dirname "$0")/.."
 SEED=3405691582
 ITERS=128
 BASELINE=tests/corpus/coverage-baseline.json
+GOLDEN=crates/difftest/tests/golden
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 
@@ -52,6 +61,7 @@ done
 cmp "$WORK/summary-1.json" "$WORK/summary-2.json"
 cmp "$WORK/coverage-1.json" "$WORK/coverage-2.json"
 diff -r "$WORK/corpus-1" "$WORK/corpus-2"
+cmp "$WORK/coverage-1.json" "$GOLDEN/fuzz_campaign_coverage.json"
 
 for jobs in 1 2; do
   mkdir -p "$WORK/sweep-corpus-$jobs"
@@ -65,5 +75,6 @@ done
 
 cmp "$WORK/sweep-summary-1.json" "$WORK/sweep-summary-2.json"
 cmp "$WORK/sweep-coverage-1.json" "$WORK/sweep-coverage-2.json"
+cmp "$WORK/sweep-coverage-1.json" "$GOLDEN/fuzz_sweep_coverage.json"
 
-echo "fuzz smoke OK: campaign and 500-program sweep deterministic across --jobs, coverage >= baseline, no divergences"
+echo "fuzz smoke OK: campaign and 500-program sweep deterministic across --jobs, coverage maps equal the goldens, coverage >= baseline, no divergences"

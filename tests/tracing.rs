@@ -1,9 +1,11 @@
-//! Tracing is observation only: a core with event sinks attached to its
-//! retire stage and its CSD engine computes and reports exactly what the
-//! same core computes with none, in both simulation modes, with and
-//! without stealth. `Core::run` tests for a sink once per batch, so a
-//! sink attached between two batches sees all of the later one and
-//! nothing of the earlier.
+//! Tracing is observation only: a core with an event sink attached
+//! computes and reports exactly what the same core computes with none, in
+//! both simulation modes, with and without stealth. The core's sink is
+//! the one channel: it sees the CSD engine's decode events and the
+//! core's retire events as one ordered stream, and it stays attached
+//! across a snapshot restore. `Core::run` tests for a sink once per
+//! batch, so a sink attached between two batches sees all of the later
+//! one and nothing of the earlier.
 
 use csd_difftest::generator::{CODE_BASE, DATA_BASE, DATA_SIZE};
 use csd_difftest::harness::STEALTH_WATCHDOG;
@@ -45,14 +47,11 @@ impl EventSink for Shared {
     }
 }
 
-/// Attaches counting sinks to the core and to its engine; returns the
-/// retire-stage and the engine counts.
-fn attach(core: &mut Core) -> (Arc<Mutex<CountingSink>>, Arc<Mutex<CountingSink>>) {
-    let (retire, engine) = (Arc::default(), Arc::default());
-    core.set_event_sink(Box::new(Shared(Arc::clone(&retire))));
-    core.engine_mut()
-        .set_event_sink(Box::new(Shared(Arc::clone(&engine))));
-    (retire, engine)
+/// Attaches a counting sink to the core; returns its counts.
+fn attach(core: &mut Core) -> Arc<Mutex<CountingSink>> {
+    let counts = Arc::default();
+    core.set_event_sink(Box::new(Shared(Arc::clone(&counts))));
+    counts
 }
 
 /// Builds the core twice, drives the copy with sinks attached and the
@@ -66,7 +65,7 @@ fn assert_tracing_is_transparent<T: PartialEq + std::fmt::Debug>(
 ) {
     let mut plain = build();
     let mut traced = build();
-    let (retire, engine) = attach(&mut traced);
+    let counts = attach(&mut traced);
     let want = drive(&mut plain);
     assert_eq!(drive(&mut traced), want, "{what}: results");
     assert_eq!(traced.stats(), plain.stats(), "{what}: SimStats");
@@ -80,13 +79,10 @@ fn assert_tracing_is_transparent<T: PartialEq + std::fmt::Debug>(
     assert_eq!(a.xmms(), b.xmms(), "{what}: xmms");
     assert_eq!(a.flags, b.flags, "{what}: flags");
     assert_eq!(a.rip, b.rip, "{what}: rip");
+    let counts = counts.lock().unwrap();
+    assert_eq!(counts.retires, plain.stats().insts, "{what}");
     assert_eq!(
-        retire.lock().unwrap().retires,
-        plain.stats().insts,
-        "{what}"
-    );
-    assert_eq!(
-        engine.lock().unwrap().decodes,
+        counts.decodes,
         plain.engine().stats().decoded_insts,
         "{what}"
     );
@@ -176,18 +172,142 @@ fn a_sink_attached_between_batches_sees_exactly_the_later_one() {
         v.prepare(&mut core, &[2; 16]);
         assert_eq!(core.run(100), StepOutcome::Running);
         let (insts, decodes) = (core.stats().insts, core.engine().stats().decoded_insts);
-        let (retire, engine) = attach(&mut core);
+        let counts = attach(&mut core);
         assert_eq!(core.run(1_000_000), StepOutcome::Halted);
+        let counts = counts.lock().unwrap();
+        assert_eq!(counts.retires, core.stats().insts - insts, "{mode:?}");
         assert_eq!(
-            retire.lock().unwrap().retires,
-            core.stats().insts - insts,
-            "{mode:?}"
-        );
-        assert_eq!(
-            engine.lock().unwrap().decodes,
+            counts.decodes,
             core.engine().stats().decoded_insts - decodes,
             "{mode:?}"
         );
-        assert!(engine.lock().unwrap().decoy_uops > 0, "{mode:?}: stealth");
+        assert!(counts.decoy_uops > 0, "{mode:?}: stealth");
+    }
+}
+
+/// One event of the stream a [`Recorder`] keeps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Seen {
+    Decode(u64),
+    Retire(u64),
+    Gate,
+    Stealth,
+}
+
+/// A sink that records the decode, retire, gate and stealth-window
+/// events it sees, in order.
+struct Recorder(Arc<Mutex<Vec<Seen>>>);
+
+impl EventSink for Recorder {
+    fn on_decode(&mut self, ev: &DecodeEvent) {
+        self.0.lock().unwrap().push(Seen::Decode(ev.addr));
+    }
+    fn on_retire(&mut self, ev: &RetireEvent) {
+        self.0.lock().unwrap().push(Seen::Retire(ev.addr));
+    }
+    fn on_gate(&mut self, _ev: &GateEvent) {
+        self.0.lock().unwrap().push(Seen::Gate);
+    }
+    fn on_stealth_window(&mut self, _ev: &StealthWindowEvent) {
+        self.0.lock().unwrap().push(Seen::Stealth);
+    }
+}
+
+/// Runs `drive` on `core` with a [`Recorder`] attached and requires one
+/// ordered stream: decodes and retires alternate, each retire's address
+/// is the address of the decode before it, and every retire and decode
+/// the core counts is in it. Returns the stream.
+fn assert_one_ordered_stream(what: &str, mut core: Core, drive: impl Fn(&mut Core)) -> Vec<Seen> {
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    core.set_event_sink(Box::new(Recorder(Arc::clone(&seen))));
+    drive(&mut core);
+    let seen = seen.lock().unwrap().clone();
+    let mut last_decode = None;
+    let mut retires = 0;
+    for (i, ev) in seen.iter().enumerate() {
+        match *ev {
+            Seen::Decode(addr) => {
+                assert_eq!(last_decode, None, "{what}: two decodes before event {i}");
+                last_decode = Some(addr);
+            }
+            Seen::Retire(addr) => {
+                assert_eq!(
+                    last_decode.take(),
+                    Some(addr),
+                    "{what}: retire at event {i}"
+                );
+                retires += 1;
+            }
+            Seen::Gate | Seen::Stealth => {}
+        }
+    }
+    assert_eq!(last_decode, None, "{what}: a decode never retired");
+    assert_eq!(retires, core.stats().insts, "{what}: retires");
+    assert_eq!(
+        retires,
+        core.engine().stats().decoded_insts,
+        "{what}: decodes"
+    );
+    seen
+}
+
+#[test]
+fn one_sink_sees_one_ordered_stream() {
+    let v = AesVictim::new(AesKeySize::K128, CipherDir::Encrypt, &KEY);
+    for mode in MODES {
+        let seen = assert_one_ordered_stream(
+            &format!("stealth aes {mode:?}"),
+            victim_core(&v, mode, Defense::stealth_default()),
+            |core| {
+                for i in 0..4u8 {
+                    v.run_once(core, &[i.wrapping_mul(37); 16]);
+                }
+            },
+        );
+        assert!(seen.contains(&Seen::Stealth), "{mode:?}: decoy windows");
+    }
+    // A devectorizing difftest program: gate events arrive in the same
+    // stream as the decodes and retires they sit between.
+    let program = Generator::new(0).program().assemble().unwrap();
+    for mode in MODES {
+        let seen = assert_one_ordered_stream(
+            &format!("devec difftest {mode:?}"),
+            difftest_core(&program, mode, false),
+            |core| assert_eq!(core.run(1_000_000), StepOutcome::Halted),
+        );
+        assert!(seen.contains(&Seen::Gate), "{mode:?}: gate events");
+    }
+}
+
+#[test]
+fn a_sink_survives_snapshot_and_restore() {
+    let v = AesVictim::new(AesKeySize::K128, CipherDir::Encrypt, &KEY);
+    for mode in MODES {
+        let mut core = victim_core(&v, mode, Defense::stealth_default());
+        let counts = attach(&mut core);
+        v.prepare(&mut core, &[3; 16]);
+        assert_eq!(core.run(200), StepOutcome::Running);
+        let snap = core.snapshot();
+        let (insts, decodes) = (core.stats().insts, core.engine().stats().decoded_insts);
+        assert_eq!(core.run(1_000_000), StepOutcome::Halted);
+        core.restore(&snap);
+        let before = *counts.lock().unwrap();
+        assert_eq!(core.run(1_000_000), StepOutcome::Halted);
+        let after = *counts.lock().unwrap();
+        assert!(core.stats().insts > insts, "{mode:?}: the rerun retired");
+        assert_eq!(
+            after.retires - before.retires,
+            core.stats().insts - insts,
+            "{mode:?}: retires after the restore"
+        );
+        assert_eq!(
+            after.decodes - before.decodes,
+            core.engine().stats().decoded_insts - decodes,
+            "{mode:?}: decodes after the restore"
+        );
+        assert!(
+            after.decoy_uops > before.decoy_uops,
+            "{mode:?}: stealth decodes reach the sink after the restore"
+        );
     }
 }
