@@ -8,10 +8,9 @@ use crate::mode::{ContextId, VectorExecClass};
 use crate::msr::MsrFile;
 use crate::stealth::{StealthConfig, StealthTranslator};
 use csd_power::GatingParams;
-use csd_telemetry::coverage::{key_cause, memo_probe};
+use csd_telemetry::coverage::{flow_served, key_cause};
 use csd_telemetry::{
-    ContextKeyEvent, DecodeEvent, GateEvent, Json, MemoProbeEvent, SinkHandle, StealthWindowEvent,
-    ToJson, UopDecodeEvent,
+    ContextChangeEvent, DecodeEvent, GateEvent, Json, SinkHandle, ToJson, UopDecodeEvent,
 };
 use csd_uops::{translate, Flow, FlowFacts, FlowRef, FlowTable, Served, Stored, Translation};
 use mx86_isa::{Inst, Placed};
@@ -121,9 +120,6 @@ pub struct CsdEngine {
     patches: MsromPatchTable,
     active_custom: Option<u8>,
     stats: CsdStats,
-    /// Monotonically increasing decoder-context generation; see
-    /// [`CsdEngine::context_key`].
-    context_gen: u64,
 }
 
 impl CsdEngine {
@@ -137,42 +133,16 @@ impl CsdEngine {
             patches: MsromPatchTable::new(),
             active_custom: None,
             stats: CsdStats::default(),
-            context_gen: 0,
         }
     }
 
-    /// The current decoder-context generation: a monotonically increasing
-    /// key that changes whenever anything that can influence translation
-    /// changes — an MSR write, a microcode update, a custom-mode switch, a
-    /// stealth-window arm/disarm, or a VPU gate-state change. Two decodes
-    /// of the same `(pc, tainted)` under the same key produce the same µop
-    /// flow. The key feeds telemetry and coverage (every bump a run makes
-    /// reports its cause to the lent sink); the flow table does not need
-    /// it, because what the table stores depends on the instruction
-    /// alone.
-    pub fn context_key(&self) -> u64 {
-        self.context_gen
-    }
-
-    /// Resets the context generation to zero, as on a freshly constructed
-    /// engine (`Core::restart` rewinds its kernel bookkeeping this way).
-    pub fn reset_context_key(&mut self) {
-        self.context_gen = 0;
-    }
-
-    /// Advances the context generation and, when `TRACE`, reports why to
-    /// `sink`. Every bump a run makes funnels through here so coverage
-    /// tools see the full transition stream; set-up calls outside a run
-    /// bump the generation without reporting.
-    fn bump_context<const TRACE: bool>(&mut self, cause: u8, sink: &mut SinkHandle) {
-        self.context_gen += 1;
-        if TRACE {
-            let ev = ContextKeyEvent {
-                key: self.context_gen,
-                cause,
-            };
-            sink.with(|s| s.on_context_key(&ev));
-        }
+    /// Reports a change that affects what later decodes produce, and its
+    /// `cause` (see [`key_cause`]), to `sink`. Every change a run makes
+    /// funnels through here: a retiring `wrmsr`, a stealth-window arm,
+    /// disarm or injection, and a VPU gate-state change. Set-up calls
+    /// outside a run report nothing.
+    fn report_change(cause: u8, sink: &mut SinkHandle) {
+        sink.with(|s| s.on_context_change(&ContextChangeEvent { cause }));
     }
 
     /// Reports a [`GateEvent`] to `sink` if the VPU's gated-ness changed
@@ -196,9 +166,8 @@ impl CsdEngine {
         self.write_msr_traced::<false>(msr, value, &mut SinkHandle::new());
     }
 
-    /// [`CsdEngine::write_msr`] reporting the context-key bump to the
-    /// caller's `sink` when `TRACE` holds (see
-    /// [`CsdEngine::tick_traced`]).
+    /// [`CsdEngine::write_msr`] reporting the change to the caller's
+    /// `sink` when `TRACE` holds (see [`CsdEngine::tick_traced`]).
     pub fn write_msr_traced<const TRACE: bool>(
         &mut self,
         msr: u32,
@@ -209,7 +178,9 @@ impl CsdEngine {
         if MsrFile::is_csd_msr(msr) {
             self.stealth.configure(&self.msrs);
         }
-        self.bump_context::<TRACE>(key_cause::MSR, sink);
+        if TRACE {
+            Self::report_change(key_cause::MSR, sink);
+        }
     }
 
     /// Reads an MSR.
@@ -217,25 +188,15 @@ impl CsdEngine {
         self.msrs.read(msr)
     }
 
-    /// Re-snapshots decoder state from the MSR file.
-    pub fn refresh(&mut self) {
-        self.stealth.configure(&self.msrs);
-        self.context_gen += 1;
-    }
-
     /// Activates (or deactivates) a custom MCU-installed translation mode.
     pub fn set_custom_mode(&mut self, mode: Option<u8>) {
         self.active_custom = mode;
-        self.context_gen += 1;
     }
 
     /// Replaces the VPU gating policy, restarting the gate controller
-    /// under its existing gating-cost parameters. Changing the policy
-    /// changes what subsequent decodes produce (devectorization depends
-    /// on it), so the context generation bumps.
+    /// under its existing gating-cost parameters.
     pub fn set_vpu_policy(&mut self, policy: VpuPolicy) {
         self.gate.set_policy(policy);
-        self.context_gen += 1;
     }
 
     /// Applies a microcode update after verification.
@@ -253,35 +214,34 @@ impl CsdEngine {
         if installed {
             self.stats.mcu_applied += 1;
         }
-        self.context_gen += 1;
         Ok(installed)
     }
 
     /// Advances time: watchdog countdown and VPU gate-state residency.
-    /// A watchdog re-arm or a VPU state change bumps the context
-    /// generation (both alter what subsequent decodes produce).
     pub fn tick(&mut self, cycles: u64) {
         self.tick_traced::<false>(cycles, &mut SinkHandle::new());
     }
 
     /// [`CsdEngine::tick`] reporting its events to the caller's `sink`
-    /// when `TRACE` holds. The engine owns no sink: the pipeline lends
-    /// the core's, with `TRACE` set to whether one was attached when its
-    /// batch of retires began, so a sink-free run makes no per-event
-    /// test.
+    /// when `TRACE` holds: a watchdog re-arm and a VPU state change each
+    /// report a context change (both alter what later decodes produce),
+    /// the latter with its gate event. The engine owns no sink: the
+    /// pipeline lends the core's, with `TRACE` set to whether one was
+    /// attached when its batch of retires began, so a sink-free run makes
+    /// no per-event test.
     #[inline]
     pub fn tick_traced<const TRACE: bool>(&mut self, cycles: u64, sink: &mut SinkHandle) {
         let armed_was = self.stealth.armed();
         self.stealth.tick(cycles);
-        if self.stealth.armed() != armed_was {
-            self.bump_context::<TRACE>(key_cause::STEALTH_ARM, sink);
-        }
-        let was = self.gate.state();
+        let gate_was = self.gate.state();
         self.gate.tick(cycles);
-        if self.gate.state() != was {
-            self.bump_context::<TRACE>(key_cause::GATE, sink);
-            if TRACE {
-                self.emit_gate_delta(was, sink);
+        if TRACE {
+            if self.stealth.armed() != armed_was {
+                Self::report_change(key_cause::STEALTH_ARM, sink);
+            }
+            if self.gate.state() != gate_was {
+                Self::report_change(key_cause::GATE, sink);
+                self.emit_gate_delta(gate_was, sink);
             }
         }
     }
@@ -293,8 +253,8 @@ impl CsdEngine {
 
     /// The decision phase every decode runs first, whether or not a
     /// table serves the flow: MCU patch lookup for the active custom mode
-    /// and the VPU gate controller's verdict (with its events and key
-    /// bump).
+    /// and the VPU gate controller's verdict (with its gate event and
+    /// context change).
     #[inline]
     fn decide<const TRACE: bool>(&mut self, inst: &Inst, sink: &mut SinkHandle) -> Decision {
         let patch = self
@@ -327,11 +287,9 @@ impl CsdEngine {
         } else {
             self.gate.on_scalar_inst();
         }
-        if self.gate.state() != gate_was {
-            if TRACE {
-                self.emit_gate_delta(gate_was, sink);
-            }
-            self.bump_context::<TRACE>(key_cause::GATE, sink);
+        if TRACE && self.gate.state() != gate_was {
+            self.emit_gate_delta(gate_was, sink);
+            Self::report_change(key_cause::GATE, sink);
         }
         d
     }
@@ -539,7 +497,9 @@ impl CsdEngine {
             return None;
         }
         let t = self.stealth.on_decode(placed, &base(), tainted)?;
-        self.bump_context::<TRACE>(key_cause::STEALTH_INJECT, sink);
+        if TRACE {
+            Self::report_change(key_cause::STEALTH_INJECT, sink);
+        }
         Some(Flow::new(t))
     }
 
@@ -573,10 +533,10 @@ impl CsdEngine {
         }
     }
 
-    /// A decode's events to `sink`, in order: the flow-table probe, the
-    /// decode, one event per µop, and the stealth window when decoys were
-    /// injected. Per-µop events are the one per-µop emission in the
-    /// engine, so they are built only when a sink is attached.
+    /// A decode's events to `sink`, in order: the decode (with how the
+    /// flow table served it), then one event per µop. Per-µop events are
+    /// the one per-µop emission in the engine, so they are built only
+    /// when a sink is attached.
     fn emit_decode(
         placed: &Placed,
         flow: &FlowRef<'_>,
@@ -588,13 +548,6 @@ impl CsdEngine {
         let Some(sink) = sink.get() else {
             return;
         };
-        sink.on_memo_probe(&MemoProbeEvent {
-            outcome: match served {
-                Served::Hit => memo_probe::HIT,
-                Served::Miss => memo_probe::MISS,
-                Served::Bypass => memo_probe::BYPASS,
-            },
-        });
         let FlowFacts { uops, decoys, .. } = flow.facts();
         sink.on_decode(&DecodeEvent {
             addr: placed.addr,
@@ -602,17 +555,16 @@ impl CsdEngine {
             uops,
             decoy_uops: decoys,
             stall_cycles: d.stall_cycles,
+            served: match served {
+                Served::Hit => flow_served::HIT,
+                Served::Miss => flow_served::MISS,
+                Served::Bypass => flow_served::BYPASS,
+            },
         });
         for u in flow.uops() {
             sink.on_uop_decode(&UopDecodeEvent {
                 context: context.bit(),
                 class: u.kind.coverage_class(),
-            });
-        }
-        if context == ContextId::Stealth && decoys > 0 {
-            sink.on_stealth_window(&StealthWindowEvent {
-                addr: placed.addr,
-                decoy_uops: decoys,
             });
         }
     }
@@ -655,6 +607,30 @@ mod tests {
     use crate::criticality::DevecThresholds;
     use crate::msr::{CTL_DIFT_TRIGGER, CTL_STEALTH, MSR_CSD_CTL, MSR_DATA_RANGE_BASE};
     use mx86_isa::{Gpr, Inst, MemRef, VecOp, Width, Xmm};
+    use std::sync::Mutex;
+
+    /// A sink that records the cause of every context change it sees.
+    struct Causes(Arc<Mutex<Vec<u8>>>);
+
+    impl csd_telemetry::EventSink for Causes {
+        fn on_context_change(&mut self, ev: &ContextChangeEvent) {
+            self.0.lock().unwrap().push(ev.cause);
+        }
+    }
+
+    /// A handle with a [`Causes`] sink attached, and the causes it
+    /// records.
+    fn recording() -> (SinkHandle, Arc<Mutex<Vec<u8>>>) {
+        let causes = Arc::new(Mutex::new(Vec::new()));
+        let mut sink = SinkHandle::new();
+        sink.attach(Box::new(Causes(Arc::clone(&causes))));
+        (sink, causes)
+    }
+
+    /// Takes the causes recorded so far.
+    fn take(causes: &Mutex<Vec<u8>>) -> Vec<u8> {
+        std::mem::take(&mut *causes.lock().unwrap())
+    }
 
     fn load_at(addr: u64) -> Placed {
         Placed {
@@ -808,7 +784,7 @@ mod tests {
             gates: AtomicU64,
             stealth: AtomicU64,
             decoys: AtomicU64,
-            msr_keys: AtomicU64,
+            msr_changes: AtomicU64,
         }
         struct Shared(Arc<Counts>);
         impl csd_telemetry::EventSink for Shared {
@@ -817,17 +793,16 @@ mod tests {
                 self.0
                     .decoys
                     .fetch_add(u64::from(ev.decoy_uops), Ordering::Relaxed);
+                if ev.stealth_window().is_some() {
+                    self.0.stealth.fetch_add(1, Ordering::Relaxed);
+                }
             }
             fn on_gate(&mut self, _ev: &GateEvent) {
                 self.0.gates.fetch_add(1, Ordering::Relaxed);
             }
-            fn on_stealth_window(&mut self, ev: &StealthWindowEvent) {
-                self.0.stealth.fetch_add(1, Ordering::Relaxed);
-                assert!(ev.decoy_uops > 0);
-            }
-            fn on_context_key(&mut self, ev: &ContextKeyEvent) {
+            fn on_context_change(&mut self, ev: &ContextChangeEvent) {
                 if ev.cause == key_cause::MSR {
-                    self.0.msr_keys.fetch_add(1, Ordering::Relaxed);
+                    self.0.msr_changes.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
@@ -844,12 +819,12 @@ mod tests {
             ..CsdConfig::default()
         };
         let mut e = CsdEngine::new(cfg);
-        // A set-up write reports nothing; a traced one reports its bump.
+        // A set-up write reports nothing; a traced one reports its change.
         e.write_msr(MSR_DATA_RANGE_BASE, 0x8000);
         e.write_msr(MSR_DATA_RANGE_BASE + 1, 0x8000 + 2 * 64);
-        assert_eq!(counts.msr_keys.load(Ordering::Relaxed), 0);
+        assert_eq!(counts.msr_changes.load(Ordering::Relaxed), 0);
         e.write_msr_traced::<true>(MSR_CSD_CTL, CTL_STEALTH | CTL_DIFT_TRIGGER, &mut sink);
-        assert_eq!(counts.msr_keys.load(Ordering::Relaxed), 1);
+        assert_eq!(counts.msr_changes.load(Ordering::Relaxed), 1);
 
         let mut table = FlowTable::new(2, true);
         // Tainted load: decode + stealth window.
@@ -875,69 +850,34 @@ mod tests {
         assert_eq!(counts.decoys.load(Ordering::Relaxed), e.stats().decoy_uops);
     }
 
-    /// Property: any MSR write or (verified) microcode update strictly
-    /// increases the context key, for arbitrary MSR indices and values.
+    /// Property: every MSR write a run makes reports one change, caused
+    /// by the MSR, for arbitrary MSR indices and values.
     #[test]
-    fn context_key_strictly_increases_on_msr_and_mcu() {
+    fn every_traced_msr_write_reports_its_cause() {
         let mut rng = csd_telemetry::SplitMix64::new(0x00C0_FFEE);
         let mut e = CsdEngine::default();
+        let (mut sink, causes) = recording();
         for i in 0..2_000u64 {
-            let before = e.context_key();
-            if i % 5 == 4 {
-                let mode = rng.next_u8() % 8;
-                let mcu = MicrocodeUpdate::new(
-                    i as u32 + 1,
-                    OpcodeClass::Nop,
-                    ContextId::Custom(mode),
-                    false,
-                    vec![Inst::Nop { len: 1 }],
-                );
-                e.apply_microcode_update(&mcu, PrivilegeLevel::Kernel)
-                    .unwrap();
-            } else {
-                e.write_msr(rng.next_u32(), rng.next_u64());
-            }
-            assert!(
-                e.context_key() > before,
-                "context key did not advance (step {i})"
-            );
+            e.write_msr_traced::<true>(rng.next_u32(), rng.next_u64(), &mut sink);
+            assert_eq!(take(&causes), [key_cause::MSR], "step {i}");
         }
-        // Rejected updates change nothing and must not bump the key.
-        let before = e.context_key();
-        let mcu = MicrocodeUpdate::new(1, OpcodeClass::Nop, ContextId::Custom(0), false, vec![]);
-        assert!(e
-            .apply_microcode_update(&mcu, PrivilegeLevel::User)
-            .is_err());
-        assert_eq!(e.context_key(), before);
     }
 
+    /// Stealth injection (the window disarms) and the watchdog re-arm each
+    /// report their cause.
     #[test]
-    fn custom_mode_and_refresh_bump_context_key() {
-        let mut e = CsdEngine::default();
-        let k0 = e.context_key();
-        e.set_custom_mode(Some(3));
-        assert!(e.context_key() > k0);
-        let k1 = e.context_key();
-        e.refresh();
-        assert!(e.context_key() > k1);
-    }
-
-    /// The one transition `tick` can cause on a default engine is the
-    /// stealth watchdog re-arm; it must bump the key.
-    #[test]
-    fn watchdog_rearm_bumps_context_key() {
+    fn stealth_injection_and_watchdog_rearm_report_their_causes() {
         let mut e = CsdEngine::default();
         e.write_msr(MSR_DATA_RANGE_BASE, 0x8000);
         e.write_msr(MSR_DATA_RANGE_BASE + 1, 0x8000 + 64);
         e.write_msr(MSR_CSD_CTL, CTL_STEALTH | CTL_DIFT_TRIGGER);
-        // Injection disarms: bump.
-        let k0 = e.context_key();
-        assert_eq!(e.decode(&load_at(0x100), true).context, ContextId::Stealth);
-        assert!(e.context_key() > k0);
-        // Watchdog expiry re-arms: bump.
-        let k1 = e.context_key();
-        e.tick(10_000);
-        assert!(e.context_key() > k1);
+        let (mut sink, causes) = recording();
+        let mut table = FlowTable::new(1, true);
+        let out = e.decode_memo_traced::<true>(&load_at(0x100), 0, true, &mut table, &mut sink);
+        assert_eq!(out.context, ContextId::Stealth);
+        assert_eq!(take(&causes), [key_cause::STEALTH_INJECT]);
+        e.tick_traced::<true>(10_000, &mut sink);
+        assert_eq!(take(&causes), [key_cause::STEALTH_ARM]);
     }
 
     /// The flow table must be invisible: identical outcomes and statistics
@@ -960,9 +900,14 @@ mod tests {
             e.write_msr(MSR_CSD_CTL, CTL_STEALTH | CTL_DIFT_TRIGGER);
             e
         }
+        // The plain engine decodes through a disabled table, which builds
+        // every flow afresh, so both can lend a sink.
         let mut plain = engine();
         let mut memoized = engine();
+        let mut none = FlowTable::new(3, false);
         let mut memo = FlowTable::new(3, true);
+        let (mut plain_sink, plain_causes) = recording();
+        let (mut memo_sink, memo_causes) = recording();
 
         let scalar = Placed {
             addr: 0x10,
@@ -987,8 +932,8 @@ mod tests {
         // instruction's position in the footprint.
         for round in 0..12 {
             if round == 6 {
-                plain.write_msr(MSR_CSD_CTL, CTL_DIFT_TRIGGER);
-                memoized.write_msr(MSR_CSD_CTL, CTL_DIFT_TRIGGER);
+                plain.write_msr_traced::<true>(MSR_CSD_CTL, CTL_DIFT_TRIGGER, &mut plain_sink);
+                memoized.write_msr_traced::<true>(MSR_CSD_CTL, CTL_DIFT_TRIGGER, &mut memo_sink);
             }
             for (p, index, tainted) in [
                 (load_at(0x100), 0, true),
@@ -997,15 +942,27 @@ mod tests {
                 (vector, 2, false),
                 (load_at(0x100), 0, false),
             ] {
-                let a = plain.decode(&p, tainted);
-                let b = memoized.decode_memo(&p, index, tainted, &mut memo);
+                let a = plain.decode_memo_traced::<true>(
+                    &p,
+                    index,
+                    tainted,
+                    &mut none,
+                    &mut plain_sink,
+                );
+                let b = memoized.decode_memo_traced::<true>(
+                    &p,
+                    index,
+                    tainted,
+                    &mut memo,
+                    &mut memo_sink,
+                );
                 assert_eq!(a.context, b.context, "round {round} @{:#x}", p.addr);
                 assert_eq!(a.flow, b.flow);
                 assert_eq!(a.stall_cycles, b.stall_cycles);
                 assert_eq!(a.vector_class, b.vector_class);
             }
-            plain.tick(50);
-            memoized.tick(50);
+            plain.tick_traced::<true>(50, &mut plain_sink);
+            memoized.tick_traced::<true>(50, &mut memo_sink);
         }
         assert_eq!(plain.stats(), memoized.stats());
         assert_eq!(plain.stealth().stats(), memoized.stealth().stats());
@@ -1014,7 +971,11 @@ mod tests {
             memoized.devectorizer().stats()
         );
         assert_eq!(plain.gate().stats(), memoized.gate().stats());
-        assert_eq!(plain.context_key(), memoized.context_key());
+        // Both report the same changes: the one injection (the watchdog
+        // never expires between rounds), then the round-6 MSR write.
+        let causes = [key_cause::STEALTH_INJECT, key_cause::MSR];
+        assert_eq!(take(&plain_causes), causes);
+        assert_eq!(take(&memo_causes), causes);
         let m = memo.stats();
         assert!(m.hits > 0, "table never hit: {m:?}");
         assert!(m.bypasses > 0, "stealth injection never bypassed");

@@ -11,8 +11,8 @@ use csd::{
 use csd_exp::{Leg, LegMode};
 use csd_pipeline::{Core, CoreConfig, SimMode};
 use csd_telemetry::{
-    ContextKeyEvent, CoverageMap, CoverageSink, DecodeEvent, EventSink, GateEvent, MemoProbeEvent,
-    StealthWindowEvent, StoreEvent, UopCacheEvent, UopDecodeEvent,
+    ContextChangeEvent, CoverageMap, CoverageSink, DecodeEvent, EventSink, GateEvent, StoreEvent,
+    UopCacheEvent, UopDecodeEvent,
 };
 use mx86_isa::AddrRange as TaintRange;
 use mx86_isa::Program;
@@ -252,24 +252,16 @@ impl EventSink for LegSink {
         self.cover(|c| c.on_gate(ev));
     }
 
-    fn on_stealth_window(&mut self, ev: &StealthWindowEvent) {
-        self.cover(|c| c.on_stealth_window(ev));
-    }
-
     fn on_uop_decode(&mut self, ev: &UopDecodeEvent) {
         self.cover(|c| c.on_uop_decode(ev));
-    }
-
-    fn on_memo_probe(&mut self, ev: &MemoProbeEvent) {
-        self.cover(|c| c.on_memo_probe(ev));
     }
 
     fn on_uop_cache(&mut self, ev: &UopCacheEvent) {
         self.cover(|c| c.on_uop_cache(ev));
     }
 
-    fn on_context_key(&mut self, ev: &ContextKeyEvent) {
-        self.cover(|c| c.on_context_key(ev));
+    fn on_context_change(&mut self, ev: &ContextChangeEvent) {
+        self.cover(|c| c.on_context_change(ev));
     }
 }
 

@@ -25,8 +25,9 @@
 //!   `.asm` + `.json` pairs under `tests/corpus/`, replayed as a tier-1
 //!   test on every `cargo test`;
 //! - [`mod@fuzz`]: the coverage-guided campaign loop tying it together —
-//!   structural coverage (µop×mode matrix, context-key edges, gate and
-//!   stealth bins, memo/µop-cache outcomes, divergence classes) decides
+//!   structural coverage (µop×mode matrix, decode-context edges,
+//!   context-change causes, gate and stealth bins, flow-table/µop-cache
+//!   outcomes, divergence classes) decides
 //!   which mutants survive, and survivors are shrunk and persisted.
 //!
 //! The bounded entry point lives in `tests/`. The `fuzz` binary is the

@@ -391,9 +391,9 @@ impl Core {
 
     /// Attaches an event sink, replacing any previous one. This is the
     /// one place a sink attaches: the stages report µop-cache, store and
-    /// retire events to it, and lend it to the CSD engine for its decode, gate,
-    /// stealth-window and context-key events, so the sink sees one
-    /// ordered stream. Set-up calls made through [`Core::engine_mut`]
+    /// retire events to it, and lend it to the CSD engine for its decode,
+    /// gate and context-change events, so the sink sees one ordered
+    /// stream. Set-up calls made through [`Core::engine_mut`]
     /// outside a run report nothing. Each [`Core::run`] batch tests once
     /// whether a sink is attached; without one (the default) it runs
     /// stage code compiled without emission sites, so it pays nothing per
@@ -514,16 +514,14 @@ impl Core {
     /// Rewinds the PC to the program entry and clears the halt latch so the
     /// program can run again. Caches, predictors, the µop cache, CSD state,
     /// statistics, and memory all persist — exactly what repeated victim
-    /// invocations (one per encryption) need. The simulation kernel's
-    /// flow-table counters and context generation reset to their
-    /// fresh-core values (they are simulator bookkeeping, not machine
-    /// state), while the table's flows stay: every run after the first
-    /// decodes each instruction from the table.
+    /// invocations (one per encryption) need. The flow table's counters
+    /// reset to their fresh-core values (they are simulator bookkeeping,
+    /// not machine state), while its flows stay: every run after the
+    /// first decodes each instruction from the table.
     pub fn restart(&mut self) {
         self.m.state.rip = self.program.entry();
         self.m.halted = false;
         self.flows.reset_stats();
-        self.m.engine.reset_context_key();
     }
 
     /// Captures everything needed to resume simulation from this exact
@@ -571,9 +569,8 @@ impl Core {
     /// Every counter the simulator keeps, as one nested JSON report:
     /// pipeline, CSD engine, stealth, devectorizer, gate residency, µop
     /// cache, cache hierarchy, activity, the default-model energy
-    /// breakdown, and the simulation kernel's own counters (context key,
-    /// decode memoization, checkpointing — see the README telemetry
-    /// schema).
+    /// breakdown, and the simulation kernel's own counters (decode
+    /// memoization, checkpointing — see the README telemetry schema).
     pub fn telemetry_report(&self) -> Json {
         let e = &self.m.engine;
         let activity = self.activity();
@@ -594,7 +591,6 @@ impl Core {
             (
                 "kernel",
                 Json::obj([
-                    ("context_key", Json::from(e.context_key())),
                     (
                         "decode_memo",
                         Json::obj([

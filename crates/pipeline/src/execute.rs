@@ -18,8 +18,8 @@ use csd_uops::{fusion, DecoyTarget, FOp, FWidth, Src, UMem, UReg, Uop, UopKind};
 use mx86_isa::{Fetched, Gpr, Inst};
 
 /// Executes (and in cycle mode, times) the decoded µop flow; returns how
-/// it ended control-wise. Store events, and the context-key event of a
-/// retiring `wrmsr`, reach the core's sink only when `TRACE` (see
+/// it ended control-wise. Store events, and the context-change event of
+/// a retiring `wrmsr`, reach the core's sink only when `TRACE` (see
 /// `Core::run_batch`).
 #[inline]
 pub(crate) fn run<const TRACE: bool>(core: &mut Core, f: &Fetch, d: &Decoded) -> Option<FlowEnd> {

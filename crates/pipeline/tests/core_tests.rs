@@ -3,8 +3,11 @@
 
 use csd::{msr, CsdConfig, DevecThresholds, VpuPolicy};
 use csd_pipeline::{Core, CoreConfig, SimMode, StepOutcome};
+use csd_telemetry::coverage::key_cause;
+use csd_telemetry::{ContextChangeEvent, EventSink};
 use csd_uops::UReg;
 use mx86_isa::{AluOp, Assembler, Cc, Gpr, MemRef, Program, Scale, VecOp, Width, Xmm};
+use std::sync::{Arc, Mutex};
 
 fn run_core(prog: Program, mode: SimMode) -> Core {
     let mut core = Core::new(CoreConfig::default(), CsdConfig::default(), prog, mode);
@@ -487,8 +490,8 @@ fn restarted_core_reports_like_a_fresh_one() {
         SimMode::Cycle,
     );
 
-    // MSR writes advance the context generation without touching any
-    // modeled counter, so after restart() the whole report must be byte-
+    // Set-up MSR writes touch no modeled counter and report nothing to
+    // the core's sink, so after restart() the whole report must be byte-
     // identical to a never-used core's.
     let mut core = Core::new(
         CoreConfig::default(),
@@ -496,9 +499,10 @@ fn restarted_core_reports_like_a_fresh_one() {
         prog.clone(),
         SimMode::Cycle,
     );
+    let causes = record_causes(&mut core);
     core.engine_mut().write_msr(msr::MSR_WATCHDOG_PERIOD, 512);
     core.engine_mut().write_msr(0x9999, 1);
-    assert!(core.engine().context_key() > 0);
+    assert_eq!(*causes.lock().unwrap(), [], "set-up writes report nothing");
     core.restart();
     assert_eq!(
         core.telemetry_report().pretty(),
@@ -508,8 +512,8 @@ fn restarted_core_reports_like_a_fresh_one() {
 
     // After real work the modeled counters persist across restart() by
     // contract (caches stay warm, stats keep accumulating), but the
-    // kernel section — memo table and context key — must still match a
-    // fresh core byte for byte.
+    // kernel section — memo table and checkpoint counters — must still
+    // match a fresh core byte for byte.
     let mut worked = Core::new(
         CoreConfig::default(),
         CsdConfig::default(),
@@ -522,6 +526,50 @@ fn restarted_core_reports_like_a_fresh_one() {
     let fresh_kernel = fresh.telemetry_report().get("kernel").unwrap().pretty();
     let kernel = worked.telemetry_report().get("kernel").unwrap().pretty();
     assert_eq!(kernel, fresh_kernel);
+}
+
+/// A sink that records the cause of every context change it sees.
+struct Causes(Arc<Mutex<Vec<u8>>>);
+
+impl EventSink for Causes {
+    fn on_context_change(&mut self, ev: &ContextChangeEvent) {
+        self.0.lock().unwrap().push(ev.cause);
+    }
+}
+
+/// Attaches a [`Causes`] sink to `core`; returns the causes it records.
+fn record_causes(core: &mut Core) -> Arc<Mutex<Vec<u8>>> {
+    let causes = Arc::new(Mutex::new(Vec::new()));
+    core.set_event_sink(Box::new(Causes(Arc::clone(&causes))));
+    causes
+}
+
+/// Every `wrmsr` a run retires reports its cause to the core's sink, in
+/// both engines.
+#[test]
+fn a_retiring_wrmsr_reports_its_cause() {
+    let mut a = Assembler::new(0x1000);
+    a.mov_ri(Gpr::Rax, 512);
+    a.wrmsr(msr::MSR_WATCHDOG_PERIOD, Gpr::Rax);
+    a.wrmsr(0x9999, Gpr::Rax);
+    a.halt();
+    let prog = a.finish().unwrap();
+    for mode in [SimMode::Functional, SimMode::Cycle] {
+        let mut core = Core::new(
+            CoreConfig::default(),
+            CsdConfig::default(),
+            prog.clone(),
+            mode,
+        );
+        let causes = record_causes(&mut core);
+        assert_eq!(core.run(100), StepOutcome::Halted);
+        assert_eq!(core.engine().read_msr(msr::MSR_WATCHDOG_PERIOD), 512);
+        assert_eq!(
+            *causes.lock().unwrap(),
+            [key_cause::MSR, key_cause::MSR],
+            "{mode:?}"
+        );
+    }
 }
 
 /// A straight-line program longer than any fixed-size decode cache: its

@@ -2,17 +2,24 @@
 //!
 //! The pipeline core embeds one [`SinkHandle`], the only place a sink
 //! attaches. During a run it lends that handle to the CSD engine calls
-//! that report decode, gate, stealth-window and context-key events, so
-//! an attached [`EventSink`] sees one ordered stream: each macro-op's
-//! decode events, then its stores, then its retire. The core tests
-//! whether a sink is attached once per batch of retires (one `Core::run`
-//! call) and runs a copy of its stage code compiled without emission
-//! sites when none is, so a run with no sink attached (the default)
-//! makes no per-event test. That is enough to build tracers, coverage
-//! tools, or live dashboards outside the simulator crates.
+//! that report decode, gate and context-change events, so an attached
+//! [`EventSink`] sees one ordered stream: each macro-op's decode events,
+//! then its stores, then its retire. One [`DecodeEvent`] per macro-op
+//! carries what that decode did: its context, its µops and decoys (a
+//! stealth window is a stealth-context decode with decoys), and how the
+//! flow table served it. The core tests whether a sink is attached once
+//! per batch of retires (one `Core::run` call) and runs a copy of its
+//! stage code compiled without emission sites when none is, so a run
+//! with no sink attached (the default) makes no per-event test. That is
+//! enough to build tracers, coverage tools, or live dashboards outside
+//! the simulator crates.
 //!
 //! Events carry only primitive fields so the trait can live below every
 //! other crate in the dependency graph.
+
+/// The translation-context tag of stealth decoy injection
+/// ([`DecodeEvent::context`]).
+pub const STEALTH_CONTEXT: u8 = 1;
 
 /// One macro-op decoded through the CSD engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,6 +35,17 @@ pub struct DecodeEvent {
     pub decoy_uops: u32,
     /// Stall imposed before execution (conventional VPU wake).
     pub stall_cycles: u64,
+    /// How the flow table served the flow (see `coverage::flow_served`):
+    /// 0 = hit, 1 = miss, 2 = bypass.
+    pub served: u8,
+}
+
+impl DecodeEvent {
+    /// The decoy µops of the stealth window this decode injected, if it
+    /// injected one: a stealth-context decode with decoys.
+    pub fn stealth_window(&self) -> Option<u32> {
+        (self.context == STEALTH_CONTEXT && self.decoy_uops > 0).then_some(self.decoy_uops)
+    }
 }
 
 /// One macro-op retired by the core.
@@ -67,15 +85,6 @@ pub struct StoreEvent {
     pub value: u64,
 }
 
-/// A stealth-mode decoy window was injected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StealthWindowEvent {
-    /// Address of the triggering macro-op.
-    pub addr: u64,
-    /// Decoy µops injected by this translation.
-    pub decoy_uops: u32,
-}
-
 /// One µop emitted by a decode, with its translation context. Emitted
 /// per µop (not per macro-op), so only when a sink is attached.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,14 +93,6 @@ pub struct UopDecodeEvent {
     pub context: u8,
     /// Coverage class of the µop (see `coverage::UOP_CLASS_NAMES`).
     pub class: u8,
-}
-
-/// A decode-memo table probe resolved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemoProbeEvent {
-    /// Outcome code (see `coverage::memo_probe`): 0 = hit, 1 = miss,
-    /// 2 = bypass.
-    pub outcome: u8,
 }
 
 /// A µop-cache lookup resolved.
@@ -105,12 +106,11 @@ pub struct UopCacheEvent {
     pub hit: bool,
 }
 
-/// The CSD context key advanced.
+/// Something that can change what later decodes produce changed during
+/// a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ContextKeyEvent {
-    /// The new context-key value.
-    pub key: u64,
-    /// Why it advanced (see `coverage::key_cause`).
+pub struct ContextChangeEvent {
+    /// What changed (see `coverage::key_cause`).
     pub cause: u8,
 }
 
@@ -141,18 +141,8 @@ pub trait EventSink: Send {
         let _ = event;
     }
 
-    /// A stealth decoy window was injected.
-    fn on_stealth_window(&mut self, event: &StealthWindowEvent) {
-        let _ = event;
-    }
-
     /// A µop was emitted by a decode.
     fn on_uop_decode(&mut self, event: &UopDecodeEvent) {
-        let _ = event;
-    }
-
-    /// A decode-memo probe resolved.
-    fn on_memo_probe(&mut self, event: &MemoProbeEvent) {
         let _ = event;
     }
 
@@ -161,8 +151,8 @@ pub trait EventSink: Send {
         let _ = event;
     }
 
-    /// The CSD context key advanced.
-    fn on_context_key(&mut self, event: &ContextKeyEvent) {
+    /// A change that affects translation happened during a run.
+    fn on_context_change(&mut self, event: &ContextChangeEvent) {
         let _ = event;
     }
 }
@@ -234,7 +224,7 @@ pub struct CountingSink {
     pub retires: u64,
     /// Gate transitions observed.
     pub gate_events: u64,
-    /// Stealth windows observed.
+    /// Stealth windows observed (decode events that injected decoys).
     pub stealth_windows: u64,
     /// Total decoy µops across observed decode events.
     pub decoy_uops: u64,
@@ -246,6 +236,7 @@ impl EventSink for CountingSink {
     fn on_decode(&mut self, event: &DecodeEvent) {
         self.decodes += 1;
         self.decoy_uops += u64::from(event.decoy_uops);
+        self.stealth_windows += u64::from(event.stealth_window().is_some());
     }
 
     fn on_retire(&mut self, _event: &RetireEvent) {
@@ -258,10 +249,6 @@ impl EventSink for CountingSink {
 
     fn on_gate(&mut self, _event: &GateEvent) {
         self.gate_events += 1;
-    }
-
-    fn on_stealth_window(&mut self, _event: &StealthWindowEvent) {
-        self.stealth_windows += 1;
     }
 }
 
@@ -297,6 +284,7 @@ mod tests {
             uops: 5,
             decoy_uops: 4,
             stall_cycles: 0,
+            served: 0,
         };
         h.with(|s| s.on_decode(&ev));
         h.with(|s| s.on_decode(&ev));
@@ -308,23 +296,24 @@ mod tests {
     #[test]
     fn counting_sink_counts() {
         let mut s = CountingSink::default();
-        s.on_decode(&DecodeEvent {
+        let decode = |context, decoy_uops| DecodeEvent {
             addr: 0,
-            context: 0,
-            uops: 1,
-            decoy_uops: 2,
+            context,
+            uops: 1 + decoy_uops,
+            decoy_uops,
             stall_cycles: 0,
-        });
+            served: 2,
+        };
+        // Only a stealth-context decode with decoys opens a window.
+        s.on_decode(&decode(0, 2));
+        s.on_decode(&decode(STEALTH_CONTEXT, 0));
+        s.on_decode(&decode(STEALTH_CONTEXT, 2));
         s.on_gate(&GateEvent {
             gated: true,
             transitions: 1,
         });
-        s.on_stealth_window(&StealthWindowEvent {
-            addr: 0,
-            decoy_uops: 2,
-        });
-        assert_eq!(s.decodes, 1);
-        assert_eq!(s.decoy_uops, 2);
+        assert_eq!(s.decodes, 3);
+        assert_eq!(s.decoy_uops, 4);
         assert_eq!(s.gate_events, 1);
         assert_eq!(s.stealth_windows, 1);
     }

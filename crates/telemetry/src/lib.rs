@@ -20,8 +20,8 @@
 //! - [`rng`] — [`SplitMix64`], the workspace's deterministic PRNG,
 //!   [`derive_seed`] for deriving independent per-task streams from one
 //!   root seed, and [`fnv1a64`], the one content hash.
-//! - [`events`] — the [`EventSink`] hook trait (decode / retire / gate /
-//!   stealth-window events) and the [`SinkHandle`] container: the
+//! - [`events`] — the [`EventSink`] hook trait (decode / retire / store /
+//!   gate / context-change events) and the [`SinkHandle`] container: the
 //!   pipeline core embeds one, the single place a sink attaches, and
 //!   lends it to the CSD engine during a run, so tracing sees one ordered
 //!   stream and costs nothing on the hot path when disabled.
@@ -45,8 +45,8 @@ pub mod rng;
 pub use artifact::{write_atomic, ArtifactError};
 pub use coverage::{CoverageMap, CoverageSink};
 pub use events::{
-    ContextKeyEvent, CountingSink, DecodeEvent, EventSink, GateEvent, MemoProbeEvent, RetireEvent,
-    SinkHandle, StealthWindowEvent, StoreEvent, UopCacheEvent, UopDecodeEvent,
+    ContextChangeEvent, CountingSink, DecodeEvent, EventSink, GateEvent, RetireEvent, SinkHandle,
+    StoreEvent, UopCacheEvent, UopDecodeEvent,
 };
 pub use exec::ordered_map;
 pub use json::{Json, ParseError, ToJson};

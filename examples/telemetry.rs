@@ -8,7 +8,7 @@
 use csd_repro::core::{msr, CsdConfig};
 use csd_repro::isa::{AddrRange, AluOp, Assembler, Cc, Gpr, MemRef, Scale, Width};
 use csd_repro::pipeline::{Core, CoreConfig, SimMode, StepOutcome};
-use csd_repro::telemetry::{DecodeEvent, EventSink, RetireEvent, StealthWindowEvent};
+use csd_repro::telemetry::{DecodeEvent, EventSink, RetireEvent};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -29,14 +29,14 @@ impl EventSink for Tracer {
         self.0
             .decoy_uops
             .fetch_add(u64::from(e.decoy_uops), Ordering::Relaxed);
+        // A stealth window is a stealth-context decode that carries decoys.
+        if e.stealth_window().is_some() {
+            self.0.stealth_windows.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     fn on_retire(&mut self, _e: &RetireEvent) {
         self.0.retires.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn on_stealth_window(&mut self, _e: &StealthWindowEvent) {
-        self.0.stealth_windows.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -75,7 +75,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     core.dift_mut().taint_memory(AddrRange::new(0x7000, 0x7008));
 
     // Attach the sink *before* running: it sees the core's retire events
-    // and the CSD engine's decode/gate/stealth events as one stream.
+    // and the CSD engine's decode, gate and context-change events as one
+    // stream.
     let counts = Arc::new(Counts::default());
     core.set_event_sink(Box::new(Tracer(Arc::clone(&counts))));
 

@@ -5,7 +5,9 @@
 //! core's retire events as one ordered stream, and it stays attached
 //! across a snapshot restore. `Core::run` tests for a sink once per
 //! batch, so a sink attached between two batches sees all of the later
-//! one and nothing of the earlier.
+//! one and nothing of the earlier. Each decode event says how the flow
+//! table served it and carries the stealth window it opened, so the
+//! stream's counts equal the core's own.
 
 use csd_difftest::generator::{CODE_BASE, DATA_BASE, DATA_SIZE};
 use csd_difftest::harness::STEALTH_WATCHDOG;
@@ -15,8 +17,9 @@ use csd_repro::core::{CsdConfig, DevecThresholds, VpuPolicy};
 use csd_repro::crypto::{arm_stealth, AesKeySize, AesVictim, CipherDir, Victim};
 use csd_repro::isa::{AddrRange, Program};
 use csd_repro::pipeline::{Core, CoreConfig, SimMode, StepOutcome};
+use csd_repro::telemetry::coverage::flow_served;
 use csd_repro::telemetry::{
-    CountingSink, DecodeEvent, EventSink, GateEvent, RetireEvent, StealthWindowEvent, StoreEvent,
+    CountingSink, DecodeEvent, EventSink, GateEvent, RetireEvent, StoreEvent,
 };
 use std::sync::{Arc, Mutex};
 
@@ -41,9 +44,6 @@ impl EventSink for Shared {
     }
     fn on_gate(&mut self, ev: &GateEvent) {
         self.0.lock().unwrap().on_gate(ev);
-    }
-    fn on_stealth_window(&mut self, ev: &StealthWindowEvent) {
-        self.0.lock().unwrap().on_stealth_window(ev);
     }
 }
 
@@ -154,8 +154,8 @@ fn sinks_change_nothing_on_difftest_programs() {
             }
         }
     }
-    // The programs flip the gate, so every gate-driven context-key bump
-    // and gate event is exercised on both sides.
+    // The programs flip the gate, so every gate-driven context change and
+    // gate event is exercised on both sides.
     let program = Generator::new(0).program().assemble().unwrap();
     let mut core = difftest_core(&program, SimMode::Functional, false);
     core.run(1_000_000);
@@ -188,19 +188,28 @@ fn a_sink_attached_between_batches_sees_exactly_the_later_one() {
 /// One event of the stream a [`Recorder`] keeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Seen {
-    Decode(u64),
+    /// A decode: its address, how the flow table served it, and whether
+    /// it opened a stealth window.
+    Decode {
+        addr: u64,
+        served: u8,
+        window: bool,
+    },
     Retire(u64),
     Gate,
-    Stealth,
 }
 
-/// A sink that records the decode, retire, gate and stealth-window
-/// events it sees, in order.
+/// A sink that records the decode, retire and gate events it sees, in
+/// order.
 struct Recorder(Arc<Mutex<Vec<Seen>>>);
 
 impl EventSink for Recorder {
     fn on_decode(&mut self, ev: &DecodeEvent) {
-        self.0.lock().unwrap().push(Seen::Decode(ev.addr));
+        self.0.lock().unwrap().push(Seen::Decode {
+            addr: ev.addr,
+            served: ev.served,
+            window: ev.stealth_window().is_some(),
+        });
     }
     fn on_retire(&mut self, ev: &RetireEvent) {
         self.0.lock().unwrap().push(Seen::Retire(ev.addr));
@@ -208,9 +217,13 @@ impl EventSink for Recorder {
     fn on_gate(&mut self, _ev: &GateEvent) {
         self.0.lock().unwrap().push(Seen::Gate);
     }
-    fn on_stealth_window(&mut self, _ev: &StealthWindowEvent) {
-        self.0.lock().unwrap().push(Seen::Stealth);
-    }
+}
+
+/// Attaches a [`Recorder`] to the core; returns the stream it records.
+fn record(core: &mut Core) -> Arc<Mutex<Vec<Seen>>> {
+    let seen = Arc::default();
+    core.set_event_sink(Box::new(Recorder(Arc::clone(&seen))));
+    seen
 }
 
 /// Runs `drive` on `core` with a [`Recorder`] attached and requires one
@@ -218,15 +231,14 @@ impl EventSink for Recorder {
 /// is the address of the decode before it, and every retire and decode
 /// the core counts is in it. Returns the stream.
 fn assert_one_ordered_stream(what: &str, mut core: Core, drive: impl Fn(&mut Core)) -> Vec<Seen> {
-    let seen = Arc::new(Mutex::new(Vec::new()));
-    core.set_event_sink(Box::new(Recorder(Arc::clone(&seen))));
+    let seen = record(&mut core);
     drive(&mut core);
     let seen = seen.lock().unwrap().clone();
     let mut last_decode = None;
     let mut retires = 0;
     for (i, ev) in seen.iter().enumerate() {
         match *ev {
-            Seen::Decode(addr) => {
+            Seen::Decode { addr, .. } => {
                 assert_eq!(last_decode, None, "{what}: two decodes before event {i}");
                 last_decode = Some(addr);
             }
@@ -238,7 +250,7 @@ fn assert_one_ordered_stream(what: &str, mut core: Core, drive: impl Fn(&mut Cor
                 );
                 retires += 1;
             }
-            Seen::Gate | Seen::Stealth => {}
+            Seen::Gate => {}
         }
     }
     assert_eq!(last_decode, None, "{what}: a decode never retired");
@@ -264,7 +276,11 @@ fn one_sink_sees_one_ordered_stream() {
                 }
             },
         );
-        assert!(seen.contains(&Seen::Stealth), "{mode:?}: decoy windows");
+        assert!(
+            seen.iter()
+                .any(|ev| matches!(ev, Seen::Decode { window: true, .. })),
+            "{mode:?}: decoy windows"
+        );
     }
     // A devectorizing difftest program: gate events arrive in the same
     // stream as the decodes and retires they sit between.
@@ -309,5 +325,78 @@ fn a_sink_survives_snapshot_and_restore() {
             after.decoy_uops > before.decoy_uops,
             "{mode:?}: stealth decodes reach the sink after the restore"
         );
+    }
+}
+
+/// Drives `core` with a [`Recorder`] attached and requires the decode
+/// events' flow-table outcomes to equal the core's flow-table counts, and
+/// the decodes that opened a stealth window to equal the stealth
+/// translator's triggers, over the drive. Returns the stealth windows.
+fn assert_decodes_count_like_the_core(
+    what: &str,
+    core: &mut Core,
+    drive: impl FnOnce(&mut Core),
+) -> u64 {
+    let seen = record(core);
+    let memo = *core.memo_stats();
+    let triggers = core.engine().stealth().stats().triggers;
+    drive(core);
+    let (mut served, mut windows) = ([0u64; 3], 0);
+    for ev in seen.lock().unwrap().iter() {
+        if let Seen::Decode {
+            served: s, window, ..
+        } = *ev
+        {
+            served[usize::from(s)] += 1;
+            windows += u64::from(window);
+        }
+    }
+    let after = core.memo_stats();
+    assert_eq!(
+        served[usize::from(flow_served::HIT)],
+        after.hits - memo.hits,
+        "{what}: hits"
+    );
+    assert_eq!(
+        served[usize::from(flow_served::MISS)],
+        after.misses - memo.misses,
+        "{what}: misses"
+    );
+    assert_eq!(
+        served[usize::from(flow_served::BYPASS)],
+        after.bypasses - memo.bypasses,
+        "{what}: bypasses"
+    );
+    let triggers = core.engine().stealth().stats().triggers - triggers;
+    assert_eq!(windows, triggers, "{what}: stealth windows");
+    windows
+}
+
+#[test]
+fn decode_events_count_table_outcomes_and_stealth_windows() {
+    let v = AesVictim::new(AesKeySize::K128, CipherDir::Encrypt, &KEY);
+    for mode in MODES {
+        let mut core = victim_core(&v, mode, Defense::stealth_default());
+        for i in 0..4u8 {
+            // `prepare` restarts the core, which resets its flow-table
+            // counts; the drive is the encryption's run.
+            v.prepare(&mut core, &[i.wrapping_mul(37); 16]);
+            let windows = assert_decodes_count_like_the_core(
+                &format!("stealth aes {mode:?} #{i}"),
+                &mut core,
+                |core| assert_eq!(core.run(10_000_000), StepOutcome::Halted),
+            );
+            assert!(windows > 0, "{mode:?}: stealth opens windows");
+        }
+    }
+    let program = Generator::new(0).program().assemble().unwrap();
+    for mode in MODES {
+        for stealth in [false, true] {
+            assert_decodes_count_like_the_core(
+                &format!("devec difftest {mode:?} stealth {stealth}"),
+                &mut difftest_core(&program, mode, stealth),
+                |core| assert_eq!(core.run(1_000_000), StepOutcome::Halted),
+            );
+        }
     }
 }
