@@ -43,6 +43,15 @@ const VALID: u64 = 1;
 /// Line-word flag: the line was written since it was filled.
 const DIRTY: u64 = 2;
 
+/// Where a [`Cache`] held a line when [`Cache::slot_of`] looked: the
+/// index of its line word and the word it matched. Only meaningful for
+/// the cache that made it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LineSlot {
+    word: usize,
+    want: u64,
+}
+
 /// A set-associative cache tracking line presence (not data).
 ///
 /// Addresses are byte addresses; the cache computes its own set split.
@@ -190,6 +199,39 @@ impl Cache {
                 self.stats.misses += 1;
                 false
             }
+        }
+    }
+
+    /// Where the line containing `addr` sits, if present: a handle that
+    /// [`Cache::holds`] and [`Cache::rehit`] use without searching the
+    /// set again. Non-perturbing, like [`Cache::contains`].
+    pub fn slot_of(&self, addr: u64) -> Option<LineSlot> {
+        self.find(addr).map(|(base, way)| LineSlot {
+            word: base + way,
+            want: self.line_addr(addr) | VALID,
+        })
+    }
+
+    /// Whether `slot` still holds the line it was taken for: no flush,
+    /// back-invalidation or eviction has removed it since.
+    #[inline]
+    pub fn holds(&self, slot: LineSlot) -> bool {
+        self.blocks[slot.word] & !DIRTY == slot.want
+    }
+
+    /// Counts `n` read hits on `slot`'s line at once: what `n` calls of
+    /// [`Cache::access`] on the line do when each finds it present and no
+    /// other access or fill of this cache comes between them. The counters
+    /// move by `n`, the clock by `n` ticks, and the line takes the last
+    /// stamp if the slot still holds it. A line removed since its last
+    /// hit keeps no stamp worth setting: a fill overwrites an invalid
+    /// way's stamp before any victim choice reads it.
+    pub fn rehit(&mut self, slot: LineSlot, n: u64) {
+        self.stats.accesses += n;
+        self.stats.hits += n;
+        self.clock += n;
+        if self.holds(slot) {
+            self.blocks[slot.word + self.cfg.ways] = self.clock;
         }
     }
 

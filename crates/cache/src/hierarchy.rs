@@ -1,6 +1,6 @@
 //! The multi-level memory hierarchy.
 
-use crate::cache::{Cache, CacheConfig};
+use crate::cache::{Cache, CacheConfig, LineSlot};
 use crate::stats::HierarchyStats;
 
 /// What kind of access is being performed.
@@ -183,6 +183,32 @@ impl Hierarchy {
             };
         }
         self.access_below_l1(addr, kind, write)
+    }
+
+    /// An instruction fetch of `addr` ([`Hierarchy::access`] with
+    /// [`AccessKind::InstFetch`]) that returns where the L1I holds the
+    /// line afterwards: a hit found it there and a miss filled it.
+    pub fn fetch(&mut self, addr: u64) -> LineSlot {
+        self.access(addr, AccessKind::InstFetch);
+        self.l1i
+            .slot_of(addr)
+            .expect("a fetch leaves its line in the L1I")
+    }
+
+    /// Whether the L1I still holds the line of `slot` (see
+    /// [`Cache::holds`]): an LLC eviction's back-invalidation or a
+    /// `clflush` since the fetch that returned it would have removed it.
+    #[inline]
+    pub fn l1i_holds(&self, slot: LineSlot) -> bool {
+        self.l1i.holds(slot)
+    }
+
+    /// Counts `n` more instruction fetches of `slot`'s line, each of which
+    /// found it in the L1I with no other L1I access between them (see
+    /// [`Cache::rehit`]). Only the L1I takes part in an L1I hit, so this
+    /// is what `n` such [`Hierarchy::fetch`] calls do to the hierarchy.
+    pub fn refetch(&mut self, slot: LineSlot, n: u64) {
+        self.l1i.rehit(slot, n);
     }
 
     /// The rest of [`Hierarchy::access`] after an L1 miss.

@@ -28,6 +28,6 @@ mod cache;
 mod hierarchy;
 mod stats;
 
-pub use cache::{Cache, CacheConfig};
+pub use cache::{Cache, CacheConfig, LineSlot};
 pub use hierarchy::{AccessKind, AccessResult, Hierarchy, HierarchyConfig, HitLevel};
 pub use stats::{CacheStats, HierarchyStats};

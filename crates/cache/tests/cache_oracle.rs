@@ -379,3 +379,131 @@ fn hierarchy_fills_match_reference_caches_under_misses() {
         run_hierarchy(seed);
     }
 }
+
+/// Repeated fetches of one code line, collapsed as the pipeline's block
+/// path collapses them ([`Hierarchy::refetch`] while the L1I still holds
+/// the line, a full [`Hierarchy::fetch`] otherwise), against the
+/// reference replaying every fetch. Data accesses between the fetches
+/// miss often enough that LLC evictions back-invalidate the code line,
+/// and the line itself is flushed now and then. Outside the pending
+/// count every level's contents and counters must agree after every
+/// operation (the L1I's counters only once the count is charged), and a
+/// final sweep that fills every L1I set twice over must evict lines in
+/// the same LRU order.
+fn run_refetch(seed: u64) {
+    let cfg = HierarchyConfig {
+        l1i: level(2, 2, LATENCY[0]),
+        l1d: level(2, 2, LATENCY[0]),
+        l2: level(4, 4, LATENCY[1]),
+        llc: level(8, 4, LATENCY[2]),
+        memory_latency: LATENCY[3],
+        inclusive_llc: true,
+    };
+    let mut h = Hierarchy::new(cfg);
+    let mut r = RefHierarchy {
+        l1i: Reference::new(2, 2),
+        l1d: Reference::new(2, 2),
+        l2: Reference::new(4, 4),
+        llc: Reference::new(8, 4),
+        memory_accesses: 0,
+    };
+    let lines = 4 * 8 * 4;
+    let mut rng = SplitMix64::new(seed ^ 0x5245_4649);
+    let code = |rng: &mut SplitMix64| rng.range_u64(0, 8) * 8 * LINE;
+    let mut line = code(&mut rng);
+    let mut slot = None;
+    let mut pending = 0u64;
+    let (mut collapsed, mut invalidated) = (0u64, 0u64);
+    for op in 0..OPS {
+        let kind = rng.range_u64(0, 100);
+        let ctx = format!("seed {seed} op {op} kind {kind} line {line:#x}");
+        let mut checked = vec![line];
+        match kind {
+            0..=54 => {
+                match slot.filter(|&s| h.l1i_holds(s)) {
+                    Some(_) => {
+                        pending += 1;
+                        collapsed += 1;
+                    }
+                    None => {
+                        if let Some(s) = slot.filter(|_| pending > 0) {
+                            h.refetch(s, pending);
+                            invalidated += 1;
+                        }
+                        pending = 0;
+                        slot = Some(h.fetch(line));
+                    }
+                }
+                r.access(line, AccessKind::InstFetch);
+            }
+            55..=64 => {
+                if let Some(s) = slot.filter(|_| pending > 0) {
+                    h.refetch(s, pending);
+                }
+                pending = 0;
+                slot = None;
+                line = code(&mut rng);
+                checked.push(line);
+            }
+            65..=94 => {
+                let a = rng.range_u64(0, lines) * LINE;
+                let kind = [AccessKind::DataRead, AccessKind::DataWrite][(kind % 2) as usize];
+                let got = h.access(a, kind);
+                let (want, evicted) = r.access(a, kind);
+                assert_eq!((got.latency, got.level), want, "{ctx}");
+                checked.push(a);
+                checked.extend(evicted);
+            }
+            _ => {
+                h.flush(line);
+                r.flush(line);
+            }
+        }
+        for addr in checked {
+            let (mut got, want) = (hierarchy_view(&h, addr), reference_view(&r, addr));
+            if pending > 0 {
+                // The L1I's counters lag by the pending fetches.
+                got[0].1 = want[0].1;
+            }
+            assert_eq!(got, want, "levels at {addr:#x}: {ctx}");
+        }
+        assert_eq!(h.stats().memory_accesses, r.memory_accesses, "{ctx}");
+    }
+    if let Some(s) = slot.filter(|_| pending > 0) {
+        h.refetch(s, pending);
+    }
+    assert_eq!(
+        hierarchy_view(&h, line),
+        reference_view(&r, line),
+        "seed {seed}: charged"
+    );
+    // Sweep fresh lines through every L1I set: each fill evicts the
+    // least recently fetched line, so the order of the survivors shows.
+    for k in 0..8 {
+        let a = (lines + k) * LINE;
+        h.access(a, AccessKind::InstFetch);
+        r.access(a, AccessKind::InstFetch);
+        for set in 0..2 {
+            assert_eq!(
+                contents(h.l1i(), set * LINE),
+                r.l1i.contents(set * LINE),
+                "seed {seed}: sweep {k} set {set}"
+            );
+        }
+    }
+    assert!(
+        collapsed > OPS as u64 / 4,
+        "seed {seed}: {collapsed} collapsed fetches"
+    );
+    assert!(
+        invalidated > 0,
+        "seed {seed}: the line never left the L1I mid-count"
+    );
+}
+
+#[test]
+fn collapsed_line_refetches_match_per_access_replay() {
+    for seed in 0..SEEDS {
+        run_refetch(seed);
+    }
+}

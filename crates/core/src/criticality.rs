@@ -100,6 +100,37 @@ impl CriticalityPredictor {
         signal
     }
 
+    /// Records `n` scalar instructions at once: what `n` calls of
+    /// `observe(0)` do to the window. Returns the gate signal the last
+    /// window boundary crossed raised, if any; a scalar instruction never
+    /// raises a wake (a weight at or above `high` woke on the observation
+    /// that reached it).
+    pub fn observe_scalar(&mut self, n: u64) -> CriticalitySignal {
+        let window = u64::from(self.thresholds.window);
+        let total = u64::from(self.insts_in_window) + n;
+        if total < window {
+            self.insts_in_window = total as u32;
+            return CriticalitySignal::None;
+        }
+        // The first boundary closes the current window; any later one
+        // closes an empty window, whose zero weight is at or below `low`.
+        let gate = self.weight <= self.thresholds.low || total >= 2 * window;
+        self.insts_in_window = (total % window) as u32;
+        self.weight = 0;
+        self.woke_this_window = false;
+        if gate {
+            CriticalitySignal::Gate
+        } else {
+            CriticalitySignal::None
+        }
+    }
+
+    /// How many more instructions the current window takes before the
+    /// one that closes it.
+    pub fn until_boundary(&self) -> u64 {
+        u64::from(self.thresholds.window - 1 - self.insts_in_window)
+    }
+
     /// Resets window state.
     pub fn reset(&mut self) {
         self.insts_in_window = 0;
@@ -200,5 +231,35 @@ mod tests {
             low: 5,
             high: 5,
         });
+    }
+
+    #[test]
+    fn observe_scalar_is_repeated_scalar_observation() {
+        let t = DevecThresholds {
+            window: 8,
+            low: 1,
+            high: 4,
+        };
+        for prefix in [&[][..], &[2, 0, 0], &[0, 1, 0, 0, 0], &[5, 0]] {
+            for n in 0..30 {
+                let mut one = CriticalityPredictor::new(t);
+                run(&mut one, prefix);
+                let mut batch = one.clone();
+                let until = one.until_boundary();
+                let signals = run(&mut one, &vec![0; n as usize]);
+                let gate = signals.contains(&CriticalitySignal::Gate);
+                assert!(!signals.contains(&CriticalitySignal::Wake));
+                if n <= until {
+                    assert!(!gate, "{prefix:?} + {n}: no window closed");
+                }
+                let want = if gate {
+                    CriticalitySignal::Gate
+                } else {
+                    CriticalitySignal::None
+                };
+                assert_eq!(batch.observe_scalar(n), want, "{prefix:?} + {n}");
+                assert_eq!(format!("{batch:?}"), format!("{one:?}"), "{prefix:?} + {n}");
+            }
+        }
     }
 }

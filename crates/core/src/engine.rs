@@ -72,6 +72,17 @@ pub struct DecodeOutcome<'t> {
     pub vector_class: Option<VectorExecClass>,
 }
 
+/// The bounds of a run the engine need not see decode by decode, from
+/// [`CsdEngine::quiet_run`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QuietRun {
+    /// Scalar decodes the run may take.
+    pub insts: u64,
+    /// The run must end with the retire that brings its elapsed cycles to
+    /// at least this many.
+    pub cycles: u64,
+}
+
 /// What [`CsdEngine::decide`] settled for one decode.
 struct Decision {
     /// The active custom mode, when it has a patch for the instruction.
@@ -243,6 +254,37 @@ impl CsdEngine {
                 Self::report_change(key_cause::GATE, sink);
                 self.emit_gate_delta(gate_was, sink);
             }
+        }
+    }
+
+    /// How far a straight-line run of scalar, native decodes can go with
+    /// the engine doing nothing but count: `None` when the next decode may
+    /// need it (a custom mode is active, or stealth is armed). Otherwise
+    /// the run may take up to `insts` decodes, and must end with the
+    /// retire that brings its elapsed cycles to `cycles` (the stealth
+    /// watchdog's deadline). [`CsdEngine::retire_quiet`] then accounts
+    /// for the run in one call.
+    pub fn quiet_run(&self) -> Option<QuietRun> {
+        if self.active_custom.is_some() {
+            return None;
+        }
+        let cycles = self.stealth.quiet_cycles()?;
+        let insts = self.gate.quiet_scalar_insts();
+        (insts > 0).then_some(QuietRun { insts, cycles })
+    }
+
+    /// Accounts for a run within [`CsdEngine::quiet_run`]'s bounds:
+    /// `insts` native scalar decodes of `uops` µops in all, retired over
+    /// `cycles` cycles. This is what decoding and ticking them one by one
+    /// does, because inside those bounds nothing a decode or a tick
+    /// changes is read before the run ends. Untraced: the block path it
+    /// serves runs only without a sink.
+    pub fn retire_quiet(&mut self, insts: u64, uops: u64, cycles: u64) {
+        self.stats.decoded_insts += insts;
+        self.stats.total_uops += uops;
+        self.gate.on_scalar_insts(insts);
+        if cycles > 0 {
+            self.tick(cycles);
         }
     }
 

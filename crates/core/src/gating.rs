@@ -231,6 +231,34 @@ impl VpuGateController {
         }
     }
 
+    /// How many scalar decodes from now leave the power state alone, so
+    /// that they may be recorded at once ([`VpuGateController::on_scalar_insts`])
+    /// and the cycles they take ticked as one batch. Without a predictor a
+    /// scalar decode changes nothing. With one, a gated unit stays gated
+    /// (a scalar window can only ask to gate), and otherwise the window
+    /// must not close: its gate signal would split the batch's ticks
+    /// between two states.
+    pub fn quiet_scalar_insts(&self) -> u64 {
+        match &self.predictor {
+            Some(p) if self.state != VpuState::Gated => p.until_boundary(),
+            _ => u64::MAX,
+        }
+    }
+
+    /// Records `n` decoded scalar instructions, no more than
+    /// [`VpuGateController::quiet_scalar_insts`] allows: what `n` calls of
+    /// [`VpuGateController::on_scalar_inst`] do.
+    pub fn on_scalar_insts(&mut self, n: u64) {
+        debug_assert!(
+            n <= self.quiet_scalar_insts(),
+            "a batch past the quiet span"
+        );
+        if let Some(p) = &mut self.predictor {
+            let signal = p.observe_scalar(n);
+            self.apply_signal(signal);
+        }
+    }
+
     /// Records a decoded vector instruction of the given criticality
     /// `weight` and returns how it must execute.
     pub fn on_vector_inst(&mut self, weight: u32) -> VectorDecision {

@@ -54,7 +54,7 @@ mod stealth;
 
 pub use criticality::{CriticalityPredictor, CriticalitySignal, DevecThresholds};
 pub use devec::{DevecStats, Devectorizer};
-pub use engine::{CsdConfig, CsdEngine, CsdStats, DecodeOutcome};
+pub use engine::{CsdConfig, CsdEngine, CsdStats, DecodeOutcome, QuietRun};
 pub use gating::{GateStats, VectorDecision, VpuGateController, VpuPolicy, VpuState};
 pub use mcu::{
     McuError, McuHeader, MicrocodeUpdate, MsromPatchTable, OpcodeClass, PrivilegeLevel,

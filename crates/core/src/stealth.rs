@@ -152,6 +152,23 @@ impl StealthTranslator {
         }
     }
 
+    /// How many cycles may elapse with nothing for the translator to do
+    /// but count down: `None` while armed (the next sensitive decode may
+    /// inject), the watchdog's remaining count while it runs, and
+    /// unbounded when no watchdog can fire. Decodes stay uninterrupted up
+    /// to and including the retire whose tick reaches the count, since
+    /// that tick is what re-arms.
+    pub fn quiet_cycles(&self) -> Option<u64> {
+        if self.armed() {
+            return None;
+        }
+        Some(if self.enabled && self.watchdog_period != 0 {
+            self.watchdog_remaining
+        } else {
+            u64::MAX
+        })
+    }
+
     /// Whether `placed` is an instruction stealth mode intercepts:
     /// a load/store/branch that is tainted (DIFT trigger) or whose PC is
     /// marked in a scratchpad register (antivirus trigger).

@@ -175,6 +175,12 @@ impl Program {
         self.insts.is_empty()
     }
 
+    /// The placed instructions in address order, indexed by their dense
+    /// index ([`Fetched::index`]).
+    pub fn placed(&self) -> &[Placed] {
+        &self.insts
+    }
+
     /// Resolves `addr` to the instruction starting at that address.
     pub fn fetch(&self, addr: u64) -> Option<&Placed> {
         self.index_of(addr).map(|i| &self.insts[i])

@@ -20,7 +20,16 @@
 //! instruction alone. The loop holds the program and the table apart from
 //! the machine state for the whole run, so the later stages read the
 //! instruction and the flow borrowed from them.
+//!
+//! An untraced functional batch also takes the block path
+//! ([`crate::block`]): while the CSD engine is quiescent, a straight-line
+//! run of instructions retires as one step, through the same executor,
+//! with its fetch, µop-cache and commit bookkeeping charged per L1I line,
+//! per µop-cache window and per run. Each instruction that ends a run or
+//! that the engine could act on goes through the per-instruction retire,
+//! and every stop leaves the machine exactly as that retire would.
 
+use crate::block::{self, Steps};
 use crate::branch::BranchPredictor;
 use crate::clock::ceil_u64;
 use crate::config::CoreConfig;
@@ -343,6 +352,8 @@ pub struct Core {
     pub(crate) sink: SinkHandle,
     /// Per-instruction µop flows; moved out while [`Core::run`] runs.
     flows: FlowTable,
+    /// The block path's per-instruction records; moved out with `flows`.
+    steps: Steps,
     ckpt: CheckpointStats,
     /// The program index after the last fetched instruction: where the
     /// next fetch looks first ([`Program::fetch_hinted`]). Only a guess,
@@ -374,6 +385,7 @@ impl Core {
             m: Machine::new(&cfg, csd_cfg, program.entry()),
             sink: SinkHandle::new(),
             flows,
+            steps: Steps::default(),
             ckpt: CheckpointStats::default(),
             fetch_hint: 0,
             dispatch_step: 1.0 / cfg.dispatch_width as f64,
@@ -620,8 +632,15 @@ impl Core {
 
     /// Runs until halt, fault, or `max_insts` retired. Returns the outcome
     /// of the last instruction (`Running` when `max_insts` is 0).
+    ///
+    /// An untraced functional run (no sink attached, the flow table
+    /// enabled) retires straight-line runs of instructions in one step
+    /// while the CSD engine is quiescent (the block path, `block.rs`),
+    /// and each instruction the engine could act on, or that ends a run,
+    /// one at a time. Every state and counter ends exactly as retiring
+    /// one instruction at a time leaves it, at every stop.
     pub fn run(&mut self, max_insts: u64) -> StepOutcome {
-        self.run_batch(max_insts, |_| false)
+        self.run_batch(max_insts, u64::MAX)
     }
 
     /// Runs until the cycle counter advances by at least `cycles` (or the
@@ -629,57 +648,72 @@ impl Core {
     /// attacker probes at a fixed cadence.
     pub fn run_cycles(&mut self, cycles: u64) -> StepOutcome {
         let target = self.cycles() + cycles;
-        self.run_batch(u64::MAX, |c| c.cycles() >= target)
+        self.run_batch(u64::MAX, target)
     }
 
     /// The batched loop behind [`Core::run`] and [`Core::run_cycles`]:
     /// retires up to `max_insts` macro-ops, stopping early on halt, on a
-    /// fault, or once `stop` holds (checked before each instruction). The
-    /// program and the flow table are moved out of the core for the whole
-    /// batch, so fetch and decode can hand the later stages an
-    /// instruction and a flow borrowed from them while those stages
-    /// mutate the machine.
+    /// fault, or once the cycle count reaches `target` (checked after
+    /// each instruction). The program, the flow table and the block
+    /// records are moved out of the core for the whole batch, so fetch
+    /// and decode can hand the later stages an instruction and a flow
+    /// borrowed from them while those stages mutate the machine.
     ///
     /// Whether the core's sink is attached is tested here, once: nothing
     /// inside a batch can attach or detach it, so the stages run
     /// monomorphised on the answer (`TRACE`), and without a sink they
     /// contain no emission site. The stages lend the sink to the engine
     /// calls they make, so engine events need no second test.
-    fn run_batch(&mut self, max_insts: u64, stop: impl Fn(&Core) -> bool) -> StepOutcome {
-        if max_insts == 0 || stop(self) {
+    fn run_batch(&mut self, max_insts: u64, target: u64) -> StepOutcome {
+        if max_insts == 0 || self.cycles() >= target {
             return StepOutcome::Running;
         }
         if self.m.halted {
             return StepOutcome::Halted;
         }
         let mut flows = std::mem::take(&mut self.flows);
+        let mut steps = std::mem::take(&mut self.steps);
         let program = std::mem::take(&mut self.program);
         let last = if self.sink.is_attached() {
-            self.retire_batch::<true>(max_insts, &stop, &program, &mut flows)
+            self.retire_batch::<true>(max_insts, target, &program, &mut flows, &mut steps)
         } else {
-            self.retire_batch::<false>(max_insts, &stop, &program, &mut flows)
+            self.retire_batch::<false>(max_insts, target, &program, &mut flows, &mut steps)
         };
         self.program = program;
+        self.steps = steps;
         self.flows = flows;
         last
     }
 
-    /// Retires up to `max_insts` macro-ops for [`Core::run_batch`].
+    /// Retires up to `max_insts` macro-ops for [`Core::run_batch`]: block
+    /// runs where the block path applies, one instruction at a time
+    /// between and otherwise.
     fn retire_batch<const TRACE: bool>(
         &mut self,
         max_insts: u64,
-        stop: &impl Fn(&Core) -> bool,
+        target: u64,
         program: &Program,
         flows: &mut FlowTable,
+        steps: &mut Steps,
     ) -> StepOutcome {
-        let mut last = StepOutcome::Running;
-        for _ in 0..max_insts {
-            last = self.retire_one::<TRACE>(program, flows);
-            if last != StepOutcome::Running || stop(self) {
-                break;
+        let blocks = !TRACE && self.mode == SimMode::Functional && flows.enabled();
+        // `run` sets no cycle target: its loop reads no clock.
+        let timed = target != u64::MAX;
+        let mut left = max_insts;
+        loop {
+            if blocks {
+                let n = block::run(self, program, flows, steps, left, target);
+                left -= n;
+                if n > 0 && (left == 0 || (timed && self.cycles() >= target)) {
+                    return StepOutcome::Running;
+                }
+            }
+            let last = self.retire_one::<TRACE>(program, flows);
+            left -= 1;
+            if last != StepOutcome::Running || left == 0 || (timed && self.cycles() >= target) {
+                return last;
             }
         }
-        last
     }
 
     /// Fetch, decode, execute and commit one macro-op.

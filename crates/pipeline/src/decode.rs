@@ -33,7 +33,8 @@ pub(crate) fn run<'t, const TRACE: bool>(
     flows: &'t mut FlowTable,
 ) -> Decoded<'t> {
     let placed = &f.inst.placed;
-    let tainted = macro_tainted(core, &placed.inst);
+    // Only an armed stealth window reads the verdict.
+    let tainted = core.m.engine.stealth().armed() && macro_tainted(core, &placed.inst);
     let out = core.m.engine.decode_memo_traced::<TRACE>(
         placed,
         f.inst.index,
@@ -93,19 +94,13 @@ fn front_end<const TRACE: bool>(core: &mut Core, f: &Fetch, out: &DecodeOutcome)
     // delivery.
     let from_uc = if core.cfg.uop_cache_enabled {
         let window = UopCache::window_of(placed.addr);
-        if core.m.ucache.lookup(window, out.context) {
-            emit_ucache::<TRACE>(core, window, out.context, true);
-            core.m.stats.uop_cache_insts += 1;
-            finalize_window(core);
-            true
-        } else {
-            emit_ucache::<TRACE>(core, window, out.context, false);
-            count_legacy(core, facts.from_msrom);
-            build_window(core, window, out.context, fused, facts.cacheable);
-            false
-        }
+        let hit = core.m.ucache.lookup(window, out.context);
+        emit_ucache::<TRACE>(core, window, out.context, hit);
+        let d = Delivery::one(fused, facts.cacheable, facts.from_msrom);
+        deliver(core, hit, window, out.context, d);
+        hit
     } else {
-        count_legacy(core, facts.from_msrom);
+        count_legacy(core, 1, u64::from(facts.from_msrom));
         false
     };
     if core.mode == SimMode::Functional {
@@ -144,12 +139,48 @@ fn emit_ucache<const TRACE: bool>(core: &mut Core, window: u64, ctx: ContextId, 
     }
 }
 
-fn count_legacy(core: &mut Core, from_msrom: bool) {
-    if from_msrom {
-        core.m.stats.msrom_insts += 1;
-    } else {
-        core.m.stats.legacy_insts += 1;
+/// Instructions of one µop-cache window delivered back to back under one
+/// context: their count, fused slots, whether all are cacheable, and how
+/// many the MSROM sequences.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Delivery {
+    pub insts: u64,
+    pub fused: u32,
+    pub cacheable: bool,
+    pub msrom: u64,
+}
+
+impl Delivery {
+    /// One instruction's delivery.
+    pub(crate) fn one(fused: u32, cacheable: bool, from_msrom: bool) -> Delivery {
+        Delivery {
+            insts: 1,
+            fused,
+            cacheable,
+            msrom: u64::from(from_msrom),
+        }
     }
+}
+
+/// Charges the delivery of `d` after a µop-cache lookup of `window` that
+/// `hit` (one lookup per instruction): a hit streams from the µop cache
+/// and ends window building, a miss decodes through the legacy pipeline
+/// and adds to the window being built.
+pub(crate) fn deliver(core: &mut Core, hit: bool, window: u64, ctx: ContextId, d: Delivery) {
+    if hit {
+        core.m.stats.uop_cache_insts += d.insts;
+        finalize_window(core);
+    } else {
+        count_legacy(core, d.insts, d.msrom);
+        build_window(core, window, ctx, d.fused, d.cacheable);
+    }
+}
+
+/// Counts `insts` legacy-decoded instructions, `msrom` of them
+/// microsequenced.
+pub(crate) fn count_legacy(core: &mut Core, insts: u64, msrom: u64) {
+    core.m.stats.msrom_insts += msrom;
+    core.m.stats.legacy_insts += insts - msrom;
 }
 
 fn build_window(core: &mut Core, window: u64, ctx: ContextId, fused: u32, cacheable: bool) {

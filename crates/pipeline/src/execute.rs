@@ -15,7 +15,7 @@ use csd_cache::AccessKind;
 use csd_dift::DIFT_L2_TAG_PENALTY;
 use csd_telemetry::StoreEvent;
 use csd_uops::{fusion, DecoyTarget, FOp, FWidth, Src, UMem, UReg, Uop, UopKind};
-use mx86_isa::{Fetched, Gpr, Inst};
+use mx86_isa::{Fetched, Gpr, Inst, Placed};
 
 /// Executes (and in cycle mode, times) the decoded µop flow; returns how
 /// it ended control-wise. Store events, and the context-change event of
@@ -48,7 +48,8 @@ fn execute_flow<const TRACE: bool>(
             core.m.last_dispatch = slot_dispatch;
         }
 
-        let (effect, access_latency, mispredicted) = exec_uop::<TRACE>(core, u, fetched);
+        let (effect, access_latency, mispredicted) =
+            exec_uop::<TRACE>(core, u, fetched.placed, fetched.next);
 
         if timing {
             time_uop(core, u, slot_dispatch, access_latency, mispredicted);
@@ -71,17 +72,19 @@ fn execute_flow<const TRACE: bool>(
     end
 }
 
-/// Functionally executes one µop. Returns its control effect, the
-/// hierarchy access latency of a memory µop, and whether a (non-decoy)
-/// branch µop was mispredicted.
+/// Functionally executes one µop of the macro-op `placed`, whose
+/// successor starts at `next`. Returns its control effect, the hierarchy
+/// access latency of a memory µop, and whether a (non-decoy) branch µop
+/// was mispredicted. The one executor: the per-instruction path and the
+/// block path ([`crate::block`]) both run every µop through it.
 #[inline(always)]
-fn exec_uop<const TRACE: bool>(
+pub(crate) fn exec_uop<const TRACE: bool>(
     core: &mut Core,
     u: &Uop,
-    fetched: &Fetched,
+    placed: &Placed,
+    next: u64,
 ) -> (UopEffect, u64, bool) {
     use UopKind as K;
-    let placed = &fetched.placed;
     // Decoy µops: only the cache touch is real; dataflow stays in
     // temporaries and flags/control are suppressed.
     if let Some(target) = u.decoy {
@@ -265,7 +268,7 @@ fn exec_uop<const TRACE: bool>(
         }
         K::JmpImm { target } => {
             if matches!(placed.inst, Inst::Call { .. }) {
-                core.m.bp.on_call(fetched.next);
+                core.m.bp.on_call(next);
             }
             effect = UopEffect::Branch(target);
         }

@@ -45,6 +45,7 @@
 
 #![warn(missing_docs)]
 
+mod block;
 mod branch;
 mod clock;
 mod commit;

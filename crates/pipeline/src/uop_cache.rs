@@ -166,6 +166,27 @@ impl UopCache {
         self.scan(window, ctx)
     }
 
+    /// `n` back-to-back lookups of one window under one context, with no
+    /// insert or flush between them, at the cost of one: they all hit or
+    /// all miss, every miss meets the same context conflict, and a hit
+    /// window ends with the last of the `n` clock stamps.
+    pub fn lookup_repeat(&mut self, window: u64, ctx: ContextId, n: u64) -> bool {
+        let conflicts = self.stats.context_conflicts;
+        let hit = self.lookup(window, ctx);
+        let more = n.saturating_sub(1);
+        self.stats.lookups += more;
+        self.clock += more;
+        if hit {
+            self.stats.hits += more;
+            if let Some((_, _, i)) = self.last_hit {
+                self.slots[i].stamp = self.clock;
+            }
+        } else {
+            self.stats.context_conflicts += more * (self.stats.context_conflicts - conflicts);
+        }
+        hit
+    }
+
     /// [`UopCache::lookup`] past the remembered slot: searches the set.
     #[inline(never)]
     fn scan(&mut self, window: u64, ctx: ContextId) -> bool {
@@ -367,5 +388,38 @@ mod tests {
         assert_eq!(UopCache::window_of(0x1000), 0x80);
         assert_eq!(UopCache::window_of(0x101F), 0x80);
         assert_eq!(UopCache::window_of(0x1020), 0x81);
+    }
+
+    #[test]
+    fn lookup_repeat_is_repeated_lookups() {
+        let w = |i: u64| 0x100 + i * 32;
+        for (window, ctx) in [
+            (w(0), ContextId::Native),
+            (w(1), ContextId::Native),
+            (w(0), ContextId::Devectorize),
+            (w(9), ContextId::Native),
+        ] {
+            for n in 1..5 {
+                let mut one = cache();
+                for i in 0..4 {
+                    one.insert(w(i), ContextId::Native, 12, true);
+                }
+                let mut batch = one.clone();
+                let hits: Vec<bool> = (0..n).map(|_| one.lookup(window, ctx)).collect();
+                let hit = batch.lookup_repeat(window, ctx, n);
+                assert!(hits.iter().all(|&h| h == hit));
+                assert_eq!(batch.stats(), one.stats());
+                // The same window is least recent afterwards on both.
+                for c in [&mut one, &mut batch] {
+                    c.insert(w(4), ContextId::Native, 12, true);
+                }
+                for i in 0..5 {
+                    assert_eq!(
+                        batch.lookup(w(i), ContextId::Native),
+                        one.lookup(w(i), ContextId::Native)
+                    );
+                }
+            }
+        }
     }
 }

@@ -218,6 +218,11 @@ impl FlowTable {
         }
     }
 
+    /// Counts `n` decodes served from the table at once.
+    pub fn record_hits(&mut self, n: u64) {
+        self.stats.hits += n;
+    }
+
     /// Zeroes the counters; the stored flows stay, since nothing that
     /// resets counters can change what an instruction translates to.
     pub fn reset_stats(&mut self) {
@@ -250,12 +255,17 @@ impl FlowTable {
         stored
     }
 
+    /// The µops of a flow this table stored.
+    #[inline]
+    pub fn uops(&self, stored: Stored) -> &[Uop] {
+        let start = stored.start as usize;
+        &self.arena[start..start + stored.facts.uops as usize]
+    }
+
     /// A flow this table stored, borrowed from it.
     #[inline]
     pub fn get(&self, stored: Stored) -> FlowRef<'_> {
-        let start = stored.start as usize;
-        let uops = &self.arena[start..start + stored.facts.uops as usize];
-        FlowRef::Table(uops, stored.facts)
+        FlowRef::Table(self.uops(stored), stored.facts)
     }
 }
 

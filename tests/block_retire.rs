@@ -1,0 +1,418 @@
+//! The block path against the per-instruction path, stop by stop.
+//!
+//! An untraced functional core retires straight-line runs of instructions
+//! in one step while the CSD engine is quiescent; a core with a sink
+//! attached retires every instruction on its own. Each test builds the
+//! same core twice, attaches a sink to one twin, and drives both the same
+//! way: one `run(N)`, `run(1)` per instruction, seeded random `run(k)`
+//! chunks, and seeded random `run_cycles(k)` budgets. At every stop the
+//! outcome, `cycles()`, the registers, flags and PC, the memory the
+//! program touches and the whole `telemetry_report()` must be identical.
+//!
+//! The programs cover what ends a run or bounds it: AES undefended and
+//! under stealth with watchdog periods that expire inside an encryption,
+//! RSA's loops, generated difftest programs (`rdmsr`, `wrmsr`, `clflush`,
+//! vector instructions) under conventional and CSD gating, with stealth
+//! armed and with an MCU custom mode active, and a hand-written loop with
+//! `rdtsc`, a `clflush` of its own code line and loads whose LLC
+//! evictions back-invalidate the code line mid-run, on a tiny hierarchy.
+
+use csd_difftest::generator::{DATA_BASE, DATA_SIZE, STACK_TOP};
+use csd_difftest::harness::STEALTH_WATCHDOG;
+use csd_difftest::Generator;
+use csd_repro::attack::{victim_core, Defense};
+use csd_repro::cache::{CacheConfig, HierarchyConfig};
+use csd_repro::core::{
+    ContextId, CsdConfig, DevecThresholds, MicrocodeUpdate, OpcodeClass, PrivilegeLevel, VpuPolicy,
+};
+use csd_repro::crypto::{arm_stealth, AesKeySize, AesVictim, CipherDir, RsaVictim, Victim};
+use csd_repro::isa::{AddrRange, AluOp, Assembler, Cc, Gpr, Inst, MemRef, Program, Xmm};
+use csd_repro::pipeline::{Core, CoreConfig, SimMode, StepOutcome};
+use csd_repro::telemetry::{CountingSink, SplitMix64};
+
+const KEY: [u8; 16] = [
+    0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf, 0x4f, 0x3c,
+];
+
+/// The most instructions one drive retires.
+const BUDGET: u64 = 20_000;
+
+/// How a test drives both twins to the end of one program run.
+#[derive(Debug, Clone, Copy)]
+enum Schedule {
+    /// One `run` of every instruction.
+    Whole,
+    /// `run(1)` per instruction.
+    Single,
+    /// `run(k)` with `k` drawn from the seed.
+    Chunks(u64),
+    /// `run_cycles(k)` with `k` drawn from the seed.
+    Cycles(u64),
+}
+
+const SCHEDULES: [Schedule; 6] = [
+    Schedule::Whole,
+    Schedule::Single,
+    Schedule::Chunks(1),
+    Schedule::Chunks(2),
+    Schedule::Cycles(3),
+    Schedule::Cycles(4),
+];
+
+/// Everything compared at a stop.
+#[derive(Debug, PartialEq)]
+struct Seen {
+    outcome: StepOutcome,
+    cycles: u64,
+    gprs: Vec<u64>,
+    xmms: Vec<(u64, u64)>,
+    flags: String,
+    rip: u64,
+    memory: Vec<Vec<u8>>,
+    report: String,
+}
+
+fn seen(core: &Core, outcome: StepOutcome, memory: &[AddrRange]) -> Seen {
+    let s = core.state();
+    Seen {
+        outcome,
+        cycles: core.cycles(),
+        gprs: s.gprs().to_vec(),
+        xmms: s.xmms().to_vec(),
+        flags: format!("{:?}", s.flags),
+        rip: s.rip,
+        memory: memory
+            .iter()
+            .map(|r| core.mem().read_bytes(r.start, r.len() as usize))
+            .collect(),
+        report: core.telemetry_report().pretty(),
+    }
+}
+
+/// A core without a sink (the block path) and its twin with one (one
+/// instruction at a time).
+struct Twins {
+    fast: Core,
+    slow: Core,
+    memory: Vec<AddrRange>,
+}
+
+impl Twins {
+    fn new(build: impl Fn() -> Core, memory: Vec<AddrRange>) -> Twins {
+        let fast = build();
+        let mut slow = build();
+        slow.set_event_sink(Box::new(CountingSink::default()));
+        Twins { fast, slow, memory }
+    }
+
+    /// Applies `step` to both twins and compares them.
+    fn step(&mut self, what: &str, step: impl Fn(&mut Core) -> StepOutcome) -> StepOutcome {
+        let a = step(&mut self.fast);
+        let b = step(&mut self.slow);
+        assert_eq!(
+            seen(&self.fast, a, &self.memory),
+            seen(&self.slow, b, &self.memory),
+            "{what}"
+        );
+        a
+    }
+
+    /// Drives both twins to the end of the program, or past `BUDGET`
+    /// more instructions (a program whose loop counter a custom mode
+    /// patches away never ends), under `schedule`, comparing them at
+    /// every stop. Returns the number of stops.
+    fn drive(&mut self, what: &str, schedule: Schedule) -> u64 {
+        let end = self.fast.stats().insts + BUDGET;
+        let mut rng = match schedule {
+            Schedule::Chunks(seed) | Schedule::Cycles(seed) => SplitMix64::new(seed),
+            Schedule::Whole | Schedule::Single => SplitMix64::new(0),
+        };
+        let mut stops = 0;
+        loop {
+            let out = match schedule {
+                Schedule::Whole => self.step(what, |c| c.run(BUDGET)),
+                Schedule::Single => self.step(what, Core::step),
+                Schedule::Chunks(_) => {
+                    let k = rng.range_u64(1, 65);
+                    self.step(what, |c| c.run(k))
+                }
+                Schedule::Cycles(_) => {
+                    let k = rng.range_u64(1, 101);
+                    self.step(what, |c| c.run_cycles(k))
+                }
+            };
+            stops += 1;
+            if out != StepOutcome::Running || self.fast.stats().insts >= end {
+                return stops;
+            }
+        }
+    }
+}
+
+/// Runs `victim` on twin cores from `build` under every schedule, three
+/// operations each, comparing at every stop and the outputs at the end.
+fn victim_twins(what: &str, victim: &dyn Victim, build: impl Fn() -> Core, inputs: &[Vec<u8>]) {
+    let mut memory = victim.sensitive_data_ranges();
+    memory.extend(victim.sensitive_inst_ranges());
+    for schedule in SCHEDULES {
+        let mut t = Twins::new(&build, memory.clone());
+        for (i, input) in inputs.iter().enumerate() {
+            let what = format!("{what} {schedule:?} op {i}");
+            victim.prepare(&mut t.fast, input);
+            victim.prepare(&mut t.slow, input);
+            t.drive(&what, schedule);
+            assert!(t.fast.halted(), "{what}: the victim halts");
+            let out = victim.collect(&t.fast);
+            assert_eq!(out, victim.collect(&t.slow), "{what}: output");
+        }
+    }
+}
+
+fn aes() -> AesVictim {
+    AesVictim::new(AesKeySize::K128, CipherDir::Encrypt, &KEY)
+}
+
+fn aes_inputs() -> Vec<Vec<u8>> {
+    (0..3u8)
+        .map(|k| (0..16u8).map(|b| b * 7 + k).collect())
+        .collect()
+}
+
+#[test]
+fn block_path_matches_per_instruction_on_undefended_aes() {
+    let v = aes();
+    victim_twins(
+        "aes undefended",
+        &v,
+        || victim_core(&v, SimMode::Functional, Defense::None),
+        &aes_inputs(),
+    );
+}
+
+/// Watchdog periods from one cycle to longer than an encryption: the
+/// watchdog re-arms stealth inside a run, which must end the run there.
+#[test]
+fn block_path_matches_per_instruction_on_stealth_aes() {
+    let v = aes();
+    for period in [1, 37, 400, 1000, 5000] {
+        let build = || {
+            victim_core(
+                &v,
+                SimMode::Functional,
+                Defense::Stealth {
+                    watchdog_period: period,
+                },
+            )
+        };
+        victim_twins(
+            &format!("aes stealth period {period}"),
+            &v,
+            build,
+            &aes_inputs(),
+        );
+        let mut core = build();
+        v.run_once(&mut core, &aes_inputs()[0]);
+        assert!(
+            core.stats().decoy_uops > 0,
+            "period {period}: stealth fired"
+        );
+    }
+}
+
+#[test]
+fn block_path_matches_per_instruction_on_rsa() {
+    let v = RsaVictim::new(0xDEAD_BEEF, 65_521);
+    let inputs: Vec<Vec<u8>> = [3u64, 12_345, 65_000]
+        .iter()
+        .map(|b| b.to_le_bytes().to_vec())
+        .collect();
+    for defense in [Defense::None, Defense::stealth_default()] {
+        victim_twins(
+            &format!("rsa {defense:?}"),
+            &v,
+            || victim_core(&v, SimMode::Functional, defense),
+            &inputs,
+        );
+    }
+}
+
+/// How a generated program's core is configured.
+#[derive(Debug, Clone, Copy)]
+enum Setup {
+    Conventional,
+    CsdDevec,
+    Stealth,
+    CustomMode,
+}
+
+fn difftest_core(program: &Program, setup: Setup) -> Core {
+    let cfg = CoreConfig {
+        dift_enabled: matches!(setup, Setup::Stealth),
+        ..CoreConfig::default()
+    };
+    let vpu_policy = match setup {
+        Setup::Conventional => VpuPolicy::Conventional {
+            idle_gate_cycles: 16,
+        },
+        _ => VpuPolicy::CsdDevec(DevecThresholds {
+            window: 8,
+            low: 1,
+            high: 16,
+        }),
+    };
+    let csd = CsdConfig {
+        vpu_policy,
+        ..CsdConfig::default()
+    };
+    let mut core = Core::new(cfg, csd, program.clone(), SimMode::Functional);
+    core.state_mut().set_gpr(Gpr::Rsp, STACK_TOP);
+    match setup {
+        Setup::Stealth => {
+            arm_stealth(
+                &mut core,
+                &[AddrRange::new(DATA_BASE, DATA_BASE + 128)],
+                &[AddrRange::new(program.entry(), program.entry() + 128)],
+                STEALTH_WATCHDOG,
+            );
+            core.dift_mut()
+                .taint_memory(AddrRange::new(DATA_BASE, DATA_BASE + DATA_SIZE));
+        }
+        Setup::CustomMode => {
+            let mcu = MicrocodeUpdate::new(
+                1,
+                OpcodeClass::MovRI,
+                ContextId::Custom(0),
+                true,
+                vec![Inst::Nop { len: 1 }],
+            );
+            core.engine_mut()
+                .apply_microcode_update(&mcu, PrivilegeLevel::Kernel)
+                .expect("verified update");
+            core.engine_mut().set_custom_mode(Some(0));
+        }
+        Setup::Conventional | Setup::CsdDevec => {}
+    }
+    core
+}
+
+fn program_memory() -> Vec<AddrRange> {
+    vec![
+        AddrRange::new(DATA_BASE, DATA_BASE + DATA_SIZE),
+        AddrRange::new(STACK_TOP - 0x1000, STACK_TOP),
+    ]
+}
+
+#[test]
+fn block_path_matches_per_instruction_on_generated_programs() {
+    for seed in 0..6 {
+        let program = Generator::new(seed).program().assemble().unwrap();
+        for setup in [
+            Setup::Conventional,
+            Setup::CsdDevec,
+            Setup::Stealth,
+            Setup::CustomMode,
+        ] {
+            for schedule in SCHEDULES {
+                let what = format!("difftest seed {seed} {setup:?} {schedule:?}");
+                let mut t = Twins::new(|| difftest_core(&program, setup), program_memory());
+                t.drive(&what, schedule);
+                // A second run over warm caches and a built table.
+                t.fast.restart();
+                t.slow.restart();
+                t.drive(&what, schedule);
+            }
+        }
+    }
+}
+
+/// A tiny hierarchy whose LLC sets hold four lines, so a few loads evict
+/// the code line being fetched and back-invalidate it from the L1I.
+fn tiny_hierarchy() -> HierarchyConfig {
+    let level = |size_bytes, ways, latency| CacheConfig {
+        size_bytes,
+        ways,
+        line_bytes: 64,
+        latency,
+    };
+    HierarchyConfig {
+        l1i: level(512, 2, 1),
+        l1d: level(512, 2, 1),
+        l2: level(1024, 4, 4),
+        llc: level(2048, 4, 10),
+        memory_latency: 50,
+        inclusive_llc: true,
+    }
+}
+
+/// A loop whose straight-line body reads the cycle counter, flushes its
+/// own code line, loads from addresses that share the code line's LLC
+/// set, and ends in a fusable `cmp`/`jcc`; a vector instruction and a
+/// divide sit in the body too.
+fn hazard_loop() -> Program {
+    let data = 0x10_0000u64;
+    let mut a = Assembler::new(0x1000);
+    let top = a.fresh_label();
+    a.mov_ri(Gpr::Rcx, 24);
+    a.mov_ri(Gpr::Rbx, data as i64);
+    let body = a.here();
+    a.bind(top).unwrap();
+    a.mov_ri(Gpr::Rsi, body as i64);
+    a.alu_rr(AluOp::Add, Gpr::Rax, Gpr::Rcx);
+    for k in 0..6 {
+        // 512-byte stride: every load maps to the LLC set of the body.
+        a.load(Gpr::Rdx, MemRef::base(Gpr::Rbx).with_disp(k * 512 + 8 * k));
+        a.alu_rr(AluOp::Xor, Gpr::Rax, Gpr::Rdx);
+    }
+    a.store(MemRef::base(Gpr::Rbx).with_disp(8), Gpr::Rax);
+    a.rdtsc();
+    a.alu_rr(AluOp::Add, Gpr::Rdi, Gpr::Rax);
+    a.clflush(MemRef::base(Gpr::Rsi));
+    a.mov_ri(Gpr::R8, 7);
+    a.div(Gpr::R8);
+    a.rdmsr(Gpr::R9, 0x100);
+    a.vmov_from_gpr(Xmm::new(1), Gpr::Rdi);
+    a.load(Gpr::Rdx, MemRef::base(Gpr::Rbx).with_disp(2048));
+    a.alu_ri(AluOp::Sub, Gpr::Rcx, 1);
+    a.cmp_ri(Gpr::Rcx, 0);
+    a.jcc(Cc::Ne, top);
+    a.store(MemRef::base(Gpr::Rbx), Gpr::Rdi);
+    a.halt();
+    a.finish().unwrap()
+}
+
+#[test]
+fn block_path_matches_per_instruction_across_invalidations_and_rdtsc() {
+    let program = hazard_loop();
+    let memory = vec![AddrRange::new(0x10_0000, 0x10_1000)];
+    for (uop_cache_enabled, fusion_enabled) in [(true, true), (false, true), (true, false)] {
+        let build = || {
+            let cfg = CoreConfig {
+                hierarchy: tiny_hierarchy(),
+                uop_cache_enabled,
+                fusion_enabled,
+                ..CoreConfig::default()
+            };
+            Core::new(
+                cfg,
+                CsdConfig::default(),
+                program.clone(),
+                SimMode::Functional,
+            )
+        };
+        for schedule in SCHEDULES {
+            let what =
+                format!("hazard loop uc {uop_cache_enabled} fusion {fusion_enabled} {schedule:?}");
+            let mut t = Twins::new(build, memory.clone());
+            t.drive(&what, schedule);
+            t.fast.restart();
+            t.slow.restart();
+            t.drive(&what, schedule);
+        }
+        // The loop's code lines are back-invalidated and flushed while
+        // it runs, so its fetches miss again and again.
+        let mut core = build();
+        core.run(1_000_000);
+        let l1i = core.hierarchy().stats().l1i;
+        assert!(l1i.misses > 24, "{l1i:?}");
+    }
+}
