@@ -187,12 +187,15 @@ impl Hierarchy {
 
     /// An instruction fetch of `addr` ([`Hierarchy::access`] with
     /// [`AccessKind::InstFetch`]) that returns where the L1I holds the
-    /// line afterwards: a hit found it there and a miss filled it.
-    pub fn fetch(&mut self, addr: u64) -> LineSlot {
-        self.access(addr, AccessKind::InstFetch);
-        self.l1i
+    /// line afterwards (a hit found it there and a miss filled it), and
+    /// the access's outcome.
+    pub fn fetch(&mut self, addr: u64) -> (LineSlot, AccessResult) {
+        let r = self.access(addr, AccessKind::InstFetch);
+        let slot = self
+            .l1i
             .slot_of(addr)
-            .expect("a fetch leaves its line in the L1I")
+            .expect("a fetch leaves its line in the L1I");
+        (slot, r)
     }
 
     /// Whether the L1I still holds the line of `slot` (see

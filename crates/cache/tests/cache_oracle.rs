@@ -420,6 +420,8 @@ fn run_refetch(seed: u64) {
         let mut checked = vec![line];
         match kind {
             0..=54 => {
+                let (want, evicted) = r.access(line, AccessKind::InstFetch);
+                checked.extend(evicted);
                 match slot.filter(|&s| h.l1i_holds(s)) {
                     Some(_) => {
                         pending += 1;
@@ -431,10 +433,11 @@ fn run_refetch(seed: u64) {
                             invalidated += 1;
                         }
                         pending = 0;
-                        slot = Some(h.fetch(line));
+                        let (s, got) = h.fetch(line);
+                        assert_eq!((got.latency, got.level), want, "{ctx}");
+                        slot = Some(s);
                     }
                 }
-                r.access(line, AccessKind::InstFetch);
             }
             55..=64 => {
                 if let Some(s) = slot.filter(|_| pending > 0) {

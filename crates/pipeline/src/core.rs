@@ -21,19 +21,20 @@
 //! the machine state for the whole run, so the later stages read the
 //! instruction and the flow borrowed from them.
 //!
-//! An untraced functional batch also takes the block path
-//! ([`crate::block`]): while the CSD engine is quiescent, a straight-line
-//! run of instructions retires as one step, through the same executor,
-//! with its fetch, µop-cache and commit bookkeeping charged per L1I line,
-//! per µop-cache window and per run. Each instruction that ends a run or
-//! that the engine could act on goes through the per-instruction retire,
-//! and every stop leaves the machine exactly as that retire would.
+//! An untraced batch also takes the block path ([`crate::block`]), in
+//! either engine: while the CSD engine is quiescent, a straight-line run
+//! of instructions retires as one step, through the same executor (and,
+//! in the cycle engine, the same timing steps), with its fetch, µop-cache
+//! and commit bookkeeping charged per L1I line, per µop-cache window and
+//! per run. Each instruction that ends a run or that the engine could
+//! act on goes through the per-instruction retire, and every stop leaves
+//! the machine exactly as that retire would.
 
 use crate::block::{self, Steps};
 use crate::branch::BranchPredictor;
 use crate::clock::ceil_u64;
 use crate::config::CoreConfig;
-use crate::decode::WindowBuilder;
+use crate::decode::{Quotients, WindowBuilder};
 use crate::machine::{ArchState, Memory};
 use crate::uop_cache::{UopCache, UopCacheStats};
 use crate::{commit, decode, execute, fetch};
@@ -363,6 +364,8 @@ pub struct Core {
     /// dispatch and commit, divided once here rather than per µop.
     pub(crate) dispatch_step: f64,
     pub(crate) commit_step: f64,
+    /// The front end's delivery-cost quotients, divided once here.
+    pub(crate) quotients: Quotients,
 }
 
 /// Whether the `CSD_DECODE_MEMO` environment variable force-disables the
@@ -390,6 +393,7 @@ impl Core {
             fetch_hint: 0,
             dispatch_step: 1.0 / cfg.dispatch_width as f64,
             commit_step: 1.0 / cfg.commit_width as f64,
+            quotients: Quotients::new(&cfg),
             program,
             cfg,
             mode,
@@ -518,6 +522,14 @@ impl Core {
         }
     }
 
+    /// The cycle engine's raw clocks, in cycles: the front end's fetch
+    /// clock, the last dispatch slot and the commit high-water mark, whose
+    /// ceiling is [`Core::cycles`]. All 0.0 in functional mode. For checks
+    /// that need the exact timestamps rather than their rounding.
+    pub fn clocks(&self) -> [f64; 3] {
+        [self.m.fe_time, self.m.last_dispatch, self.m.last_commit]
+    }
+
     /// Whether a `hlt` has retired.
     pub fn halted(&self) -> bool {
         self.m.halted
@@ -633,9 +645,9 @@ impl Core {
     /// Runs until halt, fault, or `max_insts` retired. Returns the outcome
     /// of the last instruction (`Running` when `max_insts` is 0).
     ///
-    /// An untraced functional run (no sink attached, the flow table
-    /// enabled) retires straight-line runs of instructions in one step
-    /// while the CSD engine is quiescent (the block path, `block.rs`),
+    /// An untraced run (no sink attached, the flow table enabled)
+    /// retires straight-line runs of instructions in one step while the
+    /// CSD engine is quiescent (the block path, `block.rs`),
     /// and each instruction the engine could act on, or that ends a run,
     /// one at a time. Every state and counter ends exactly as retiring
     /// one instruction at a time leaves it, at every stop.
@@ -645,9 +657,10 @@ impl Core {
 
     /// Runs until the cycle counter advances by at least `cycles` (or the
     /// program halts/faults). Used to interleave victim execution with
-    /// attacker probes at a fixed cadence.
+    /// attacker probes at a fixed cadence. A budget that would pass
+    /// `u64::MAX` runs like [`Core::run`] with no instruction limit.
     pub fn run_cycles(&mut self, cycles: u64) -> StepOutcome {
-        let target = self.cycles() + cycles;
+        let target = self.cycles().saturating_add(cycles);
         self.run_batch(u64::MAX, target)
     }
 
@@ -696,13 +709,18 @@ impl Core {
         flows: &mut FlowTable,
         steps: &mut Steps,
     ) -> StepOutcome {
-        let blocks = !TRACE && self.mode == SimMode::Functional && flows.enabled();
+        let blocks = !TRACE && flows.enabled();
+        let cycle = self.mode == SimMode::Cycle;
         // `run` sets no cycle target: its loop reads no clock.
         let timed = target != u64::MAX;
         let mut left = max_insts;
         loop {
             if blocks {
-                let n = block::run(self, program, flows, steps, left, target);
+                let n = if cycle {
+                    block::run::<true>(self, program, flows, steps, left, target)
+                } else {
+                    block::run::<false>(self, program, flows, steps, left, target)
+                };
                 left -= n;
                 if n > 0 && (left == 0 || (timed && self.cycles() >= target)) {
                     return StepOutcome::Running;
@@ -730,5 +748,59 @@ impl Core {
         let d = decode::run::<TRACE>(self, &f, flows);
         let end = execute::run::<TRACE>(self, &f, &d);
         commit::run::<TRACE>(self, &f, &d, end)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mx86_isa::{AluOp, Assembler, Cc, Gpr, MemRef};
+
+    /// A loop that loads, stores and branches, then halts.
+    fn program() -> Program {
+        let mut a = Assembler::new(0x1000);
+        let top = a.fresh_label();
+        a.mov_ri(Gpr::Rcx, 50);
+        a.mov_ri(Gpr::Rbx, 0x8000);
+        a.bind(top).unwrap();
+        a.load(Gpr::Rdx, MemRef::base(Gpr::Rbx));
+        a.alu_rr(AluOp::Add, Gpr::Rax, Gpr::Rdx);
+        a.alu_ri(AluOp::Add, Gpr::Rdx, 3);
+        a.store(MemRef::base(Gpr::Rbx), Gpr::Rdx);
+        a.alu_ri(AluOp::Sub, Gpr::Rcx, 1);
+        a.jcc(Cc::Ne, top);
+        a.halt();
+        a.finish().unwrap()
+    }
+
+    /// A cycle budget of `u64::MAX` runs to the halt from any clock,
+    /// like `run(u64::MAX)`, rather than wrapping its target.
+    #[test]
+    fn an_unbounded_cycle_budget_runs_to_the_halt() {
+        for mode in [SimMode::Functional, SimMode::Cycle] {
+            for head in [0, 1, 7] {
+                let core = || {
+                    let mut c =
+                        Core::new(CoreConfig::default(), CsdConfig::default(), program(), mode);
+                    c.run(head);
+                    c
+                };
+                let (mut by_insts, mut by_cycles) = (core(), core());
+                assert_eq!(by_insts.run(u64::MAX), StepOutcome::Halted);
+                let what = format!("{mode:?} after {head} insts");
+                assert_eq!(
+                    by_cycles.run_cycles(u64::MAX),
+                    StepOutcome::Halted,
+                    "{what}"
+                );
+                assert_eq!(by_cycles.cycles(), by_insts.cycles(), "{what}");
+                assert_eq!(by_cycles.state().gprs(), by_insts.state().gprs(), "{what}");
+                assert_eq!(
+                    by_cycles.telemetry_report(),
+                    by_insts.telemetry_report(),
+                    "{what}"
+                );
+            }
+        }
     }
 }

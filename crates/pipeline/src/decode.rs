@@ -2,12 +2,13 @@
 //! per-instruction flow table), and front-end delivery timing including
 //! µop-cache window bookkeeping.
 
+use crate::config::CoreConfig;
 use crate::core::{Core, SimMode};
 use crate::stage::{Decoded, Fetch};
 use crate::uop_cache::UopCache;
 use csd::{ContextId, DecodeOutcome};
 use csd_telemetry::UopCacheEvent;
-use csd_uops::{FlowTable, UReg};
+use csd_uops::{FlowFacts, FlowTable, UReg};
 use mx86_isa::{Inst, MemRef};
 
 /// One µop-cache window being assembled as successive macro-ops decode
@@ -103,28 +104,98 @@ fn front_end<const TRACE: bool>(core: &mut Core, f: &Fetch, out: &DecodeOutcome)
         count_legacy(core, 1, u64::from(facts.from_msrom));
         false
     };
-    if core.mode == SimMode::Functional {
-        return fused.max(1);
+    if core.mode == SimMode::Cycle {
+        let len = f.inst.next - placed.addr;
+        charge(core, f.penalty, from_uc, fused, &facts, len);
     }
+    fused.max(1)
+}
 
-    core.m.fe_time += f.penalty;
+/// Charges one instruction's front-end delivery to the cycle engine's
+/// fetch clock, in this order: the fetch `penalty`, the switch penalty
+/// when delivery changes between the µop cache and the legacy pipeline,
+/// and the delivery cost of `fused` slots (µop cache), of the MSROM's
+/// sequence, or of legacy decode of an encoding `len` bytes long. The
+/// per-instruction path and the block path both charge through here.
+#[inline]
+pub(crate) fn charge(
+    core: &mut Core,
+    penalty: f64,
+    from_uc: bool,
+    fused: u32,
+    facts: &FlowFacts,
+    len: u64,
+) {
+    core.m.fe_time += penalty;
     if from_uc != core.m.prev_from_uc {
         core.m.fe_time += core.cfg.uop_cache_switch_penalty;
     }
     core.m.prev_from_uc = from_uc;
 
+    let q = &core.quotients;
     let cost = if from_uc {
-        fused.max(1) as f64 / core.cfg.uop_cache_width as f64
+        q.uop_cache.of(u64::from(fused.max(1)))
     } else if facts.from_msrom {
         // The MSROM sequencer takes over the decode slot entirely.
         facts.uops as f64 / core.cfg.msrom_width_uops as f64 + 1.0
     } else {
-        let decode = facts.uops as f64 / core.cfg.decode_width_uops as f64;
-        let length_decode = (f.inst.next - placed.addr) as f64 / core.cfg.fetch_bytes as f64;
+        let decode = q.decode.of(u64::from(facts.uops));
+        let length_decode = q.fetch.of(len);
         decode.max(length_decode).max(0.25)
     };
     core.m.fe_time += cost;
-    fused.max(1)
+}
+
+/// `k / divisor` for small `k`, divided once: entry `k` of the table is
+/// the IEEE quotient `k as f64 / divisor as f64`, so reading it gives the
+/// same bits as dividing. Larger `k` divide.
+#[derive(Debug, Clone)]
+pub(crate) struct Quotient {
+    table: [f64; Quotient::LEN],
+    divisor: f64,
+}
+
+impl Quotient {
+    /// Entries per table: every encoding length (at most 15 bytes) and
+    /// every native flow's µop or slot count below the MSROM threshold.
+    const LEN: usize = 16;
+
+    fn new(divisor: u64) -> Quotient {
+        let divisor = divisor as f64;
+        Quotient {
+            table: std::array::from_fn(|k| k as f64 / divisor),
+            divisor,
+        }
+    }
+
+    /// `k as f64 / divisor as f64`.
+    #[inline]
+    pub(crate) fn of(&self, k: u64) -> f64 {
+        match self.table.get(k as usize) {
+            Some(&q) => q,
+            None => k as f64 / self.divisor,
+        }
+    }
+}
+
+/// The front end's quotient tables, built once per core
+/// (`Core::new`): fused slots per µop-cache cycle, µops per legacy
+/// decode cycle, and encoding bytes per fetch cycle.
+#[derive(Debug, Clone)]
+pub(crate) struct Quotients {
+    pub(crate) uop_cache: Quotient,
+    pub(crate) decode: Quotient,
+    pub(crate) fetch: Quotient,
+}
+
+impl Quotients {
+    pub(crate) fn new(cfg: &CoreConfig) -> Quotients {
+        Quotients {
+            uop_cache: Quotient::new(cfg.uop_cache_width),
+            decode: Quotient::new(cfg.decode_width_uops),
+            fetch: Quotient::new(cfg.fetch_bytes),
+        }
+    }
 }
 
 /// Reports a µop-cache lookup to the core's sink.
@@ -245,6 +316,32 @@ mod tests {
         assert_eq!(d.out.context, ContextId::Native);
         assert_eq!(d.out.flow.uops().len(), 1);
         assert!(d.fused_slots >= 1);
+    }
+
+    /// Each table entry is the quotient it replaces, bit for bit, and a
+    /// count past the table divides.
+    #[test]
+    fn quotient_tables_hold_the_divisions_they_replace() {
+        for width in 1..=24u64 {
+            let cfg = CoreConfig {
+                uop_cache_width: width,
+                decode_width_uops: width + 1,
+                fetch_bytes: width * 2,
+                ..CoreConfig::default()
+            };
+            let q = Quotients::new(&cfg);
+            for (table, divisor) in [
+                (&q.uop_cache, cfg.uop_cache_width),
+                (&q.decode, cfg.decode_width_uops),
+                (&q.fetch, cfg.fetch_bytes),
+            ] {
+                let past = [100, 1 << 40, u64::MAX];
+                for k in (0..Quotient::LEN as u64 + 8).chain(past) {
+                    let want = k as f64 / divisor as f64;
+                    assert_eq!(table.of(k).to_bits(), want.to_bits(), "{k} / {divisor}");
+                }
+            }
+        }
     }
 
     #[test]

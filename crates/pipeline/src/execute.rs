@@ -14,7 +14,7 @@ use crate::stage::{Decoded, Fetch, FlowEnd, UopEffect};
 use csd_cache::AccessKind;
 use csd_dift::DIFT_L2_TAG_PENALTY;
 use csd_telemetry::StoreEvent;
-use csd_uops::{fusion, DecoyTarget, FOp, FWidth, Src, UMem, UReg, Uop, UopKind};
+use csd_uops::{DecoyTarget, FOp, FWidth, PortClass, Src, UMem, UReg, Uop, UopKind, UopTiming};
 use mx86_isa::{Fetched, Gpr, Inst, Placed};
 
 /// Executes (and in cycle mode, times) the decoded µop flow; returns how
@@ -40,19 +40,16 @@ fn execute_flow<const TRACE: bool>(
     let mut slot_dispatch = inst_ready;
 
     for (i, u) in uops.iter().enumerate() {
-        // Dispatch bandwidth: fused pairs share a slot.
-        let in_prev_slot =
-            timing && core.cfg.fusion_enabled && i > 0 && fusion::can_micro_fuse(&uops[i - 1], u);
-        if timing && !in_prev_slot {
-            slot_dispatch = later(inst_ready, core.m.last_dispatch + core.dispatch_step);
-            core.m.last_dispatch = slot_dispatch;
+        let t = timing.then(|| u.timing(i.checked_sub(1).map(|p| &uops[p])));
+        if let Some(t) = &t {
+            slot_dispatch = dispatch(core, t, inst_ready, slot_dispatch);
         }
 
         let (effect, access_latency, mispredicted) =
             exec_uop::<TRACE>(core, u, fetched.placed, fetched.next);
 
-        if timing {
-            time_uop(core, u, slot_dispatch, access_latency, mispredicted);
+        if let Some(t) = &t {
+            time_uop(core, t, slot_dispatch, access_latency, mispredicted);
         }
 
         match effect {
@@ -70,6 +67,20 @@ fn execute_flow<const TRACE: bool>(
         }
     }
     end
+}
+
+/// The dispatch time of a µop of an instruction whose µops may dispatch
+/// from `inst_ready` on, the previous µop having dispatched at `slot`:
+/// a µop that micro-fuses with the previous one shares its slot, and any
+/// other takes the next dispatch slot.
+#[inline]
+pub(crate) fn dispatch(core: &mut Core, t: &UopTiming, inst_ready: f64, slot: f64) -> f64 {
+    if core.cfg.fusion_enabled && t.fuses_prev {
+        return slot;
+    }
+    let d = later(inst_ready, core.m.last_dispatch + core.dispatch_step);
+    core.m.last_dispatch = d;
+    d
 }
 
 /// Functionally executes one µop of the macro-op `placed`, whose
@@ -378,8 +389,16 @@ fn src(core: &Core, b: Src) -> u64 {
     }
 }
 
-/// Back-end timing for one µop.
-fn time_uop(core: &mut Core, u: &Uop, dispatch: f64, access_latency: u64, mispredicted: bool) {
+/// Back-end timing for one µop with timing facts `t`, dispatched at
+/// `dispatch`.
+#[inline]
+pub(crate) fn time_uop(
+    core: &mut Core,
+    t: &UopTiming,
+    dispatch: f64,
+    access_latency: u64,
+    mispredicted: bool,
+) {
     // ROB occupancy: dispatch may not pass the completion of the µop
     // rob_entries back.
     let mut ready = dispatch;
@@ -389,63 +408,51 @@ fn time_uop(core: &mut Core, u: &Uop, dispatch: f64, access_latency: u64, mispre
         }
     }
     // Operand readiness.
-    let regs = u.regs();
-    for r in regs.reads.into_iter().flatten() {
-        ready = later(ready, core.m.sched[r.index()]);
+    for r in t.reads {
+        if r != UopTiming::NONE {
+            ready = later(ready, core.m.sched[usize::from(r)]);
+        }
     }
-    if matches!(u.kind, UopKind::Br { .. }) {
+    if t.reads_flags {
         ready = later(ready, core.m.flags_ready);
     }
 
     // Port selection and latency.
-    let (lat, occupy, port): (f64, f64, &mut Vec<f64>) = match u.kind {
-        _ if u.kind.is_load() => (access_latency as f64, 1.0, &mut core.m.load_ports),
-        _ if u.kind.is_store() => (1.0, 1.0, &mut core.m.store_ports),
-        UopKind::VAlu { op, .. } => {
-            let l = if op.is_multiply() || op.is_float() {
-                core.cfg.vec_mul_latency
-            } else {
-                core.cfg.vec_latency
-            };
-            (l as f64, 1.0, &mut core.m.vec_ports)
-        }
-        UopKind::Mul { .. } => (core.cfg.mul_latency as f64, 1.0, &mut core.m.alu_ports),
-        UopKind::DivQ { .. } | UopKind::DivR { .. } => {
-            let l = core.cfg.div_latency as f64;
+    let cfg = &core.cfg;
+    let (lat, occupy, port): (f64, f64, &mut Vec<f64>) = match t.class {
+        PortClass::Load => (access_latency as f64, 1.0, &mut core.m.load_ports),
+        PortClass::Store => (1.0, 1.0, &mut core.m.store_ports),
+        PortClass::Vec => (cfg.vec_latency as f64, 1.0, &mut core.m.vec_ports),
+        PortClass::VecMul => (cfg.vec_mul_latency as f64, 1.0, &mut core.m.vec_ports),
+        PortClass::Mul => (cfg.mul_latency as f64, 1.0, &mut core.m.alu_ports),
+        PortClass::Div => {
+            let l = cfg.div_latency as f64;
             (l, l, &mut core.m.alu_ports)
         }
-        UopKind::FAlu { .. } => (core.cfg.falu_latency as f64, 1.0, &mut core.m.alu_ports),
-        UopKind::Clflush { .. } => (access_latency as f64, 1.0, &mut core.m.store_ports),
-        _ => (core.cfg.alu_latency as f64, 1.0, &mut core.m.alu_ports),
+        PortClass::FAlu => (cfg.falu_latency as f64, 1.0, &mut core.m.alu_ports),
+        PortClass::Flush => (access_latency as f64, 1.0, &mut core.m.store_ports),
+        PortClass::Alu => (cfg.alu_latency as f64, 1.0, &mut core.m.alu_ports),
     };
-    // Acquire the earliest-free unit of the class.
-    let (idx, unit_free) =
-        port.iter()
-            .copied()
-            .enumerate()
-            .fold((0usize, f64::INFINITY), |acc, (i, t)| {
-                if t < acc.1 {
-                    (i, t)
-                } else {
-                    acc
-                }
-            });
+    // Acquire the earliest-free unit of the class (the first of equals).
+    let (mut idx, mut unit_free) = (0, port[0]);
+    for (i, &t) in port.iter().enumerate().skip(1) {
+        if t < unit_free {
+            (idx, unit_free) = (i, t);
+        }
+    }
     let issue = later(ready, unit_free);
     port[idx] = issue + occupy;
     let done = issue + later(lat, 1.0);
 
     // Writeback.
-    if let Some(d) = regs.write {
-        core.m.sched[d.index()] = done;
+    if t.write != UopTiming::NONE {
+        core.m.sched[usize::from(t.write)] = done;
     }
-    if u.writes_flags() {
+    if t.writes_flags {
         core.m.flags_ready = done;
     }
     // Stack-pointer updates by push/pop.
-    if matches!(
-        u.kind,
-        UopKind::Push { .. } | UopKind::PushImm { .. } | UopKind::Pop { .. }
-    ) {
+    if t.moves_rsp {
         core.m.sched[UReg::Gpr(Gpr::Rsp).index()] = done;
     }
 
@@ -456,4 +463,307 @@ fn time_uop(core: &mut Core, u: &Uop, dispatch: f64, access_latency: u64, mispre
 
     core.m.rob.push_back(done);
     core.m.last_commit = later(done, core.m.last_commit + core.commit_step);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::CoreConfig;
+    use csd::{msr, CsdConfig, CsdEngine, Devectorizer};
+    use csd_telemetry::SplitMix64;
+    use csd_uops::{fusion, translate};
+    use mx86_isa::{AluOp, Cc, MemRef, Program, RegImm, Scale, VecOp, Width, Xmm};
+
+    const ALU_OPS: [AluOp; 8] = [
+        AluOp::Add,
+        AluOp::Sub,
+        AluOp::And,
+        AluOp::Or,
+        AluOp::Xor,
+        AluOp::Shl,
+        AluOp::Shr,
+        AluOp::Sar,
+    ];
+
+    const VEC_OPS: [VecOp; 16] = [
+        VecOp::PAddB,
+        VecOp::PAddW,
+        VecOp::PAddD,
+        VecOp::PAddQ,
+        VecOp::PSubB,
+        VecOp::PSubD,
+        VecOp::PAnd,
+        VecOp::POr,
+        VecOp::PXor,
+        VecOp::PMullW,
+        VecOp::PMullD,
+        VecOp::AddPs,
+        VecOp::SubPs,
+        VecOp::MulPs,
+        VecOp::AddPd,
+        VecOp::MulPd,
+    ];
+
+    /// Every kind of macro-op, with each ALU and vector operation.
+    fn insts() -> Vec<Inst> {
+        let (a, b) = (Gpr::Rax, Gpr::Rbx);
+        let (x, y) = (Xmm::new(1), Xmm::new(2));
+        let mem = MemRef::base_index(Gpr::Rsi, Gpr::Rcx, Scale::S8).with_disp(16);
+        let mut v = vec![
+            Inst::Nop { len: 1 },
+            Inst::MovRR { dst: a, src: b },
+            Inst::MovRI { dst: a, imm: -3 },
+            Inst::Load {
+                dst: a,
+                mem,
+                width: Width::B8,
+            },
+            Inst::Store {
+                mem,
+                src: b,
+                width: Width::B4,
+            },
+            Inst::Lea { dst: a, mem },
+            Inst::Mul {
+                dst: a,
+                src: RegImm::Reg(b),
+            },
+            Inst::Mul {
+                dst: a,
+                src: RegImm::Imm(5),
+            },
+            Inst::Div { src: b },
+            Inst::Cmp {
+                a,
+                b: RegImm::Imm(0),
+            },
+            Inst::Test {
+                a,
+                b: RegImm::Reg(b),
+            },
+            Inst::Jmp { target: 0x40 },
+            Inst::Jcc {
+                cc: Cc::Ne,
+                target: 0x40,
+            },
+            Inst::JmpInd { reg: b },
+            Inst::Call { target: 0x80 },
+            Inst::Ret,
+            Inst::Push { src: Gpr::Rsp },
+            Inst::Pop { dst: a },
+            Inst::VLoad { dst: x, mem },
+            Inst::VStore { mem, src: x },
+            Inst::VMovRR { dst: x, src: y },
+            Inst::VMovToGpr { dst: a, src: x },
+            Inst::VMovFromGpr { dst: x, src: a },
+            Inst::Clflush { mem },
+            Inst::Rdtsc,
+            Inst::Wrmsr { msr: 0x10, src: a },
+            Inst::Rdmsr { dst: a, msr: 0x10 },
+            Inst::Halt,
+        ];
+        for op in ALU_OPS {
+            v.push(Inst::Alu {
+                op,
+                dst: a,
+                src: RegImm::Reg(b),
+            });
+            v.push(Inst::AluLoad {
+                op,
+                dst: a,
+                mem,
+                width: Width::B2,
+            });
+            v.push(Inst::AluStore {
+                op,
+                mem,
+                src: RegImm::Imm(7),
+                width: Width::B8,
+            });
+        }
+        for op in VEC_OPS {
+            v.push(Inst::VAlu { op, dst: x, src: y });
+            v.push(Inst::VAluLoad { op, dst: x, mem });
+        }
+        v
+    }
+
+    /// Every flow the translator, the devectorizer and the stealth
+    /// sweeps emit for [`insts`].
+    fn emitted_flows() -> Vec<Vec<Uop>> {
+        let mut devec = Devectorizer::new();
+        let mut flows = Vec::new();
+        for inst in insts() {
+            let native = translate(&inst, 0x1010);
+            if let Some(t) = devec.devectorize(&inst, &native) {
+                flows.push(t.uops);
+            }
+            flows.push(native.uops);
+            // A stealth sweep of a data and an instruction range, when
+            // the instruction is one stealth intercepts.
+            let mut engine = CsdEngine::new(CsdConfig::default());
+            engine.write_msr(msr::MSR_DATA_RANGE_BASE, 0x8000);
+            engine.write_msr(msr::MSR_DATA_RANGE_BASE + 1, 0x8000 + 4 * 64);
+            engine.write_msr(msr::MSR_INST_RANGE_BASE, 0x1000);
+            engine.write_msr(msr::MSR_INST_RANGE_BASE + 1, 0x1000 + 2 * 64);
+            engine.write_msr(msr::MSR_CSD_CTL, msr::CTL_STEALTH | msr::CTL_DIFT_TRIGGER);
+            let out = engine.decode(&Placed { addr: 0x1000, inst }, true);
+            if out.flow.facts().decoys > 0 {
+                flows.push(out.flow.uops().to_vec());
+            }
+        }
+        flows
+    }
+
+    /// `time_uop` as it was before [`UopTiming`]: it matched on the µop.
+    fn time_uop_by_kind(
+        core: &mut Core,
+        u: &Uop,
+        dispatch: f64,
+        access_latency: u64,
+        mispredicted: bool,
+    ) {
+        let mut ready = dispatch;
+        if core.m.rob.len() >= core.cfg.rob_entries {
+            if let Some(head) = core.m.rob.pop_front() {
+                ready = later(ready, head);
+            }
+        }
+        let regs = u.regs();
+        for r in regs.reads.into_iter().flatten() {
+            ready = later(ready, core.m.sched[r.index()]);
+        }
+        if matches!(u.kind, UopKind::Br { .. }) {
+            ready = later(ready, core.m.flags_ready);
+        }
+        let (lat, occupy, port): (f64, f64, &mut Vec<f64>) = match u.kind {
+            _ if u.kind.is_load() => (access_latency as f64, 1.0, &mut core.m.load_ports),
+            _ if u.kind.is_store() => (1.0, 1.0, &mut core.m.store_ports),
+            UopKind::VAlu { op, .. } => {
+                let l = if op.is_multiply() || op.is_float() {
+                    core.cfg.vec_mul_latency
+                } else {
+                    core.cfg.vec_latency
+                };
+                (l as f64, 1.0, &mut core.m.vec_ports)
+            }
+            UopKind::Mul { .. } => (core.cfg.mul_latency as f64, 1.0, &mut core.m.alu_ports),
+            UopKind::DivQ { .. } | UopKind::DivR { .. } => {
+                let l = core.cfg.div_latency as f64;
+                (l, l, &mut core.m.alu_ports)
+            }
+            UopKind::FAlu { .. } => (core.cfg.falu_latency as f64, 1.0, &mut core.m.alu_ports),
+            UopKind::Clflush { .. } => (access_latency as f64, 1.0, &mut core.m.store_ports),
+            _ => (core.cfg.alu_latency as f64, 1.0, &mut core.m.alu_ports),
+        };
+        let (idx, unit_free) =
+            port.iter()
+                .copied()
+                .enumerate()
+                .fold((0usize, f64::INFINITY), |acc, (i, t)| {
+                    if t < acc.1 {
+                        (i, t)
+                    } else {
+                        acc
+                    }
+                });
+        let issue = later(ready, unit_free);
+        port[idx] = issue + occupy;
+        let done = issue + later(lat, 1.0);
+        if let Some(d) = regs.write {
+            core.m.sched[d.index()] = done;
+        }
+        if u.writes_flags() {
+            core.m.flags_ready = done;
+        }
+        if matches!(
+            u.kind,
+            UopKind::Push { .. } | UopKind::PushImm { .. } | UopKind::Pop { .. }
+        ) {
+            core.m.sched[UReg::Gpr(Gpr::Rsp).index()] = done;
+        }
+        if mispredicted {
+            core.m.fe_time = later(core.m.fe_time, done + core.cfg.mispredict_penalty as f64);
+        }
+        core.m.rob.push_back(done);
+        core.m.last_commit = later(done, core.m.last_commit + core.commit_step);
+    }
+
+    /// A timestamp on the engine's 1/48-cycle grid.
+    fn stamp(rng: &mut SplitMix64) -> f64 {
+        rng.range_u64(0, 48 * 64) as f64 / 48.0
+    }
+
+    /// Every timing register of the machine, as bits.
+    fn timing_bits(core: &Core) -> Vec<u64> {
+        let m = &core.m;
+        let ports = [&m.alu_ports, &m.load_ports, &m.store_ports, &m.vec_ports];
+        [m.fe_time, m.last_dispatch, m.last_commit, m.flags_ready]
+            .iter()
+            .chain(&m.sched)
+            .chain(ports.into_iter().flatten())
+            .chain(&m.rob)
+            .map(|t| t.to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn uop_timing_matches_regs_and_the_kind_match() {
+        let mut rng = SplitMix64::new(0x71A1);
+        let mut core = Core::new(
+            CoreConfig::default(),
+            CsdConfig::default(),
+            Program::default(),
+            crate::SimMode::Cycle,
+        );
+        let flows = emitted_flows();
+        let all = || flows.iter().flatten();
+        for target in [DecoyTarget::Data, DecoyTarget::Inst] {
+            assert!(all().any(|u| u.decoy == Some(target)), "{target:?} decoys");
+        }
+        let classes: std::collections::HashSet<PortClass> = flows
+            .iter()
+            .flat_map(|f| UopTiming::of_flow(f))
+            .map(|t| t.class)
+            .collect();
+        assert_eq!(classes.len(), 9, "every port class: {classes:?}");
+        for flow in &flows {
+            for (i, t) in UopTiming::of_flow(flow).enumerate() {
+                let u = &flow[i];
+                let index = |r: Option<UReg>| r.map_or(UopTiming::NONE, |r| r.index() as u8);
+                let regs = u.regs();
+                assert_eq!(t.reads, regs.reads.map(index), "{u}");
+                assert_eq!(t.write, index(regs.write), "{u}");
+                assert_eq!(t.writes_flags, u.writes_flags(), "{u}");
+                let prev = i.checked_sub(1).map(|p| &flow[p]);
+                let fuses = prev.is_some_and(|p| fusion::can_micro_fuse(p, u));
+                assert_eq!(t.fuses_prev, fuses, "{u}");
+
+                // The same step from the same random machine state.
+                let m = &mut core.m;
+                m.sched = std::array::from_fn(|_| stamp(&mut rng));
+                for port in [&mut m.alu_ports, &mut m.load_ports, &mut m.vec_ports] {
+                    port.iter_mut().for_each(|p| *p = stamp(&mut rng));
+                }
+                m.store_ports[0] = stamp(&mut rng);
+                m.rob = (0..rng.range_usize(166, 169))
+                    .map(|_| stamp(&mut rng))
+                    .collect();
+                (m.fe_time, m.flags_ready, m.last_commit) =
+                    (stamp(&mut rng), stamp(&mut rng), stamp(&mut rng));
+                let mut reference = Core::new(
+                    CoreConfig::default(),
+                    CsdConfig::default(),
+                    Program::default(),
+                    crate::SimMode::Cycle,
+                );
+                reference.m = core.m.clone();
+                let (dispatch, latency) = (stamp(&mut rng), rng.range_u64(0, 300));
+                let mispredicted = rng.next_bool();
+                time_uop(&mut core, &t, dispatch, latency, mispredicted);
+                time_uop_by_kind(&mut reference, u, dispatch, latency, mispredicted);
+                assert_eq!(timing_bits(&core), timing_bits(&reference), "{u}");
+            }
+        }
+    }
 }

@@ -4,7 +4,7 @@
 use crate::clock::later;
 use crate::core::{Core, StepOutcome};
 use crate::stage::Fetch;
-use csd_cache::AccessKind;
+use csd_cache::{AccessKind, AccessResult};
 use mx86_isa::Program;
 
 /// Fetches the instruction at the current PC from `program` (the core's,
@@ -30,18 +30,24 @@ pub(crate) fn run<'p>(core: &mut Core, program: &'p Program) -> Result<Fetch<'p>
     let mut a = first;
     while a <= last {
         let r = core.m.hier.access(a, AccessKind::InstFetch);
-        if !r.l1_hit() {
-            fetch_penalty = later(
-                fetch_penalty,
-                (r.latency - core.cfg.hierarchy.l1i.latency) as f64,
-            );
-        }
+        fetch_penalty = penalty(core, fetch_penalty, r);
         a += line;
     }
     Ok(Fetch {
         inst,
         penalty: fetch_penalty,
     })
+}
+
+/// The fetch penalty so far, `worst`, after one more line's L1I access
+/// `r`: a miss costs its latency beyond the L1I's, and an instruction's
+/// lines fill in parallel, so the worst one counts.
+#[inline]
+pub(crate) fn penalty(core: &Core, worst: f64, r: AccessResult) -> f64 {
+    if r.l1_hit() {
+        return worst;
+    }
+    later(worst, (r.latency - core.cfg.hierarchy.l1i.latency) as f64)
 }
 
 #[cfg(test)]

@@ -41,5 +41,5 @@ mod ureg;
 pub use flow::{Flow, FlowFacts, FlowRef, FlowSlot, FlowTable, MemoStats, Served, Stored};
 pub use fusion::{can_macro_fuse, fuse_slots, fused_len as fused_len_of, Slot};
 pub use translate::{translate, DecoderClass, Translation, DIV_UOP_COUNT, MSROM_THRESHOLD};
-pub use uop::{DecoyTarget, FOp, FWidth, Src, UMem, Uop, UopKind, UopRegs};
+pub use uop::{DecoyTarget, FOp, FWidth, PortClass, Src, UMem, Uop, UopKind, UopRegs, UopTiming};
 pub use ureg::UReg;

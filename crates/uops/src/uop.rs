@@ -325,6 +325,68 @@ pub struct UopRegs {
     pub write: Option<UReg>,
 }
 
+/// The back-end class of a µop: the port kind it issues to and the
+/// latency it takes (see [`Uop::timing`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum PortClass {
+    /// A scalar ALU port at the ALU latency.
+    Alu,
+    /// A scalar ALU port at the multiply latency.
+    Mul,
+    /// A scalar ALU port, held for the divide latency (unpipelined).
+    Div,
+    /// A scalar ALU port at the scalar float latency.
+    FAlu,
+    /// A load port at the memory access's latency.
+    Load,
+    /// A store port for one cycle.
+    Store,
+    /// A store port at the flush's latency.
+    Flush,
+    /// A vector port at the vector latency.
+    Vec,
+    /// A vector port at the vector multiply/float latency.
+    VecMul,
+}
+
+/// What the cycle engine's back end reads of a µop, as small scoreboard
+/// indices and flags: [`Uop::regs`] and the port/latency class, decided
+/// once instead of matched per dynamic instance.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct UopTiming {
+    /// [`UReg::index`] of each register in [`UopRegs::reads`], in order;
+    /// [`UopTiming::NONE`] where that list has `None`.
+    pub reads: [u8; 4],
+    /// [`UReg::index`] of [`UopRegs::write`], or [`UopTiming::NONE`].
+    pub write: u8,
+    /// The port kind and latency.
+    pub class: PortClass,
+    /// [`Uop::writes_flags`].
+    pub writes_flags: bool,
+    /// A conditional branch: it waits for the flags.
+    pub reads_flags: bool,
+    /// A push or pop: it updates `rsp` implicitly.
+    pub moves_rsp: bool,
+    /// It micro-fuses with the previous µop of its flow
+    /// ([`crate::fusion::can_micro_fuse`]) and so shares its issue slot.
+    pub fuses_prev: bool,
+}
+
+// Scoreboard indices fit a byte, with `NONE` left over.
+const _: () = assert!(UReg::COUNT < UopTiming::NONE as usize);
+
+impl UopTiming {
+    /// The index that stands for no register.
+    pub const NONE: u8 = u8::MAX;
+
+    /// The timing facts of each µop of `flow`, in order.
+    pub fn of_flow(flow: &[Uop]) -> impl Iterator<Item = UopTiming> + '_ {
+        flow.iter()
+            .enumerate()
+            .map(|(i, u)| u.timing(i.checked_sub(1).map(|p| &flow[p])))
+    }
+}
+
 /// A single micro-op.
 ///
 /// `decoy` marks micro-ops injected by stealth-mode translation; they
@@ -409,6 +471,39 @@ impl Uop {
         UopRegs {
             reads: [a, b, base, index],
             write,
+        }
+    }
+
+    /// The µop's back-end timing facts; `prev` is the µop before it in
+    /// its flow, if any.
+    #[inline]
+    pub fn timing(&self, prev: Option<&Uop>) -> UopTiming {
+        use UopKind as K;
+        let regs = self.regs();
+        let index = |r: Option<UReg>| r.map_or(UopTiming::NONE, |r| r.index() as u8);
+        let class = match self.kind {
+            _ if self.kind.is_load() => PortClass::Load,
+            _ if self.kind.is_store() => PortClass::Store,
+            K::VAlu { op, .. } if op.is_multiply() || op.is_float() => PortClass::VecMul,
+            K::VAlu { .. } => PortClass::Vec,
+            K::Mul { .. } => PortClass::Mul,
+            K::DivQ { .. } | K::DivR { .. } => PortClass::Div,
+            K::FAlu { .. } => PortClass::FAlu,
+            K::Clflush { .. } => PortClass::Flush,
+            _ => PortClass::Alu,
+        };
+        let [a, b, base, idx] = regs.reads;
+        UopTiming {
+            reads: [index(a), index(b), index(base), index(idx)],
+            write: index(regs.write),
+            class,
+            writes_flags: self.writes_flags(),
+            reads_flags: matches!(self.kind, K::Br { .. }),
+            moves_rsp: matches!(
+                self.kind,
+                K::Push { .. } | K::PushImm { .. } | K::Pop { .. }
+            ),
+            fuses_prev: prev.is_some_and(|p| crate::fusion::can_micro_fuse(p, self)),
         }
     }
 

@@ -26,7 +26,7 @@
 
 use csd_pipeline::Core;
 use csd_telemetry::SplitMix64;
-use mx86_isa::{AluOp, Assembler, Cc, Gpr, MemRef, Program, Scale, VecOp, Xmm};
+use mx86_isa::{AddrRange, AluOp, Assembler, Cc, Gpr, MemRef, Program, Scale, VecOp, Xmm};
 
 /// Vector-operation complexity class of a workload's vector phases.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -236,6 +236,12 @@ impl Workload {
             core.mem_mut().write_le(addr, 8, rng.next_u64());
             addr += 8;
         }
+    }
+
+    /// The workload's data arrays: its phases read the first half and
+    /// write the second.
+    pub fn data_range(&self) -> AddrRange {
+        AddrRange::new(DATA_BASE, DATA_BASE + DATA_LEN)
     }
 
     /// The suite entry for `name`, if it exists.

@@ -1,21 +1,28 @@
-//! The block path against the per-instruction path, stop by stop.
+//! The block path against the per-instruction path, stop by stop, in
+//! both engines.
 //!
-//! An untraced functional core retires straight-line runs of instructions
-//! in one step while the CSD engine is quiescent; a core with a sink
-//! attached retires every instruction on its own. Each test builds the
-//! same core twice, attaches a sink to one twin, and drives both the same
-//! way: one `run(N)`, `run(1)` per instruction, seeded random `run(k)`
-//! chunks, and seeded random `run_cycles(k)` budgets. At every stop the
-//! outcome, `cycles()`, the registers, flags and PC, the memory the
-//! program touches and the whole `telemetry_report()` must be identical.
+//! An untraced core retires straight-line runs of instructions in one
+//! step while the CSD engine is quiescent; a core with a sink attached
+//! retires every instruction on its own. Each test builds the same core
+//! twice, attaches a sink to one twin, and drives both the same way: one
+//! `run(N)`, `run(1)` per instruction, seeded random `run(k)` chunks, and
+//! seeded random `run_cycles(k)` budgets. At every stop the outcome,
+//! `cycles()`, the raw `clocks()`, `stats()`, `uop_cache_stats()`,
+//! `branch_stats()`, the registers, flags and PC, the memory the program
+//! touches and the whole `telemetry_report()` must be identical.
 //!
 //! The programs cover what ends a run or bounds it: AES undefended and
 //! under stealth with watchdog periods that expire inside an encryption,
 //! RSA's loops, generated difftest programs (`rdmsr`, `wrmsr`, `clflush`,
 //! vector instructions) under conventional and CSD gating, with stealth
 //! armed and with an MCU custom mode active, and a hand-written loop with
-//! `rdtsc`, a `clflush` of its own code line and loads whose LLC
+//! `rdtsc`, `clflush`es of its own code lines and loads whose LLC
 //! evictions back-invalidate the code line mid-run, on a tiny hierarchy.
+//! The cycle engine's twins run the security victims of Figs. 8–11 on
+//! both pipelines, undefended and under stealth, every devectorization
+//! workload under every VPU policy, a loop whose µop delivery keeps
+//! switching source, and the hand-written loop, with the µop cache and
+//! fusion each off too.
 
 use csd_difftest::generator::{DATA_BASE, DATA_SIZE, STACK_TOP};
 use csd_difftest::harness::STEALTH_WATCHDOG;
@@ -25,10 +32,16 @@ use csd_repro::cache::{CacheConfig, HierarchyConfig};
 use csd_repro::core::{
     ContextId, CsdConfig, DevecThresholds, MicrocodeUpdate, OpcodeClass, PrivilegeLevel, VpuPolicy,
 };
-use csd_repro::crypto::{arm_stealth, AesKeySize, AesVictim, CipherDir, RsaVictim, Victim};
+use csd_repro::crypto::{
+    arm_stealth, enable_stealth_for, AesKeySize, AesVictim, CipherDir, RsaVictim, Victim,
+};
+use csd_repro::exp::{pipelines, policies, security_core, security_victims};
 use csd_repro::isa::{AddrRange, AluOp, Assembler, Cc, Gpr, Inst, MemRef, Program, Xmm};
-use csd_repro::pipeline::{Core, CoreConfig, SimMode, StepOutcome};
+use csd_repro::pipeline::{
+    BranchStats, Core, CoreConfig, SimMode, SimStats, StepOutcome, UopCacheStats,
+};
 use csd_repro::telemetry::{CountingSink, SplitMix64};
+use csd_repro::workloads::{specs, Workload};
 
 const KEY: [u8; 16] = [
     0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf, 0x4f, 0x3c,
@@ -36,6 +49,9 @@ const KEY: [u8; 16] = [
 
 /// The most instructions one drive retires.
 const BUDGET: u64 = 20_000;
+
+/// The most instructions a `run(1)` drive of a long program retires.
+const SINGLE_BUDGET: u64 = 2_000;
 
 /// How a test drives both twins to the end of one program run.
 #[derive(Debug, Clone, Copy)]
@@ -64,6 +80,12 @@ const SCHEDULES: [Schedule; 6] = [
 struct Seen {
     outcome: StepOutcome,
     cycles: u64,
+    /// The raw clocks' bits: a reordered or dropped addition shows here
+    /// before it moves a rounded cycle count.
+    clocks: [u64; 3],
+    stats: SimStats,
+    uop_cache: UopCacheStats,
+    branch: BranchStats,
     gprs: Vec<u64>,
     xmms: Vec<(u64, u64)>,
     flags: String,
@@ -77,6 +99,10 @@ fn seen(core: &Core, outcome: StepOutcome, memory: &[AddrRange]) -> Seen {
     Seen {
         outcome,
         cycles: core.cycles(),
+        clocks: core.clocks().map(f64::to_bits),
+        stats: *core.stats(),
+        uop_cache: *core.uop_cache_stats(),
+        branch: *core.branch_stats(),
         gprs: s.gprs().to_vec(),
         xmms: s.xmms().to_vec(),
         flags: format!("{:?}", s.flags),
@@ -122,7 +148,12 @@ impl Twins {
     /// patches away never ends), under `schedule`, comparing them at
     /// every stop. Returns the number of stops.
     fn drive(&mut self, what: &str, schedule: Schedule) -> u64 {
-        let end = self.fast.stats().insts + BUDGET;
+        self.drive_for(what, schedule, BUDGET)
+    }
+
+    /// [`Twins::drive`], stopping past `budget` more instructions.
+    fn drive_for(&mut self, what: &str, schedule: Schedule, budget: u64) -> u64 {
+        let end = self.fast.stats().insts + budget;
         let mut rng = match schedule {
             Schedule::Chunks(seed) | Schedule::Cycles(seed) => SplitMix64::new(seed),
             Schedule::Whole | Schedule::Single => SplitMix64::new(0),
@@ -236,6 +267,206 @@ fn block_path_matches_per_instruction_on_rsa() {
     }
 }
 
+/// Watchdog periods from one cycle to longer than an operation.
+const PERIODS: [u64; 5] = [1, 37, 400, 1000, 5000];
+
+/// `n` seeded inputs of `victim`'s input length.
+fn seeded_inputs(victim: &dyn Victim, n: usize) -> Vec<Vec<u8>> {
+    let mut rng = SplitMix64::new(0x5EC);
+    (0..n)
+        .map(|_| {
+            let mut input = vec![0; victim.input_len()];
+            rng.fill_bytes(&mut input);
+            input
+        })
+        .collect()
+}
+
+/// The security victims' cycle cores, as the security figures build
+/// them, with stealth at each watchdog period of [`PERIODS`]: the run
+/// bound the watchdog's deadline sets is a cycle count here.
+fn cycle_victim_twins(pipeline: &str, cfg: fn() -> CoreConfig) {
+    for v in security_victims() {
+        let v = &*v;
+        let inputs = seeded_inputs(v, 2);
+        for period in std::iter::once(None).chain(PERIODS.map(Some)) {
+            let build = || {
+                let mut core = security_core(v, cfg());
+                if let Some(p) = period {
+                    enable_stealth_for(v, &mut core, p);
+                }
+                core
+            };
+            let what = format!("cycle {pipeline} {} watchdog {period:?}", v.name());
+            victim_twins(&what, v, build, &inputs);
+            if period.is_some() {
+                let mut core = build();
+                v.run_once(&mut core, &inputs[0]);
+                assert!(core.stats().decoy_uops > 0, "{what}: stealth fired");
+            }
+        }
+    }
+}
+
+#[test]
+fn cycle_block_path_matches_per_instruction_on_opt_security_victims() {
+    let [(name, cfg), _] = pipelines();
+    cycle_victim_twins(name, cfg);
+}
+
+#[test]
+fn cycle_block_path_matches_per_instruction_on_noopt_security_victims() {
+    let [_, (name, cfg)] = pipelines();
+    cycle_victim_twins(name, cfg);
+}
+
+/// Other front ends. Without a µop cache every delivery is legacy
+/// decode, and without fusion every µop takes its own dispatch slot and
+/// front-end slot. The inexact front end's switch penalty and widths
+/// have no exact binary quotients, and its one-line windows leave many
+/// windows uncacheable, so delivery keeps switching between the µop
+/// cache and the legacy decoders inside runs.
+#[test]
+fn cycle_block_path_matches_per_instruction_on_other_front_ends() {
+    let configs = [
+        (
+            "no uop cache",
+            CoreConfig {
+                uop_cache_enabled: false,
+                ..CoreConfig::default()
+            },
+        ),
+        (
+            "no fusion",
+            CoreConfig {
+                fusion_enabled: false,
+                ..CoreConfig::default()
+            },
+        ),
+        (
+            "inexact front end",
+            CoreConfig {
+                uop_cache_switch_penalty: 0.3,
+                uop_cache_width: 5,
+                decode_width_uops: 3,
+                fetch_bytes: 12,
+                uop_cache_max_lines_per_window: 1,
+                ..CoreConfig::default()
+            },
+        ),
+    ];
+    let aes = aes();
+    let rsa = RsaVictim::new(0xDEAD_BEEF, 65_521);
+    for (name, cfg) in configs {
+        for v in [&aes as &dyn Victim, &rsa] {
+            let inputs = seeded_inputs(v, 2);
+            for period in [None, Some(37)] {
+                let build = || {
+                    let mut core = security_core(v, cfg.clone());
+                    if let Some(p) = period {
+                        enable_stealth_for(v, &mut core, p);
+                    }
+                    core
+                };
+                let what = format!("cycle {name} {} watchdog {period:?}", v.name());
+                victim_twins(&what, v, build, &inputs);
+            }
+        }
+    }
+}
+
+/// A loop whose 32-byte windows alternate between a few µops, which a
+/// one-line window caches, and many, which it cannot: from the second
+/// iteration on, delivery switches between the µop cache and the legacy
+/// decoders at every window, inside runs.
+fn switching_loop() -> Program {
+    let mut a = Assembler::new(0x1000);
+    let top = a.fresh_label();
+    a.mov_ri(Gpr::Rcx, 40);
+    a.align(32);
+    a.bind(top).unwrap();
+    for k in 0..4 {
+        a.align(32);
+        for _ in 0..3 {
+            a.mov_ri(Gpr::R8, 0x1234_5678_9abc + k);
+        }
+        a.align(32);
+        for _ in 0..10 {
+            a.alu_rr(AluOp::Add, Gpr::Rax, Gpr::R8);
+        }
+    }
+    a.alu_ri(AluOp::Sub, Gpr::Rcx, 1);
+    a.jcc(Cc::Ne, top);
+    a.halt();
+    a.finish().unwrap()
+}
+
+#[test]
+fn cycle_block_path_matches_per_instruction_when_delivery_keeps_switching() {
+    let program = switching_loop();
+    // The front end adds the switch penalty, then the delivery cost. When
+    // the fetch clock is large against both, either order rounds each
+    // addend onto the clock's grid alike, and the bits agree. A penalty
+    // far above the clock's early values, with no exact binary form, puts
+    // the two partial sums in different binades, so the other order
+    // rounds differently and the raw clocks show it.
+    let build = || {
+        let cfg = CoreConfig {
+            uop_cache_switch_penalty: 10_000.3,
+            uop_cache_width: 5,
+            decode_width_uops: 3,
+            fetch_bytes: 12,
+            uop_cache_max_lines_per_window: 1,
+            ..CoreConfig::default()
+        };
+        Core::new(cfg, CsdConfig::default(), program.clone(), SimMode::Cycle)
+    };
+    for schedule in SCHEDULES {
+        let what = format!("switching loop {schedule:?}");
+        let mut t = Twins::new(build, Vec::new());
+        t.drive(&what, schedule);
+        assert!(t.fast.halted(), "{what}: the loop halts");
+    }
+    // Both delivery sources serve the warm loop.
+    let mut core = build();
+    core.run(u64::MAX);
+    let d = core.stats();
+    assert!(d.uop_cache_insts > 100 && d.legacy_insts > 1000, "{d:?}");
+}
+
+/// Every devectorization workload (Figs. 12–16) under every VPU policy:
+/// conventional gating changes the gate by time alone, within runs, and
+/// CSD gating bounds runs by the criticality window.
+#[test]
+fn cycle_block_path_matches_per_instruction_on_devec_workloads() {
+    for spec in specs() {
+        let w = Workload::with_scale(spec, 0.05);
+        for (policy_name, policy) in policies() {
+            let build = || {
+                let csd = CsdConfig {
+                    vpu_policy: policy,
+                    ..CsdConfig::default()
+                };
+                let program = w.program().clone();
+                let mut core = Core::new(CoreConfig::default(), csd, program, SimMode::Cycle);
+                w.install(&mut core);
+                core
+            };
+            for schedule in SCHEDULES {
+                let what = format!("devec {} {policy_name} {schedule:?}", w.name());
+                let mut t = Twins::new(build, vec![w.data_range()]);
+                if let Schedule::Single = schedule {
+                    // A report per instruction: the first phases only.
+                    t.drive_for(&what, schedule, SINGLE_BUDGET);
+                } else {
+                    t.drive(&what, schedule);
+                    assert!(t.fast.halted(), "{what}: the workload halts");
+                }
+            }
+        }
+    }
+}
+
 /// How a generated program's core is configured.
 #[derive(Debug, Clone, Copy)]
 enum Setup {
@@ -345,9 +576,9 @@ fn tiny_hierarchy() -> HierarchyConfig {
 }
 
 /// A loop whose straight-line body reads the cycle counter, flushes its
-/// own code line, loads from addresses that share the code line's LLC
-/// set, and ends in a fusable `cmp`/`jcc`; a vector instruction and a
-/// divide sit in the body too.
+/// own first two code lines, loads from addresses that share the code
+/// line's LLC set, and ends in a fusable `cmp`/`jcc`; a vector
+/// instruction and a divide sit in the body too.
 fn hazard_loop() -> Program {
     let data = 0x10_0000u64;
     let mut a = Assembler::new(0x1000);
@@ -357,6 +588,10 @@ fn hazard_loop() -> Program {
     let body = a.here();
     a.bind(top).unwrap();
     a.mov_ri(Gpr::Rsi, body as i64);
+    // The body's second code line, which nothing fetches before the
+    // instruction that spans the first two: that fetch hits its first
+    // line and misses in its second.
+    a.clflush(MemRef::base(Gpr::Rsi).with_disp(64));
     a.alu_rr(AluOp::Add, Gpr::Rax, Gpr::Rcx);
     for k in 0..6 {
         // 512-byte stride: every load maps to the LLC set of the body.
@@ -382,6 +617,17 @@ fn hazard_loop() -> Program {
 
 #[test]
 fn block_path_matches_per_instruction_across_invalidations_and_rdtsc() {
+    hazard_twins(SimMode::Functional);
+}
+
+#[test]
+fn cycle_block_path_matches_per_instruction_across_invalidations_and_rdtsc() {
+    hazard_twins(SimMode::Cycle);
+}
+
+/// The hazard loop's twins in `mode`, with the µop cache and fusion each
+/// off too.
+fn hazard_twins(mode: SimMode) {
     let program = hazard_loop();
     let memory = vec![AddrRange::new(0x10_0000, 0x10_1000)];
     for (uop_cache_enabled, fusion_enabled) in [(true, true), (false, true), (true, false)] {
@@ -392,16 +638,12 @@ fn block_path_matches_per_instruction_across_invalidations_and_rdtsc() {
                 fusion_enabled,
                 ..CoreConfig::default()
             };
-            Core::new(
-                cfg,
-                CsdConfig::default(),
-                program.clone(),
-                SimMode::Functional,
-            )
+            Core::new(cfg, CsdConfig::default(), program.clone(), mode)
         };
         for schedule in SCHEDULES {
-            let what =
-                format!("hazard loop uc {uop_cache_enabled} fusion {fusion_enabled} {schedule:?}");
+            let what = format!(
+                "hazard loop {mode:?} uc {uop_cache_enabled} fusion {fusion_enabled} {schedule:?}"
+            );
             let mut t = Twins::new(build, memory.clone());
             t.drive(&what, schedule);
             t.fast.restart();
