@@ -12,7 +12,7 @@ use csd_telemetry::coverage::{flow_served, key_cause};
 use csd_telemetry::{
     ContextChangeEvent, DecodeEvent, GateEvent, Json, SinkHandle, ToJson, UopDecodeEvent,
 };
-use csd_uops::{translate, Flow, FlowFacts, FlowRef, FlowTable, Served, Stored, Translation};
+use csd_uops::{translate, Flow, FlowFacts, FlowRef, FlowTable, Served, Stored};
 use mx86_isa::{Inst, Placed};
 use std::sync::Arc;
 
@@ -380,11 +380,10 @@ impl CsdEngine {
                 ContextId::Native,
             ),
         };
-        let (flow, context) =
-            match self.inject::<TRACE>(placed, tainted, sink, || base.to_translation()) {
-                Some(f) => (FlowRef::Fresh(f), ContextId::Stealth),
-                None => (base, context),
-            };
+        let (flow, context) = match self.inject::<TRACE>(placed, tainted, sink, &base) {
+            Some(f) => (FlowRef::Fresh(f), ContextId::Stealth),
+            None => (base, context),
+        };
         self.finish_decode::<TRACE>(placed, flow, context, &d, Served::Bypass, sink)
     }
 
@@ -397,9 +396,10 @@ impl CsdEngine {
     /// every decode exactly as in [`CsdEngine::decode`]; only building the
     /// flow is skipped. No context change invalidates the table, because
     /// what it stores depends on the instruction alone. MCU patch flows
-    /// come from the patch table and stealth injections are built fresh;
-    /// both count as bypasses, as does every decode through a disabled
-    /// table. The returned flow borrows `table`, not the engine.
+    /// come from the patch table and stealth injections are spliced for
+    /// the one decode that injects; both count as bypasses, as does every
+    /// decode through a disabled table. The returned flow borrows
+    /// `table`, not the engine.
     pub fn decode_memo<'t>(
         &mut self,
         placed: &Placed,
@@ -503,12 +503,10 @@ impl CsdEngine {
             ),
         };
         let injected = match &base {
-            Base::Table(s) => {
-                self.inject::<TRACE>(placed, tainted, sink, || table.get(*s).to_translation())
+            Base::Table(s) => self.inject::<TRACE>(placed, tainted, sink, &table.get(*s)),
+            Base::Patch(p) => {
+                self.inject::<TRACE>(placed, tainted, sink, &FlowRef::Shared(Arc::clone(p)))
             }
-            Base::Patch(p) => self.inject::<TRACE>(placed, tainted, sink, || {
-                FlowRef::Shared(Arc::clone(p)).to_translation()
-            }),
         };
         let served = match (&injected, &base) {
             (None, Base::Table(_)) if built => Served::Miss,
@@ -525,24 +523,22 @@ impl CsdEngine {
         self.finish_decode::<TRACE>(placed, flow, context, &d, served, sink)
     }
 
-    /// Stealth decoy injection on top of the chosen flow: the fresh flow
-    /// when the armed window intercepts this decode (which disarms it, a
-    /// context transition). The base translation is built only then.
+    /// Stealth decoy injection on top of the chosen flow, `base`: the
+    /// injected flow when the armed window intercepts this decode (which
+    /// disarms it, a context transition), spliced from `base` and the
+    /// translator's stored sweep.
     fn inject<const TRACE: bool>(
         &mut self,
         placed: &Placed,
         tainted: bool,
         sink: &mut SinkHandle,
-        base: impl FnOnce() -> Translation,
+        base: &FlowRef<'_>,
     ) -> Option<Flow> {
-        if !self.stealth.should_intercept(placed, tainted) {
-            return None;
-        }
-        let t = self.stealth.on_decode(placed, &base(), tainted)?;
+        let f = self.stealth.on_decode(placed, base, tainted)?;
         if TRACE {
             Self::report_change(key_cause::STEALTH_INJECT, sink);
         }
-        Some(Flow::new(t))
+        Some(f)
     }
 
     /// Shared tail of both decode paths: statistics, event emission when

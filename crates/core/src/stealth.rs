@@ -20,8 +20,11 @@
 //! cost is one sweep per watchdog period.
 
 use crate::msr::MsrFile;
-use csd_uops::{fusion, DecoyTarget, Src, Translation, UMem, UReg, Uop, UopKind};
+use csd_uops::{
+    fusion, DecoyTarget, Flow, FlowFacts, FlowRef, Src, Translation, UMem, UReg, Uop, UopKind,
+};
 use mx86_isa::{AddrRange, AluOp, Cc, Inst, Placed, Width};
+use std::sync::Arc;
 
 /// Static configuration of the stealth translator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,6 +79,10 @@ pub struct StealthTranslator {
     dift_trigger: bool,
     data_ranges: Vec<AddrRange>,
     inst_ranges: Vec<AddrRange>,
+    /// The decoy µops sweeping every range, in injection order, built by
+    /// the first injection under the current ranges and shared by every
+    /// later one: the sweep depends on the ranges alone.
+    sweep: Option<Arc<Flow>>,
     scratchpad_pcs: Vec<u64>,
     armed: bool,
     watchdog_period: u64,
@@ -93,6 +100,7 @@ impl StealthTranslator {
             dift_trigger: false,
             data_ranges: Vec::new(),
             inst_ranges: Vec::new(),
+            sweep: None,
             scratchpad_pcs: Vec::new(),
             armed: false,
             watchdog_period: cfg.default_watchdog_period,
@@ -105,12 +113,17 @@ impl StealthTranslator {
     /// watchdog period from the MSR file into the decoder's internal
     /// registers ("as soon as stealth-mode translation is triggered, these
     /// decoy address ranges are copied to the context-sensitive decoder's
-    /// internal registers").
+    /// internal registers"). A change to the decoy ranges drops the
+    /// stored sweep, so the next injection sweeps the new ranges.
     pub fn configure(&mut self, msrs: &MsrFile) {
         self.enabled = msrs.stealth_enabled();
         self.dift_trigger = msrs.dift_trigger_enabled();
-        self.data_ranges = msrs.data_ranges();
-        self.inst_ranges = msrs.inst_ranges();
+        let (data, inst) = (msrs.data_ranges(), msrs.inst_ranges());
+        if data != self.data_ranges || inst != self.inst_ranges {
+            self.sweep = None;
+        }
+        self.data_ranges = data;
+        self.inst_ranges = inst;
         self.scratchpad_pcs = msrs.scratchpad_pcs();
         let p = msrs.watchdog_period();
         self.watchdog_period = if p == 0 {
@@ -185,64 +198,61 @@ impl StealthTranslator {
         (self.dift_trigger && tainted) || marked
     }
 
-    /// Intercepts a decode: returns the augmented translation, or `None`
-    /// if stealth does not apply to this instruction right now.
+    /// Intercepts a decode of `base`: returns the augmented flow, or
+    /// `None` if stealth does not apply to this instruction right now.
     ///
     /// On injection the translator disarms and starts the watchdog; all
-    /// configured ranges are swept in this one translation (the paper's
-    /// "deployed at the first decoded tainted load or branch encountered").
+    /// configured ranges are swept in this one flow (the paper's
+    /// "deployed at the first decoded tainted load or branch
+    /// encountered"). The sweep is built by the first injection under
+    /// the current ranges and spliced into every later one.
     pub fn on_decode(
         &mut self,
         placed: &Placed,
-        native: &Translation,
+        base: &FlowRef<'_>,
         tainted: bool,
-    ) -> Option<Translation> {
+    ) -> Option<Flow> {
         if !self.should_intercept(placed, tainted) {
             return None;
         }
-        let mut sweep = Vec::new();
-        for r in self.data_ranges.clone() {
-            self.emit_sweep(&mut sweep, r, DecoyTarget::Data);
+        if self.sweep.is_none() {
+            self.sweep = Some(Arc::new(self.build_sweep()));
         }
-        for r in self.inst_ranges.clone() {
-            self.emit_sweep(&mut sweep, r, DecoyTarget::Inst);
-        }
-        if sweep.is_empty() {
+        let sweep = self.sweep.as_deref()?;
+        if sweep.uops.is_empty() {
             // No ranges configured: nothing to obfuscate.
             return None;
         }
-        let before = native.uops.len();
-        // Inject the sweep *before* the first control-transfer µop: a taken
-        // branch ends the flow, and the decoys must execute regardless of
-        // the (secret-dependent) branch direction. For load/store flows the
-        // sweep follows the real access (paper Figure 4c's ordering).
-        let mut uops = native.uops.clone();
-        let insert_at = uops
-            .iter()
-            .position(|u| u.kind.is_branch())
-            .unwrap_or(uops.len());
-        uops.splice(insert_at..insert_at, sweep);
+        let flow = inject(base, sweep);
         self.stats.triggers += 1;
-        self.stats.decoy_uops += (uops.len() - before) as u64;
+        self.stats.decoy_uops += u64::from(sweep.facts.uops);
         self.stats.sweeps += 1;
         self.armed = false;
         self.watchdog_remaining = self.watchdog_period;
+        Some(flow)
+    }
 
-        // The static µop-cache footprint grows only by the loop body
-        // (mov + fused ld/sub + br), but the flow as a whole exceeds the
-        // six-fused-µop line limit, so it is not cacheable.
-        let static_uops = native.static_uops + 4;
-        let cacheable = fusion::fused_len(&uops) <= 6;
-        Some(Translation {
-            uops,
-            static_uops,
-            cacheable,
+    /// The decoy micro-loops sweeping every data range, then every
+    /// instruction range. Its static µops are what an injection adds to
+    /// the µop-cache footprint: one loop body (mov + fused ld/sub + br).
+    fn build_sweep(&self) -> Flow {
+        let mut sweep = Vec::new();
+        for &r in &self.data_ranges {
+            self.emit_sweep(&mut sweep, r, DecoyTarget::Data);
+        }
+        for &r in &self.inst_ranges {
+            self.emit_sweep(&mut sweep, r, DecoyTarget::Inst);
+        }
+        Flow::new(Translation {
+            uops: sweep,
+            static_uops: 4,
+            cacheable: false,
             from_msrom: true,
         })
     }
 
     /// Emits the unrolled decoy micro-loop sweeping `range`.
-    fn emit_sweep(&mut self, out: &mut Vec<Uop>, range: AddrRange, target: DecoyTarget) {
+    fn emit_sweep(&self, out: &mut Vec<Uop>, range: AddrRange, target: DecoyTarget) {
         let line = self.cfg.line_bytes;
         let first = range.start & !(line - 1);
         let blocks = range.blocks(line).count() as u64;
@@ -291,6 +301,39 @@ impl StealthTranslator {
     }
 }
 
+/// `base` with `sweep` injected *before* its first control-transfer
+/// µop: a taken branch ends the flow, and the decoys must execute
+/// regardless of the (secret-dependent) branch direction. For load/store
+/// flows the sweep follows the real access (paper Figure 4c's ordering).
+///
+/// The static µop-cache footprint grows only by the loop body (mov +
+/// fused ld/sub + br), but the flow as a whole exceeds the six-fused-µop
+/// line limit, so it is not cacheable. Its fused slots are those of its
+/// three parts: only a load fuses with the µop after it, and the sweep
+/// starts with a `mov` and ends with a branch, so no pair fuses across a
+/// seam.
+fn inject(base: &FlowRef<'_>, sweep: &Flow) -> Flow {
+    let b = base.uops();
+    let (head, tail) = b.split_at(b.iter().position(|u| u.kind.is_branch()).unwrap_or(b.len()));
+    let mut uops = Vec::with_capacity(b.len() + sweep.uops.len());
+    uops.extend_from_slice(head);
+    uops.extend_from_slice(&sweep.uops);
+    uops.extend_from_slice(tail);
+    let fused = fusion::fused_len(head) + sweep.facts.fused as usize + fusion::fused_len(tail);
+    let facts = base.facts();
+    Flow {
+        facts: FlowFacts {
+            uops: uops.len() as u32,
+            decoys: facts.decoys + sweep.facts.decoys,
+            fused: fused as u32,
+            static_uops: facts.static_uops + sweep.facts.static_uops,
+            cacheable: fused <= 6,
+            from_msrom: true,
+        },
+        uops,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,6 +358,10 @@ mod tests {
         s
     }
 
+    fn native(p: &Placed) -> FlowRef<'static> {
+        FlowRef::Fresh(Flow::new(translate(&p.inst, p.next_addr())))
+    }
+
     fn tainted_load() -> Placed {
         Placed {
             addr: 0x1000,
@@ -331,7 +378,7 @@ mod tests {
         let range = AddrRange::new(0x8000, 0x8000 + 4 * 64);
         let mut s = configured(&[range], &[]);
         let p = tainted_load();
-        let native = translate(&p.inst, p.next_addr());
+        let native = native(&p);
         let t = s.on_decode(&p, &native, true).expect("must inject");
         let decoys: Vec<_> = t.uops.iter().filter(|u| u.is_decoy()).collect();
         // 1 mov + 4 blocks * (ld + sub + br)
@@ -339,10 +386,98 @@ mod tests {
         let loads = decoys.iter().filter(|u| u.kind.is_load()).count();
         assert_eq!(loads, 4);
         assert!(
-            !t.cacheable,
+            !t.facts.cacheable,
             "expanded flow exceeds the µop-cache line limit"
         );
-        assert_eq!(t.static_uops, native.static_uops + 4);
+        assert_eq!(t.facts.static_uops, native.facts().static_uops + 4);
+    }
+
+    /// Every sensitive kind's injected flow is the flow built whole:
+    /// the native µops with the sweep spliced in before the first branch
+    /// µop, its facts counted afresh. Each second injection reuses the
+    /// stored sweep.
+    #[test]
+    fn spliced_flows_equal_flows_built_whole() {
+        let data = [AddrRange::new(0x8000, 0x8000 + 3 * 64)];
+        let code = [AddrRange::new(0x4000, 0x4000 + 2 * 64)];
+        let mem = MemRef::base(Gpr::Rbx).with_disp(16);
+        let insts = [
+            tainted_load().inst,
+            Inst::Store {
+                mem,
+                src: Gpr::Rax,
+                width: Width::B8,
+            },
+            Inst::AluLoad {
+                op: AluOp::Add,
+                dst: Gpr::Rcx,
+                mem,
+                width: Width::B4,
+            },
+            Inst::AluStore {
+                op: AluOp::Sub,
+                mem,
+                src: mx86_isa::RegImm::Imm(3),
+                width: Width::B2,
+            },
+            Inst::Jcc {
+                cc: Cc::Ne,
+                target: 0x2000,
+            },
+            Inst::Jmp { target: 0x2000 },
+            Inst::JmpInd { reg: Gpr::Rdx },
+            Inst::Call { target: 0x2000 },
+            Inst::Ret,
+            Inst::Push { src: Gpr::Rsi },
+            Inst::Pop { dst: Gpr::Rdi },
+        ];
+        let mut s = configured(&data, &code);
+        for inst in insts {
+            let p = Placed { addr: 0x1000, inst };
+            let base = native(&p);
+            let mut sweep = Vec::new();
+            s.emit_sweep(&mut sweep, data[0], DecoyTarget::Data);
+            s.emit_sweep(&mut sweep, code[0], DecoyTarget::Inst);
+            let mut uops = base.uops().to_vec();
+            let at = uops
+                .iter()
+                .position(|u| u.kind.is_branch())
+                .unwrap_or(uops.len());
+            uops.splice(at..at, sweep);
+            let whole = Flow::new(Translation {
+                cacheable: fusion::fused_len(&uops) <= 6,
+                uops,
+                static_uops: base.facts().static_uops as usize + 4,
+                from_msrom: true,
+            });
+            for _ in 0..2 {
+                s.armed = true;
+                let got = s.on_decode(&p, &base, true).expect("a sensitive kind");
+                assert_eq!(got, whole, "{inst:?}");
+            }
+        }
+        assert_eq!(s.stats().triggers, 2 * insts.len() as u64);
+    }
+
+    /// A configuration that changes the ranges drops the stored sweep;
+    /// one that keeps them keeps it.
+    #[test]
+    fn a_range_change_rebuilds_the_sweep() {
+        let p = tainted_load();
+        let base = native(&p);
+        let mut msrs = MsrFile::new();
+        msrs.write(MSR_CSD_CTL, CTL_STEALTH | CTL_DIFT_TRIGGER);
+        msrs.write(MSR_DATA_RANGE_BASE, 0x8000);
+        msrs.write(MSR_DATA_RANGE_BASE + 1, 0x8000 + 64);
+        let mut s = StealthTranslator::new(StealthConfig::default());
+        let mut decoys = Vec::new();
+        for end in [64, 64, 3 * 64, 2 * 64] {
+            msrs.write(MSR_DATA_RANGE_BASE + 1, 0x8000 + end);
+            s.configure(&msrs);
+            let f = s.on_decode(&p, &base, true).expect("armed by the write");
+            decoys.push(f.facts.decoys);
+        }
+        assert_eq!(decoys, [4, 4, 10, 7], "1 + 3 per block");
     }
 
     #[test]
@@ -350,7 +485,7 @@ mod tests {
         let range = AddrRange::new(0x8000, 0x8040);
         let mut s = configured(&[range], &[]);
         let p = tainted_load();
-        let native = translate(&p.inst, p.next_addr());
+        let native = native(&p);
         let t = s.on_decode(&p, &native, true).unwrap();
         for u in t.uops.iter().filter(|u| u.is_decoy()) {
             u.validate().unwrap();
@@ -362,7 +497,7 @@ mod tests {
         let range = AddrRange::new(0x4000, 0x4000 + 2 * 64);
         let mut s = configured(&[], &[range]);
         let p = tainted_load();
-        let native = translate(&p.inst, p.next_addr());
+        let native = native(&p);
         let t = s.on_decode(&p, &native, true).unwrap();
         let iloads = t
             .uops
@@ -377,7 +512,7 @@ mod tests {
         let range = AddrRange::new(0x8000, 0x8040);
         let mut s = configured(&[range], &[]);
         let p = tainted_load();
-        let native = translate(&p.inst, p.next_addr());
+        let native = native(&p);
         assert!(s.on_decode(&p, &native, true).is_some());
         assert!(!s.armed(), "auto-off after all ranges swept");
         assert!(s.on_decode(&p, &native, true).is_none());
@@ -396,7 +531,7 @@ mod tests {
         let range = AddrRange::new(0x8000, 0x8040);
         let mut s = configured(&[range], &[]);
         let p = tainted_load();
-        let native = translate(&p.inst, p.next_addr());
+        let native = native(&p);
         assert!(s.on_decode(&p, &native, false).is_none());
     }
 
@@ -411,7 +546,7 @@ mod tests {
                 imm: 3,
             },
         };
-        let native = translate(&p.inst, p.next_addr());
+        let native = native(&p);
         assert!(s.on_decode(&p, &native, true).is_none());
     }
 
@@ -427,7 +562,7 @@ mod tests {
         s.configure(&msrs);
 
         let p = tainted_load(); // at 0x1000
-        let native = translate(&p.inst, p.next_addr());
+        let native = native(&p);
         assert!(
             s.on_decode(&p, &native, false).is_some(),
             "PC-marked trigger"
@@ -444,7 +579,7 @@ mod tests {
         let mut s = StealthTranslator::new(StealthConfig::default());
         s.configure(&msrs);
         let p = tainted_load();
-        let native = translate(&p.inst, p.next_addr());
+        let native = native(&p);
         assert!(s.on_decode(&p, &native, true).is_none());
     }
 
@@ -452,7 +587,7 @@ mod tests {
     fn no_ranges_means_no_injection() {
         let mut s = configured(&[], &[]);
         let p = tainted_load();
-        let native = translate(&p.inst, p.next_addr());
+        let native = native(&p);
         assert!(s.on_decode(&p, &native, true).is_none());
         assert_eq!(s.stats().triggers, 0);
     }
@@ -462,7 +597,7 @@ mod tests {
         let range = AddrRange::new(0x8000, 0x8000 + 3 * 64);
         let mut s = configured(&[range], &[]);
         let p = tainted_load();
-        let native = translate(&p.inst, p.next_addr());
+        let native = native(&p);
         let t = s.on_decode(&p, &native, true).unwrap();
         // unfused: 1 native + 1 mov + 3*(ld+sub+br) = 11
         // fused:   1 native + 1 mov + 3*(ld/sub + br) = 8

@@ -424,22 +424,35 @@ fn compare(
     d
 }
 
+/// How a leg's core is observed: through a [`LegSink`] (the store stream
+/// is compared, and coverage collected when a map is given), or with no
+/// sink at all, so that untraced batches take the pipeline's block path
+/// and only the final state and the retired count are compared.
+#[derive(Clone, Copy)]
+enum Observe<'a> {
+    Sink(Option<&'a Arc<Mutex<CoverageMap>>>),
+    Untraced,
+}
+
 fn run_leg(
     program: &Program,
     leg: &ModeLeg,
     cpu: &RefCpu,
     bug: Option<&InjectedBug>,
-    coverage: Option<&Arc<Mutex<CoverageMap>>>,
+    observe: Observe<'_>,
 ) -> Vec<Divergence> {
     let mut core = build_core(program, leg, bug);
     let stores = Arc::new(Mutex::new(Vec::new()));
-    // Coverage lands in the shared map when the leg's core, and with it
-    // the sink, drops. Each leg's context-edge cursor starts fresh, so
-    // edges never span two unrelated runs.
-    core.set_event_sink(Box::new(LegSink {
-        stores: Arc::clone(&stores),
-        coverage: coverage.map(|m| CoverageSink::new(Arc::clone(m))),
-    }));
+    if let Observe::Sink(coverage) = observe {
+        // Coverage lands in the shared map when the leg's core, and with
+        // it the sink, drops. Each leg's context-edge cursor starts
+        // fresh, so edges never span two unrelated runs.
+        core.set_event_sink(Box::new(LegSink {
+            stores: Arc::clone(&stores),
+            coverage: coverage.map(|m| CoverageSink::new(Arc::clone(m))),
+        }));
+    }
+    let traced = matches!(observe, Observe::Sink(_));
 
     if leg.snapshot {
         // Run half the program, snapshot, finish; then rewind to the
@@ -449,7 +462,12 @@ fn run_leg(
         core.run(half.max(1));
         let snap = core.snapshot();
         core.run(MAX_INSTS);
-        let first = compare(&core, cpu, Some(&stores.lock().unwrap()), leg);
+        let first = compare(
+            &core,
+            cpu,
+            traced.then_some(&stores.lock().unwrap()[..]),
+            leg,
+        );
         if !first.is_empty() {
             return first;
         }
@@ -464,7 +482,7 @@ fn run_leg(
 
     core.run(MAX_INSTS);
     let collected = stores.lock().unwrap().clone();
-    compare(&core, cpu, Some(&collected), leg)
+    compare(&core, cpu, traced.then_some(&collected[..]), leg)
 }
 
 /// Runs one program across `legs` and compares each against the
@@ -482,6 +500,25 @@ pub fn cosim_with_coverage(
     legs: &[ModeLeg],
     bug: Option<&InjectedBug>,
     coverage: Option<&Arc<Mutex<CoverageMap>>>,
+) -> CosimResult {
+    cosim_observed(program, legs, bug, Observe::Sink(coverage))
+}
+
+/// [`cosim`] with no sink attached to any leg's core, so that every
+/// untraced batch with the flow table enabled retires straight-line runs
+/// on the pipeline's block path, in either engine. Final architectural
+/// state, memory, the retired count and its delivery partition are
+/// compared with the reference; the store stream is not, since no sink
+/// sees it.
+pub fn cosim_untraced(program: &Program, legs: &[ModeLeg]) -> CosimResult {
+    cosim_observed(program, legs, None, Observe::Untraced)
+}
+
+fn cosim_observed(
+    program: &Program,
+    legs: &[ModeLeg],
+    bug: Option<&InjectedBug>,
+    observe: Observe<'_>,
 ) -> CosimResult {
     let mut cpu = RefCpu::new(program.entry());
     let out = cpu.run(program, MAX_INSTS);
@@ -501,9 +538,9 @@ pub fn cosim_with_coverage(
         };
     }
     for leg in legs {
-        divergences.extend(run_leg(program, leg, &cpu, bug, coverage));
+        divergences.extend(run_leg(program, leg, &cpu, bug, observe));
     }
-    if let Some(map) = coverage {
+    if let Observe::Sink(Some(map)) = observe {
         if let Ok(mut m) = map.lock() {
             for d in &divergences {
                 m.record_divergence(d.class.name());

@@ -9,23 +9,34 @@
 //! and the CSD engine decides nothing. This module retires such a run in
 //! one step, monomorphised on the engine (`run::<CYCLE>`):
 //!
-//! - **Records.** Each instruction's facts (its native flow in the flow
-//!   table, its address and the address after it, the last L1I line it
-//!   spans, its front-end slots, and in the cycle engine its µops'
-//!   timing facts) sit in contiguous arrays, [`Steps`], built on the
-//!   block path's first visit after the flow table holds the flow, and
-//!   never invalidated: they depend on the program and the core
-//!   configuration alone (a core's engine is fixed when it is built).
-//! - **Fetch.** One full L1I access per line change. Further fetches of
-//!   the same line are counted and charged at once
+//! - **Segment records.** A segment is a maximal straight-line stretch of
+//!   the program, up to an instruction that ends a run or the program's
+//!   end. Each instruction of a segment has a record ([`Rec`]) in one
+//!   array indexed like the flow table: its native flow, its encoding
+//!   length, whether it starts a new L1I line and a new µop-cache window,
+//!   how many more lines it spans, its front-end slots, in the cycle
+//!   engine its µops' timing facts, and the sums of µops, slots, fused
+//!   slots, MSROM flows and uncacheable flows over the segment up to and
+//!   including it. Every record of a segment also holds where the
+//!   segment's records end. Records are built on the block path's first
+//!   visit after the flow table holds the flows, and never invalidated:
+//!   they depend on the program and the core configuration alone (a
+//!   core's engine is fixed when it is built).
+//! - **Length.** A run is a plain slice of records. The functional engine
+//!   knows the run's length before it executes: the smallest of the batch
+//!   budget, the engine's quiet span and the cycle limit, found on the
+//!   µop sums (functional cycles are retired µops). The cycle engine stops
+//!   at the retire whose commit clock reaches the limit.
+//! - **Fetch.** One full L1I access at each line boundary. Further
+//!   fetches of the same line are counted and charged at once
 //!   ([`csd_cache::Hierarchy::refetch`]) while the L1I still holds it; a
 //!   back-invalidation or `clflush` in between ends the count and the
 //!   next fetch takes a full access. Only a full access can miss, so
 //!   only it can carry a fetch penalty.
-//! - **µop cache.** One lookup for a window's first instruction, with its
-//!   usual delivery, and one collapsed lookup for the rest of the window
-//!   ([`crate::uop_cache::UopCache::lookup_repeat`]); every instruction
-//!   of the window is delivered from where the first one was.
+//! - **µop cache.** One lookup at each window boundary, with its usual
+//!   delivery; when the window closes, the rest of it is one collapsed
+//!   lookup ([`crate::uop_cache::UopCache::lookup_repeat`]) and one
+//!   delivery whose slots and counts come from the record sums.
 //! - **Timing (cycle engine).** Per instruction and per µop, in the
 //!   per-instruction path's order: the front-end charge
 //!   ([`crate::decode::charge`]), then each µop's dispatch, execution and
@@ -33,8 +44,8 @@
 //!   [`crate::execute::time_uop`]) from the record's timing facts.
 //! - **Execute.** Every µop goes through the one executor,
 //!   [`crate::execute::exec_uop`], DIFT propagation included.
-//! - **Commit.** Statistics, flow-table hits, the engine's decode counts
-//!   and its tick are added once at the run's end
+//! - **Commit.** Statistics (from the record sums), flow-table hits, the
+//!   engine's decode counts and its tick are added once at the run's end
 //!   ([`csd::CsdEngine::retire_quiet`]), with the clock, the PC, the
 //!   fetch hint, the `cmp`/`jcc` fusion latch and the window builder left
 //!   as the last instruction leaves them.
@@ -76,152 +87,273 @@ fn ends_run(inst: &Inst) -> bool {
         || matches!(inst, Inst::Halt | Inst::Rdtsc | Inst::Wrmsr { .. })
 }
 
-/// One instruction's facts for the block path.
-#[derive(Debug, Clone, Copy)]
-struct Step {
-    /// The native flow, stored in the core's flow table.
-    flow: Stored,
-    /// The instruction's address.
-    addr: u64,
-    /// The address after the instruction.
-    next: u64,
-    /// The last L1I line the encoding spans.
-    last_line: u64,
+/// Per-instruction counts a run adds up, summed over a segment's records
+/// from its first one.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Sums {
+    /// µops.
+    uops: u32,
+    /// Dispatch slots: front-end slots, at least one per instruction.
+    slots: u32,
     /// Front-end slots: fused µops, or all µops without fusion.
     fused: u32,
-    /// Where the flow's µop timing facts start in [`Steps`]' arena
-    /// (cycle engine only).
-    timing: u32,
-    /// A `cmp` or `test`, with which a following `jcc` fuses.
-    fusable_cmp: bool,
+    /// Flows the MSROM sequences.
+    msrom: u32,
+    /// Flows the µop cache cannot hold.
+    uncacheable: u32,
 }
 
-/// One instruction's entry in [`Steps`].
-#[derive(Debug, Clone, Copy, Default)]
-enum Slot {
+impl Sums {
+    fn plus(self, o: Sums) -> Sums {
+        Sums {
+            uops: self.uops + o.uops,
+            slots: self.slots + o.slots,
+            fused: self.fused + o.fused,
+            msrom: self.msrom + o.msrom,
+            uncacheable: self.uncacheable + o.uncacheable,
+        }
+    }
+
+    fn minus(self, o: Sums) -> Sums {
+        Sums {
+            uops: self.uops - o.uops,
+            slots: self.slots - o.slots,
+            fused: self.fused - o.fused,
+            msrom: self.msrom - o.msrom,
+            uncacheable: self.uncacheable - o.uncacheable,
+        }
+    }
+}
+
+/// What a record says about its instruction's place in a segment.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum State {
     /// No record yet.
     #[default]
     Unbuilt,
-    /// The instruction ends a run.
+    /// The instruction ends a run: no segment holds it.
     Ends,
-    /// The instruction runs on the block path.
-    Step(Step),
+    /// In a segment whose records stop at an instruction the flow table
+    /// did not hold yet; a later run tries to extend them.
+    Open,
+    /// In a segment whose records reach its end: an instruction that
+    /// ends a run, or the program's end.
+    Closed,
 }
 
-/// The block path's per-instruction records, indexed by dense program
-/// index like the flow table, in one array allocated by the first run,
-/// and, for the cycle engine, the timing facts of each record's µops back
-/// to back in one arena.
+/// One instruction's segment record.
+#[derive(Debug, Clone, Copy, Default)]
+struct Rec {
+    /// The native flow, stored in the core's flow table.
+    flow: Stored,
+    /// The sums over the segment's records up to and including this one.
+    upto: Sums,
+    /// Where the segment's records start (what `upto` sums from).
+    base: u32,
+    /// Where the segment's records end: the index after the last one.
+    end: u32,
+    /// Where the flow's µop timing facts start in [`Steps`]' arena
+    /// (cycle engine only).
+    timing: u32,
+    /// Front-end slots: fused µops, or all µops without fusion.
+    fused: u32,
+    /// The encoding's length in bytes.
+    len: u8,
+    /// L1I lines the encoding spans after its first.
+    more_lines: u8,
+    /// Whether the first line differs from the previous instruction's
+    /// last one.
+    new_line: bool,
+    /// Whether the µop-cache window differs from the previous
+    /// instruction's.
+    new_window: bool,
+    /// A `cmp` or `test`, with which a following `jcc` fuses.
+    fusable_cmp: bool,
+    state: State,
+}
+
+impl Rec {
+    /// This instruction's own counts.
+    fn own(&self) -> Sums {
+        let facts = &self.flow.facts;
+        Sums {
+            uops: facts.uops,
+            slots: self.fused.max(1),
+            fused: self.fused,
+            msrom: u32::from(facts.from_msrom),
+            uncacheable: u32::from(!facts.cacheable),
+        }
+    }
+
+    /// The sums over the segment's records before this one.
+    fn before(&self) -> Sums {
+        self.upto.minus(self.own())
+    }
+}
+
+/// The block path's segment records, indexed by dense program index like
+/// the flow table, in one array allocated by the first run, and, for the
+/// cycle engine, the timing facts of each record's µops back to back in
+/// one arena.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Steps {
-    slots: Vec<Slot>,
+    recs: Vec<Rec>,
     timings: Vec<UopTiming>,
 }
 
 impl Steps {
-    /// The record of instruction `index`, built if the flow table holds
-    /// its native flow; `None` when it ends a run, lies past the program,
-    /// or has not been decoded yet (the per-instruction path decodes it,
-    /// counting the table miss, and a later run builds the record).
-    /// Inlined into both engines' runs: a call per instruction costs
-    /// more than the lookup.
-    #[inline(always)]
-    fn step<const CYCLE: bool>(
+    /// Whether instruction `index` has a record, building its segment's
+    /// records first if it has none or its segment is open. It has none
+    /// when it ends a run, lies past the program, or has not been decoded
+    /// yet (the per-instruction path decodes it, counting the table miss,
+    /// and a later run builds the record).
+    #[inline]
+    fn ready<const CYCLE: bool>(
         &mut self,
         index: usize,
         program: &Program,
         flows: &mut FlowTable,
         cfg: &CoreConfig,
-    ) -> Option<Step> {
-        if index >= program.len() {
-            return None;
+    ) -> bool {
+        if self.recs.is_empty() {
+            self.recs = vec![Rec::default(); program.len()];
         }
-        if self.slots.is_empty() {
-            self.slots = vec![Slot::Unbuilt; program.len()];
+        let Some(r) = self.recs.get(index) else {
+            return false;
+        };
+        match r.state {
+            State::Closed => return true,
+            State::Ends => return false,
+            State::Unbuilt => {
+                self.build::<CYCLE>(index, index, Sums::default(), program, flows, cfg)
+            }
+            State::Open => {
+                let (base, end) = (r.base as usize, r.end as usize);
+                let upto = self.recs[end - 1].upto;
+                self.build::<CYCLE>(base, end, upto, program, flows, cfg);
+            }
         }
-        if let Slot::Unbuilt = self.slots[index] {
-            self.slots[index] = self.build::<CYCLE>(index, program, flows, cfg);
-        }
-        match self.slots[index] {
-            Slot::Step(s) => Some(s),
-            Slot::Ends | Slot::Unbuilt => None,
-        }
+        matches!(self.recs[index].state, State::Open | State::Closed)
     }
 
-    /// The record of instruction `index` (in range), with its µops'
-    /// timing facts when `CYCLE`.
+    /// Builds records from `from` on for the segment whose records start
+    /// at `base`, `upto` being their sums so far, until an instruction
+    /// that ends a run, the program's end, or an instruction the flow
+    /// table does not hold. Records met on the way, built by a run that
+    /// entered the segment later in it, join on: their sums are rebased
+    /// onto `base`. Every record of the segment then holds its end.
     #[cold]
     #[inline(never)]
     fn build<const CYCLE: bool>(
         &mut self,
-        index: usize,
+        base: usize,
+        from: usize,
+        mut upto: Sums,
         program: &Program,
         flows: &mut FlowTable,
         cfg: &CoreConfig,
-    ) -> Slot {
-        let placed = &program.placed()[index];
-        if ends_run(&placed.inst) {
-            return Slot::Ends;
-        }
-        let (Some(flow), Some(f)) = (
-            flows.slot(index).native,
-            program.fetch_hinted(placed.addr, index),
-        ) else {
-            return Slot::Unbuilt;
-        };
-        let timing = u32::try_from(self.timings.len()).expect("timing arena under 4 Gi µops");
-        if CYCLE {
-            self.timings.extend(UopTiming::of_flow(flows.uops(flow)));
-        }
+    ) {
+        let placed = program.placed();
         let line_bytes = cfg.hierarchy.l1i.line_bytes as u64;
-        Slot::Step(Step {
-            flow,
-            addr: placed.addr,
-            next: f.next,
-            last_line: (f.next - 1) & !(line_bytes - 1),
-            fused: if cfg.fusion_enabled {
-                flow.facts.fused
-            } else {
-                flow.facts.uops
-            },
-            timing,
-            fusable_cmp: matches!(placed.inst, Inst::Cmp { .. } | Inst::Test { .. }),
-        })
-    }
-
-    /// The timing facts of `step`'s µops (built by a cycle-engine run).
-    #[inline]
-    fn timings(&self, step: &Step) -> &[UopTiming] {
-        let start = step.timing as usize;
-        &self.timings[start..start + step.flow.facts.uops as usize]
+        let line_of = |addr: u64| addr & !(line_bytes - 1);
+        let mut i = from;
+        let closed = loop {
+            let Some(p) = placed.get(i) else {
+                break true;
+            };
+            if ends_run(&p.inst) {
+                self.recs[i].state = State::Ends;
+                break true;
+            }
+            let joined = self.recs[i];
+            if joined.state != State::Unbuilt {
+                debug_assert_eq!(joined.base as usize, i, "records join at their start");
+                let end = joined.end as usize;
+                for r in &mut self.recs[i..end] {
+                    r.upto = r.upto.plus(upto);
+                }
+                upto = self.recs[end - 1].upto;
+                i = end;
+                if joined.state == State::Closed {
+                    break true;
+                }
+                continue;
+            }
+            let Some(flow) = flows.slot(i).native else {
+                break false;
+            };
+            let timing = u32::try_from(self.timings.len()).expect("timing arena under 4 Gi µops");
+            if CYCLE {
+                self.timings.extend(UopTiming::of_flow(flows.uops(flow)));
+            }
+            let next = p.next_addr();
+            let (first, last) = (line_of(p.addr), line_of(next - 1));
+            let prev = i.checked_sub(1).map(|j| &placed[j]);
+            let mut r = Rec {
+                flow,
+                upto: Sums::default(),
+                base: 0,
+                end: 0,
+                timing,
+                fused: if cfg.fusion_enabled {
+                    flow.facts.fused
+                } else {
+                    flow.facts.uops
+                },
+                len: (next - p.addr) as u8,
+                more_lines: ((last - first) / line_bytes) as u8,
+                new_line: prev.is_none_or(|q| line_of(q.next_addr() - 1) != first),
+                new_window: prev
+                    .is_none_or(|q| UopCache::window_of(q.addr) != UopCache::window_of(p.addr)),
+                fusable_cmp: matches!(p.inst, Inst::Cmp { .. } | Inst::Test { .. }),
+                state: State::Open,
+            };
+            upto = upto.plus(r.own());
+            r.upto = upto;
+            self.recs[i] = r;
+            i += 1;
+        };
+        if i == from {
+            return;
+        }
+        let state = if closed { State::Closed } else { State::Open };
+        for r in &mut self.recs[base..i] {
+            r.base = base as u32;
+            r.end = i as u32;
+            r.state = state;
+        }
     }
 }
 
 /// A run's fetches of its current L1I line after the one full access.
 #[derive(Default)]
 struct FetchRun {
-    line: u64,
     slot: Option<LineSlot>,
     pending: u64,
 }
 
 impl FetchRun {
-    /// Fetches `line`: counted if it is the current line and the L1I
-    /// still holds it (an L1I hit, so `None`), a full access otherwise,
-    /// whose outcome is returned.
+    /// A full L1I access of `line`, after charging the counted fetches.
     #[inline]
-    fn fetch(&mut self, core: &mut Core, line: u64) -> Option<AccessResult> {
-        if let Some(slot) = self.slot {
-            if line == self.line && core.m.hier.l1i_holds(slot) {
-                self.pending += 1;
-                return None;
-            }
-        }
+    fn full(&mut self, core: &mut Core, line: u64) -> AccessResult {
         self.finish(core);
         let (slot, r) = core.m.hier.fetch(line);
         self.slot = Some(slot);
-        self.line = line;
-        Some(r)
+        r
+    }
+
+    /// Fetches the current line, `line`, again: counted while the L1I
+    /// still holds it (an L1I hit, so `None`), a full access otherwise,
+    /// whose outcome is returned.
+    #[inline]
+    fn again(&mut self, core: &mut Core, line: u64) -> Option<AccessResult> {
+        match self.slot {
+            Some(slot) if core.m.hier.l1i_holds(slot) => {
+                self.pending += 1;
+                None
+            }
+            _ => Some(self.full(core, line)),
+        }
     }
 
     /// Charges the counted fetches.
@@ -233,65 +365,25 @@ impl FetchRun {
     }
 }
 
-/// A run's µop-cache deliveries of its current window after the first.
-struct WindowRun {
-    window: Option<u64>,
-    /// Whether the current window's lookup hit.
-    hit: bool,
-    rest: Delivery,
-}
-
-impl WindowRun {
-    fn new() -> WindowRun {
-        WindowRun {
-            window: None,
-            hit: false,
-            rest: Delivery {
-                insts: 0,
-                fused: 0,
-                cacheable: true,
-                msrom: 0,
-            },
-        }
+/// Delivers the rest of the µop-cache window that `recs[first]` opened,
+/// `recs[first + 1..end]`, with one collapsed lookup.
+fn close_window(core: &mut Core, recs: &[Rec], window: u64, first: usize, end: usize) {
+    let insts = (end - first - 1) as u64;
+    if insts == 0 {
+        return;
     }
-
-    /// Delivers `step`: added to the rest of the current window, or
-    /// looked up and delivered as the first of a new one. Returns whether
-    /// it is delivered from the µop cache: every lookup of a window in a
-    /// run answers as its first did. Inlined into both engines' runs,
-    /// like [`Steps::step`].
-    #[inline(always)]
-    fn deliver(&mut self, core: &mut Core, step: &Step) -> bool {
-        let window = UopCache::window_of(step.addr);
-        let msrom = step.flow.facts.from_msrom;
-        if self.window == Some(window) {
-            let r = &mut self.rest;
-            r.insts += 1;
-            r.fused += step.fused;
-            r.cacheable &= step.flow.facts.cacheable;
-            r.msrom += u64::from(msrom);
-            return self.hit;
-        }
-        self.finish(core);
-        let hit = core.m.ucache.lookup(window, ContextId::Native);
-        let d = Delivery::one(step.fused, step.flow.facts.cacheable, msrom);
-        decode::deliver(core, hit, window, ContextId::Native, d);
-        self.window = Some(window);
-        self.hit = hit;
-        hit
-    }
-
-    /// Delivers the rest of the current window with one collapsed lookup.
-    fn finish(&mut self, core: &mut Core) {
-        if let Some(w) = self.window.filter(|_| self.rest.insts > 0) {
-            let hit = core
-                .m
-                .ucache
-                .lookup_repeat(w, ContextId::Native, self.rest.insts);
-            decode::deliver(core, hit, w, ContextId::Native, self.rest);
-        }
-        *self = WindowRun::new();
-    }
+    let rest = recs[end - 1].upto.minus(recs[first].upto);
+    let hit = core
+        .m
+        .ucache
+        .lookup_repeat(window, ContextId::Native, insts);
+    let d = Delivery {
+        insts,
+        fused: rest.fused,
+        cacheable: rest.uncacheable == 0,
+        msrom: u64::from(rest.msrom),
+    };
+    decode::deliver(core, hit, window, ContextId::Native, d);
 }
 
 /// Retires the straight-line run at the PC (see the module docs) in the
@@ -316,81 +408,108 @@ pub(crate) fn run<const CYCLE: bool>(
     let Some(first) = program.fetch_hinted(core.m.state.rip, core.fetch_hint) else {
         return 0;
     };
-    let max = max.min(quiet.insts);
+    let at = first.index;
+    if !steps.ready::<CYCLE>(at, program, flows, &core.cfg) {
+        return 0;
+    }
     let start = core.m.stats.cycles;
     let limit = target.min(start.saturating_add(quiet.cycles));
+    let recs = &steps.recs[at..steps.recs[at].end as usize];
+    let before = recs[0].before();
+    let mut len = (recs.len() as u64).min(max).min(quiet.insts);
+    if !CYCLE {
+        // The run ends with the retire whose µops bring the count to the
+        // limit: the first record whose µop sum reaches it.
+        let reach = limit
+            .saturating_sub(start)
+            .saturating_add(u64::from(before.uops));
+        let k = recs.partition_point(|r| u64::from(r.upto.uops) < reach) as u64;
+        len = len.min(k + 1);
+    }
+    let recs = &recs[..len as usize];
+    // `ceil(x) >= limit` exactly when `x > limit - 1`; a limit of 0 is
+    // reached by any clock, and no clock passes `u64::MAX - 1`.
+    let stop = limit.checked_sub(1).map_or(-1.0, |l| l as f64);
     let uop_cache = core.cfg.uop_cache_enabled;
     let line_bytes = core.cfg.hierarchy.l1i.line_bytes as u64;
-    let placed = program.placed();
+    let placed = &program.placed()[at..];
+    let table: &FlowTable = flows;
 
     let mut fetch = FetchRun::default();
-    let mut window = WindowRun::new();
-    let (mut n, mut uops, mut slots, mut msrom) = (0u64, 0u64, 0u64, 0u64);
-    let mut index = first.index;
-    let mut last = None;
-    while let Some(step) = steps.step::<CYCLE>(index, program, flows, &core.cfg) {
-        let mut line = step.addr & !(line_bytes - 1);
+    // The open µop-cache window, the record that opened it, and whether
+    // its lookup hit: every lookup of a window in a run answers as its
+    // first did.
+    let (mut window, mut opened, mut hit) = (0, 0, false);
+    let mut n = recs.len();
+    for (k, r) in recs.iter().enumerate() {
+        let inst = &placed[k];
+        let mut line = inst.addr & !(line_bytes - 1);
         let mut penalty = 0.0;
-        loop {
-            if let Some(r) = fetch.fetch(core, line) {
-                if CYCLE {
-                    penalty = fetch::penalty(core, penalty, r);
-                }
-            }
-            if line == step.last_line {
-                break;
-            }
-            line += line_bytes;
-        }
-        let from_uc = uop_cache && window.deliver(core, &step);
-        let inst = &placed[index];
-        let flow = flows.uops(step.flow);
+        let r0 = if k == 0 || r.new_line {
+            Some(fetch.full(core, line))
+        } else {
+            fetch.again(core, line)
+        };
         if CYCLE {
-            let facts = &step.flow.facts;
+            if let Some(r0) = r0 {
+                penalty = fetch::penalty(core, penalty, r0);
+            }
+        }
+        for _ in 0..r.more_lines {
+            line += line_bytes;
+            let rl = fetch.full(core, line);
+            if CYCLE {
+                penalty = fetch::penalty(core, penalty, rl);
+            }
+        }
+        if uop_cache && (k == 0 || r.new_window) {
+            if k > 0 {
+                close_window(core, recs, window, opened, k);
+            }
+            window = UopCache::window_of(inst.addr);
+            opened = k;
+            let facts = &r.flow.facts;
+            hit = core.m.ucache.lookup(window, ContextId::Native);
+            let d = Delivery::one(r.fused, facts.cacheable, facts.from_msrom);
+            decode::deliver(core, hit, window, ContextId::Native, d);
+        }
+        let next = inst.addr + u64::from(r.len);
+        let flow = table.uops(r.flow);
+        if CYCLE {
             decode::charge(
                 core,
                 penalty,
-                from_uc,
-                step.fused,
-                facts,
-                step.next - step.addr,
+                uop_cache && hit,
+                r.fused,
+                &r.flow.facts,
+                u64::from(r.len),
             );
             // A scalar native flow stalls for nothing: its µops may
             // dispatch from the fetch clock on.
             let ready = core.m.fe_time;
             let mut slot = ready;
-            for (u, t) in flow.iter().zip(steps.timings(&step)) {
+            let timings = &steps.timings[r.timing as usize..][..flow.len()];
+            for (u, t) in flow.iter().zip(timings) {
                 slot = execute::dispatch(core, t, ready, slot);
-                let (effect, latency, mispredicted) = exec_uop::<false>(core, u, inst, step.next);
+                let (effect, latency, mispredicted) = exec_uop::<false>(core, u, inst, next);
                 debug_assert_eq!(effect, UopEffect::None, "a run has no control µop");
                 execute::time_uop(core, t, slot, latency, mispredicted);
             }
+            if core.m.last_commit > stop {
+                n = k + 1;
+                break;
+            }
         } else {
             for u in flow {
-                let (effect, ..) = exec_uop::<false>(core, u, inst, step.next);
+                let (effect, ..) = exec_uop::<false>(core, u, inst, next);
                 debug_assert_eq!(effect, UopEffect::None, "a run has no control µop");
             }
         }
-        n += 1;
-        uops += u64::from(step.flow.facts.uops);
-        slots += u64::from(step.fused.max(1));
-        msrom += u64::from(step.flow.facts.from_msrom);
-        last = Some((index, step));
-        // No clock reaches `u64::MAX`, so an unbounded run reads none.
-        let reached = limit != u64::MAX
-            && if CYCLE {
-                ceil_u64(core.m.last_commit) >= limit
-            } else {
-                start + uops >= limit
-            };
-        if n == max || reached {
-            break;
-        }
-        index += 1;
     }
-    let Some((index, step)) = last else {
-        return 0;
-    };
+    let recs = &recs[..n];
+    let last = &recs[n - 1];
+    let sums = last.upto.minus(before);
+    let uops = u64::from(sums.uops);
     let now = if CYCLE {
         ceil_u64(core.m.last_commit)
     } else {
@@ -399,19 +518,20 @@ pub(crate) fn run<const CYCLE: bool>(
 
     fetch.finish(core);
     if uop_cache {
-        window.finish(core);
+        close_window(core, recs, window, opened, n);
     } else {
-        decode::count_legacy(core, n, msrom);
+        decode::count_legacy(core, n as u64, u64::from(sums.msrom));
     }
+    let n = n as u64;
     let s = &mut core.m.stats;
     s.insts += n;
     s.uops += uops;
-    s.fused_slots += slots;
+    s.fused_slots += u64::from(sums.slots);
     s.cycles = now;
-    core.m.prev_fusable_cmp = step.fusable_cmp;
+    core.m.prev_fusable_cmp = last.fusable_cmp;
     core.m.engine.retire_quiet(n, uops, now - start);
     flows.record_hits(n);
-    core.m.state.rip = step.next;
-    core.fetch_hint = index + 1;
+    core.m.state.rip = placed[recs.len() - 1].addr + u64::from(last.len);
+    core.fetch_hint = at + recs.len();
     n
 }

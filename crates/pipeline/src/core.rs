@@ -35,6 +35,7 @@ use crate::branch::BranchPredictor;
 use crate::clock::ceil_u64;
 use crate::config::CoreConfig;
 use crate::decode::{Quotients, WindowBuilder};
+use crate::execute::Rob;
 use crate::machine::{ArchState, Memory};
 use crate::uop_cache::{UopCache, UopCacheStats};
 use crate::{commit, decode, execute, fetch};
@@ -45,7 +46,6 @@ use csd_power::{Activity, EnergyModel, Unit};
 use csd_telemetry::{EventSink, Json, SinkHandle, ToJson};
 use csd_uops::{FlowTable, MemoStats, UReg};
 use mx86_isa::Program;
-use std::collections::VecDeque;
 
 /// Simulation fidelity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -194,7 +194,7 @@ pub(crate) struct Machine {
     pub(crate) load_ports: Vec<f64>,
     pub(crate) store_ports: Vec<f64>,
     pub(crate) vec_ports: Vec<f64>,
-    pub(crate) rob: VecDeque<f64>,
+    pub(crate) rob: Rob,
     pub(crate) prev_from_uc: bool,
     pub(crate) window_builder: Option<WindowBuilder>,
     pub(crate) prev_fusable_cmp: bool,
@@ -228,7 +228,7 @@ impl Machine {
             load_ports: vec![0.0; cfg.load_units],
             store_ports: vec![0.0; cfg.store_units],
             vec_ports: vec![0.0; cfg.vector_units],
-            rob: VecDeque::new(),
+            rob: Rob::new(cfg.rob_entries),
             prev_from_uc: false,
             window_builder: None,
             prev_fusable_cmp: false,

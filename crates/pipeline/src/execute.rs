@@ -402,10 +402,8 @@ pub(crate) fn time_uop(
     // ROB occupancy: dispatch may not pass the completion of the µop
     // rob_entries back.
     let mut ready = dispatch;
-    if core.m.rob.len() >= core.cfg.rob_entries {
-        if let Some(head) = core.m.rob.pop_front() {
-            ready = later(ready, head);
-        }
+    if let Some(oldest) = core.m.rob.oldest() {
+        ready = later(ready, oldest);
     }
     // Operand readiness.
     for r in t.reads {
@@ -461,8 +459,80 @@ pub(crate) fn time_uop(
         core.m.fe_time = later(core.m.fe_time, done + core.cfg.mispredict_penalty as f64);
     }
 
-    core.m.rob.push_back(done);
+    core.m.rob.push(done);
     core.m.last_commit = later(done, core.m.last_commit + core.commit_step);
+}
+
+/// The reorder buffer's occupancy: the completion times of the last
+/// `entries` timed µops in a fixed ring, oldest first. A µop may not
+/// dispatch past the completion of the µop `entries` back, so once the
+/// ring is full each µop reads the oldest time ([`Rob::oldest`]) and
+/// overwrites it with its own ([`Rob::push`]). A configuration of no
+/// entries keeps one, as a queue that pops only what it pushed would.
+#[derive(Debug)]
+pub(crate) struct Rob {
+    /// The times, oldest at `head` once all `entries` are filled.
+    times: Vec<f64>,
+    head: usize,
+    entries: usize,
+}
+
+impl Rob {
+    /// An empty ring of `max(entries, 1)` times.
+    pub(crate) fn new(entries: usize) -> Rob {
+        let entries = entries.max(1);
+        Rob {
+            times: Vec::with_capacity(entries),
+            head: 0,
+            entries,
+        }
+    }
+
+    /// The completion time of the µop `entries` back, once that many
+    /// have been timed.
+    #[inline]
+    pub(crate) fn oldest(&self) -> Option<f64> {
+        (self.times.len() == self.entries).then(|| self.times[self.head])
+    }
+
+    /// Records the next µop's completion time, over the oldest once the
+    /// ring is full.
+    #[inline]
+    pub(crate) fn push(&mut self, done: f64) {
+        if self.times.len() < self.entries {
+            self.times.push(done);
+            return;
+        }
+        self.times[self.head] = done;
+        self.head += 1;
+        if self.head == self.entries {
+            self.head = 0;
+        }
+    }
+
+    /// The times held, oldest first.
+    #[cfg(test)]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &f64> {
+        let (newer, older) = self.times.split_at(self.head);
+        older.iter().chain(newer)
+    }
+}
+
+impl Clone for Rob {
+    fn clone(&self) -> Rob {
+        Rob {
+            times: self.times.clone(),
+            head: self.head,
+            entries: self.entries,
+        }
+    }
+
+    /// Reuses `self`'s allocation, as a snapshot restore wants.
+    fn clone_from(&mut self, src: &Rob) {
+        self.times.clone_from(&src.times);
+        self.head = src.head;
+        self.entries = src.entries;
+    }
 }
 
 #[cfg(test)]
@@ -624,10 +694,8 @@ mod tests {
         mispredicted: bool,
     ) {
         let mut ready = dispatch;
-        if core.m.rob.len() >= core.cfg.rob_entries {
-            if let Some(head) = core.m.rob.pop_front() {
-                ready = later(ready, head);
-            }
+        if let Some(oldest) = core.m.rob.oldest() {
+            ready = later(ready, oldest);
         }
         let regs = u.regs();
         for r in regs.reads.into_iter().flatten() {
@@ -685,7 +753,7 @@ mod tests {
         if mispredicted {
             core.m.fe_time = later(core.m.fe_time, done + core.cfg.mispredict_penalty as f64);
         }
-        core.m.rob.push_back(done);
+        core.m.rob.push(done);
         core.m.last_commit = later(done, core.m.last_commit + core.commit_step);
     }
 
@@ -702,9 +770,36 @@ mod tests {
             .iter()
             .chain(&m.sched)
             .chain(ports.into_iter().flatten())
-            .chain(&m.rob)
+            .chain(m.rob.iter())
             .map(|t| t.to_bits())
             .collect()
+    }
+
+    /// The ring answers as the queue it replaced, which popped its head
+    /// once `rob_entries` were queued (any head at all with none) and
+    /// then pushed.
+    #[test]
+    fn rob_ring_matches_the_queue_it_replaced() {
+        let mut rng = SplitMix64::new(0x20B);
+        for entries in [0, 1, 2, 3, 7, 168] {
+            let mut ring = Rob::new(entries);
+            let mut queue = std::collections::VecDeque::new();
+            for _ in 0..1000 {
+                let head = if queue.len() >= entries {
+                    queue.pop_front()
+                } else {
+                    None
+                };
+                assert_eq!(ring.oldest(), head, "{entries} entries");
+                let done = stamp(&mut rng);
+                ring.push(done);
+                queue.push_back(done);
+                assert!(ring.iter().eq(queue.iter()), "{entries} entries");
+            }
+            let mut copy = Rob::new(entries + 5);
+            copy.clone_from(&ring);
+            assert!(copy.iter().eq(ring.iter()) && copy.oldest() == ring.oldest());
+        }
     }
 
     #[test]
@@ -746,9 +841,11 @@ mod tests {
                     port.iter_mut().for_each(|p| *p = stamp(&mut rng));
                 }
                 m.store_ports[0] = stamp(&mut rng);
-                m.rob = (0..rng.range_usize(166, 169))
-                    .map(|_| stamp(&mut rng))
-                    .collect();
+                // From partly filled to wrapped more than once.
+                m.rob = Rob::new(core.cfg.rob_entries);
+                for _ in 0..rng.range_usize(166, 400) {
+                    m.rob.push(stamp(&mut rng));
+                }
                 (m.fe_time, m.flags_ready, m.last_commit) =
                     (stamp(&mut rng), stamp(&mut rng), stamp(&mut rng));
                 let mut reference = Core::new(

@@ -18,7 +18,8 @@
 //! allocations however many flows it holds. Flows that depend on more
 //! than the instruction never enter it: MCU patch flows (installed state)
 //! are shared with the patch table, and stealth decoy injections (the
-//! armed window) are built fresh for the one decode that needs them.
+//! armed window and the decoy ranges) are spliced for the one decode
+//! that needs them.
 
 use crate::fusion;
 use crate::{Translation, Uop};
@@ -26,7 +27,7 @@ use std::sync::Arc;
 
 /// The static facts of a flow that the pipeline charges for every dynamic
 /// instance of it, computed once when the flow is built.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FlowFacts {
     /// µops in the flow.
     pub uops: u32,
@@ -131,7 +132,8 @@ impl PartialEq for FlowRef<'_> {
 
 /// A flow stored in a [`FlowTable`]: where its µops sit in the table's
 /// arena, and its facts. Only meaningful for the table that stored it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The default is the empty flow at the arena's start.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Stored {
     start: u32,
     /// The flow's static facts.

@@ -658,3 +658,181 @@ fn hazard_twins(mode: SimMode) {
         assert!(l1i.misses > 24, "{l1i:?}");
     }
 }
+
+/// A loop whose straight-line body mixes encodings of 3 to 10 bytes, so
+/// its instructions start at every offset of their L1I lines and
+/// µop-cache windows.
+fn straight_loop(body: usize) -> Program {
+    let mut a = Assembler::new(0x1000);
+    let top = a.fresh_label();
+    a.mov_ri(Gpr::Rcx, 5);
+    a.mov_ri(Gpr::Rbx, DATA_BASE as i64);
+    a.bind(top).unwrap();
+    for k in 0..body as i64 {
+        match k % 4 {
+            0 => a.mov_ri(Gpr::R8, 0x1234_5678_9abc + k),
+            1 => a.alu_rr(AluOp::Add, Gpr::Rax, Gpr::R8),
+            2 => a.load(Gpr::Rdx, MemRef::base(Gpr::Rbx).with_disp(8 * k)),
+            _ => a.store(MemRef::base(Gpr::Rbx).with_disp(8 * k), Gpr::Rax),
+        };
+    }
+    a.alu_ri(AluOp::Sub, Gpr::Rcx, 1);
+    a.jcc(Cc::Ne, top);
+    a.halt();
+    a.finish().unwrap()
+}
+
+fn loop_core(program: &Program, mode: SimMode) -> Core {
+    Core::new(
+        CoreConfig::default(),
+        CsdConfig::default(),
+        program.clone(),
+        mode,
+    )
+}
+
+fn loop_memory() -> Vec<AddrRange> {
+    vec![AddrRange::new(DATA_BASE, DATA_BASE + 0x400)]
+}
+
+/// Functional cycle targets of every size from 1 to 60 µops: most runs
+/// end at a target that falls inside a µop-cache window and an L1I line,
+/// so the run's last window is cut short and delivered from the record
+/// sums.
+#[test]
+fn block_path_matches_per_instruction_at_cycle_targets_inside_windows_and_lines() {
+    let program = straight_loop(48);
+    let mut inside = 0;
+    for k in 1..=60 {
+        let mut t = Twins::new(|| loop_core(&program, SimMode::Functional), loop_memory());
+        let what = format!("straight loop run_cycles({k})");
+        while t.step(&what, |c| c.run_cycles(k)) == StepOutcome::Running {
+            // The instruction before the PC ends inside the PC's 32-byte
+            // window, and so inside its 64-byte line.
+            if !t.fast.state().rip.is_multiple_of(32) {
+                inside += 1;
+            }
+        }
+        assert!(t.fast.halted(), "{what}: the loop halts");
+    }
+    assert!(inside > 1000, "{inside} stops inside a window and a line");
+}
+
+/// A loop entered first in the middle of its body: the first run to build
+/// records starts there, and the next iteration's run from the top joins
+/// those records onto its own, so one segment end serves both entries.
+#[test]
+fn block_path_matches_per_instruction_when_a_segment_is_entered_mid_way_first() {
+    let mut a = Assembler::new(0x1000);
+    let (top, mid) = (a.fresh_label(), a.fresh_label());
+    a.mov_ri(Gpr::Rcx, 4);
+    a.mov_ri(Gpr::Rbx, DATA_BASE as i64);
+    a.jmp(mid);
+    a.bind(top).unwrap();
+    for k in 0..12 {
+        a.alu_ri(AluOp::Add, Gpr::Rax, k + 1);
+        a.store(MemRef::base(Gpr::Rbx).with_disp(8 * k), Gpr::Rax);
+    }
+    a.bind(mid).unwrap();
+    for k in 12..24 {
+        a.load(Gpr::Rdx, MemRef::base(Gpr::Rbx).with_disp(8 * (k - 12)));
+        a.alu_rr(AluOp::Xor, Gpr::Rax, Gpr::Rdx);
+        a.store(MemRef::base(Gpr::Rbx).with_disp(8 * k), Gpr::Rax);
+    }
+    a.alu_ri(AluOp::Sub, Gpr::Rcx, 1);
+    a.jcc(Cc::Ne, top);
+    a.halt();
+    let program = a.finish().unwrap();
+    for mode in [SimMode::Functional, SimMode::Cycle] {
+        for schedule in SCHEDULES {
+            let what = format!("mid-entered loop {mode:?} {schedule:?}");
+            let mut t = Twins::new(|| loop_core(&program, mode), loop_memory());
+            t.drive(&what, schedule);
+            assert!(t.fast.halted(), "{what}: the loop halts");
+        }
+    }
+}
+
+/// With the loop's records built, `run(1)` from the top of the body to
+/// each of its instructions in turn, then one run to the end: a run of
+/// one enters at every instruction, and a long run follows from each.
+#[test]
+fn block_path_matches_per_instruction_entering_at_every_instruction_of_a_segment() {
+    let body = 24;
+    let program = straight_loop(body);
+    // The prologue and one iteration: two `mov`s, the body, `sub`, `jcc`.
+    let first = 2 + body as u64 + 2;
+    for mode in [SimMode::Functional, SimMode::Cycle] {
+        for i in 0..=body + 1 {
+            let what = format!("straight loop {mode:?} entered at {i}");
+            let mut t = Twins::new(|| loop_core(&program, mode), loop_memory());
+            t.step(&what, |c| c.run(first));
+            for _ in 0..i {
+                t.step(&what, Core::step);
+            }
+            t.step(&what, |c| c.run(BUDGET));
+            assert!(t.fast.halted(), "{what}: the loop halts");
+        }
+    }
+}
+
+/// Each iteration's tainted load injects the decoy sweep, then a `wrmsr`
+/// grows the decoy data range by one block (which re-arms stealth), so
+/// every injection must sweep the ranges as they stand then, not as the
+/// stored sweep was built.
+#[test]
+fn stealth_injections_sweep_the_ranges_a_wrmsr_rewrote() {
+    use csd_repro::core::msr::MSR_DATA_RANGE_BASE;
+    let iterations = 4u64;
+    let mut a = Assembler::new(0x1000);
+    let top = a.fresh_label();
+    a.mov_ri(Gpr::Rcx, iterations as i64);
+    a.mov_ri(Gpr::Rsi, DATA_BASE as i64);
+    a.mov_ri(Gpr::Rax, (DATA_BASE + 64) as i64);
+    a.bind(top).unwrap();
+    // A tainted value, then a load whose address it forms.
+    a.load(Gpr::Rbx, MemRef::base(Gpr::Rsi));
+    a.load(
+        Gpr::Rdx,
+        MemRef::base(Gpr::Rbx).with_disp(DATA_BASE as i64 + 8),
+    );
+    for k in 0..8 {
+        a.alu_ri(AluOp::Add, Gpr::R8, k);
+    }
+    a.alu_ri(AluOp::Add, Gpr::Rax, 64);
+    a.wrmsr(MSR_DATA_RANGE_BASE + 1, Gpr::Rax);
+    a.alu_ri(AluOp::Sub, Gpr::Rcx, 1);
+    a.jcc(Cc::Ne, top);
+    a.halt();
+    let program = a.finish().unwrap();
+    let build = |mode| {
+        let cfg = CoreConfig {
+            dift_enabled: true,
+            ..CoreConfig::default()
+        };
+        let mut core = Core::new(cfg, CsdConfig::default(), program.clone(), mode);
+        arm_stealth(
+            &mut core,
+            &[AddrRange::new(DATA_BASE, DATA_BASE + 64)],
+            &[],
+            1_000_000,
+        );
+        core.dift_mut()
+            .taint_memory(AddrRange::new(DATA_BASE, DATA_BASE + DATA_SIZE));
+        core
+    };
+    // Iteration k sweeps k + 1 blocks: a `mov`, then `ld`, `sub`, `br`
+    // per block.
+    let decoys: u64 = (1..=iterations).map(|blocks| 1 + 3 * blocks).sum();
+    for mode in [SimMode::Functional, SimMode::Cycle] {
+        for schedule in SCHEDULES {
+            let what = format!("rewritten ranges {mode:?} {schedule:?}");
+            let mut t = Twins::new(|| build(mode), loop_memory());
+            t.drive(&what, schedule);
+            assert!(t.fast.halted(), "{what}: the loop halts");
+            let s = *t.fast.engine().stealth().stats();
+            assert_eq!(s.triggers, iterations, "{what}");
+            assert_eq!(s.decoy_uops, decoys, "{what}");
+        }
+    }
+}
