@@ -261,31 +261,44 @@ impl CsdEngine {
     /// the engine doing nothing but count: `None` when the next decode may
     /// need it (a custom mode is active, or stealth is armed). Otherwise
     /// the run may take up to `insts` decodes, and must end with the
-    /// retire that brings its elapsed cycles to `cycles` (the stealth
-    /// watchdog's deadline). [`CsdEngine::retire_quiet`] then accounts
-    /// for the run in one call.
+    /// retire that brings its elapsed cycles to `cycles`: the stealth
+    /// watchdog's deadline or the VPU gate's next change by time alone.
+    /// [`CsdEngine::retire_quiet`] then accounts for the run in one call.
     pub fn quiet_run(&self) -> Option<QuietRun> {
         if self.active_custom.is_some() {
             return None;
         }
-        let cycles = self.stealth.quiet_cycles()?;
+        let cycles = self.stealth.quiet_cycles()?.min(self.gate.quiet_cycles());
         let insts = self.gate.quiet_scalar_insts();
         (insts > 0).then_some(QuietRun { insts, cycles })
     }
 
     /// Accounts for a run within [`CsdEngine::quiet_run`]'s bounds:
     /// `insts` native scalar decodes of `uops` µops in all, retired over
-    /// `cycles` cycles. This is what decoding and ticking them one by one
-    /// does, because inside those bounds nothing a decode or a tick
-    /// changes is read before the run ends. Untraced: the block path it
-    /// serves runs only without a sink.
-    pub fn retire_quiet(&mut self, insts: u64, uops: u64, cycles: u64) {
+    /// `cycles` cycles, with the tick's events to `sink` when `TRACE`
+    /// holds (see [`CsdEngine::tick_traced`]). This is what decoding and
+    /// ticking them one by one does, because inside those bounds nothing
+    /// a decode or a tick changes is read before the run ends, and only
+    /// the last tick can change state.
+    pub fn retire_quiet<const TRACE: bool>(
+        &mut self,
+        insts: u64,
+        uops: u64,
+        cycles: u64,
+        sink: &mut SinkHandle,
+    ) {
         self.stats.decoded_insts += insts;
         self.stats.total_uops += uops;
         self.gate.on_scalar_insts(insts);
         if cycles > 0 {
-            self.tick(cycles);
+            self.tick_traced::<TRACE>(cycles, sink);
         }
+    }
+
+    /// The events of one decode [`CsdEngine::retire_quiet`] accounts for:
+    /// a native table hit, as [`CsdEngine::decode_memo_traced`] reports it.
+    pub fn emit_quiet_decode(placed: &Placed, flow: &FlowRef<'_>, sink: &mut SinkHandle) {
+        Self::emit_decode(placed, flow, ContextId::Native, 0, Served::Hit, sink);
     }
 
     /// Whether the VPU is powered and usable this cycle.
@@ -561,7 +574,7 @@ impl CsdEngine {
             self.stats.custom_decoded += 1;
         }
         if TRACE {
-            Self::emit_decode(placed, &flow, context, d, served, sink);
+            Self::emit_decode(placed, &flow, context, d.stall_cycles, served, sink);
         }
         DecodeOutcome {
             flow,
@@ -579,7 +592,7 @@ impl CsdEngine {
         placed: &Placed,
         flow: &FlowRef<'_>,
         context: ContextId,
-        d: &Decision,
+        stall_cycles: u64,
         served: Served,
         sink: &mut SinkHandle,
     ) {
@@ -592,7 +605,7 @@ impl CsdEngine {
             context: context.bit(),
             uops,
             decoy_uops: decoys,
-            stall_cycles: d.stall_cycles,
+            stall_cycles,
             served: match served {
                 Served::Hit => flow_served::HIT,
                 Served::Miss => flow_served::MISS,

@@ -245,6 +245,20 @@ impl VpuGateController {
         }
     }
 
+    /// The cycles from now whose tick is the first to change the power
+    /// state, so a batch of ticks must end there: a conventional idle
+    /// timer's expiry while the unit is on, or 1 while a wake counts down
+    /// (each count is a new state); unbounded in every other state.
+    pub fn quiet_cycles(&self) -> u64 {
+        match (self.state, self.policy) {
+            (VpuState::On, VpuPolicy::Conventional { idle_gate_cycles }) => idle_gate_cycles
+                .saturating_sub(self.idle_cycles)
+                .saturating_add(1),
+            (VpuState::Waking { .. }, _) => 1,
+            _ => u64::MAX,
+        }
+    }
+
     /// Records `n` decoded scalar instructions, no more than
     /// [`VpuGateController::quiet_scalar_insts`] allows: what `n` calls of
     /// [`VpuGateController::on_scalar_inst`] do.
@@ -423,6 +437,61 @@ mod tests {
         assert_eq!(c.state(), VpuState::On);
         assert_eq!(c.on_vector_inst(1), VectorDecision::ExecuteOnVpu);
         assert_eq!(c.stats().vec_powering_on, 1);
+    }
+
+    /// Ticking one cycle at a time from `c` leaves its power state alone
+    /// for `quiet_cycles() - 1` ticks and changes it on the next; an
+    /// unbounded state holds over a long stretch.
+    fn check_quiet_cycles(c: &VpuGateController, what: &str) {
+        let bound = c.quiet_cycles();
+        let (was, mut t) = (c.state(), c.clone());
+        for n in 1..=bound.min(5_000) {
+            t.tick(1);
+            if n < bound {
+                assert_eq!(t.state(), was, "{what}: tick {n} of {bound}");
+            } else {
+                assert_ne!(t.state(), was, "{what}: tick {n} is the bound");
+            }
+        }
+    }
+
+    #[test]
+    fn quiet_cycles_is_where_ticking_first_changes_the_state() {
+        let gating = GatingParams::default();
+        for idle_gate_cycles in [0, 1, 7, 400] {
+            let policy = VpuPolicy::Conventional { idle_gate_cycles };
+            for idle in [0, 1, idle_gate_cycles / 2, idle_gate_cycles] {
+                let mut c = VpuGateController::new(policy, gating);
+                c.tick(idle.min(idle_gate_cycles));
+                assert_eq!(c.state(), VpuState::On);
+                check_quiet_cycles(&c, &format!("idle {idle} of {idle_gate_cycles}"));
+            }
+            let mut c = VpuGateController::new(policy, gating);
+            c.tick(idle_gate_cycles + 1);
+            assert_eq!(c.state(), VpuState::Gated);
+            assert_eq!(c.quiet_cycles(), u64::MAX, "gated");
+            check_quiet_cycles(&c, &format!("gated after {idle_gate_cycles}"));
+            c.on_vector_inst(1);
+            for k in 0..3 {
+                assert!(matches!(c.state(), VpuState::Waking { .. }));
+                check_quiet_cycles(&c, &format!("conventional waking {k}"));
+                c.tick(1);
+            }
+        }
+        let mut c = csd_ctl(8, 1, 4);
+        for _ in 0..8 {
+            c.on_scalar_inst();
+        }
+        assert_eq!(c.quiet_cycles(), u64::MAX, "gated by the predictor");
+        check_quiet_cycles(&c, "csd gated");
+        for _ in 0..4 {
+            c.on_vector_inst(1);
+        }
+        assert!(matches!(c.state(), VpuState::Waking { .. }));
+        check_quiet_cycles(&c, "csd waking");
+        let on = VpuGateController::new(VpuPolicy::AlwaysOn, gating);
+        assert_eq!(on.quiet_cycles(), u64::MAX, "always on");
+        check_quiet_cycles(&on, "always on");
     }
 
     #[test]

@@ -313,12 +313,7 @@ fn build_core(program: &Program, leg: &ModeLeg, bug: Option<&InjectedBug>) -> Co
     core
 }
 
-fn compare(
-    core: &Core,
-    cpu: &RefCpu,
-    stores: Option<&[StoreRecord]>,
-    leg: &ModeLeg,
-) -> Vec<Divergence> {
+fn compare(core: &Core, cpu: &RefCpu, stores: &[StoreRecord], leg: &ModeLeg) -> Vec<Divergence> {
     let mut d = Vec::new();
     let diverge = |class: DivergenceClass, detail: String| Divergence {
         leg: leg.name(),
@@ -402,36 +397,24 @@ fn compare(
             ));
         }
     }
-    if let Some(stores) = stores {
-        if stores != cpu.stores.as_slice() {
-            let n = stores
-                .iter()
-                .zip(&cpu.stores)
-                .position(|(a, b)| a != b)
-                .unwrap_or_else(|| stores.len().min(cpu.stores.len()));
-            d.push(diverge(
-                DivergenceClass::Stores,
-                format!(
+    if stores != cpu.stores.as_slice() {
+        let n = stores
+            .iter()
+            .zip(&cpu.stores)
+            .position(|(a, b)| a != b)
+            .unwrap_or_else(|| stores.len().min(cpu.stores.len()));
+        d.push(diverge(
+            DivergenceClass::Stores,
+            format!(
                 "store stream differs at index {n}: pipeline {:?}, reference {:?} ({} vs {} stores)",
                 stores.get(n),
                 cpu.stores.get(n),
                 stores.len(),
                 cpu.stores.len()
             ),
-            ));
-        }
+        ));
     }
     d
-}
-
-/// How a leg's core is observed: through a [`LegSink`] (the store stream
-/// is compared, and coverage collected when a map is given), or with no
-/// sink at all, so that untraced batches take the pipeline's block path
-/// and only the final state and the retired count are compared.
-#[derive(Clone, Copy)]
-enum Observe<'a> {
-    Sink(Option<&'a Arc<Mutex<CoverageMap>>>),
-    Untraced,
 }
 
 fn run_leg(
@@ -439,50 +422,44 @@ fn run_leg(
     leg: &ModeLeg,
     cpu: &RefCpu,
     bug: Option<&InjectedBug>,
-    observe: Observe<'_>,
+    coverage: Option<&Arc<Mutex<CoverageMap>>>,
 ) -> Vec<Divergence> {
     let mut core = build_core(program, leg, bug);
     let stores = Arc::new(Mutex::new(Vec::new()));
-    if let Observe::Sink(coverage) = observe {
-        // Coverage lands in the shared map when the leg's core, and with
-        // it the sink, drops. Each leg's context-edge cursor starts
-        // fresh, so edges never span two unrelated runs.
-        core.set_event_sink(Box::new(LegSink {
-            stores: Arc::clone(&stores),
-            coverage: coverage.map(|m| CoverageSink::new(Arc::clone(m))),
-        }));
-    }
-    let traced = matches!(observe, Observe::Sink(_));
+    // Coverage lands in the shared map when the leg's core, and with it
+    // the sink, drops. Each leg's context-edge cursor starts fresh, so
+    // edges never span two unrelated runs.
+    core.set_event_sink(Box::new(LegSink {
+        stores: Arc::clone(&stores),
+        coverage: coverage.map(|m| CoverageSink::new(Arc::clone(m))),
+    }));
 
     if leg.snapshot {
         // Run half the program, snapshot, finish; then rewind to the
         // checkpoint and finish again. Both completions must match the
-        // reference (and therefore each other).
+        // reference. The restored run must store what the first run
+        // stored after the snapshot: with the stores before the snapshot,
+        // it makes the reference's whole stream again.
         let half = cpu.retired / 2;
         core.run(half.max(1));
         let snap = core.snapshot();
+        let at = stores.lock().unwrap().len();
         core.run(MAX_INSTS);
-        let first = compare(
-            &core,
-            cpu,
-            traced.then_some(&stores.lock().unwrap()[..]),
-            leg,
-        );
+        let first = compare(&core, cpu, &stores.lock().unwrap(), leg);
         if !first.is_empty() {
             return first;
         }
+        let end = stores.lock().unwrap().len();
         core.restore(&snap);
         core.run(MAX_INSTS);
-        // The restored run re-executes only the second half, so its
-        // collected store stream intentionally differs; the full-stream
-        // check above already pinned ordering. Compare architectural
-        // state and the retirement count only.
-        return compare(&core, cpu, None, leg);
+        let all = stores.lock().unwrap();
+        let replay: Vec<StoreRecord> = all[..at].iter().chain(&all[end..]).copied().collect();
+        return compare(&core, cpu, &replay, leg);
     }
 
     core.run(MAX_INSTS);
-    let collected = stores.lock().unwrap().clone();
-    compare(&core, cpu, traced.then_some(&collected[..]), leg)
+    let stores = stores.lock().unwrap();
+    compare(&core, cpu, &stores, leg)
 }
 
 /// Runs one program across `legs` and compares each against the
@@ -500,25 +477,6 @@ pub fn cosim_with_coverage(
     legs: &[ModeLeg],
     bug: Option<&InjectedBug>,
     coverage: Option<&Arc<Mutex<CoverageMap>>>,
-) -> CosimResult {
-    cosim_observed(program, legs, bug, Observe::Sink(coverage))
-}
-
-/// [`cosim`] with no sink attached to any leg's core, so that every
-/// untraced batch with the flow table enabled retires straight-line runs
-/// on the pipeline's block path, in either engine. Final architectural
-/// state, memory, the retired count and its delivery partition are
-/// compared with the reference; the store stream is not, since no sink
-/// sees it.
-pub fn cosim_untraced(program: &Program, legs: &[ModeLeg]) -> CosimResult {
-    cosim_observed(program, legs, None, Observe::Untraced)
-}
-
-fn cosim_observed(
-    program: &Program,
-    legs: &[ModeLeg],
-    bug: Option<&InjectedBug>,
-    observe: Observe<'_>,
 ) -> CosimResult {
     let mut cpu = RefCpu::new(program.entry());
     let out = cpu.run(program, MAX_INSTS);
@@ -538,9 +496,9 @@ fn cosim_observed(
         };
     }
     for leg in legs {
-        divergences.extend(run_leg(program, leg, &cpu, bug, observe));
+        divergences.extend(run_leg(program, leg, &cpu, bug, coverage));
     }
-    if let Observe::Sink(Some(map)) = observe {
+    if let Some(map) = coverage {
         if let Ok(mut m) = map.lock() {
             for d in &divergences {
                 m.record_divergence(d.class.name());

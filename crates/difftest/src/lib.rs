@@ -52,8 +52,8 @@ pub use corpus::{default_corpus_dir, fnv1a64, load_corpus, CorpusEntry, CORPUS_S
 pub use fuzz::{active_legs, fuzz, sweep, FuzzConfig, FuzzOutcome};
 pub use generator::{GenOp, GenProgram, Generator};
 pub use harness::{
-    cosim, cosim_untraced, cosim_with_coverage, mode_matrix, reference_halts, CosimResult,
-    Divergence, DivergenceClass, InjectedBug, ModeLeg, STEALTH_WATCHDOG,
+    cosim, cosim_with_coverage, mode_matrix, reference_halts, CosimResult, Divergence,
+    DivergenceClass, InjectedBug, ModeLeg, STEALTH_WATCHDOG,
 };
 pub use mutate::{mask_all, FuzzInput, Mutator};
 pub use reference::{RefCpu, RefOutcome, StoreRecord};

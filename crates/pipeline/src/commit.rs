@@ -44,15 +44,7 @@ pub(crate) fn run<const TRACE: bool>(
             .tick_traced::<TRACE>(now - before, &mut core.sink);
     }
 
-    if TRACE {
-        let ev = RetireEvent {
-            addr: f.inst.placed.addr,
-            uops: uops as u32,
-            insts: core.m.stats.insts,
-            cycles: now,
-        };
-        core.sink.with(|s| s.on_retire(&ev));
-    }
+    emit_retire::<TRACE>(core, f.inst.placed.addr, facts.uops, now);
 
     match end {
         Some(FlowEnd::Halt) => {
@@ -72,6 +64,21 @@ pub(crate) fn run<const TRACE: bool>(
             core.m.state.rip = f.inst.next;
             StepOutcome::Running
         }
+    }
+}
+
+/// Reports a retire, the core's latest, to its sink when `TRACE`; the
+/// per-instruction retire and the block path both report through here.
+#[inline]
+pub(crate) fn emit_retire<const TRACE: bool>(core: &mut Core, addr: u64, uops: u32, cycles: u64) {
+    if TRACE {
+        let ev = RetireEvent {
+            addr,
+            uops,
+            insts: core.m.stats.insts,
+            cycles,
+        };
+        core.sink.with(|s| s.on_retire(&ev));
     }
 }
 

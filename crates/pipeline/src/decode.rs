@@ -199,7 +199,12 @@ impl Quotients {
 }
 
 /// Reports a µop-cache lookup to the core's sink.
-fn emit_ucache<const TRACE: bool>(core: &mut Core, window: u64, ctx: ContextId, hit: bool) {
+pub(crate) fn emit_ucache<const TRACE: bool>(
+    core: &mut Core,
+    window: u64,
+    ctx: ContextId,
+    hit: bool,
+) {
     if TRACE {
         let ev = UopCacheEvent {
             addr: window,

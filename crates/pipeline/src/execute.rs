@@ -15,7 +15,7 @@ use csd_cache::AccessKind;
 use csd_dift::DIFT_L2_TAG_PENALTY;
 use csd_telemetry::StoreEvent;
 use csd_uops::{DecoyTarget, FOp, FWidth, PortClass, Src, UMem, UReg, Uop, UopKind, UopTiming};
-use mx86_isa::{Fetched, Gpr, Inst, Placed};
+use mx86_isa::{Gpr, Inst, Placed};
 
 /// Executes (and in cycle mode, times) the decoded µop flow; returns how
 /// it ended control-wise. Store events, and the context-change event of
@@ -23,19 +23,9 @@ use mx86_isa::{Fetched, Gpr, Inst, Placed};
 /// `Core::run_batch`).
 #[inline]
 pub(crate) fn run<const TRACE: bool>(core: &mut Core, f: &Fetch, d: &Decoded) -> Option<FlowEnd> {
-    let out = &d.out;
-    execute_flow::<TRACE>(core, &f.inst, out.flow.uops(), out.stall_cycles)
-}
-
-#[inline]
-fn execute_flow<const TRACE: bool>(
-    core: &mut Core,
-    fetched: &Fetched,
-    uops: &[Uop],
-    stall: u64,
-) -> Option<FlowEnd> {
+    let (fetched, uops) = (&f.inst, d.out.flow.uops());
     let timing = core.mode == SimMode::Cycle;
-    let inst_ready = core.m.fe_time + stall as f64;
+    let inst_ready = core.m.fe_time + d.out.stall_cycles as f64;
     let mut end = None;
     let mut slot_dispatch = inst_ready;
 

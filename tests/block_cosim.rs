@@ -1,15 +1,14 @@
 //! The block paths against the reference interpreter.
 //!
-//! The fuzz and difftest legs attach a sink to every core, so their
-//! retires go one instruction at a time, and `tests/block_retire.rs`
-//! checks the block paths only against that per-instruction retire.
-//! Here generated programs run on cores with no sink, so every batch
-//! with the flow table enabled retires its straight-line runs on the
-//! block path, and the final registers, flags, memory and retired count
-//! must match the reference interpreter's. Every leg of the difftest
-//! mode matrix runs in both engines.
+//! Generated programs run through the ordinary cosimulation, whose legs
+//! carry a sink: every batch with the flow table enabled retires its
+//! straight-line runs on the block path, traced as the per-instruction
+//! path traces them, so the final registers, flags, memory, retired
+//! count and the ordered store stream must match the reference
+//! interpreter's. Every leg of the difftest mode matrix runs in both
+//! engines.
 
-use csd_difftest::{cosim_untraced, mode_matrix, Generator, ModeLeg};
+use csd_difftest::{cosim, mode_matrix, Generator, ModeLeg};
 
 /// Generated programs per run of the test.
 const PROGRAMS: u64 = 400;
@@ -29,7 +28,7 @@ fn legs() -> Vec<ModeLeg> {
 }
 
 #[test]
-fn untraced_cores_match_the_reference_on_generated_programs() {
+fn block_paths_match_the_reference_on_generated_programs() {
     let legs = legs();
     assert_eq!(
         legs.len(),
@@ -39,7 +38,7 @@ fn untraced_cores_match_the_reference_on_generated_programs() {
     let mut insts = 0;
     for seed in 0..PROGRAMS {
         let program = Generator::new(seed).program().assemble().unwrap();
-        let r = cosim_untraced(&program, &legs);
+        let r = cosim(&program, &legs, None);
         assert!(r.ok(), "seed {seed}: {:#?}", r.divergences);
         insts += r.ref_insts;
     }
